@@ -213,7 +213,7 @@ def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
     for beta in betas:
         for t in np.linspace(t_min, t_max, t_steps):
-            res = gdms.pressure(sysm, float(t), float(beta), method="collapsed")
+            res = gdms.pressure(sysm, float(t), float(beta))
             ts.append(t)
             bs.append(beta)
             ps.append(res.value)
@@ -243,11 +243,10 @@ def cmd_free_energy(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    pres, sysm, curve = _curve(cfg)
+    pres, _, curve = _curve(cfg)
     spec = sp.spectrum(curve)
     spec.validate()
-    restricted = fuchsian_system(pres, 2, restricted=True)
-    delta_c = gdms.free_energy(restricted, 0.0, tail=False).t
+    delta_c = gdms.delta_c(pres, tol=cfg.pressure_tol).t
     path = write_result(
         cfg, "spectrum",
         _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=spec.f0,
@@ -266,8 +265,7 @@ def cmd_delta(cfg: RunConfig) -> int:
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
     delta = gdms.free_energy(sysm, 0.0, tol=cfg.pressure_tol).t
-    restricted = fuchsian_system(pres, 2, restricted=True)
-    delta_c = gdms.free_energy(restricted, 0.0, tail=False).t
+    delta_c = gdms.delta_c(pres, tol=cfg.pressure_tol).t
     below = poincare_divergence_probe(pres, delta - 0.05)
     above = poincare_divergence_probe(pres, delta + 0.05)
     probe = {
@@ -304,7 +302,7 @@ def main(argv=None) -> int:
         if args.command == "delta":
             return cmd_delta(cfg)
         raise ConfigError("unknown command %r" % args.command)
-    except (ConfigError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

@@ -21,7 +21,6 @@ class RunConfig:
     name: str = "group"
     generators: list = field(default_factory=list)
     cap: int = 400
-    cap_ladder: tuple = (100, 200, 400)
     beta_min: float = -20.0
     beta_max: float = 20.0
     beta_steps: int = 33
@@ -48,8 +47,8 @@ class RunConfig:
         for key in ("pressure_tol",):
             if getattr(self, key) <= 0:
                 raise ConfigError("%s must be positive" % key)
-        if self.cap < 1 or any(c < 1 for c in self.cap_ladder):
-            raise ConfigError("caps must be >= 1")
+        if self.cap < 1:
+            raise ConfigError("cap must be >= 1")
         return self
 
 
@@ -58,7 +57,7 @@ _SCALARS = {
     "beta_steps": int, "pressure_tol": float, "seed": int,
     "out_dir": str, "out_format": str,
 }
-_LISTS = {"cap_ladder": int, "beta_extensions": float}
+_LISTS = {"beta_extensions": float}
 _GEN_KEYS = {"label", "inverse_label", "kind", "matrix", "interval",
              "interval_inverse"}
 
@@ -155,7 +154,10 @@ def load_config(path: str) -> RunConfig:
 def config_from_preset(name: str) -> RunConfig:
     from .presets import preset_config
 
-    pc = preset_config(name)
+    try:
+        pc = preset_config(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
     cfg = RunConfig(name=pc["name"])
     cfg.generators = [dict(e) for e in pc["generators"]]
     return cfg.validate()

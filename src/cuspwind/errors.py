@@ -69,14 +69,6 @@ class GeodesicMissesHorocircle(CuspwindError):
 
 # --- gdms -----------------------------------------------------------------
 
-class NotIrreducible(CuspwindError):
-    """Power iteration cannot converge to a simple dominant value."""
-
-
-class NonConvergence(CuspwindError):
-    """Power iteration did not converge within the iteration budget."""
-
-
 class NoSignChange(CuspwindError):
     """Root bracketing for the pressure equation failed."""
 

@@ -1,11 +1,12 @@
 """Pressure engine on finitely-irreducible edge shifts and the free energy.
 
-The weighted operator M[e, f] = A(e, f) exp(t zeta(e) + beta psi(e)) is
-never materialized: admissibility compares two-symbol overlap keys, so a
-matrix-vector product is a scatter/gather pair (kernels module).  Since
-the weights are letter-local, the nonzero spectrum also coincides with
-that of the collapsed key-by-key matrix of summed weights, which serves
-as an independent oracle in the tests.
+In the weighted operator M[e, f] = A(e, f) exp(t zeta(e) + beta psi(e))
+the admissibility A compares two-symbol overlap keys only: edge e can be
+followed by f exactly when out(e) = in(f).  Since the weights are
+letter-local, the nonzero spectrum of M coincides with that of the
+key-by-key matrix B[i, j] = sum of w(e) over the edges with in(e) = i and
+out(e) = j, so the pressure is log rho(B), one eigensolve of an
+n_keys x n_keys matrix however many letters the truncation keeps.
 
 Fuchsian instances carry their letter families, so the infinite parabolic
 exponent range is handled by an exact lump per family: all letters of a
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSignChange, NotIrreducible
-from .kernels import power_log_radius
+from .errors import NoSignChange
 
 LOG_EPS = -745.0  # below this, exp underflows to zero
 
@@ -73,20 +73,19 @@ class TailData:
 
     in_keys: np.ndarray
     out_keys: np.ndarray
-    zeta: dict        # which -> (n_tails, ext)
-    c_env: dict       # which -> (n_tails,)
-    psi: np.ndarray   # (ext,)
-    m_end: int        # cap + ext
+    zeta: np.ndarray   # (n_tails, ext)
+    c_env: np.ndarray  # (n_tails,)
+    psi: np.ndarray    # (ext,)
+    m_end: int         # cap + ext
     log_mult: np.ndarray = None  # additive log constant per tail row
 
-    def log_weights(self, t: float, beta: float, which: str,
-                    r: float = None) -> np.ndarray:
+    def log_weights(self, t: float, beta: float, r: float = None) -> np.ndarray:
         s_minus_1 = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
         n_tails = len(self.in_keys)
         if s_minus_1 <= 0.0:
             return np.full(n_tails, math.inf)
-        lw = t * self.zeta[which] + beta * self.psi
-        analytic = -t * self.c_env[which] + log_zeta_tail(s_minus_1, self.m_end) \
+        lw = t * self.zeta + beta * self.psi
+        analytic = -t * self.c_env + log_zeta_tail(s_minus_1, self.m_end) \
             - 2.0 * beta * math.log1p(-1.0 / (self.m_end + 1))
         m = np.maximum(lw.max(axis=1), analytic)
         out = m + np.log(np.exp(lw - m[:, None]).sum(axis=1)
@@ -106,8 +105,6 @@ class GdmsSystem:
     out_keys: np.ndarray
     zeta: np.ndarray
     psi: np.ndarray
-    zeta_lo: np.ndarray = None
-    zeta_hi: np.ndarray = None
     log_mult: np.ndarray = None  # additive log constant (quadrature weights)
     edge_labels: list = None
     letter_ids: np.ndarray = None  # edge -> underlying letter (bucket copies)
@@ -115,25 +112,25 @@ class GdmsSystem:
     tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
     cap: int = None
     fuchsian: bool = False
+    # cell in_key * n_keys + out_key of the key matrix, for the edges
+    # followed by the tail pseudo-edges
+    flat_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.zeta_lo is None:
-            self.zeta_lo = self.zeta
-        if self.zeta_hi is None:
-            self.zeta_hi = self.zeta
         if self.log_mult is None:
             self.log_mult = np.zeros(len(self.zeta))
         if self.letter_ids is None:
             self.letter_ids = np.arange(len(self.zeta))
         if self.n_letters is None:
             self.n_letters = len(self.zeta)
+        flat = [self.in_keys * self.n_keys + self.out_keys]
+        if self.tails is not None:
+            flat.append(self.tails.in_keys * self.n_keys + self.tails.out_keys)
+        self.flat_keys = np.concatenate(flat)
 
     @property
     def n_edges(self) -> int:
         return len(self.zeta)
-
-    def zeta_which(self, which: str) -> np.ndarray:
-        return {"lo": self.zeta_lo, "mid": self.zeta, "hi": self.zeta_hi}[which]
 
     def divergence_abscissa(self, beta: float):
         """Analytic divergence threshold in t (Fuchsian: 1/2 - beta)."""
@@ -152,95 +149,60 @@ class PressureResult:
     value: float
     letter_series: float  # log of the one-letter weight series (with tail)
     cap: int
-    iterations: int
-    delta: float
     tail_used: bool
-    which: str
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.value)
 
 
-def _assemble(sys: GdmsSystem, t: float, beta: float, which: str, tail: bool,
-              r: float = None):
-    lw = t * sys.zeta_which(which) + beta * sys.psi + sys.log_mult
-    in_keys = sys.in_keys
-    out_keys = sys.out_keys
-    if tail and sys.tails is not None:
-        lw_tail = sys.tails.log_weights(t, beta, which, r=r)
-        lw = np.concatenate([lw, lw_tail])
-        in_keys = np.concatenate([in_keys, sys.tails.in_keys])
-        out_keys = np.concatenate([out_keys, sys.tails.out_keys])
-    return lw, in_keys, out_keys
-
-
-def pressure(sys: GdmsSystem, t: float, beta: float, which: str = "mid",
-             tail: bool = True, tol: float = 1e-10,
-             max_iter: int = 100_000, backend: str = "auto",
-             method: str = "power", r: float = None) -> PressureResult:
+def pressure(sys: GdmsSystem, t: float, beta: float, tail: bool = True,
+             r: float = None) -> PressureResult:
     """log spectral radius of the truncated weighted transfer operator.
 
-    With ``tail=True`` each Fuchsian letter family gets one pseudo-edge
-    carrying the exact summed weight of its whole exponent tail; the
-    result is flagged infinite when the untruncated letter series
-    diverges, i.e. t + beta <= 1/2.
-
-    ``method="power"`` runs the implicit letter-level power iteration;
-    ``"collapsed"`` takes eigenvalues of the summed key-by-key matrix,
-    which is the same nonzero spectrum and stays robust when near-critical
-    tail weights make the dominant eigenvalue nearly degenerate.
+    The edge weights are summed into the key-by-key matrix, which has the
+    same nonzero spectrum as the letter-level operator, and its dominant
+    eigenvalue is taken from a full eigensolve; that stays robust when
+    near-critical tail weights make the dominant eigenvalue nearly
+    degenerate.  With ``tail=True`` each Fuchsian letter family gets one
+    pseudo-edge carrying the exact summed weight of its whole exponent
+    tail; the result is flagged infinite when the untruncated letter
+    series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted
+    variable r = t - (1/2 - beta) is given).
     """
+    cap = sys.cap or 0
     t0 = sys.divergence_abscissa(beta)
     diverged = (r <= 0.0) if r is not None else (t0 is not None and t <= t0)
     if tail and t0 is not None and diverged:
-        return PressureResult(math.inf, math.inf, sys.cap or 0, 0, 0.0, tail, which)
+        return PressureResult(math.inf, math.inf, cap, tail)
 
-    lw, in_keys, out_keys = _assemble(sys, t, beta, which, tail, r=r)
+    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
+    flat = sys.flat_keys[:sys.n_edges]
+    if tail and sys.tails is not None:
+        lw = np.concatenate([lw, sys.tails.log_weights(t, beta, r=r)])
+        flat = sys.flat_keys
     series = _logsumexp(lw)
     scale = float(lw.max()) if len(lw) else 0.0
     if not math.isfinite(scale):
-        return PressureResult(math.inf, series, sys.cap or 0, 0, 0.0, tail, which)
-    if method == "collapsed":
-        value = _collapsed_value(lw, in_keys, out_keys, sys.n_keys, scale)
-        return PressureResult(value, series, sys.cap or 0, 0, 0.0, tail, which)
-    if method != "power":
-        raise ValueError("unknown pressure method %r" % (method,))
-    weights = np.exp(np.maximum(lw - scale, LOG_EPS))
-    log_r, iters, delta = power_log_radius(
-        weights, in_keys, out_keys, sys.n_keys, tol=tol, max_iter=max_iter,
-        backend=backend)
-    return PressureResult(scale + log_r, series, sys.cap or 0, iters, delta,
-                          tail, which)
-
-
-def _collapsed_value(lw, in_keys, out_keys, n_keys, scale):
-    b = np.zeros((n_keys, n_keys))
-    np.add.at(b, (np.asarray(in_keys), np.asarray(out_keys)),
-              np.exp(np.maximum(np.asarray(lw) - scale, LOG_EPS)))
+        # every weight zero: empty operator; otherwise a weight diverged
+        value = -math.inf if scale == -math.inf else math.inf
+        return PressureResult(value, series, cap, tail)
+    n = sys.n_keys
+    b = np.bincount(flat, weights=np.exp(np.maximum(lw - scale, LOG_EPS)),
+                    minlength=n * n).reshape(n, n)
     rho = max(abs(np.linalg.eigvals(b)))
-    return scale + math.log(rho) if rho > 0 else -math.inf
+    value = scale + math.log(rho) if rho > 0 else -math.inf
+    return PressureResult(value, series, cap, tail)
 
 
-def collapsed_log_radius(sys: GdmsSystem, t: float, beta: float,
-                         which: str = "mid", tail: bool = True) -> float:
-    """Independent oracle: log rho of the key-by-key matrix of summed weights."""
-    lw, in_keys, out_keys = _assemble(sys, t, beta, which, tail)
-    scale = float(lw.max())
-    if not math.isfinite(scale):
-        return math.inf
-    return _collapsed_value(lw, in_keys, out_keys, sys.n_keys, scale)
-
-
-def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int,
-                  which: str = "mid") -> float:
+def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
     """log sum over admissible n-edge paths of the product of edge weights.
 
     Direct oracle, usable for small n; no tail pseudo-edges.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lw = t * sys.zeta_which(which) + beta * sys.psi + sys.log_mult
+    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
     scale = float(lw.max())
     w = np.exp(lw - scale)
     u = w.copy()
@@ -305,62 +267,36 @@ class FreeEnergyPoint:
     residual: float
     cap: int
     pressure_calls: int
-    band: tuple = None  # (t_lo, t_hi) roots from the zeta bracket
 
 
 def free_energy(sys: GdmsSystem, beta: float, tol: float = 1e-8,
-                which: str = "mid", tail: bool = True,
-                compute_band: bool = False,
-                method: str = "collapsed") -> FreeEnergyPoint:
+                tail: bool = True) -> FreeEnergyPoint:
     """Unique root of t -> pressure(t, beta); bisection then secant.
 
     Fuchsian systems are solved in the shifted variable r = t - (1/2-beta)
     on a log grid, which resolves roots exponentially close to the
-    divergence threshold.  The default pressure method is the collapsed
-    eigensolve: close to the threshold the tail pseudo-edges make the
-    dominant eigenvalue nearly degenerate and power iteration stalls.
+    divergence threshold; finite systems (and ``tail=False``) are solved
+    in t directly.  The secant polish stops once |pressure| <= ``tol``.
     """
     t0 = sys.divergence_abscissa(beta)
     calls = [0]
 
-    def press_t(t):
-        calls[0] += 1
-        return pressure(sys, t, beta, which=which, tail=tail,
-                        method=method).value
-
     if t0 is None or not tail:
-        t_root, resid = _root_in_t(press_t, t0)
-        r = t_root - t0 if t0 is not None else math.nan
-        band = None
-        if compute_band:
-            band = tuple(
-                _root_in_t(lambda t, w=w: pressure(
-                    sys, t, beta, which=w, tail=tail, method=method).value,
-                    t0)[0]
-                for w in ("lo", "hi"))
-        return FreeEnergyPoint(beta, t_root, r, resid, sys.cap or 0,
-                               calls[0], band)
+        def press_t(t):
+            calls[0] += 1
+            return pressure(sys, t, beta, tail=tail).value
 
-    def press_r(r, w=which):
+        t_root, resid = _root_in_t(press_t, t0, tol)
+        r = t_root - t0 if t0 is not None else math.nan
+        return FreeEnergyPoint(beta, t_root, r, resid, sys.cap or 0, calls[0])
+
+    def press_r(r):
         calls[0] += 1
-        return pressure(sys, t0 + r, beta, which=w, tail=tail,
-                        method=method, r=r).value
+        return pressure(sys, t0 + r, beta, tail=tail, r=r).value
 
     r_root, resid = _root_in_log_r(press_r, tol)
-    band = None
-    if compute_band:
-        band = []
-        for w in ("lo", "hi"):
-            try:
-                band.append(
-                    t0 + _root_in_log_r(lambda r, w=w: press_r(r, w), tol)[0])
-            except NoSignChange:
-                # sup-evaluations can stay non-contracting on touching-cusp
-                # configurations; the envelope root then does not exist
-                band.append(math.inf)
-        band = tuple(band)
     return FreeEnergyPoint(beta, t0 + r_root, r_root, resid, sys.cap or 0,
-                           calls[0], band)
+                           calls[0])
 
 
 def _root_in_t(press, t_lo_hint, tol: float = 1e-8):
@@ -517,8 +453,7 @@ def left_asymptote_check(sys: GdmsSystem, beta: float, eps: float) -> bool:
     return 0.0 < pt.r < 0.5 * eps
 
 
-def letter_series_log(sys: GdmsSystem, t: float, beta: float,
-                      which: str = "mid") -> float:
+def letter_series_log(sys: GdmsSystem, t: float, beta: float) -> float:
     """log of the truncated one-letter weight series (divergence probe).
 
     The finiteness lemma characterizes P < oo by convergence of exactly
@@ -527,7 +462,7 @@ def letter_series_log(sys: GdmsSystem, t: float, beta: float,
     letter contribute their supremum, matching the sup-over-cylinder
     flavor of the series.
     """
-    lw = t * sys.zeta_which(which) + beta * sys.psi + sys.log_mult
+    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
     per_letter = np.full(sys.n_letters, -np.inf)
     np.maximum.at(per_letter, sys.letter_ids, lw)
     return _logsumexp(per_letter)

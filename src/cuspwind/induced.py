@@ -378,9 +378,7 @@ class LetterFamily:
     g2: str
     m0: tuple  # branch matrix of n = 1 (just g1)
     m1: tuple  # increment per extra core letter: g1 * (core - id)
-    x_lo: float
-    x_mid: float
-    x_hi: float
+    x_mid: float  # core image of the midpoint of J_g2
 
     def zeta_at(self, ns: np.ndarray, x: float) -> np.ndarray:
         """Letter weights log|V_n'|_circle(x) for the exponent array ns."""
@@ -395,25 +393,11 @@ class LetterFamily:
         den = (a * x + b) ** 2 + (c * x + d) ** 2
         return np.log(num / den)
 
-    def zeta_arrays(self, ns: np.ndarray) -> tuple:
-        """(lo, mid, hi) arrays of the letter weights for exponents ns."""
-        out = [self.zeta_at(ns, x) for x in (self.x_lo, self.x_mid, self.x_hi)]
-        lo = np.minimum(np.minimum(out[0], out[1]), out[2])
-        hi = np.maximum(np.maximum(out[0], out[1]), out[2])
-        return lo, out[1], hi
-
-    def c_envelope(self, n_ref: int, which: str = "mid") -> float:
-        """c_infinity estimate: -zeta_n - 2 log n extrapolated at n_ref."""
-        ns = np.array([n_ref, 2 * n_ref])
-        lo, mid, hi = self.zeta_arrays(ns)
-        vals = {"lo": lo, "mid": mid, "hi": hi}[which]
-        c = -vals - 2.0 * np.log(ns)
-        return float(2.0 * c[1] - c[0])  # linear 1/n extrapolation
-
     def c_envelope_at(self, n_ref: int, x: float) -> float:
+        """c_infinity estimate: -zeta_n - 2 log n extrapolated at n_ref."""
         ns = np.array([n_ref, 2 * n_ref], dtype=float)
         c = -self.zeta_at(ns, x) - 2.0 * np.log(ns)
-        return float(2.0 * c[1] - c[0])
+        return float(2.0 * c[1] - c[0])  # linear 1/n extrapolation
 
 
 def letter_families(pres: GroupPresentation) -> list:
@@ -430,14 +414,9 @@ def letter_families(pres: GroupPresentation) -> list:
             m1 = (m.a * nil[0] + m.b * nil[2], m.a * nil[1] + m.b * nil[3],
                   m.c * nil[0] + m.d * nil[2], m.c * nil[1] + m.d * nil[3])
             for g2 in outer:
-                j = pres.interval_of(g2)
-                xs = [apply_boundary(core, j.point_at(f))
-                      for f in (0.0, 0.5, 1.0)]
-                out.append(LetterFamily(
-                    g1, gamma, g2,
-                    (m.a, m.b, m.c, m.d), m1,
-                    min(xs), xs[1], max(xs),
-                ))
+                x_mid = apply_boundary(core, pres.interval_of(g2).point_at(0.5))
+                out.append(LetterFamily(g1, gamma, g2, (m.a, m.b, m.c, m.d),
+                                        m1, x_mid))
     return out
 
 
@@ -495,14 +474,14 @@ def _bucket_ranges(cap: int) -> list:
 
 
 def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
-    """Continuation points (lo, q1, q3, hi) in J_c per follower bucket.
+    """Continuation points (q1, q3) in J_c per follower bucket.
 
     Followers with core c and exponent k put the continuation into
     c^k(K_c) where K_c is the continuation hull; the tail bucket runs from
     the cap range to the parabolic fixed point.  The two interior quarter
-    points carry half the weight each (two-point quadrature of the arc
-    average: the midpoint rule underestimates the convex weights), the
-    endpoints bracket the distortion band.
+    points of each span carry half the weight each (two-point quadrature
+    of the arc average: the midpoint rule underestimates the convex
+    weights).
     """
     from .mobius import power as mpower
 
@@ -535,8 +514,8 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
     reps = []
     for lo, hi in spans:
         reps.append(tuple(j.point_at(f / j.arc)
-                          for f in (lo, 0.75 * lo + 0.25 * hi,
-                                    0.25 * lo + 0.75 * hi, hi)))
+                          for f in (0.75 * lo + 0.25 * hi,
+                                    0.25 * lo + 0.75 * hi)))
     return reps
 
 
@@ -555,8 +534,7 @@ def letter_series_sweep(pres: GroupPresentation, t: float, beta: float,
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
     total = np.zeros(top)
     for f in letter_families(pres):
-        _, mid, _ = f.zeta_arrays(ns)
-        total += np.exp(t * mid + beta * psi_ns)
+        total += np.exp(t * f.zeta_at(ns, f.x_mid) + beta * psi_ns)
     cum = np.cumsum(total)
     hyp = sum(math.exp(t * zeta_letter(pres, e)[1]) for e in hyperbolic_letters(pres))
     return [float(cum[c - 1] + hyp) for c in caps]
@@ -606,12 +584,10 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         return key_index[k]
 
     in_keys, out_keys = [], []
-    z_lo, z_mid, z_hi, psi_vals, mult_vals = [], [], [], [], []
+    z_vals, psi_vals, mult_vals = [], [], []
     letter_ids = []
     labels = []
-    t_in, t_out, t_mult = [], [], []
-    t_zeta = {"lo": [], "mid": [], "hi": []}
-    t_cenv = {"lo": [], "mid": [], "hi": []}
+    t_in, t_out, t_mult, t_zeta, t_cenv = [], [], [], [], []
     ext = 2000
     ns_ext = np.arange(cap + 1, cap + ext + 1, dtype=float)
     lid = 0
@@ -624,36 +600,21 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         in_key_n = [key_of((f.g1, f.core), bucket_of(f.core, n))
                     for n in range(1, cap + 1)]
         for b in range(n_buckets[f.g2]):
-            ylo, yq1, yq3, yhi = reps[f.g2][b]
-            xs = [apply_boundary(cmap, y) for y in (ylo, yq1, yq3, yhi)]
-            zs = [f.zeta_at(ns, x) for x in xs]
-            zlo = np.minimum.reduce(zs)
-            zhi = np.maximum.reduce(zs)
+            xs = [apply_boundary(cmap, y) for y in reps[f.g2][b]]
             ok = key_of((f.core, f.g2), b)
-            for zq in (zs[1], zs[2]):
+            for x in xs:
                 in_keys.extend(in_key_n)
                 out_keys.extend([ok] * cap)
-                z_lo.extend(zlo)
-                z_mid.extend(zq)
-                z_hi.extend(zhi)
+                z_vals.extend(f.zeta_at(ns, x))
                 psi_vals.extend(psi_ns)
                 mult_vals.extend([half] * cap)
                 letter_ids.extend(range(lid, lid + cap))
             if tail:
-                zext = [f.zeta_at(ns_ext, x) for x in xs]
-                zext_lo = np.minimum.reduce(zext)
-                zext_hi = np.maximum.reduce(zext)
-                c_lo = min(f.c_envelope_at(cap + ext, x) for x in xs)
-                c_hi = max(f.c_envelope_at(cap + ext, x) for x in xs)
-                for zq, xq in ((zext[1], xs[1]), (zext[2], xs[2])):
+                for x in xs:
                     t_in.append(key_of((f.g1, f.core), len(ranges)))
                     t_out.append(ok)
-                    t_zeta["lo"].append(zext_lo)
-                    t_zeta["mid"].append(zq)
-                    t_zeta["hi"].append(zext_hi)
-                    t_cenv["lo"].append(c_lo)
-                    t_cenv["mid"].append(f.c_envelope_at(cap + ext, xq))
-                    t_cenv["hi"].append(c_hi)
+                    t_zeta.append(f.zeta_at(ns_ext, x))
+                    t_cenv.append(f.c_envelope_at(cap + ext, x))
                     t_mult.append(half)
         labels.extend("%s %s^%d %s" % (f.g1, f.core, n, f.g2)
                       for n in range(1, cap + 1))
@@ -664,16 +625,12 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         hmap = pres.map_of(e.core)
         ik = key_of(e.head, 0)
         for b in range(n_buckets[e.symbols[-1]]):
-            pts = [apply_boundary(hmap, y) for y in reps[e.symbols[-1]][b]]
-            vals = [math.log(circle_derivative_magnitude(g1map, x))
-                    for x in pts]
             ok = key_of(e.tail, b)
-            for q in (1, 2):
+            for y in reps[e.symbols[-1]][b]:
+                x = apply_boundary(hmap, y)
                 in_keys.append(ik)
                 out_keys.append(ok)
-                z_lo.append(min(vals))
-                z_mid.append(vals[q])
-                z_hi.append(max(vals))
+                z_vals.append(math.log(circle_derivative_magnitude(g1map, x)))
                 psi_vals.append(0.0)
                 mult_vals.append(half)
                 letter_ids.append(lid)
@@ -682,15 +639,11 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
 
     tails = None
     if t_in:
-        # note: the lo-envelope must pair with the hi-zeta sign convention:
-        # smaller c means larger weights, so c-lo belongs to which="hi"
         tails = TailData(
             in_keys=np.array(t_in, dtype=np.int64),
             out_keys=np.array(t_out, dtype=np.int64),
-            zeta={k: np.vstack(v) for k, v in t_zeta.items()},
-            c_env={"lo": np.array(t_cenv["hi"]),
-                   "mid": np.array(t_cenv["mid"]),
-                   "hi": np.array(t_cenv["lo"])},
+            zeta=np.vstack(t_zeta),
+            c_env=np.array(t_cenv),
             psi=-2.0 * np.log(np.maximum(ns_ext - 1.0, 1.0)),
             m_end=cap + ext,
             log_mult=np.array(t_mult),
@@ -700,10 +653,8 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         n_keys=len(key_index),
         in_keys=np.array(in_keys, dtype=np.int64),
         out_keys=np.array(out_keys, dtype=np.int64),
-        zeta=np.array(z_mid),
+        zeta=np.array(z_vals),
         psi=np.array(psi_vals),
-        zeta_lo=np.array(z_lo),
-        zeta_hi=np.array(z_hi),
         log_mult=np.array(mult_vals),
         edge_labels=labels,
         letter_ids=np.array(letter_ids, dtype=np.int64),

@@ -45,12 +45,17 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("name = \"x\"\nbogus line without equals\n")
     with pytest.raises(ConfigError, match="generator"):
         parse_config_text("[generator]\nlabel = \"a\"\n")
+    # a retired key is an unknown key like any other
+    with pytest.raises(ConfigError, match="line 2: unknown key 'cap_ladder'"):
+        parse_config_text("name = \"x\"\ncap_ladder = [100, 200]\n")
 
 
 def test_preset_configs_load():
     for name in ("gamma2-type", "one-cusp-one-hyperbolic"):
         cfg = config_from_preset(name)
         assert cfg.validate()
+    with pytest.raises(ConfigError, match="unknown preset"):
+        config_from_preset("no-such-group")
 
 
 def test_cli_code_fixed_point(capsys):
@@ -65,6 +70,16 @@ def test_cli_code_fixed_point(capsys):
 def test_cli_unknown_preset_exit_2(capsys):
     rc = cli.main(["delta", "--preset", "gamma2-type", "--config", "x"])
     assert rc == 2
+
+
+def test_cli_internal_key_error_not_config_error(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.gdms, "free_energy", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["delta", "--preset", "one-cusp-one-hyperbolic",
+                  "--cap", "10", "--out", str(tmp_path)])
 
 
 def test_cli_missing_config_exit_2(capsys):

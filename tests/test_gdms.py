@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cuspwind import gdms
-from cuspwind.errors import NonConvergence, NoSignChange
+from cuspwind.errors import NoSignChange
 from cuspwind.gdms import (
     FreeEnergyCurve,
     GdmsSystem,
     block_partition_sum,
     block_word_geometry,
-    collapsed_log_radius,
     finiteness_threshold,
     free_energy,
     free_energy_curve,
@@ -74,18 +73,23 @@ def test_full_shift_pressure_log_k():
         assert res.value == pytest.approx(math.log(k), abs=1e-10)
 
 
-def test_pressure_power_matches_collapsed(onecusp):
-    sysm = fuchsian_system(onecusp, 60)
-    for t, beta in ((0.7, 0.0), (1.0, 0.5), (0.52, 0.1)):
-        p1 = pressure(sysm, t, beta, method="power").value
-        p2 = pressure(sysm, t, beta, method="collapsed").value
-        assert p1 == pytest.approx(p2, abs=5e-9)
+def test_pressure_matches_partition_growth_rate(gamma2, onecusp):
+    # Z_n grows like rho^n; two steps at a time, since the free product of
+    # two parabolics gives a period-two incidence graph
+    n = 200
+    for pres in (gamma2, onecusp):
+        sysm = fuchsian_system(pres, 60)
+        for t, beta in ((0.7, 0.0), (1.0, 0.5), (0.52, 0.1)):
+            rate = 0.5 * (partition_sum(sysm, t, beta, n + 2)
+                          - partition_sum(sysm, t, beta, n))
+            assert pressure(sysm, t, beta, tail=False).value == pytest.approx(
+                rate, abs=1e-10)
 
 
 def test_pressure_strictly_decreasing_in_t(gamma2):
     sysm = fuchsian_system(gamma2, 80)
     ts = np.linspace(0.55, 1.6, 8)
-    vals = [pressure(sysm, float(t), 0.0, method="collapsed").value for t in ts]
+    vals = [pressure(sysm, float(t), 0.0).value for t in ts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -93,19 +97,18 @@ def test_pressure_monotone_in_cap_plain(gamma2):
     vals = []
     for cap in (10, 20, 40, 80):
         sysm = fuchsian_system(gamma2, cap)
-        vals.append(pressure(sysm, 0.8, 0.1, tail=False,
-                             method="collapsed").value)
+        vals.append(pressure(sysm, 0.8, 0.1, tail=False).value)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_pressure_convex_in_t_and_beta(onecusp):
     sysm = fuchsian_system(onecusp, 60)
     ts = np.linspace(0.6, 1.4, 7)
-    vals = [pressure(sysm, float(t), 0.25, method="collapsed").value for t in ts]
+    vals = [pressure(sysm, float(t), 0.25).value for t in ts]
     second = np.diff(vals, 2)
     assert np.all(second >= -1e-6)
     bs = np.linspace(-0.5, 1.5, 7)
-    vals_b = [pressure(sysm, 0.9, float(b), method="collapsed").value for b in bs]
+    vals_b = [pressure(sysm, 0.9, float(b)).value for b in bs]
     assert np.all(np.diff(vals_b, 2) >= -1e-6)
 
 

@@ -1,7 +1,7 @@
 """Command line: validate, code, pressure, free-energy, spectrum, delta.
 
 Results go to CSV or JSON files with a schema header (column names, cap,
-tolerances, timestamp); the spectrum command additionally emits a
+seed, timestamp); the spectrum command additionally emits a
 deterministic two-panel SVG.  Exit codes: 0 success, 1 computational
 error, 2 configuration error; errors are written to stderr as a
 machine-readable JSON object.
@@ -100,7 +100,6 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     meta = {
         "group": cfg.name,
         "cap": cfg.cap,
-        "pressure_tol": cfg.pressure_tol,
         "seed": cfg.seed,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -182,7 +181,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     rep = conjugacy_check(pres, samples=40, letters_each=8, seed=cfg.seed)
     checks.append(("induced conjugacy", rep.ok,
-                   "%d mismatches" % len(rep.mismatches)))
+                   "%d mismatches, %d resampled"
+                   % (len(rep.mismatches), rep.resampled)))
     ell, n_pairs = primitivity_witness(pres)
     checks.append(("finite irreducibility witness", ell is not None,
                    "connector length %s over %d pairs" % (ell, n_pairs)))
@@ -228,7 +228,7 @@ def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
 def _curve(cfg: RunConfig):
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
-    curve = gdms.free_energy_curve(sysm, cfg.betas(), tol=cfg.pressure_tol)
+    curve = gdms.free_energy_curve(sysm, cfg.betas())
     curve.validate()
     return pres, sysm, curve
 
@@ -246,7 +246,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     pres, _, curve = _curve(cfg)
     spec = sp.spectrum(curve)
     spec.validate()
-    delta_c = gdms.delta_c(pres, tol=cfg.pressure_tol).t
+    delta_c = gdms.delta_c(pres).t
     path = write_result(
         cfg, "spectrum",
         _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=spec.f0,
@@ -264,8 +264,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_delta(cfg: RunConfig) -> int:
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
-    delta = gdms.free_energy(sysm, 0.0, tol=cfg.pressure_tol).t
-    delta_c = gdms.delta_c(pres, tol=cfg.pressure_tol).t
+    delta = gdms.free_energy(sysm, 0.0).t
+    delta_c = gdms.delta_c(pres).t
     below = poincare_divergence_probe(pres, delta - 0.05)
     above = poincare_divergence_probe(pres, delta + 0.05)
     probe = {

@@ -25,7 +25,6 @@ class RunConfig:
     beta_max: float = 20.0
     beta_steps: int = 33
     beta_extensions: tuple = (30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0)
-    pressure_tol: float = 1e-8
     seed: int = 1234
     out_dir: str = "."
     out_format: str = "csv"
@@ -44,9 +43,6 @@ class RunConfig:
         return sorted(set(main) | set(ext))
 
     def validate(self):
-        for key in ("pressure_tol",):
-            if getattr(self, key) <= 0:
-                raise ConfigError("%s must be positive" % key)
         if self.cap < 1:
             raise ConfigError("cap must be >= 1")
         return self
@@ -54,7 +50,7 @@ class RunConfig:
 
 _SCALARS = {
     "name": str, "cap": int, "beta_min": float, "beta_max": float,
-    "beta_steps": int, "pressure_tol": float, "seed": int,
+    "beta_steps": int, "seed": int,
     "out_dir": str, "out_format": str,
 }
 _LISTS = {"beta_extensions": float}

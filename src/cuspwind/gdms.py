@@ -14,10 +14,11 @@ family share both overlap keys, hence replacing the ones beyond the cap
 by a single pseudo-edge with the summed weight changes nothing about the
 spectral radius except the accuracy of the summed tail, which combines
 exact vectorized weights up to an extension range with an analytic
-Euler-Maclaurin zeta tail beyond.  Root finding for t(beta) happens in
-the shifted variable r = t - (1/2 - beta); the analytic tail keeps r
-alive even when it is far below the floating-point resolution of t
-itself, which is what the left asymptote needs.
+Euler-Maclaurin zeta tail beyond.  t(beta) is the unique zero of the
+decreasing map t -> P(t, beta): one bracket, closed by Brent's method.
+Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
+analytic tail keeps r alive even when it is far below the floating-point
+resolution of t itself, which is what the left asymptote needs.
 """
 
 from __future__ import annotations
@@ -269,118 +270,120 @@ class FreeEnergyPoint:
     pressure_calls: int
 
 
-def free_energy(sys: GdmsSystem, beta: float, tol: float = 1e-8,
-                tail: bool = True) -> FreeEnergyPoint:
-    """Unique root of t -> pressure(t, beta); bisection then secant.
+def free_energy(sys: GdmsSystem, beta: float) -> FreeEnergyPoint:
+    """Unique root of the decreasing map t -> pressure(t, beta).
 
-    Fuchsian systems are solved in the shifted variable r = t - (1/2-beta)
-    on a log grid, which resolves roots exponentially close to the
-    divergence threshold; finite systems (and ``tail=False``) are solved
-    in t directly.  The secant polish stops once |pressure| <= ``tol``.
+    Fuchsian systems are solved in x = log r with r = t - (1/2 - beta),
+    which resolves roots exponentially close to the divergence threshold;
+    systems without a divergence abscissa are solved in t.  A sign-changing
+    bracket is grown first and Brent's method closes it to width 1e-13.
+    ``residual`` is |pressure| at the returned root.
     """
     t0 = sys.divergence_abscissa(beta)
-    calls = [0]
+    seen = {}  # x -> pressure; the bracket ends are not evaluated twice
 
-    if t0 is None or not tail:
-        def press_t(t):
-            calls[0] += 1
-            return pressure(sys, t, beta, tail=tail).value
+    def press(x):
+        if x not in seen:
+            if t0 is None:
+                seen[x] = pressure(sys, x, beta).value
+            else:
+                r = math.exp(x)
+                seen[x] = pressure(sys, t0 + r, beta, r=r).value
+        return seen[x]
 
-        t_root, resid = _root_in_t(press_t, t0, tol)
-        r = t_root - t0 if t0 is not None else math.nan
-        return FreeEnergyPoint(beta, t_root, r, resid, sys.cap or 0, calls[0])
-
-    def press_r(r):
-        calls[0] += 1
-        return pressure(sys, t0 + r, beta, tail=tail, r=r).value
-
-    r_root, resid = _root_in_log_r(press_r, tol)
-    return FreeEnergyPoint(beta, t0 + r_root, r_root, resid, sys.cap or 0,
-                           calls[0])
-
-
-def _root_in_t(press, t_lo_hint, tol: float = 1e-8):
-    """Plain decreasing-function root in t with bracket expansion."""
-    t_lo = t_lo_hint + 1e-6 if t_lo_hint is not None else -2.0
-    t_hi = (t_lo_hint if t_lo_hint is not None else 0.0) + 2.0
-    p_hi = press(t_hi)
-    grow = 0
-    while p_hi > 0.0:
-        t_hi = t_hi + 2.0 ** (grow + 1)
-        p_hi = press(t_hi)
-        grow += 1
-        if grow > 40:
-            raise NoSignChange("pressure stayed positive up to t=%r" % t_hi)
-    p_lo = press(t_lo)
-    shrink = 0
-    while p_lo < 0.0:
-        if t_lo_hint is not None:
-            # root pinched against the threshold by truncation
-            return t_lo, abs(p_lo)
-        t_lo -= 2.0 ** (shrink + 1)
-        p_lo = press(t_lo)
-        shrink += 1
-        if shrink > 40:
-            raise NoSignChange("pressure stayed negative down to t=%r" % t_lo)
-    # bisection to width 1e-4, then secant polish
-    while t_hi - t_lo > 1e-4:
-        mid = 0.5 * (t_lo + t_hi)
-        if press(mid) > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    a, b = t_lo, t_hi
-    fa, fb = press(a), press(b)
-    for _ in range(60):
-        if abs(fb) <= tol:
-            return b, abs(fb)
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not (min(a, b) - 1e-3 <= c <= max(a, b) + 1e-3):
-            c = 0.5 * (a + b)
-        fc = press(c)
-        a, fa, b, fb = b, fb, c, fc
-    return b, abs(fb)
-
-
-def _root_in_log_r(press_r, tol: float = 1e-8):
-    """Root of a decreasing pressure in r > 0, bisecting log r first."""
-    lo = -700.0
-    hi = math.log(4.0)
-    p_hi = press_r(math.exp(hi))
-    grow = 0
-    while p_hi > 0.0:
-        hi += math.log(4.0)
-        p_hi = press_r(math.exp(hi))
-        grow += 1
-        if grow > 40:
+    if t0 is None:
+        hi, ok = _expand(press, 2.0, 2.0, 2.0, lambda p: p <= 0.0)
+        if not ok:
+            raise NoSignChange("pressure stayed positive up to t=%r" % hi)
+        lo, ok = _expand(press, -2.0, -2.0, 2.0, lambda p: p >= 0.0)
+        if not ok:
+            raise NoSignChange("pressure stayed negative down to t=%r" % lo)
+    else:
+        log4 = math.log(4.0)
+        hi, ok = _expand(press, log4, log4, 1.0, lambda p: p <= 0.0)
+        if not ok:
             raise NoSignChange("pressure positive up to r=%r" % math.exp(hi))
-    p_lo = press_r(math.exp(lo))
-    if p_lo < 0.0:
+        lo = -700.0
+    if t0 is not None and press(lo) < 0.0:
         # numerically indistinguishable from the threshold root
-        return math.exp(lo), abs(p_lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if press_r(math.exp(mid)) > 0.0:
-            lo = mid
+        x = lo
+    else:
+        x = _brentq(press, lo, hi, xtol=1e-13)
+    if t0 is None:
+        t, r = x, math.nan
+    else:
+        r = math.exp(x)
+        t = t0 + r
+    return FreeEnergyPoint(beta, t, r, abs(seen[x]), sys.cap or 0, len(seen))
+
+
+def _expand(press, x, step, factor, stop):
+    """Move x by step, scaling the step by factor after each move, until
+    stop(press(x)) holds or 40 moves are made; returns (x, stopped)."""
+    for _ in range(40):
+        if stop(press(x)):
+            return x, True
+        x += step
+        step *= factor
+    return x, stop(press(x))
+
+
+RTOL = 4.0 * float(np.finfo(float).eps)  # scipy.optimize.brentq's default
+
+
+def _brentq(f, xa, xb, xtol):
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    The iteration of scipy.optimize.brentq, step for step (the tests
+    compare the two); importing scipy.optimize alone would add ~50 MB to
+    the resident size of a run and ~0.7 s to its start.  Returns the last
+    abscissa evaluated once the bracket is narrower than
+    xtol + RTOL * |x|.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE gives inf or nan: bisect
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
         else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    a, b = lo, hi
-    fa, fb = press_r(math.exp(a)), press_r(math.exp(b))
-    for _ in range(60):
-        if abs(fb) <= tol:
-            return math.exp(b), abs(fb)
-        if fb == fa:
-            break
-        c = b - fb * (b - a) / (fb - fa)
-        if not (min(a, b) - 1.0 <= c <= max(a, b) + 1.0):
-            c = 0.5 * (a + b)
-        fc = press_r(math.exp(c))
-        a, fa, b, fb = b, fb, c, fc
-    return math.exp(b), abs(fb)
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 steps")
 
 
 @dataclass
@@ -416,11 +419,11 @@ class FreeEnergyCurve:
         return True
 
 
-def free_energy_curve(sys: GdmsSystem, betas, tol: float = 1e-8) -> FreeEnergyCurve:
+def free_energy_curve(sys: GdmsSystem, betas) -> FreeEnergyCurve:
     betas = np.asarray(sorted(betas), dtype=float)
     t_vals, r_vals, resid = [], [], []
     for b in betas:
-        pt = free_energy(sys, float(b), tol=tol)
+        pt = free_energy(sys, float(b))
         t_vals.append(pt.t)
         r_vals.append(pt.r)
         resid.append(pt.residual)
@@ -428,21 +431,21 @@ def free_energy_curve(sys: GdmsSystem, betas, tol: float = 1e-8) -> FreeEnergyCu
                            np.array(resid), sys.cap or 0, sys.name)
 
 
-def delta_c(pres, tol: float = 1e-8) -> FreeEnergyPoint:
+def delta_c(pres) -> FreeEnergyPoint:
     """Dimension of the bounded-winding subset: root of the restricted
     pressure over the sub-alphabet with parabolic exponent <= 2 plus all
     hyperbolic letters (a finite system, so no truncation enters)."""
     from .induced import fuchsian_system
 
     restricted = fuchsian_system(pres, 2, restricted=True)
-    return free_energy(restricted, 0.0, tail=False, tol=tol)
+    return free_energy(restricted, 0.0)
 
 
-def delta(pres, cap: int = 400, tol: float = 1e-8) -> FreeEnergyPoint:
+def delta(pres, cap: int = 400) -> FreeEnergyPoint:
     """Poincare exponent = limit-set dimension: t(0) of the full system."""
     from .induced import fuchsian_system
 
-    return free_energy(fuchsian_system(pres, cap), 0.0, tol=tol)
+    return free_energy(fuchsian_system(pres, cap), 0.0)
 
 
 def left_asymptote_check(sys: GdmsSystem, beta: float, eps: float) -> bool:

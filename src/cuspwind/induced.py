@@ -98,11 +98,7 @@ def alphabet(pres: GroupPresentation, n_max: int) -> list:
             for g2 in outer:
                 for n in range(1, n_max + 1):
                     out.append(InducedLetter((g1,) + (gamma,) * n + (g2,)))
-    for h in pres.hyperbolic_labels():
-        for g1 in [l for l in labels if l != pres.inv(h)]:
-            for g2 in [l for l in labels if l != pres.inv(h)]:
-                out.append(InducedLetter((g1, h, g2)))
-    return out
+    return out + hyperbolic_letters(pres)
 
 
 def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
@@ -281,9 +277,7 @@ def conjugacy_check(pres: GroupPresentation, samples: int = 100,
                 raise
             continue
         done += 1
-    report = ConjugacyReport(samples, letters_each, mismatches)
-    report.resampled = resampled
-    return report
+    return ConjugacyReport(samples, letters_each, mismatches, resampled)
 
 
 def primitivity_witness(pres: GroupPresentation, max_len: int = 6):
@@ -541,15 +535,15 @@ def letter_series_sweep(pres: GroupPresentation, t: float, beta: float,
 
 
 def fuchsian_system(pres: GroupPresentation, cap: int,
-                    restricted: bool = False, refine: bool = True):
+                    restricted: bool = False):
     """Truncated GDMS instance of the induced shift.
 
     Edges are the induced letters with parabolic exponent <= cap plus all
     hyperbolic-core letters; incidence keys are (overlap pair, exponent
-    bucket of the entering letter).  With ``refine`` every letter is
-    replicated per follower bucket so its weight can use the follower's
-    continuation range - a two-and-a-half-symbol lookahead that keeps the
-    operator factorized while shrinking the locally-constant-weight bias.
+    bucket of the entering letter).  Every letter is replicated per
+    follower bucket so its weight can use the follower's continuation
+    range - a two-and-a-half-symbol lookahead that keeps the operator
+    factorized while shrinking the locally-constant-weight bias.
     Each parabolic family registers one analytic tail pseudo-edge per
     follower bucket, unless ``restricted`` builds the finite
     bounded-winding subsystem (cap=2 and no tail is the delta_c alphabet).
@@ -559,7 +553,7 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     fams = letter_families(pres)
     hyps = hyperbolic_letters(pres)
     tail = not restricted
-    ranges = _bucket_ranges(cap) if refine else [(1, cap)]
+    ranges = _bucket_ranges(cap)
 
     reps = {}
     n_buckets = {}

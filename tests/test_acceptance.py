@@ -74,7 +74,7 @@ def curve_and_spectrum(name):
         curve.validate()
         spec = sp.spectrum(curve)
         restricted = fuchsian_system(pres, 2, restricted=True)
-        dc = gdms.free_energy(restricted, 0.0, tail=False).t
+        dc = gdms.free_energy(restricted, 0.0).t
         _cache[key] = (sysm, curve, spec, dc)
     return _cache[key]
 

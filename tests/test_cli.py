@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,8 @@ def test_parse_errors_carry_line_numbers():
     # a retired key is an unknown key like any other
     with pytest.raises(ConfigError, match="line 2: unknown key 'cap_ladder'"):
         parse_config_text("name = \"x\"\ncap_ladder = [100, 200]\n")
+    with pytest.raises(ConfigError, match="line 2: unknown key 'pressure_tol'"):
+        parse_config_text("name = \"x\"\npressure_tol = 1e-8\n")
 
 
 def test_preset_configs_load():
@@ -211,3 +214,4 @@ def test_validate_command_both_presets(capsys):
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "FAIL" not in out
+        assert re.search(r"induced conjugacy .*\d+ resampled", out)

@@ -168,7 +168,7 @@ def test_full_shift_free_energy_analytic():
     k, chi = 6, 1.7
     sysm = full_shift(k, zeta_value=-chi)
     for beta in (-2.0, 0.0, 3.0):
-        pt = free_energy(sysm, beta, tail=False)
+        pt = free_energy(sysm, beta)
         assert pt.t == pytest.approx(math.log(k) / chi, abs=1e-8)
 
 
@@ -191,8 +191,35 @@ def test_three_vertex_instance_independence():
         zeta=sysm.zeta, psi=np.ones(3))
     # P(t) = t mean(log r) + beta; root t(beta) = beta / -mean(log r)
     for beta in (0.5, 1.0):
-        pt = free_energy(sys2, beta, tail=False)
+        pt = free_energy(sys2, beta)
         assert pt.t == pytest.approx(beta / -np.mean(np.log(ratios)), abs=1e-7)
+
+
+def test_brentq_matches_scipy():
+    # the solver takes scipy.optimize.brentq's steps: same root, same calls
+    from scipy.optimize import brentq
+
+    def counted(f):
+        xs = []
+        return xs, lambda x: xs.append(x) or f(x)
+
+    rng = np.random.default_rng(11)
+    cases = [
+        (lambda x: math.cos(x) - x, -3.0, 5.0),
+        (lambda x: -math.sinh(x - 0.7), -700.0, math.log(4.0)),
+        (lambda x: -round(3.0 * x) / 3.0 + 1e-3, -40.0, 9.0),  # plateaus
+        # products of tiny differences underflow to a zero denominator
+        (lambda x: -1e-200 * math.atan(x - 0.3) ** 3 - 1e-210, -3.0, 5.0),
+    ]
+    for c in rng.uniform(0.1, 3.0, size=(20, 3)):
+        cases.append((lambda x, c=c: -c[0] * (x - c[1]) ** 3 - c[2] * x,
+                      -50.0, 60.0))
+    for f, a, b in cases:
+        for xtol in (1e-13, 1e-6):
+            ours, f1 = counted(f)
+            ref, f2 = counted(f)
+            assert gdms._brentq(f1, a, b, xtol) == brentq(f2, a, b, xtol=xtol)
+            assert ours == ref
 
 
 def test_free_energy_residual_small(any_group):
@@ -200,11 +227,12 @@ def test_free_energy_residual_small(any_group):
     pt = free_energy(sysm, 0.0)
     assert pt.residual <= 1e-8
     assert pt.r > 0.0
+    assert pt.pressure_calls <= 25
 
 
 def test_delta_c_restricted_finite_system(any_group):
     restricted = fuchsian_system(any_group, 2, restricted=True)
-    pt = free_energy(restricted, 0.0, tail=False)
+    pt = free_energy(restricted, 0.0)
     assert pt.residual <= 1e-8
     full = free_energy(fuchsian_system(any_group, 100), 0.0)
     assert 0.0 < pt.t < full.t - 0.01  # delta_c strictly below delta
@@ -213,9 +241,9 @@ def test_delta_c_restricted_finite_system(any_group):
 def test_t_beta_approaches_delta_c(any_group):
     sysm = fuchsian_system(any_group, 100)
     restricted = fuchsian_system(any_group, 2, restricted=True)
-    dc = free_energy(restricted, 0.0, tail=False).t
-    t20 = free_energy(sysm, 20.0).t
-    assert abs(t20 - dc) <= 0.05
+    dc = free_energy(restricted, 0.0).t
+    for beta in (20.0, 3000.0):
+        assert abs(free_energy(sysm, beta).t - dc) <= 5e-11
 
 
 def test_left_asymptote_band(any_group):
@@ -252,4 +280,4 @@ def test_no_sign_change_error():
     # zeta = 0: pressure log k > 0 for every t; no root
     sysm = full_shift(3, zeta_value=0.0)
     with pytest.raises(NoSignChange):
-        free_energy(sysm, 0.0, tail=False)
+        free_energy(sysm, 0.0)

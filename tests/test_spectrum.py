@@ -116,7 +116,7 @@ def test_spectrum_alpha_range_brackets(onecusp_curve):
 def test_spectrum_endpoints(onecusp, onecusp_curve):
     spec = sp.spectrum(onecusp_curve)
     restricted = fuchsian_system(onecusp, 2, restricted=True)
-    dc = gdms.free_energy(restricted, 0.0, tail=False).t
+    dc = gdms.free_energy(restricted, 0.0).t
     assert abs(spec.f0 - dc) <= 0.05
     assert abs(spec.f1 - 0.5) <= 0.05
 

@@ -40,13 +40,10 @@ from .fuchsian import (
 from .gdms import (
     FreeEnergyCurve,
     GdmsSystem,
-    PressureResult,
     block_partition_sum,
-    delta,
     delta_c,
     free_energy,
     free_energy_curve,
-    finiteness_threshold,
     left_asymptote_check,
     partition_sum,
     pressure,
@@ -78,14 +75,14 @@ from .spectrum import SpectrumCurve, alpha_range, endpoint_slopes, legendre
 
 __all__ = [
     "BlockWord", "FreeEnergyCurve", "GdmsSystem", "GroupPresentation",
-    "InducedLetter", "MobiusMap", "PlanePoint", "PressureResult",
+    "InducedLetter", "MobiusMap", "PlanePoint",
     "ShiftWord", "SpectrumCurve", "alpha_range", "alphabet",
     "apply_boundary", "apply_plane", "arc_decomposition",
     "arc_length_above_height", "block_partition_sum", "bowen_series_step",
     "build_group", "code_point", "compose", "conjugacy_check",
-    "conjugate_config", "constant_c0", "constants_c1_c2", "delta",
+    "conjugate_config", "constant_c0", "constants_c1_c2",
     "delta_c", "derivative_magnitude", "displacement", "endpoint_slopes",
-    "finiteness_threshold", "free_energy", "free_energy_curve",
+    "free_energy", "free_energy_curve",
     "fuchsian_system", "horocircle_of", "hyperbolic_distance", "incidence",
     "left_asymptote_check", "legendre", "mean_cusp_winding",
     "partition_sum", "phi", "poincare_divergence_probe", "preset_config",

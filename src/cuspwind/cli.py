@@ -35,7 +35,12 @@ from .config import ConfigError, RunConfig, config_from_preset, load_config
 from .errors import CuspwindError
 from .figures import emit_figure
 from .fuchsian import build_group
-from .induced import conjugacy_check, fuchsian_system, primitivity_witness
+from .induced import (
+    conjugacy_check,
+    fuchsian_system,
+    letter_series_sweep,
+    primitivity_witness,
+)
 from .presets import PRESETS
 
 
@@ -213,11 +218,12 @@ def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
     for beta in betas:
         for t in np.linspace(t_min, t_max, t_steps):
-            res = gdms.pressure(sysm, float(t), float(beta))
             ts.append(t)
             bs.append(beta)
-            ps.append(res.value)
-            series.append(res.letter_series)
+            ps.append(gdms.pressure(sysm, float(t), float(beta)))
+            # the one-letter series truncated at the run cap
+            series.append(np.log(letter_series_sweep(
+                pres, float(t), float(beta), [cfg.cap])[0]))
     path = write_result(cfg, "pressure", _meta(cfg),
                         {"t": ts, "beta": bs, "pressure": ps,
                          "letter_series_log": series})
@@ -266,8 +272,8 @@ def cmd_delta(cfg: RunConfig) -> int:
     sysm = fuchsian_system(pres, cfg.cap)
     delta = gdms.free_energy(sysm, 0.0).t
     delta_c = gdms.delta_c(pres).t
-    below = poincare_divergence_probe(pres, delta - 0.05)
-    above = poincare_divergence_probe(pres, delta + 0.05)
+    below, above = poincare_divergence_probe(pres, [delta - 0.05,
+                                                    delta + 0.05])
     probe = {
         "s_below": below["s"], "ratio_below": below["ratio"],
         "extrapolated_below": below["extrapolated"],

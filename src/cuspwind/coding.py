@@ -21,7 +21,6 @@ from .geometry import Geodesic, intersect_geodesic_horocircle, intersect_geodesi
 from .mobius import (
     BASE_POINT,
     MobiusMap,
-    PlanePoint,
     apply_boundary,
     apply_plane,
     compose,
@@ -277,30 +276,35 @@ def random_block_word(pres: GroupPresentation, rng, n_blocks: int,
     return BlockWord(tuple(blocks))
 
 
-def poincare_divergence_probe(pres: GroupPresentation, s: float,
-                              max_len: int = 13) -> dict:
-    """Shell-ratio divergence statistics of the Poincare series at s.
+def poincare_divergence_probe(pres: GroupPresentation, ss,
+                              max_len: int = 13) -> list:
+    """Shell-ratio divergence statistics of the Poincare series, one dict
+    per exponent s in ``ss``.
 
-    Returns the last raw shell ratio and its 1/L Richardson extrapolation;
-    values above one indicate divergence (s below the exponent).  The
-    parabolic directions slow the ratio convergence to O(1/L), hence the
-    extrapolation.
+    Each holds the last raw shell ratio and its 1/L Richardson
+    extrapolation; values above one indicate divergence (s below the
+    exponent).  The parabolic directions slow the ratio convergence to
+    O(1/L), hence the extrapolation.
     """
-    shells = poincare_shell_sums(pres, s, max_len)
-    ratios = [shells[k + 1] / shells[k] for k in range(len(shells) - 1)]
-    n = len(ratios)
-    extrapolated = ratios[-1] + (ratios[-1] - ratios[-2]) * (n - 1)
-    return {"s": s, "ratio": ratios[-1], "extrapolated": extrapolated,
-            "shells": len(shells)}
+    out = []
+    for s, shells in zip(ss, poincare_shell_sums(pres, ss, max_len)):
+        ratios = [shells[k + 1] / shells[k] for k in range(len(shells) - 1)]
+        n = len(ratios)
+        extrapolated = ratios[-1] + (ratios[-1] - ratios[-2]) * (n - 1)
+        out.append({"s": s, "ratio": ratios[-1], "extrapolated": extrapolated,
+                    "shells": len(shells)})
+    return out
 
 
-def poincare_shell_sums(pres: GroupPresentation, s: float, max_len: int) -> list:
-    """Partial Poincare-series shells sum_{|w|=L} exp(-s d(w(i), i)).
+def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
+    """Partial Poincare-series shells sum_{|w|=L} exp(-s d(w(i), i)), one
+    list per exponent s in ``ss``.
 
     Reduced words over the symmetric generators, enumerated breadth-first
-    with vectorized matrix products; the shell-ratio trend detects whether
-    the series diverges (s below the exponent) or converges (s above).
-    Completely independent of the induced-system machinery.
+    with vectorized matrix products (once for all exponents); the
+    shell-ratio trend detects whether the series diverges (s below the
+    exponent) or converges (s above).  Completely independent of the
+    induced-system machinery.
     """
     labels = pres.labels()
     mats = np.array([[pres.map_of(l).a, pres.map_of(l).b,
@@ -310,18 +314,19 @@ def poincare_shell_sums(pres: GroupPresentation, s: float, max_len: int) -> list
 
     cur = mats.copy()            # rows (a, b, c, d)
     last = np.arange(k)          # last letter index per word
-    shells = []
+    shells = [[] for _ in ss]
 
-    def shell_sum(rows):
+    def add_shell(rows):
         a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
         den = c * c + d * d
         x = (b * d + a * c) / den
         y = 1.0 / den
         u = (x * x + (y - 1.0) ** 2) / (2.0 * y)
         dist = np.arccosh(1.0 + u)
-        return float(np.exp(-s * dist).sum())
+        for s, out in zip(ss, shells):
+            out.append(float(np.exp(-s * dist).sum()))
 
-    shells.append(shell_sum(cur))
+    add_shell(cur)
     for _ in range(max_len - 1):
         new_rows = []
         new_last = []
@@ -337,5 +342,5 @@ def poincare_shell_sums(pres: GroupPresentation, s: float, max_len: int) -> list
             new_last.append(np.full(rows.shape[0], j))
         cur = np.concatenate(new_rows)
         last = np.concatenate(new_last)
-        shells.append(shell_sum(cur))
+        add_shell(cur)
     return shells

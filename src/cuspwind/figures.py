@@ -6,8 +6,6 @@ fixed-precision formatting and no timestamps or randomness enter.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 W, H = 960, 430

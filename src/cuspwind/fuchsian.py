@@ -31,7 +31,6 @@ from .mobius import (
     MobiusMap,
     PlanePoint,
     apply_boundary,
-    apply_plane,
     boundary_angle,
     boundary_from_angle,
     compose,

@@ -8,17 +8,21 @@ key-by-key matrix B[i, j] = sum of w(e) over the edges with in(e) = i and
 out(e) = j, so the pressure is log rho(B), one eigensolve of an
 n_keys x n_keys matrix however many letters the truncation keeps.
 
-Fuchsian instances carry their letter families, so the infinite parabolic
-exponent range is handled by an exact lump per family: all letters of a
-family share both overlap keys, hence replacing the ones beyond the cap
-by a single pseudo-edge with the summed weight changes nothing about the
-spectral radius except the accuracy of the summed tail, which combines
-exact vectorized weights up to an extension range with an analytic
-Euler-Maclaurin zeta tail beyond.  t(beta) is the unique zero of the
-decreasing map t -> P(t, beta): one bracket, closed by Brent's method.
-Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
-analytic tail keeps r alive even when it is far below the floating-point
-resolution of t itself, which is what the left asymptote needs.
+Fuchsian instances carry the tails of their letter families, so the
+infinite parabolic exponent range is handled by an exact lump per family:
+all letters of a family share both overlap keys, hence replacing the ones
+beyond the cap by a single pseudo-edge with the summed weight changes
+nothing about the spectral radius except the accuracy of the summed tail,
+which combines exact vectorized weights up to an extension range with an
+analytic Euler-Maclaurin zeta tail beyond.  A system with tails diverges
+at t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the
+one number P(t, beta) = log rho(B) as a float.
+
+t(beta) is the unique zero of the decreasing map t -> P(t, beta): one
+bracket, closed by Brent's method.  Fuchsian systems are solved in log r
+with r = t - (1/2 - beta); the analytic tail keeps r alive even when it
+is far below the floating-point resolution of t itself, which is what
+the left asymptote needs.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class TailData:
     c_env: np.ndarray  # (n_tails,)
     psi: np.ndarray    # (ext,)
     m_end: int         # cap + ext
-    log_mult: np.ndarray = None  # additive log constant per tail row
+    log_mult: float    # additive log constant of every tail row
 
     def log_weights(self, t: float, beta: float, r: float = None) -> np.ndarray:
         s_minus_1 = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
@@ -91,14 +95,17 @@ class TailData:
         m = np.maximum(lw.max(axis=1), analytic)
         out = m + np.log(np.exp(lw - m[:, None]).sum(axis=1)
                          + np.exp(analytic - m))
-        if self.log_mult is not None:
-            out = out + self.log_mult
-        return out
+        return out + self.log_mult
 
 
 @dataclass
 class GdmsSystem:
-    """Truncated edge shift with factorized incidence and edge potentials."""
+    """Truncated edge shift with factorized incidence and edge potentials.
+
+    Fuchsian instances carry ``tails``, the analytic exponent tails of
+    their parabolic letter families; finite systems (the delta_c
+    alphabet, synthetic test shifts) have none.
+    """
 
     name: str
     n_keys: int
@@ -106,24 +113,14 @@ class GdmsSystem:
     out_keys: np.ndarray
     zeta: np.ndarray
     psi: np.ndarray
-    log_mult: np.ndarray = None  # additive log constant (quadrature weights)
-    edge_labels: list = None
-    letter_ids: np.ndarray = None  # edge -> underlying letter (bucket copies)
-    n_letters: int = None
+    log_mult: float = 0.0  # additive log constant (quadrature weight)
     tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
     cap: int = None
-    fuchsian: bool = False
     # cell in_key * n_keys + out_key of the key matrix, for the edges
     # followed by the tail pseudo-edges
     flat_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.log_mult is None:
-            self.log_mult = np.zeros(len(self.zeta))
-        if self.letter_ids is None:
-            self.letter_ids = np.arange(len(self.zeta))
-        if self.n_letters is None:
-            self.n_letters = len(self.zeta)
         flat = [self.in_keys * self.n_keys + self.out_keys]
         if self.tails is not None:
             flat.append(self.tails.in_keys * self.n_keys + self.tails.out_keys)
@@ -134,66 +131,42 @@ class GdmsSystem:
         return len(self.zeta)
 
     def divergence_abscissa(self, beta: float):
-        """Analytic divergence threshold in t (Fuchsian: 1/2 - beta)."""
-        return 0.5 - beta if self.fuchsian else None
+        """Analytic divergence threshold in t: 1/2 - beta when the system
+        carries the parabolic tails, else None (finite series)."""
+        return 0.5 - beta if self.tails is not None else None
 
 
-def finiteness_threshold(sys: GdmsSystem, beta: float) -> float:
-    t0 = sys.divergence_abscissa(beta)
-    if t0 is None:
-        raise ValueError("finiteness threshold defined for Fuchsian instances only")
-    return t0
-
-
-@dataclass(frozen=True)
-class PressureResult:
-    value: float
-    letter_series: float  # log of the one-letter weight series (with tail)
-    cap: int
-    tail_used: bool
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def pressure(sys: GdmsSystem, t: float, beta: float, tail: bool = True,
-             r: float = None) -> PressureResult:
+def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     """log spectral radius of the truncated weighted transfer operator.
 
     The edge weights are summed into the key-by-key matrix, which has the
     same nonzero spectrum as the letter-level operator, and its dominant
     eigenvalue is taken from a full eigensolve; that stays robust when
     near-critical tail weights make the dominant eigenvalue nearly
-    degenerate.  With ``tail=True`` each Fuchsian letter family gets one
-    pseudo-edge carrying the exact summed weight of its whole exponent
-    tail; the result is flagged infinite when the untruncated letter
+    degenerate.  When the system carries tails, each Fuchsian letter
+    family gets one pseudo-edge with the exact summed weight of its whole
+    exponent tail, and the pressure is +inf where the untruncated letter
     series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted
-    variable r = t - (1/2 - beta) is given).
+    variable r = t - (1/2 - beta) is given).  With no edge weight left
+    the operator is empty and the pressure is -inf.
     """
-    cap = sys.cap or 0
     t0 = sys.divergence_abscissa(beta)
-    diverged = (r <= 0.0) if r is not None else (t0 is not None and t <= t0)
-    if tail and t0 is not None and diverged:
-        return PressureResult(math.inf, math.inf, cap, tail)
+    if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
+        return math.inf
 
     lw = t * sys.zeta + beta * sys.psi + sys.log_mult
-    flat = sys.flat_keys[:sys.n_edges]
-    if tail and sys.tails is not None:
+    if sys.tails is not None:
         lw = np.concatenate([lw, sys.tails.log_weights(t, beta, r=r)])
-        flat = sys.flat_keys
-    series = _logsumexp(lw)
     scale = float(lw.max()) if len(lw) else 0.0
     if not math.isfinite(scale):
         # every weight zero: empty operator; otherwise a weight diverged
-        value = -math.inf if scale == -math.inf else math.inf
-        return PressureResult(value, series, cap, tail)
+        return -math.inf if scale == -math.inf else math.inf
     n = sys.n_keys
-    b = np.bincount(flat, weights=np.exp(np.maximum(lw - scale, LOG_EPS)),
+    b = np.bincount(sys.flat_keys,
+                    weights=np.exp(np.maximum(lw - scale, LOG_EPS)),
                     minlength=n * n).reshape(n, n)
     rho = max(abs(np.linalg.eigvals(b)))
-    value = scale + math.log(rho) if rho > 0 else -math.inf
-    return PressureResult(value, series, cap, tail)
+    return scale + math.log(rho) if rho > 0 else -math.inf
 
 
 def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
@@ -285,10 +258,10 @@ def free_energy(sys: GdmsSystem, beta: float) -> FreeEnergyPoint:
     def press(x):
         if x not in seen:
             if t0 is None:
-                seen[x] = pressure(sys, x, beta).value
+                seen[x] = pressure(sys, x, beta)
             else:
                 r = math.exp(x)
-                seen[x] = pressure(sys, t0 + r, beta, r=r).value
+                seen[x] = pressure(sys, t0 + r, beta, r=r)
         return seen[x]
 
     if t0 is None:
@@ -441,31 +414,9 @@ def delta_c(pres) -> FreeEnergyPoint:
     return free_energy(restricted, 0.0)
 
 
-def delta(pres, cap: int = 400) -> FreeEnergyPoint:
-    """Poincare exponent = limit-set dimension: t(0) of the full system."""
-    from .induced import fuchsian_system
-
-    return free_energy(fuchsian_system(pres, cap), 0.0)
-
-
 def left_asymptote_check(sys: GdmsSystem, beta: float, eps: float) -> bool:
     """Lemma band 1/2 - beta < t(beta) < 1/2 - beta + eps/2 for beta << 0."""
     if beta > -10.0:
         raise ValueError("asymptotic band is asserted for beta <= -10 only")
     pt = free_energy(sys, beta)
     return 0.0 < pt.r < 0.5 * eps
-
-
-def letter_series_log(sys: GdmsSystem, t: float, beta: float) -> float:
-    """log of the truncated one-letter weight series (divergence probe).
-
-    The finiteness lemma characterizes P < oo by convergence of exactly
-    this series over the full alphabet; sweeping the truncation cap at
-    fixed t exposes the divergence side empirically.  Bucket copies of a
-    letter contribute their supremum, matching the sup-over-cylinder
-    flavor of the series.
-    """
-    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
-    per_letter = np.full(sys.n_letters, -np.inf)
-    np.maximum.at(per_letter, sys.letter_ids, lw)
-    return _logsumexp(per_letter)

@@ -40,7 +40,6 @@ from .mobius import (
     apply_boundary,
     circle_derivative_magnitude,
     compose,
-    compose_all,
     derivative_magnitude,
     parabolic_power,
 )
@@ -554,20 +553,8 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     hyps = hyperbolic_letters(pres)
     tail = not restricted
     ranges = _bucket_ranges(cap)
-
-    reps = {}
-    n_buckets = {}
-    for c_label in pres.labels():
-        reps[c_label] = _bucket_reps(pres, c_label, ranges, tail)
-        n_buckets[c_label] = len(reps[c_label])
-
-    def bucket_of(core_label: str, n: int) -> int:
-        if not pres.gen(core_label).is_parabolic():
-            return 0
-        for b, (klo, khi) in enumerate(ranges):
-            if klo <= n <= khi:
-                return b
-        return len(ranges)  # tail bucket
+    reps = {c_label: _bucket_reps(pres, c_label, ranges, tail)
+            for c_label in pres.labels()}
 
     key_index: dict = {}
 
@@ -577,60 +564,50 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             key_index[k] = len(key_index)
         return key_index[k]
 
-    in_keys, out_keys = [], []
-    z_vals, psi_vals, mult_vals = [], [], []
-    letter_ids = []
-    labels = []
-    t_in, t_out, t_mult, t_zeta, t_cenv = [], [], [], [], []
+    # one block per family, follower bucket and quadrature point; keys are
+    # created in the order the blocks first use them
+    in_keys, out_keys, z_vals, psi_vals = [], [], [], []
+    t_in, t_out, t_zeta, t_cenv = [], [], [], []
     ext = 2000
     ns_ext = np.arange(cap + 1, cap + ext + 1, dtype=float)
-    lid = 0
     ns = np.arange(1, cap + 1, dtype=float)
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
+    in_bucket = np.searchsorted([klo for klo, _ in ranges], ns,
+                                side="right") - 1
 
-    half = math.log(0.5)
     for f in fams:
         cmap = pres.map_of(f.core)
-        in_key_n = [key_of((f.g1, f.core), bucket_of(f.core, n))
-                    for n in range(1, cap + 1)]
-        for b in range(n_buckets[f.g2]):
-            xs = [apply_boundary(cmap, y) for y in reps[f.g2][b]]
+        in_key_n = np.array([key_of((f.g1, f.core), b)
+                             for b in range(len(ranges))])[in_bucket]
+        for b, ys in enumerate(reps[f.g2]):
+            xs = [apply_boundary(cmap, y) for y in ys]
             ok = key_of((f.core, f.g2), b)
             for x in xs:
-                in_keys.extend(in_key_n)
-                out_keys.extend([ok] * cap)
-                z_vals.extend(f.zeta_at(ns, x))
-                psi_vals.extend(psi_ns)
-                mult_vals.extend([half] * cap)
-                letter_ids.extend(range(lid, lid + cap))
+                in_keys.append(in_key_n)
+                out_keys.append(np.full(cap, ok))
+                z_vals.append(f.zeta_at(ns, x))
+                psi_vals.append(psi_ns)
             if tail:
                 for x in xs:
                     t_in.append(key_of((f.g1, f.core), len(ranges)))
                     t_out.append(ok)
                     t_zeta.append(f.zeta_at(ns_ext, x))
                     t_cenv.append(f.c_envelope_at(cap + ext, x))
-                    t_mult.append(half)
-        labels.extend("%s %s^%d %s" % (f.g1, f.core, n, f.g2)
-                      for n in range(1, cap + 1))
-        lid += cap
 
     for e in hyps:
         g1map = pres.map_of(e.symbols[0])
         hmap = pres.map_of(e.core)
         ik = key_of(e.head, 0)
-        for b in range(n_buckets[e.symbols[-1]]):
+        for b, ys in enumerate(reps[e.symbols[-1]]):
             ok = key_of(e.tail, b)
-            for y in reps[e.symbols[-1]][b]:
+            for y in ys:
                 x = apply_boundary(hmap, y)
-                in_keys.append(ik)
-                out_keys.append(ok)
-                z_vals.append(math.log(circle_derivative_magnitude(g1map, x)))
-                psi_vals.append(0.0)
-                mult_vals.append(half)
-                letter_ids.append(lid)
-        labels.append(" ".join(e.symbols))
-        lid += 1
+                in_keys.append([ik])
+                out_keys.append([ok])
+                z_vals.append([math.log(circle_derivative_magnitude(g1map, x))])
+                psi_vals.append([0.0])
 
+    half = math.log(0.5)
     tails = None
     if t_in:
         tails = TailData(
@@ -640,20 +617,16 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             c_env=np.array(t_cenv),
             psi=-2.0 * np.log(np.maximum(ns_ext - 1.0, 1.0)),
             m_end=cap + ext,
-            log_mult=np.array(t_mult),
+            log_mult=half,
         )
     return GdmsSystem(
         name=pres.name + (":restricted" if restricted else ""),
         n_keys=len(key_index),
-        in_keys=np.array(in_keys, dtype=np.int64),
-        out_keys=np.array(out_keys, dtype=np.int64),
-        zeta=np.array(z_vals),
-        psi=np.array(psi_vals),
-        log_mult=np.array(mult_vals),
-        edge_labels=labels,
-        letter_ids=np.array(letter_ids, dtype=np.int64),
-        n_letters=lid,
+        in_keys=np.concatenate(in_keys),
+        out_keys=np.concatenate(out_keys),
+        zeta=np.concatenate(z_vals),
+        psi=np.concatenate(psi_vals),
+        log_mult=half,
         tails=tails,
         cap=cap,
-        fuchsian=not restricted,
     )

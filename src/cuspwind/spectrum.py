@@ -10,7 +10,6 @@ in t-differences would destroy the endpoint behavior f -> 1/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -9,6 +9,7 @@ import pytest
 from cuspwind import cli
 from cuspwind.config import ConfigError, config_from_preset, parse_config_text
 from cuspwind.figures import emit_figure
+from cuspwind.induced import letter_series_sweep
 
 GAMMA2_TEXT = """
 name = "gamma2-from-file"
@@ -178,15 +179,19 @@ def test_cli_spectrum_outputs(tmp_path):
     assert "delta_c" in svg and "</svg>" in svg
 
 
-def test_cli_pressure_grid(tmp_path):
+def test_cli_pressure_grid(tmp_path, onecusp):
     rc = cli.main(["pressure", "--preset", "one-cusp-one-hyperbolic",
                    "--cap", "40", "--beta-min", "-1", "--beta-max", "1",
                    "--beta-steps", "3", "--out", str(tmp_path),
                    "--format", "json"])
     assert rc == 0
     payload = json.loads((tmp_path / "pressure.json").read_text())
-    assert set(payload["data"]) == {"t", "beta", "pressure",
-                                    "letter_series_log"}
+    data = payload["data"]
+    assert set(data) == {"t", "beta", "pressure", "letter_series_log"}
+    # the one-letter series truncated at the run cap
+    t, beta = data["t"][-1], data["beta"][-1]
+    assert data["letter_series_log"][-1] == pytest.approx(
+        math.log(letter_series_sweep(onecusp, t, beta, [40])[0]), abs=1e-12)
 
 
 def test_svg_deterministic(onecusp):

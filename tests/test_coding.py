@@ -215,7 +215,6 @@ def test_return_time_equals_induced_letter_length(onecusp):
 
 def test_poincare_shells_split_at_exponent_one(gamma2):
     # Gamma(2) has delta = 1: shells grow below s=1 and decay above
-    lo = poincare_shell_sums(gamma2, 0.90, 12)
-    hi = poincare_shell_sums(gamma2, 1.10, 12)
+    lo, hi = poincare_shell_sums(gamma2, [0.90, 1.10], 12)
     assert lo[-1] / lo[-2] > 1.0
     assert hi[-1] / hi[-2] < 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,9 @@ from cuspwind.gdms import (
     GdmsSystem,
     block_partition_sum,
     block_word_geometry,
-    finiteness_threshold,
     free_energy,
     free_energy_curve,
     left_asymptote_check,
-    letter_series_log,
     log_zeta_tail,
     partition_sum,
     pressure,
@@ -68,9 +67,8 @@ def test_log_zeta_tail_near_one():
 
 def test_full_shift_pressure_log_k():
     for k in (2, 5, 11):
-        sysm = full_shift(k)
-        res = pressure(sysm, 0.7, -0.3, tail=False)
-        assert res.value == pytest.approx(math.log(k), abs=1e-10)
+        assert pressure(full_shift(k), 0.7, -0.3) == pytest.approx(
+            math.log(k), abs=1e-10)
 
 
 def test_pressure_matches_partition_growth_rate(gamma2, onecusp):
@@ -78,45 +76,42 @@ def test_pressure_matches_partition_growth_rate(gamma2, onecusp):
     # two parabolics gives a period-two incidence graph
     n = 200
     for pres in (gamma2, onecusp):
-        sysm = fuchsian_system(pres, 60)
+        sysm = dataclasses.replace(fuchsian_system(pres, 60), tails=None)
         for t, beta in ((0.7, 0.0), (1.0, 0.5), (0.52, 0.1)):
             rate = 0.5 * (partition_sum(sysm, t, beta, n + 2)
                           - partition_sum(sysm, t, beta, n))
-            assert pressure(sysm, t, beta, tail=False).value == pytest.approx(
-                rate, abs=1e-10)
+            assert pressure(sysm, t, beta) == pytest.approx(rate, abs=1e-10)
 
 
 def test_pressure_strictly_decreasing_in_t(gamma2):
     sysm = fuchsian_system(gamma2, 80)
     ts = np.linspace(0.55, 1.6, 8)
-    vals = [pressure(sysm, float(t), 0.0).value for t in ts]
+    vals = [pressure(sysm, float(t), 0.0) for t in ts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_pressure_monotone_in_cap_plain(gamma2):
     vals = []
     for cap in (10, 20, 40, 80):
-        sysm = fuchsian_system(gamma2, cap)
-        vals.append(pressure(sysm, 0.8, 0.1, tail=False).value)
+        sysm = dataclasses.replace(fuchsian_system(gamma2, cap), tails=None)
+        vals.append(pressure(sysm, 0.8, 0.1))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_pressure_convex_in_t_and_beta(onecusp):
     sysm = fuchsian_system(onecusp, 60)
     ts = np.linspace(0.6, 1.4, 7)
-    vals = [pressure(sysm, float(t), 0.25).value for t in ts]
+    vals = [pressure(sysm, float(t), 0.25) for t in ts]
     second = np.diff(vals, 2)
     assert np.all(second >= -1e-6)
     bs = np.linspace(-0.5, 1.5, 7)
-    vals_b = [pressure(sysm, 0.9, float(b)).value for b in bs]
+    vals_b = [pressure(sysm, 0.9, float(b)) for b in bs]
     assert np.all(np.diff(vals_b, 2) >= -1e-6)
 
 
 def test_pressure_divergence_flag(gamma2):
     sysm = fuchsian_system(gamma2, 50)
-    res = pressure(sysm, 0.5, 0.0)  # t + beta = 1/2 exactly
-    assert math.isinf(res.value)
-    assert not res.finite
+    assert math.isinf(pressure(sysm, 0.5, 0.0))  # t + beta = 1/2 exactly
 
 
 # --- partition sums ----------------------------------------------------------
@@ -155,7 +150,7 @@ def test_pressure_close_to_block_sums(onecusp):
         beta = float(rng.uniform(-0.8, 1.2))
         if 2.0 * (t + beta) < 1.2:
             continue
-        p = pressure(sysm, t, beta, tail=False).value
+        p = pressure(sysm, t, beta)
         for n in (2, 3, 4, 5):
             zn = block_partition_sum(onecusp, t, beta, n, 3, geos[n]) / n
             assert abs(p - zn) <= (2 * abs(t) * c0 + dhat) / n + 1e-9
@@ -182,7 +177,7 @@ def test_three_vertex_instance_independence():
     # so check against the analytically solvable pressure instead
     for t in (0.3, 0.9, 1.7):
         expect = t * np.mean(np.log(ratios))
-        got = pressure(sysm, t, 0.0, tail=False).value
+        got = pressure(sysm, t, 0.0)
         assert got == pytest.approx(expect, abs=1e-8)
     # and a genuinely nontrivial root: add a constant to zeta
     sys2 = GdmsSystem(
@@ -238,6 +233,33 @@ def test_delta_c_restricted_finite_system(any_group):
     assert 0.0 < pt.t < full.t - 0.01  # delta_c strictly below delta
 
 
+# t(beta) at cap 60 for beta = -3, 0, 3; delta_c; t(0) at caps 1, 2, 3 and
+# 5, the edge cases of the dyadic exponent buckets
+PINNED = {
+    "gamma2-type": (
+        (3.5075722549718935, 0.9812906030113027, 0.8220747456255739),
+        0.8209228112441226,
+        (0.9811744365830936, 0.9812733634135165, 0.9812862295747542,
+         0.9812894409864978)),
+    "one-cusp-one-hyperbolic": (
+        (3.5000000155545243, 0.60537278879141, 0.4088726943382466),
+        0.4082534010657635,
+        (0.6053742615206026, 0.605373393031481, 0.6053731113519827,
+         0.6053729147680336)),
+}
+
+
+def test_free_energy_pinned_values(any_group):
+    cap60, dc, small_caps = PINNED[any_group.name]
+    sysm = fuchsian_system(any_group, 60)
+    for beta, t in zip((-3.0, 0.0, 3.0), cap60):
+        assert free_energy(sysm, beta).t == pytest.approx(t, abs=1e-12)
+    assert gdms.delta_c(any_group).t == pytest.approx(dc, abs=1e-12)
+    for cap, t in zip((1, 2, 3, 5), small_caps):
+        assert free_energy(fuchsian_system(any_group, cap), 0.0).t \
+            == pytest.approx(t, abs=1e-12)
+
+
 def test_t_beta_approaches_delta_c(any_group):
     sysm = fuchsian_system(any_group, 100)
     restricted = fuchsian_system(any_group, 2, restricted=True)
@@ -255,8 +277,13 @@ def test_left_asymptote_band(any_group):
 
 def test_finiteness_threshold_values(gamma2):
     sysm = fuchsian_system(gamma2, 10)
-    assert finiteness_threshold(sysm, 0.0) == pytest.approx(0.5)
-    assert finiteness_threshold(sysm, 2.0) == pytest.approx(-1.5)
+    assert sysm.divergence_abscissa(0.0) == pytest.approx(0.5)
+    assert sysm.divergence_abscissa(2.0) == pytest.approx(-1.5)
+    # systems without tails have a finite letter series
+    restricted = fuchsian_system(gamma2, 2, restricted=True)
+    assert restricted.divergence_abscissa(0.0) is None
+    assert dataclasses.replace(sysm, tails=None).divergence_abscissa(0.0) \
+        is None
 
 
 def test_letter_series_divergence_split(gamma2):

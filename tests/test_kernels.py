@@ -28,7 +28,7 @@ def weighted_system(weights, in_keys, out_keys, n_keys):
 
 
 def log_radius(sysm):
-    return pressure(sysm, 1.0, 0.0, tail=False).value
+    return pressure(sysm, 1.0, 0.0)
 
 
 def dense_log_radius(sysm):

@@ -304,19 +304,26 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
     with vectorized matrix products (once for all exponents); the
     shell-ratio trend detects whether the series diverges (s below the
     exponent) or converges (s above).  Completely independent of the
-    induced-system machinery.
+    induced-system machinery.  Each shell is kept as one block of matrix
+    rows per last letter, so block j of the next shell is built from the
+    blocks whose last letter is not j^-1; the final shell is only summed,
+    block by block, never stored.
     """
     labels = pres.labels()
     mats = np.array([[pres.map_of(l).a, pres.map_of(l).b,
                       pres.map_of(l).c, pres.map_of(l).d] for l in labels])
     inv_idx = np.array([labels.index(pres.inv(l)) for l in labels])
     k = len(labels)
+    shells = [[0.0] * max_len for _ in ss]
 
-    cur = mats.copy()            # rows (a, b, c, d)
-    last = np.arange(k)          # last letter index per word
-    shells = [[] for _ in ss]
+    def times(rows, g):
+        """Rows (a, b, c, d) of the products rows * g."""
+        return np.stack([rows[:, 0] * g[0] + rows[:, 1] * g[2],
+                         rows[:, 0] * g[1] + rows[:, 1] * g[3],
+                         rows[:, 2] * g[0] + rows[:, 3] * g[2],
+                         rows[:, 2] * g[1] + rows[:, 3] * g[3]], axis=1)
 
-    def add_shell(rows):
+    def add(level, rows):
         a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
         den = c * c + d * d
         x = (b * d + a * c) / den
@@ -324,23 +331,20 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
         u = (x * x + (y - 1.0) ** 2) / (2.0 * y)
         dist = np.arccosh(1.0 + u)
         for s, out in zip(ss, shells):
-            out.append(float(np.exp(-s * dist).sum()))
+            out[level] += float(np.exp(-s * dist).sum())
 
-    add_shell(cur)
-    for _ in range(max_len - 1):
-        new_rows = []
-        new_last = []
+    blocks = [mats[j:j + 1] for j in range(k)]  # words of length 1
+    for rows in blocks:
+        add(0, rows)
+    for level in range(1, max_len):
+        nxt = []
         for j in range(k):
-            mask = last != inv_idx[j]
-            rows = cur[mask]
-            g = mats[j]
-            a = rows[:, 0] * g[0] + rows[:, 1] * g[2]
-            b = rows[:, 0] * g[1] + rows[:, 1] * g[3]
-            c = rows[:, 2] * g[0] + rows[:, 3] * g[2]
-            d = rows[:, 2] * g[1] + rows[:, 3] * g[3]
-            new_rows.append(np.stack([a, b, c, d], axis=1))
-            new_last.append(np.full(rows.shape[0], j))
-        cur = np.concatenate(new_rows)
-        last = np.concatenate(new_last)
-        add_shell(cur)
+            prev = [blocks[i] for i in range(k) if i != inv_idx[j]]
+            if level == max_len - 1:
+                for rows in prev:
+                    add(level, times(rows, mats[j]))
+            else:
+                nxt.append(times(np.concatenate(prev), mats[j]))
+                add(level, nxt[-1])
+        blocks = nxt
     return shells

@@ -73,6 +73,10 @@ class NoSignChange(CuspwindError):
     """Root bracketing for the pressure equation failed."""
 
 
+class InvalidCurve(CuspwindError, ValueError):
+    """A free energy or spectrum curve breaks a validated invariant."""
+
+
 # --- spectrum -------------------------------------------------------------
 
 class NotConvex(CuspwindError):

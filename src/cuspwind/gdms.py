@@ -16,7 +16,9 @@ nothing about the spectral radius except the accuracy of the summed tail,
 which combines exact vectorized weights up to an extension range with an
 analytic Euler-Maclaurin zeta tail beyond.  A system with tails diverges
 at t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the
-one number P(t, beta) = log rho(B) as a float.
+one number P(t, beta) = log rho(B) as a float.  B is built in one pass:
+the edge, extension and envelope exponents are scaled against their one
+common maximum and floored ``LOG_FLOOR`` below it before exponentiation.
 
 t(beta) is the unique zero of the decreasing map t -> P(t, beta): one
 bracket, closed by Brent's method.  Fuchsian systems are solved in log r
@@ -32,9 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSignChange
+from .errors import InvalidCurve, NoSignChange
 
-LOG_EPS = -745.0  # below this, exp underflows to zero
+# Every weight exponent is floored this far below the largest one.  The
+# floor keeps the key matrix irreducible: without it the weights of whole
+# key classes underflow to zero at large |beta| near the threshold and P
+# drops to -inf.  e^-700 is a normal double, so no subnormal ever reaches
+# exp or the bincount collapse, where subnormals cost ~100x per value.
+LOG_FLOOR = -700.0
 
 
 def _logsumexp(arr) -> float:
@@ -73,7 +80,8 @@ class TailData:
     ``zeta`` holds exact letter weights for the explicit extension range
     cap+1 .. cap+ext per pseudo-edge; beyond that the envelope constant
     ``c_env`` feeds the Euler-Maclaurin zeta tail.  Everything here is
-    (t, beta)-independent, so a pressure call reduces to one broadcast.
+    (t, beta)-independent; ``pressure`` turns it into one weight per
+    pseudo-edge with a single broadcast.
     """
 
     in_keys: np.ndarray
@@ -82,20 +90,6 @@ class TailData:
     c_env: np.ndarray  # (n_tails,)
     psi: np.ndarray    # (ext,)
     m_end: int         # cap + ext
-    log_mult: float    # additive log constant of every tail row
-
-    def log_weights(self, t: float, beta: float, r: float = None) -> np.ndarray:
-        s_minus_1 = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-        n_tails = len(self.in_keys)
-        if s_minus_1 <= 0.0:
-            return np.full(n_tails, math.inf)
-        lw = t * self.zeta + beta * self.psi
-        analytic = -t * self.c_env + log_zeta_tail(s_minus_1, self.m_end) \
-            - 2.0 * beta * math.log1p(-1.0 / (self.m_end + 1))
-        m = np.maximum(lw.max(axis=1), analytic)
-        out = m + np.log(np.exp(lw - m[:, None]).sum(axis=1)
-                         + np.exp(analytic - m))
-        return out + self.log_mult
 
 
 @dataclass
@@ -113,7 +107,7 @@ class GdmsSystem:
     out_keys: np.ndarray
     zeta: np.ndarray
     psi: np.ndarray
-    log_mult: float = 0.0  # additive log constant (quadrature weight)
+    log_mult: float = 0.0  # additive log constant of every weight (quadrature)
     tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
     cap: int = None
     # cell in_key * n_keys + out_key of the key matrix, for the edges
@@ -144,29 +138,39 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     eigenvalue is taken from a full eigensolve; that stays robust when
     near-critical tail weights make the dominant eigenvalue nearly
     degenerate.  When the system carries tails, each Fuchsian letter
-    family gets one pseudo-edge with the exact summed weight of its whole
-    exponent tail, and the pressure is +inf where the untruncated letter
-    series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted
-    variable r = t - (1/2 - beta) is given).  With no edge weight left
-    the operator is empty and the pressure is -inf.
+    family gets one pseudo-edge whose weight is the sum of its extension
+    letters and its Euler-Maclaurin envelope, and the pressure is +inf
+    where the untruncated letter series diverges, i.e. t + beta <= 1/2
+    (or r <= 0 when the shifted variable r = t - (1/2 - beta) is given).
+    All weights share one scale, the largest exponent, and are floored
+    ``LOG_FLOOR`` below it; ``log_mult`` enters once, in the returned
+    value.  With no edge weight left the operator is empty and the
+    pressure is -inf.
     """
     t0 = sys.divergence_abscissa(beta)
     if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
         return math.inf
 
-    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
-    if sys.tails is not None:
-        lw = np.concatenate([lw, sys.tails.log_weights(t, beta, r=r)])
-    scale = float(lw.max()) if len(lw) else 0.0
+    parts = [t * sys.zeta + beta * sys.psi]
+    tails = sys.tails
+    if tails is not None:
+        s_minus_1 = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
+        envelope = log_zeta_tail(s_minus_1, tails.m_end) \
+            - 2.0 * beta * math.log1p(-1.0 / (tails.m_end + 1))
+        parts += [t * tails.zeta + beta * tails.psi,
+                  envelope - t * tails.c_env]
+    scale = max((float(p.max()) for p in parts if p.size), default=0.0)
     if not math.isfinite(scale):
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
+    w = [np.exp(np.maximum(p - scale, LOG_FLOOR)) for p in parts]
+    if tails is not None:
+        w = [w[0], w[1].sum(axis=1) + w[2]]
     n = sys.n_keys
-    b = np.bincount(sys.flat_keys,
-                    weights=np.exp(np.maximum(lw - scale, LOG_EPS)),
+    b = np.bincount(sys.flat_keys, weights=np.concatenate(w),
                     minlength=n * n).reshape(n, n)
     rho = max(abs(np.linalg.eigvals(b)))
-    return scale + math.log(rho) if rho > 0 else -math.inf
+    return scale + sys.log_mult + math.log(rho) if rho > 0 else -math.inf
 
 
 def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
@@ -381,14 +385,14 @@ class FreeEnergyCurve:
         # true decrements fall below the root-finder residual scale
         floor = 1e-9 * np.maximum(1.0, np.abs(self.t[:-1]))
         if not np.all(dt < floor):
-            raise ValueError("free energy curve is not decreasing")
+            raise InvalidCurve("free energy curve is not decreasing")
         if not np.all(dt[dt < -10.0 * floor] < 0.0):
-            raise ValueError("free energy curve has resolvable increases")
+            raise InvalidCurve("free energy curve has resolvable increases")
         slopes = dt / db
         if not np.all(np.diff(slopes) >= -noise):
-            raise ValueError("free energy curve is not convex")
+            raise InvalidCurve("free energy curve is not convex")
         if np.any(self.r < 0.0):
-            raise ValueError("free energy below the divergence threshold")
+            raise InvalidCurve("free energy below the divergence threshold")
         return True
 
 

@@ -617,7 +617,6 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             c_env=np.array(t_cenv),
             psi=-2.0 * np.log(np.maximum(ns_ext - 1.0, 1.0)),
             m_end=cap + ext,
-            log_mult=half,
         )
     return GdmsSystem(
         name=pres.name + (":restricted" if restricted else ""),

@@ -169,13 +169,6 @@ def compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
     )
 
 
-def compose_all(maps) -> MobiusMap:
-    out = MobiusMap.identity()
-    for m in maps:
-        out = compose(out, m)
-    return out
-
-
 def parabolic_power(m: MobiusMap, k: int) -> MobiusMap:
     """Exact k-th power of a parabolic map via its nilpotent part.
 

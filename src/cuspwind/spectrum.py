@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientGridReach, NotConvex
+from .errors import InsufficientGridReach, InvalidCurve, NotConvex
 from .gdms import FreeEnergyCurve
 
 
@@ -91,7 +91,7 @@ class SpectrumCurve:
     def validate(self, t0: float = None, noise: float = 1e-6):
         a, f = self.alphas, self.f
         if np.any(f < -1e-12):
-            raise ValueError("negative spectrum values")
+            raise InvalidCurve("negative spectrum values")
         keep = np.concatenate([[True], np.diff(a) > 1e-12])
         aa, ff = a[keep], f[keep]
         slopes = np.diff(ff) / np.diff(aa)
@@ -100,12 +100,12 @@ class SpectrumCurve:
         gaps = np.diff(aa)
         jumps = np.diff(slopes) * np.minimum(gaps[:-1], gaps[1:])
         if np.any(jumps > noise):
-            raise ValueError("spectrum is not concave on its grid")
+            raise InvalidCurve("spectrum is not concave on its grid")
         if np.any((a < -0.02) | (a > 1.02)):
-            raise ValueError("alpha grid escapes [-0.02, 1.02]")
+            raise InvalidCurve("alpha grid escapes [-0.02, 1.02]")
         if t0 is not None:
             if abs(float(f.max()) - t0) > 1e-3:
-                raise ValueError("max f does not match t(0)")
+                raise InvalidCurve("max f does not match t(0)")
         return True
 
 

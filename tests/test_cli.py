@@ -105,6 +105,19 @@ def test_cli_bad_determinant_exit_1(tmp_path, capsys):
     assert "a" in obj["message"]
 
 
+def test_cli_invalid_curve_exit_1(monkeypatch, tmp_path, capsys):
+    def increasing(sysm, betas):
+        betas = np.asarray(sorted(betas), dtype=float)
+        return cli.gdms.FreeEnergyCurve(betas, betas.copy(), np.ones_like(betas),
+                                        np.zeros_like(betas), sysm.cap)
+
+    monkeypatch.setattr(cli.gdms, "free_energy_curve", increasing)
+    rc = cli.main(["free-energy", "--preset", "one-cusp-one-hyperbolic",
+                   "--cap", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidCurve"
+
+
 def test_cli_missing_parabolic_surfaced(tmp_path, capsys):
     text = """
 name = "hyp-only"

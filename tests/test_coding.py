@@ -21,7 +21,13 @@ from cuspwind.coding import (
     word_element,
 )
 from cuspwind.errors import CodingStalled, OutsideAllIntervals
-from cuspwind.mobius import BASE_POINT, apply_boundary, apply_plane, hyperbolic_distance
+from cuspwind.mobius import (
+    BASE_POINT,
+    apply_boundary,
+    apply_plane,
+    compose,
+    hyperbolic_distance,
+)
 
 
 def test_bowen_step_moves_into_complement(gamma2):
@@ -218,3 +224,24 @@ def test_poincare_shells_split_at_exponent_one(gamma2):
     lo, hi = poincare_shell_sums(gamma2, [0.90, 1.10], 12)
     assert lo[-1] / lo[-2] > 1.0
     assert hi[-1] / hi[-2] < 1.0
+
+
+def test_poincare_shells_match_word_recursion(any_group):
+    ss, max_len = [0.9, 1.1], 5
+    want = [[0.0] * max_len for _ in ss]
+
+    def rec(mat, last, length):
+        d = hyperbolic_distance(apply_plane(mat, BASE_POINT), BASE_POINT)
+        for s, out in zip(ss, want):
+            out[length - 1] += math.exp(-s * d)
+        if length < max_len:
+            for label in any_group.labels():
+                if label != any_group.inv(last):
+                    rec(compose(mat, any_group.map_of(label)), label,
+                        length + 1)
+
+    for label in any_group.labels():
+        rec(any_group.map_of(label), label, 1)
+    got = poincare_shell_sums(any_group, ss, max_len)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)

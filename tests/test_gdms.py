@@ -260,6 +260,22 @@ def test_free_energy_pinned_values(any_group):
             == pytest.approx(t, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, 300.0, -300.0, 3000.0, -3000.0])
+def test_key_matrix_weights_never_subnormal(any_group, beta, monkeypatch):
+    # subnormal weights cost ~100x in exp; the floor e^-700 is normal
+    sysm = fuchsian_system(any_group, 60)
+    bincount, smallest = np.bincount, []
+
+    def spy(x, weights=None, minlength=0):
+        live = weights[weights != 0.0]
+        smallest.append(live.min() if live.size else math.inf)
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    free_energy(sysm, beta)
+    assert smallest and min(smallest) >= np.finfo(float).tiny
+
+
 def test_t_beta_approaches_delta_c(any_group):
     sysm = fuchsian_system(any_group, 100)
     restricted = fuchsian_system(any_group, 2, restricted=True)

@@ -252,9 +252,6 @@ class GroupPresentation:
             balls.setdefault(round(boundary_angle(h.base), 9), h.ball())
         return list(balls.values())
 
-    def sides(self) -> dict:
-        return {l: g.interval.geodesic() for l, g in self.gens.items()}
-
     # --- constants -----------------------------------------------------
 
     def constant_c2(self, grid: int = 64) -> float:

@@ -12,13 +12,14 @@ Fuchsian instances carry the tails of their letter families, so the
 infinite parabolic exponent range is handled by an exact lump per family:
 all letters of a family share both overlap keys, hence replacing the ones
 beyond the cap by a single pseudo-edge with the summed weight changes
-nothing about the spectral radius except the accuracy of the summed tail,
-which combines exact vectorized weights up to an extension range with an
-analytic Euler-Maclaurin zeta tail beyond.  A system with tails diverges
-at t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the
-one number P(t, beta) = log rho(B) as a float.  B is built in one pass:
-the edge, extension and envelope exponents are scaled against their one
-common maximum and floored ``LOG_FLOOR`` below it before exponentiation.
+nothing about the spectral radius except the accuracy of the summed tail.
+One rule sums it (``tail_log_weights``): midpoint Euler-Maclaurin with
+the integral taken by a Gauss-Jacobi rule in u = 1/n, which matches
+direct summation to 1e-14 of a family's total weight.  A system with tails diverges at
+t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the one
+number P(t, beta) = log rho(B) as a float.  B is built in one pass: the
+edge and tail log-weights are scaled against their one common maximum
+and floored ``LOG_FLOOR`` below it before exponentiation.
 
 t(beta) is the unique zero of the decreasing map t -> P(t, beta): one
 bracket, closed by Brent's method.  Fuchsian systems are solved in log r
@@ -44,52 +45,94 @@ from .errors import InvalidCurve, NoSignChange
 LOG_FLOOR = -700.0
 
 
-def _logsumexp(arr) -> float:
-    arr = np.asarray(arr, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    if arr.size == 0:
-        return -math.inf
-    m = arr.max()
-    return float(m + math.log(np.exp(arr - m).sum()))
-
-
-def log_zeta_tail(s_minus_1: float, m: int) -> float:
-    """log sum_{n > m} n^{-s} by Euler-Maclaurin, parametrized by s - 1.
-
-    Terms: m1^{1-s}/(s-1) + m1^{-s}/2 + s m1^{-s-1}/12 with m1 = m+1;
-    accurate to O(s^3 m1^{-s-3}) relative.  Taking s - 1 directly keeps the
-    formula meaningful when the shifted root r = (s-1)/2 sits far below
-    the floating-point resolution of t = 1/2 - beta + r itself.
-    """
-    if s_minus_1 <= 0.0:
-        return math.inf
-    s = 1.0 + s_minus_1
-    u = math.log(m + 1)
-    terms = [
-        -s_minus_1 * u - math.log(s_minus_1),
-        -s * u - math.log(2.0),
-        math.log(s / 12.0) - (s + 1.0) * u,
-    ]
-    return _logsumexp(terms)
-
-
 @dataclass
 class TailData:
-    """Vectorized analytic tails: one pseudo-edge per family/out-bucket.
+    """The exponent tails n > ``start`` of the Fuchsian letter families:
+    one pseudo-edge per family, follower bucket and quadrature point.
 
-    ``zeta`` holds exact letter weights for the explicit extension range
-    cap+1 .. cap+ext per pseudo-edge; beyond that the envelope constant
-    ``c_env`` feeds the Euler-Maclaurin zeta tail.  Everything here is
-    (t, beta)-independent; ``pressure`` turns it into one weight per
-    pseudo-edge with a single broadcast.
+    Row (p0, p1, r0, r1, log(1 + x^2)) of ``rows`` gives the weights
+    zeta_n = log(1 + x^2) - log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1,
+    of its pseudo-edge's letters (``induced.LetterFamily.row``); with
+    psi_n = -2 log k, ``tail_log_weights`` sums them for given (t, beta).
     """
 
     in_keys: np.ndarray
     out_keys: np.ndarray
-    zeta: np.ndarray   # (n_tails, ext)
-    c_env: np.ndarray  # (n_tails,)
-    psi: np.ndarray    # (ext,)
-    m_end: int         # cap + ext
+    rows: np.ndarray  # (n_tails, 5)
+    start: int
+
+
+# Gauss-Jacobi nodes of the tail integral.  g is analytic well beyond the
+# unit interval (its nearest singularity, u = 1, sits at v = start + 1/2),
+# so few nodes suffice: 8 already give every tail row of both presets to
+# <= 1e-14 of its family total at the roots for beta in {-8, -3, -1, 0, 3},
+# and t(beta) at the CLI's 45 default betas to 7e-16 of 32 nodes.  16 keep
+# a factor-2 margin.
+TAIL_NODES = 16
+
+
+def _gauss_jacobi(two_r: float):
+    """Nodes in [0, 1] and normalized weights (summing to 1) of the
+    TAIL_NODES-point Gauss rule for the weight v^(2r - 1) on [0, 1].
+
+    Golub-Welsch on the Jacobi matrix of P^(0, lam), lam = 2r - 1, mapped
+    to [0, 1]: diagonal 2r / (1 + 2r), then 1/2 + lam^2 / (2 m (m + 2)),
+    and off-diagonal n (n + lam) / (m sqrt((m + 1) (m - 1))), with
+    m = 2n + lam for n = 1, 2, ...  The first entries carry the factor
+    n + lam = m - 1 = 2r at n = 1; it is passed in directly, never formed
+    as lam + 1, so the rule keeps its node near 0 for r down to e^-700,
+    where lam rounds to -1.
+    """
+    lam = two_r - 1.0
+    n = np.arange(1.0, TAIL_NODES)
+    nl = n + lam
+    nl[0] = two_r  # n + lam at n = 1, exactly
+    m = n + nl
+    diag = np.append(two_r / (1.0 + two_r),
+                     0.5 + 0.5 * lam * lam / (m * (m + 2.0)))
+    off = n * nl / (m * np.sqrt((m + 1.0) * (n - 1.0 + nl)))
+    # eigh reads the lower triangle only
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    return nodes, vecs[0] ** 2
+
+
+def tail_log_weights(tails: TailData, t: float, beta: float,
+                     two_r: float) -> np.ndarray:
+    """log sum_{n > start} exp(t zeta_n + beta psi_n) for each tail row.
+
+    Midpoint Euler-Maclaurin from X = start + 1/2: the sum is the integral
+    of F(n) = exp(t zeta_n + beta psi_n) over [X, oo) plus F'(X)/24 -
+    7 F'''(X)/5760.  With s = 2t + 2 beta = 1 + 2r and u = 1/n, F(n) =
+    n^-s g(u), where g(u) = exp(t log(1 + x^2) - 2t log|w1 + u (w0 - w1)| -
+    2 beta log(1 - u)) with w0 = p0 + i r0 and w1 = p1 + i r1; so g is
+    smooth, and the integral is X^-2r times that of v^(2r - 1) g(v / X)
+    over [0, 1], a Gauss-Jacobi rule.  2r is passed in, not derived from t, which keeps the weights
+    resolvable down to r = e^-700.  Where the signed corrections outweigh
+    the integral (s / X large, the tail far below every other weight) the
+    row gets a log-weight 708 below its terms, which ``pressure`` floors.
+    """
+    p0, p1, r0, r1, lx = tails.rows.T
+    w0, w1 = p0 + 1j * r0, p1 + 1j * r1
+    x = tails.start + 0.5
+    k = x - 1.0
+    nodes, weights = _gauss_jacobi(two_r)
+    u = nodes / x
+    lg = (t * (lx[:, None] - 2.0 * np.log(np.abs(
+        w1[:, None] + np.outer(w0 - w1, u)))) - 2.0 * beta * np.log1p(-u))
+    top = lg.max(axis=1)
+    log_int = (top + np.log(np.exp(lg - top[:, None]) @ weights)
+               - two_r * math.log(x) - math.log(two_r))
+    # (d/dn)^j log F at X: (-1)^j (j-1)! 2 (t Re om^j + beta / k^j) with
+    # om = w1 / (w0 + k w1)
+    om = w1 / (w0 + k * w1)
+    d1, d2, d3 = (2.0 * (-1) ** j * math.factorial(j - 1)
+                  * (t * (om ** j).real + beta / k ** j) for j in (1, 2, 3))
+    corr = d1 / 24.0 - 7.0 * (d3 + 3.0 * d1 * d2 + d1 ** 3) / 5760.0
+    log_f = t * (lx - 2.0 * np.log(np.abs(w0 + k * w1))) \
+        - 2.0 * beta * math.log(k)
+    top = np.maximum(log_int, log_f)
+    total = np.exp(log_int - top) + np.exp(log_f - top) * corr
+    return top + np.log(np.maximum(total, np.finfo(float).tiny))
 
 
 @dataclass
@@ -137,38 +180,31 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     same nonzero spectrum as the letter-level operator, and its dominant
     eigenvalue is taken from a full eigensolve; that stays robust when
     near-critical tail weights make the dominant eigenvalue nearly
-    degenerate.  When the system carries tails, each Fuchsian letter
-    family gets one pseudo-edge whose weight is the sum of its extension
-    letters and its Euler-Maclaurin envelope, and the pressure is +inf
-    where the untruncated letter series diverges, i.e. t + beta <= 1/2
-    (or r <= 0 when the shifted variable r = t - (1/2 - beta) is given).
-    All weights share one scale, the largest exponent, and are floored
-    ``LOG_FLOOR`` below it; ``log_mult`` enters once, in the returned
-    value.  With no edge weight left the operator is empty and the
-    pressure is -inf.
+    degenerate.  When the system carries tails, each tail pseudo-edge
+    weighs the sum of its family's letters beyond ``tails.start``
+    (``tail_log_weights``), and the pressure is +inf where the untruncated
+    letter series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the
+    shifted variable r = t - (1/2 - beta) is given; the tail rule then
+    takes 2r from r, not from t).  All weights share one scale, the
+    largest exponent, and are floored ``LOG_FLOOR`` below it; ``log_mult``
+    enters once, in the returned value.  With no edge weight left the
+    operator is empty and the pressure is -inf.
     """
     t0 = sys.divergence_abscissa(beta)
     if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
         return math.inf
 
     parts = [t * sys.zeta + beta * sys.psi]
-    tails = sys.tails
-    if tails is not None:
-        s_minus_1 = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-        envelope = log_zeta_tail(s_minus_1, tails.m_end) \
-            - 2.0 * beta * math.log1p(-1.0 / (tails.m_end + 1))
-        parts += [t * tails.zeta + beta * tails.psi,
-                  envelope - t * tails.c_env]
+    if sys.tails is not None:
+        two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
+        parts.append(tail_log_weights(sys.tails, t, beta, two_r))
     scale = max((float(p.max()) for p in parts if p.size), default=0.0)
     if not math.isfinite(scale):
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
-    w = [np.exp(np.maximum(p - scale, LOG_FLOOR)) for p in parts]
-    if tails is not None:
-        w = [w[0], w[1].sum(axis=1) + w[2]]
+    w = np.exp(np.maximum(np.concatenate(parts) - scale, LOG_FLOOR))
     n = sys.n_keys
-    b = np.bincount(sys.flat_keys, weights=np.concatenate(w),
-                    minlength=n * n).reshape(n, n)
+    b = np.bincount(sys.flat_keys, weights=w, minlength=n * n).reshape(n, n)
     rho = max(abs(np.linalg.eigvals(b)))
     return scale + sys.log_mult + math.log(rho) if rho > 0 else -math.inf
 
@@ -234,7 +270,7 @@ def block_partition_sum(pres, t: float, beta: float, n: int, cap: int,
                         geometry=None) -> float:
     """Z_n = log sum over n-block words of exp(-t d - 2 beta sum log+ a)."""
     d, w = geometry if geometry is not None else block_word_geometry(pres, n, cap)
-    return _logsumexp(-t * d - 2.0 * beta * w)
+    return float(np.logaddexp.reduce(-t * d - 2.0 * beta * w))
 
 
 @dataclass(frozen=True)

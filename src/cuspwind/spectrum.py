@@ -70,11 +70,9 @@ class SpectrumCurve:
     """Sampled Hausdorff-dimension spectrum f(alpha).
 
     ``alphas`` are sorted increasing; ``beta_source`` records the free
-    energy parameter realizing each sample.  ``f0``/``f1`` are the
-    extrapolated endpoint values with their extrapolation residuals.  The
-    same curve also bounds the one-sided level sets: their dimension is
-    <= max(-t^(-alpha), 0) and the set is empty where that is negative
-    (reported by the ``one_sided_upper_bound`` flag, no separate data).
+    energy parameter realizing each sample.  ``f0``/``f1`` are f at the
+    first and last samples, the values nearest the endpoints alpha -> 0
+    and alpha -> 1.
     """
 
     alphas: np.ndarray
@@ -83,10 +81,7 @@ class SpectrumCurve:
     residuals: np.ndarray
     alpha0: float
     f0: float
-    f0_residual: float
     f1: float
-    f1_residual: float
-    one_sided_upper_bound: bool = True
 
     def validate(self, t0: float = None, noise: float = 1e-6):
         a, f = self.alphas, self.f
@@ -185,19 +180,8 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
 
     k0 = int(np.argmin(np.abs(b)))
     alpha0 = alphas[k0]
-
-    # endpoint extrapolations from the extreme three samples on each side
-    f0, f0_res = _endpoint_limit(alphas_s, f_s, left=True)
-    f1, f1_res = _endpoint_limit(alphas_s, f_s, left=False)
     return SpectrumCurve(alphas_s, f_s, betas_s, resid, alpha0,
-                         f0, f0_res, f1, f1_res)
-
-
-def _endpoint_limit(alphas, f, left: bool):
-    vals = f[:3] if left else f[-3:]
-    v_edge = vals[0] if left else vals[-1]
-    v_next = vals[1] if left else vals[-2]
-    return float(v_edge), float(abs(v_edge - v_next))
+                         float(f_s[0]), float(f_s[-1]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from cuspwind.gdms import (
     free_energy,
     free_energy_curve,
     left_asymptote_check,
-    log_zeta_tail,
     partition_sum,
     pressure,
 )
@@ -44,23 +43,6 @@ def three_vertex_system(ratios):
         zeta=np.log(np.asarray(ratios)),
         psi=np.zeros(3),
     )
-
-
-# --- zeta tail --------------------------------------------------------------
-
-def test_log_zeta_tail_against_direct_sum():
-    for s in (1.5, 2.0, 3.7):
-        direct = sum(n ** (-s) for n in range(201, 40000)) \
-            + (39999.0 ** (1 - s)) / (s - 1)
-        assert log_zeta_tail(s - 1.0, 200) == pytest.approx(
-            math.log(direct), abs=1e-6)
-
-
-def test_log_zeta_tail_near_one():
-    # s - 1 = 1e-200: tail ~ m^(1-s)/(s-1): log = -(s-1) log m + 200 log 10
-    val = log_zeta_tail(1e-200, 400)
-    assert val == pytest.approx(-math.log(1e-200), rel=1e-6)
-    assert math.isinf(log_zeta_tail(0.0, 400))
 
 
 # --- pressure on toy systems -------------------------------------------------
@@ -237,15 +219,15 @@ def test_delta_c_restricted_finite_system(any_group):
 # 5, the edge cases of the dyadic exponent buckets
 PINNED = {
     "gamma2-type": (
-        (3.5075722549718935, 0.9812906030113027, 0.8220747456255739),
+        (3.5075914426363695, 0.981290602558345, 0.8220747456255721),
         0.8209228112441226,
-        (0.9811744365830936, 0.9812733634135165, 0.9812862295747542,
-         0.9812894409864978)),
+        (0.9811744361116157, 0.9812733629612715, 0.98128622912021,
+         0.9812894405251503)),
     "one-cusp-one-hyperbolic": (
-        (3.5000000155545243, 0.60537278879141, 0.4088726943382466),
+        (3.500000015599884, 0.6053727886867157, 0.4088726943382466),
         0.4082534010657635,
-        (0.6053742615206026, 0.605373393031481, 0.6053731113519827,
-         0.6053729147680336)),
+        (0.6053742615639309, 0.6053733930177578, 0.6053731113120208,
+         0.6053729147032586)),
 }
 
 
@@ -274,6 +256,71 @@ def test_key_matrix_weights_never_subnormal(any_group, beta, monkeypatch):
     monkeypatch.setattr(np, "bincount", spy)
     free_energy(sysm, beta)
     assert smallest and min(smallest) >= np.finfo(float).tiny
+
+
+def direct_tail_sums(rows, start, t, beta, two_r, m=4096):
+    """(sum over n > start, sum over n >= 1) of each tail row's letter
+    weights F(n) = exp(t zeta_n - 2 beta log(n - 1)), letter by letter up
+    to m; beyond m, F(n) = n^-s g(1/n) with g fitted by a quartic in
+    v = Y/n, Y = m + 1/2, summed as the integral over [Y, oo) plus
+    F'(Y)/24 - 7 F'''(Y)/5760 (each monomial in closed form)."""
+    p0, p1, r0, r1, lx = (col[:, None] for col in rows.T)
+
+    def weights(ns):
+        k = ns - 1.0
+        zeta = lx - np.log((p0 + k * p1) ** 2 + (r0 + k * r1) ** 2)
+        return np.exp(t * zeta - 2.0 * beta * np.log(np.maximum(k, 1.0)))
+
+    head = weights(np.arange(1.0, start + 1.0)).sum(axis=1)
+    tail = sum(weights(np.arange(lo, min(lo + 1024, m + 1.0))).sum(axis=1)
+               for lo in np.arange(start + 1.0, m + 1.0, 1024))
+    y = m + 0.5
+    v = 0.5 + 0.5 * np.cos(np.pi * (np.arange(12) + 0.5) / 12)
+    u = v / y
+    g = np.exp(t * (lx - np.log((p1 + u * (p0 - p1)) ** 2
+                                + (r1 + u * (r0 - r1)) ** 2))
+               - 2.0 * beta * np.log1p(-u))
+    s = 1.0 + two_r
+    for j, c in enumerate(np.polynomial.polynomial.polyfit(v, g.T, 4)):
+        a = s + j
+        tail = tail + c * (y ** -two_r / (two_r + j) - a * y ** (-s - 1) / 24
+                           + 7 * a * (a + 1) * (a + 2) * y ** (-s - 3) / 5760)
+    return tail, head + tail
+
+
+@pytest.mark.parametrize("cap", [60, 400])
+def test_tail_rule_matches_direct_sums(any_group, cap):
+    sysm = fuchsian_system(any_group, cap)
+    tails = sysm.tails
+    assert tails.start == max(cap, 64)
+    for beta in (-8.0, -3.0, -1.0, 0.0, 3.0):
+        pt = free_energy(sysm, beta)
+        rule = np.exp(gdms.tail_log_weights(tails, pt.t, beta, 2.0 * pt.r))
+        tail, total = direct_tail_sums(tails.rows, tails.start, pt.t, beta,
+                                       2.0 * pt.r)
+        assert np.all(np.abs(rule - tail) <= 1e-12 * total)
+
+
+def test_gauss_jacobi_rule():
+    from scipy.special import roots_jacobi
+
+    for two_r in (0.05, 0.7, 2.0, 9.0):
+        nodes, weights = gdms._gauss_jacobi(two_r)
+        x, w = roots_jacobi(gdms.TAIL_NODES, 0.0, two_r - 1.0)
+        assert np.allclose(nodes, 0.5 + 0.5 * x, rtol=0.0, atol=1e-14)
+        assert np.allclose(weights, w / w.sum(), rtol=0.0, atol=1e-12)
+    # r = e^-700: 2r - 1 rounds to -1, yet the node near 0 keeps all mass
+    two_r = 2.0 * math.exp(-700.0)
+    nodes, weights = gdms._gauss_jacobi(two_r)
+    assert 0.0 < nodes[0] < 1e-300
+    assert weights[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_t0_converges_in_cap(any_group):
+    # the tail rule leaves only the bucket discretisation to converge
+    t800, t1600 = (free_energy(fuchsian_system(any_group, cap), 0.0).t
+                   for cap in (800, 1600))
+    assert abs(t800 - t1600) <= 5e-12
 
 
 def test_t_beta_approaches_delta_c(any_group):

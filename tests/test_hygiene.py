@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-and every top-level function or class of the package is named somewhere
-in the package or the tests outside its own definition.
+every top-level function or class of the package is named somewhere in
+the package or the tests outside its own definition, and every method is
+named as an attribute there outside its own body.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module in the package.  ``__init__.py`` is skipped (its imports
@@ -88,3 +89,47 @@ def test_no_dead_definitions():
               for p in [PACKAGE / "__init__.py"] + sorted(TESTS.glob("*.py"))]
     found = ["%s:%d %s" % d for d in dead_definitions(modules, others)]
     assert not found, "defined but never named: " + ", ".join(found)
+
+
+def dead_methods(modules: dict, others: list) -> list:
+    """(module, line, Class.method) of each non-dunder method of a class in
+    ``modules`` that no attribute access in ``modules`` or ``others``
+    names, its own body excepted."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    attrs = {}  # attribute name -> ids of the nodes accessing it
+    for tree in list(trees.values()) + [ast.parse(s) for s in others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, set()).add(id(node))
+    found = []
+    for mod, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not attrs.get(fn.name, set()) - own:
+                    found.append((mod, fn.lineno, cls.name + "." + fn.name))
+    return sorted(found)
+
+
+def test_dead_method_detector():
+    module = ("class A:\n    def __len__(self):\n        return 0\n\n"
+              "    def used(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return 1\n\n"
+              "    def dead(self):\n        return self.dead()\n\n"
+              "    def only_named(self):\n        return 2\n\n\n"
+              "only_named = A().used()\n")
+    assert dead_methods({"m.py": module}, ["A().used()\n"]) \
+        == [("m.py", 11, "A.dead"), ("m.py", 14, "A.only_named")]
+
+
+def test_no_dead_methods():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    found = ["%s:%d %s" % d for d in dead_methods(modules, others)]
+    assert not found, "methods never named as an attribute: " + ", ".join(found)

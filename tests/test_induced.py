@@ -118,6 +118,17 @@ def test_zeta_scales_like_minus_two_log_n(gamma2):
     assert abs(c[-1] - c[-2]) < 0.01  # converging envelope constant
 
 
+def test_system_sizes(gamma2):
+    # one tail row per family, follower bucket and quadrature point; below
+    # TAIL_START the exponents cap+1 .. TAIL_START enter the tail keys as
+    # ordinary edges, so cap 60 carries as many edges as cap 64
+    for cap, sizes in ((60, (64, 16384, 256)), (64, (64, 16384, 256)),
+                       (400, (88, 140800, 352))):
+        sysm = ind.fuchsian_system(gamma2, cap)
+        assert (sysm.n_keys, sysm.n_edges, len(sysm.tails.rows)) == sizes
+        assert sysm.tails.start == max(cap, ind.TAIL_START)
+
+
 def test_letters_of_blocks_overlap(gamma2):
     x = point_from_symbols(gamma2, ["a", "b", "b", "a", "B", "a"])
     w = code_point(gamma2, x, 5)

@@ -243,7 +243,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
     _, _, curve = _curve(cfg)
     path = write_result(cfg, "free_energy", _meta(cfg),
                         {"beta": curve.betas, "t": curve.t, "r": curve.r,
-                         "residual": curve.residuals})
+                         "err_t": curve.err_t, "calls": curve.calls})
     print(path)
     return 0
 
@@ -258,7 +258,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=spec.f0,
               f1=spec.f1),
         {"alpha": spec.alphas, "f": spec.f, "beta_source": spec.beta_source,
-         "residual": spec.residuals})
+         "err_t": spec.err_t})
     svg_path = os.path.join(cfg.out_dir, "spectrum.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(emit_figure(curve, spec, delta_c, title=cfg.name))

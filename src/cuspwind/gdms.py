@@ -21,11 +21,15 @@ number P(t, beta) = log rho(B) as a float.  B is built in one pass: the
 edge and tail log-weights are scaled against their one common maximum
 and floored ``LOG_FLOOR`` below it before exponentiation.
 
-t(beta) is the unique zero of the decreasing map t -> P(t, beta): one
-bracket, closed by Brent's method.  Fuchsian systems are solved in log r
-with r = t - (1/2 - beta); the analytic tail keeps r alive even when it
-is far below the floating-point resolution of t itself, which is what
-the left asymptote needs.
+t(beta) is the unique zero of the decreasing map t -> P(t, beta).
+Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
+analytic tail keeps r alive even when it is far below the floating-point
+resolution of t itself, which is what the left asymptote needs.  One
+bracket search, from a start point and with steps growing 4-fold against
+the sign of P, finds a sign change that Brent's method closes.  Along a
+beta grid (``free_energy_curve``) the search is a continuation: every
+root after the first starts from a guess extrapolated from the roots
+before it, which halves the pressure calls of a spectrum.
 """
 
 from __future__ import annotations
@@ -278,19 +282,35 @@ class FreeEnergyPoint:
     beta: float
     t: float
     r: float  # t - (1/2 - beta) for Fuchsian systems, else nan
-    residual: float
+    err_t: float  # t-width of the final sign-changing bracket
     cap: int
     pressure_calls: int
 
 
-def free_energy(sys: GdmsSystem, beta: float) -> FreeEnergyPoint:
+# The search in x = log r stays in [-700, 41 log 4]: e^-700 is the
+# smallest r kept (a normal double, like LOG_FLOOR) and r = 4^41 the
+# largest, far beyond every root and below where the tail rule overflows.
+X_MIN, X_MAX = -700.0, 41.0 * math.log(4.0)
+SEARCH_MOVES = 40
+
+
+def free_energy(sys: GdmsSystem, beta: float, guess: float = None
+                ) -> FreeEnergyPoint:
     """Unique root of the decreasing map t -> pressure(t, beta).
 
     Fuchsian systems are solved in x = log r with r = t - (1/2 - beta),
     which resolves roots exponentially close to the divergence threshold;
-    systems without a divergence abscissa are solved in t.  A sign-changing
-    bracket is grown first and Brent's method closes it to width 1e-13.
-    ``residual`` is |pressure| at the returned root.
+    systems without a divergence abscissa are solved in x = t.  One
+    bracket search starts at ``guess`` (an x predicted from neighbouring
+    roots, as ``free_energy_curve`` does) or at x = 0, and moves against
+    the sign of the pressure, first by 1e-4 max(1, |x|) after a guess or
+    by 1 from x = 0, each move 4 times the last; upward moves are capped
+    at max(log 4, |x|), so x at most doubles.  At the first sign change
+    Brent's method closes the last two points to width 1e-13.  In log r
+    the search is clipped to [X_MIN, X_MAX]; a pressure still negative at
+    r = e^-700 pins the root there, numerically indistinguishable from the
+    threshold.  ``err_t`` is the t-width of the final sign-changing
+    bracket: e^-700 at a pinned root, 0 where the pressure is exactly 0.
     """
     t0 = sys.divergence_abscissa(beta)
     seen = {}  # x -> pressure; the bracket ends are not evaluated twice
@@ -304,41 +324,47 @@ def free_energy(sys: GdmsSystem, beta: float) -> FreeEnergyPoint:
                 seen[x] = pressure(sys, t0 + r, beta, r=r)
         return seen[x]
 
-    if t0 is None:
-        hi, ok = _expand(press, 2.0, 2.0, 2.0, lambda p: p <= 0.0)
-        if not ok:
-            raise NoSignChange("pressure stayed positive up to t=%r" % hi)
-        lo, ok = _expand(press, -2.0, -2.0, 2.0, lambda p: p >= 0.0)
-        if not ok:
-            raise NoSignChange("pressure stayed negative down to t=%r" % lo)
-    else:
-        log4 = math.log(4.0)
-        hi, ok = _expand(press, log4, log4, 1.0, lambda p: p <= 0.0)
-        if not ok:
-            raise NoSignChange("pressure positive up to r=%r" % math.exp(hi))
-        lo = -700.0
-    if t0 is not None and press(lo) < 0.0:
-        # numerically indistinguishable from the threshold root
-        x = lo
-    else:
-        x = _brentq(press, lo, hi, xtol=1e-13)
-    if t0 is None:
-        t, r = x, math.nan
-    else:
-        r = math.exp(x)
-        t = t0 + r
-    return FreeEnergyPoint(beta, t, r, abs(seen[x]), sys.cap or 0, len(seen))
+    lo, hi = (X_MIN, X_MAX) if t0 is not None else (-math.inf, math.inf)
 
+    def root(x):
+        # err_t: the t-width from x to the nearest abscissa of opposite
+        # sign, or to r = 0 at the pinned root
+        p = seen[x]
+        if p == 0.0:
+            y = x
+        elif p < 0.0 and x <= lo:
+            y = -math.inf
+        else:
+            y = min((y for y, q in seen.items() if (q > 0.0) != (p > 0.0)),
+                    key=lambda y: abs(y - x))
+        if t0 is None:
+            t, r, err = x, math.nan, abs(y - x)
+        else:
+            r = math.exp(x)
+            t, err = t0 + r, abs(r - math.exp(y))
+        return FreeEnergyPoint(beta, t, r, err, sys.cap or 0, len(seen))
 
-def _expand(press, x, step, factor, stop):
-    """Move x by step, scaling the step by factor after each move, until
-    stop(press(x)) holds or 40 moves are made; returns (x, stopped)."""
-    for _ in range(40):
-        if stop(press(x)):
-            return x, True
-        x += step
-        step *= factor
-    return x, stop(press(x))
+    x = 0.0 if guess is None else min(max(float(guess), lo), hi)
+    step = 1.0 if guess is None else 1e-4 * max(1.0, abs(x))
+    p = press(x)
+    for _ in range(SEARCH_MOVES):
+        if p == 0.0 or (p < 0.0 and x <= lo):
+            return root(x)  # an exact root, or the pinned one
+        if p > 0.0:
+            if x >= hi:
+                break
+            nxt = min(x + min(step, max(math.log(4.0), abs(x))), hi)
+        else:
+            nxt = max(x - step, lo)
+        q = press(nxt)
+        if q == 0.0 or (q > 0.0) != (p > 0.0):
+            return root(_brentq(press, x, nxt, xtol=1e-13))
+        x, p = nxt, q
+        step *= 4.0
+    if t0 is not None:
+        raise NoSignChange("pressure positive up to r=%r" % math.exp(x))
+    raise NoSignChange("pressure stayed %s t=%r" % (
+        "positive up to" if p > 0.0 else "negative down to", x))
 
 
 RTOL = 4.0 * float(np.finfo(float).eps)  # scipy.optimize.brentq's default
@@ -401,7 +427,9 @@ def _brentq(f, xa, xb, xtol):
 
 @dataclass
 class FreeEnergyCurve:
-    """Sampled free energy t(beta) with the shifted values r(beta).
+    """Sampled free energy t(beta) with the shifted values r(beta), the
+    t-width ``err_t`` of each root's final bracket and the pressure
+    ``calls`` each root took.
 
     Invariants (validated): strictly decreasing in beta, convex, and
     t > 1/2 - beta wherever the shifted root resolves.
@@ -410,7 +438,8 @@ class FreeEnergyCurve:
     betas: np.ndarray
     t: np.ndarray
     r: np.ndarray
-    residuals: np.ndarray
+    err_t: np.ndarray
+    calls: np.ndarray
     cap: int
     name: str = ""
 
@@ -433,15 +462,41 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(sys: GdmsSystem, betas) -> FreeEnergyCurve:
+    """t(beta) on the sorted betas by continuation: every root after the
+    first starts its search from a guess predicted by the roots before it
+    (``_predict``)."""
     betas = np.asarray(sorted(betas), dtype=float)
-    t_vals, r_vals, resid = [], [], []
+    pts = []
     for b in betas:
-        pt = free_energy(sys, float(b))
-        t_vals.append(pt.t)
-        r_vals.append(pt.r)
-        resid.append(pt.residual)
-    return FreeEnergyCurve(betas, np.array(t_vals), np.array(r_vals),
-                           np.array(resid), sys.cap or 0, sys.name)
+        pts.append(free_energy(sys, float(b), guess=_predict(sys, b, pts)))
+    return FreeEnergyCurve(betas, np.array([p.t for p in pts]),
+                           np.array([p.r for p in pts]),
+                           np.array([p.err_t for p in pts]),
+                           np.array([p.pressure_calls for p in pts]),
+                           sys.cap or 0, sys.name)
+
+
+def _predict(sys: GdmsSystem, beta: float, pts: list):
+    """Search start for ``beta`` from the roots ``pts`` solved at smaller
+    betas: None (a cold start) for the first; the last root's abscissa
+    when it or the one before is pinned, or when it is alone; else a
+    linear extrapolation in beta of log r on the left branch (r < 1e-3,
+    where t is nearly 1/2 - beta) and of t elsewhere, capped at the last
+    t since t decreases."""
+    if not pts:
+        return None
+    last, t0 = pts[-1], sys.divergence_abscissa(beta)
+    x_last = last.t if t0 is None else math.log(last.r)
+    pinned = math.exp(X_MIN)
+    if len(pts) < 2 or last.r <= pinned or pts[-2].r <= pinned:
+        return x_last
+    prev = pts[-2]
+    s = (beta - last.beta) / (last.beta - prev.beta)
+    t = min(last.t + s * (last.t - prev.t), last.t)
+    if t0 is None:
+        return t
+    x = x_last + s * (x_last - math.log(prev.r))
+    return x if last.r < 1e-3 or t <= t0 else math.log(t - t0)
 
 
 def delta_c(pres) -> FreeEnergyPoint:

@@ -70,15 +70,15 @@ class SpectrumCurve:
     """Sampled Hausdorff-dimension spectrum f(alpha).
 
     ``alphas`` are sorted increasing; ``beta_source`` records the free
-    energy parameter realizing each sample.  ``f0``/``f1`` are f at the
-    first and last samples, the values nearest the endpoints alpha -> 0
-    and alpha -> 1.
+    energy parameter realizing each sample and ``err_t`` the bracket
+    width of its t(beta).  ``f0``/``f1`` are f at the first and last
+    samples, the values nearest the endpoints alpha -> 0 and alpha -> 1.
     """
 
     alphas: np.ndarray
     f: np.ndarray
     beta_source: np.ndarray
-    residuals: np.ndarray
+    err_t: np.ndarray
     alpha0: float
     f0: float
     f1: float
@@ -176,11 +176,10 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     alphas_s = alphas[order]
     f_s = f[order]
     betas_s = b[order]
-    resid = curve.residuals[order]
 
     k0 = int(np.argmin(np.abs(b)))
     alpha0 = alphas[k0]
-    return SpectrumCurve(alphas_s, f_s, betas_s, resid, alpha0,
+    return SpectrumCurve(alphas_s, f_s, betas_s, curve.err_t[order], alpha0,
                          float(f_s[0]), float(f_s[-1]))
 
 

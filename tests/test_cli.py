@@ -109,7 +109,8 @@ def test_cli_invalid_curve_exit_1(monkeypatch, tmp_path, capsys):
     def increasing(sysm, betas):
         betas = np.asarray(sorted(betas), dtype=float)
         return cli.gdms.FreeEnergyCurve(betas, betas.copy(), np.ones_like(betas),
-                                        np.zeros_like(betas), sysm.cap)
+                                        np.zeros_like(betas),
+                                        np.ones_like(betas), sysm.cap)
 
     monkeypatch.setattr(cli.gdms, "free_energy_curve", increasing)
     rc = cli.main(["free-energy", "--preset", "one-cusp-one-hyperbolic",
@@ -160,7 +161,7 @@ def test_cli_free_energy_csv_roundtrip(tmp_path):
     header = [l for l in lines if l.startswith("#")]
     assert any("cap = 60" in l for l in header)
     cols = lines[len(header)].split(",")
-    assert cols == ["beta", "t", "r", "residual"]
+    assert cols == ["beta", "t", "r", "err_t", "calls"]
     rows = [l.split(",") for l in lines[len(header) + 1:]]
     # 17 significant digits round-trip exactly
     from cuspwind.fuchsian import build_group
@@ -171,6 +172,7 @@ def test_cli_free_energy_csv_roundtrip(tmp_path):
     pt = gdms.free_energy(sysm, -4.0)
     row = next(r for r in rows if float(r[0]) == -4.0)
     assert float(row[1]) == pt.t
+    assert 0.0 <= float(row[3]) <= 1e-12 and int(row[4]) >= 1
 
 
 def test_cli_spectrum_outputs(tmp_path):
@@ -179,7 +181,7 @@ def test_cli_spectrum_outputs(tmp_path):
     assert rc == 0
     csv_text = (tmp_path / "spectrum.csv").read_text()
     lines = [l for l in csv_text.splitlines() if not l.startswith("#")]
-    assert lines[0].split(",") == ["alpha", "f", "beta_source", "residual"]
+    assert lines[0].split(",") == ["alpha", "f", "beta_source", "err_t"]
     data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
     alphas, f = data[:, 0], data[:, 1]
     keep = np.concatenate([[True], np.diff(alphas) > 1e-9])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cuspwind import gdms
+from cuspwind.config import config_from_preset
 from cuspwind.errors import NoSignChange
 from cuspwind.gdms import (
     FreeEnergyCurve,
@@ -202,7 +203,8 @@ def test_brentq_matches_scipy():
 def test_free_energy_residual_small(any_group):
     sysm = fuchsian_system(any_group, 100)
     pt = free_energy(sysm, 0.0)
-    assert pt.residual <= 1e-8
+    assert abs(pressure(sysm, pt.t, 0.0, r=pt.r)) <= 1e-8
+    assert 0.0 <= pt.err_t <= 1e-12
     assert pt.r > 0.0
     assert pt.pressure_calls <= 25
 
@@ -210,7 +212,7 @@ def test_free_energy_residual_small(any_group):
 def test_delta_c_restricted_finite_system(any_group):
     restricted = fuchsian_system(any_group, 2, restricted=True)
     pt = free_energy(restricted, 0.0)
-    assert pt.residual <= 1e-8
+    assert abs(pressure(restricted, pt.t, 0.0)) <= 1e-8
     full = free_energy(fuchsian_system(any_group, 100), 0.0)
     assert 0.0 < pt.t < full.t - 0.01  # delta_c strictly below delta
 
@@ -366,8 +368,57 @@ def test_curve_invariants(onecusp):
     assert np.all(curve.r > 0.0)
 
 
-def test_no_sign_change_error():
+# --- continuation along the beta grid -----------------------------------------
+
+def test_curve_matches_cold_solves(any_group):
+    # every warm-started root is the cold root, in under 60% of the calls
+    sysm = fuchsian_system(any_group, 60)
+    curve = free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    assert len(curve.betas) == 45
+    cold = [free_energy(sysm, float(b)) for b in curve.betas]
+    for pt, t, r in zip(cold, curve.t, curve.r):
+        if pt.r <= math.exp(gdms.X_MIN):  # pinned: the same e^-700
+            assert (t, r) == (pt.t, pt.r)
+        assert abs(t - pt.t) <= 1e-10
+    assert np.all(curve.err_t <= 1e-9)
+    assert curve.calls.sum() <= 0.6 * sum(pt.pressure_calls for pt in cold)
+
+
+def test_far_guesses_reach_the_cold_root(any_group):
+    sysm = fuchsian_system(any_group, 60)
+    cold = free_energy(sysm, 0.0)
+    # from far below and far above: x = 57 is past the top of the search,
+    # and unbounded upward moves from -700 overflow the tail weights
+    for guess in (-700.0, 57.0):
+        assert free_energy(sysm, 0.0, guess=guess).t == pytest.approx(
+            cold.t, abs=1e-13)
+    pinned = free_energy(sysm, -3000.0, guess=0.0)
+    assert pinned.r == math.exp(gdms.X_MIN)
+    assert pinned.err_t == pinned.r
+
+
+def test_curve_calls_free_energy_once_per_beta(onecusp, monkeypatch):
+    # tracers wrap the module-level name and read beta from args[1]
+    seen, solve = [], gdms.free_energy
+
+    def counted(*args, **kwargs):
+        seen.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gdms, "free_energy", counted)
+    betas = [3.0, -2.0, 0.0, 1.0]
+    curve = free_energy_curve(fuchsian_system(onecusp, 60), betas)
+    assert seen == sorted(betas) == list(curve.betas)
+
+
+def test_no_sign_change_error(gamma2):
     # zeta = 0: pressure log k > 0 for every t; no root
     sysm = full_shift(3, zeta_value=0.0)
     with pytest.raises(NoSignChange):
         free_energy(sysm, 0.0)
+    # the same with tails: the search stops at r = 4^41, short of the r
+    # where the tail weights overflow
+    flat = fuchsian_system(gamma2, 60)
+    flat = dataclasses.replace(flat, zeta=np.zeros_like(flat.zeta))
+    with pytest.raises(NoSignChange, match="positive up to r="):
+        free_energy(flat, 0.0)

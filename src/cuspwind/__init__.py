@@ -33,8 +33,6 @@ from .fuchsian import (
     GroupPresentation,
     build_group,
     conjugate_config,
-    constant_c0,
-    constants_c1_c2,
     horocircle_of,
 )
 from .gdms import (
@@ -80,9 +78,8 @@ __all__ = [
     "apply_boundary", "apply_plane", "arc_decomposition",
     "arc_length_above_height", "block_partition_sum", "bowen_series_step",
     "build_group", "code_point", "compose", "conjugacy_check",
-    "conjugate_config", "constant_c0", "constants_c1_c2",
-    "delta_c", "derivative_magnitude", "displacement", "endpoint_slopes",
-    "free_energy", "free_energy_curve",
+    "conjugate_config", "delta_c", "derivative_magnitude", "displacement",
+    "endpoint_slopes", "free_energy", "free_energy_curve",
     "fuchsian_system", "horocircle_of", "hyperbolic_distance", "incidence",
     "left_asymptote_check", "legendre", "mean_cusp_winding",
     "partition_sum", "phi", "poincare_divergence_probe", "preset_config",

@@ -1,8 +1,8 @@
 """Command line: validate, code, pressure, free-energy, spectrum, delta.
 
-Results go to CSV or JSON files with a schema header (column names, cap,
-seed, timestamp); the spectrum command additionally emits a
-deterministic two-panel SVG.  Exit codes: 0 success, 1 computational
+Results go to CSV or JSON files whose header carries the group, cap and
+timestamp; the spectrum command additionally emits a deterministic
+two-panel SVG.  Exit codes: 0 success, 1 computational
 error, 2 configuration error; errors are written to stderr as a
 machine-readable JSON object.
 
@@ -44,38 +44,44 @@ from .induced import (
 from .presets import PRESETS
 
 
-def _common(parser):
-    parser.add_argument("--config", help="path to a run configuration file")
-    parser.add_argument("--preset", choices=sorted(PRESETS),
-                        help="built-in presentation")
-    parser.add_argument("--cap", type=int, help="parabolic exponent cap")
-    parser.add_argument("--beta-min", type=float)
-    parser.add_argument("--beta-max", type=float)
-    parser.add_argument("--beta-steps", type=int)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-
-
 def build_parser():
+    """One subcommand per command, each with --config and --preset plus
+    only the options it reads; any other option is an argparse error."""
     p = argparse.ArgumentParser(
         prog="cuspwind",
         description="Cusp-winding multifractal spectra of free Fuchsian groups")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("validate", "run the presentation and coding invariant suite"),
-        ("code", "print the block coding of a boundary point"),
-        ("pressure", "pressure grid over (t, beta)"),
-        ("free-energy", "free energy curve t(beta)"),
-        ("spectrum", "spectrum curve f(alpha) plus SVG figure"),
-        ("delta", "limit-set dimension delta and bounded-type delta_c"),
+    grid = ("cap", "beta", "out", "format")
+    for name, helptext, options in (
+        ("validate", "run the presentation and coding invariant suite",
+         ("seed",)),
+        ("code", "print the block coding of a boundary point", ("point",)),
+        ("pressure", "pressure grid over (t, beta)", grid + ("t",)),
+        ("free-energy", "free energy curve t(beta)", grid),
+        ("spectrum", "spectrum curve f(alpha) plus SVG figure", grid),
+        ("delta", "limit-set dimension delta and bounded-type delta_c",
+         ("cap", "out")),
     ):
         q = sub.add_parser(name, help=helptext)
-        _common(q)
-        if name == "code":
+        q.add_argument("--config", help="path to a run configuration file")
+        q.add_argument("--preset", choices=sorted(PRESETS),
+                       help="built-in presentation")
+        if "seed" in options:
+            q.add_argument("--seed", type=int)
+        if "point" in options:
             q.add_argument("--point", type=float, required=True)
             q.add_argument("--blocks", type=int, default=6)
-        if name == "pressure":
+        if "cap" in options:
+            q.add_argument("--cap", type=int, help="parabolic exponent cap")
+        if "beta" in options:
+            q.add_argument("--beta-min", type=float)
+            q.add_argument("--beta-max", type=float)
+            q.add_argument("--beta-steps", type=int)
+        if "out" in options:
+            q.add_argument("--out", default=".", help="output directory")
+        if "format" in options:
+            q.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        if "t" in options:
             q.add_argument("--t-min", type=float, default=0.6)
             q.add_argument("--t-max", type=float, default=1.4)
             q.add_argument("--t-steps", type=int, default=9)
@@ -97,7 +103,7 @@ def resolve_config(args) -> RunConfig:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, key, val)
-    cfg.out_dir = args.out
+    cfg.out_dir = getattr(args, "out", ".")
     return cfg.validate()
 
 
@@ -105,7 +111,6 @@ def _meta(cfg: RunConfig, **extra) -> dict:
     meta = {
         "group": cfg.name,
         "cap": cfg.cap,
-        "seed": cfg.seed,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     meta.update(extra)

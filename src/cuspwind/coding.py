@@ -130,21 +130,19 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
         y = y_next
 
 
-def point_from_symbols(pres: GroupPresentation, symbols, tail_point=None) -> float:
+def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     """Boundary point whose coding starts with the given reduced letters.
 
-    The continuation is the midpoint of an admissible interval (or the
-    supplied tail point), pushed forward through the inverse branches.
+    The continuation is the midpoint of an admissible interval, pushed
+    forward through the inverse branches.
     """
-    if tail_point is None:
-        last = symbols[-1]
-        for cand in pres.labels():
-            if pres.word_admissible(last, cand) and not (
-                cand == last and pres.gen(last).is_parabolic()
-            ):
-                tail_point = pres.interval_of(cand).midpoint()
-                break
-    x = tail_point
+    last = symbols[-1]
+    for cand in pres.labels():
+        if pres.word_admissible(last, cand) and not (
+            cand == last and pres.gen(last).is_parabolic()
+        ):
+            x = pres.interval_of(cand).midpoint()
+            break
     for label in reversed(symbols):
         x = apply_boundary(pres.map_of(label), x)
     return x
@@ -257,9 +255,10 @@ def in_domain_D(pres: GroupPresentation, x: float) -> bool:
     return word.blocks[0][1] == 1
 
 
-def random_block_word(pres: GroupPresentation, rng, n_blocks: int,
-                      exp_mean: float = 2.0, exp_cap: int = 12) -> BlockWord:
-    """Seeded random admissible block word with geometric exponents."""
+def random_block_word(pres: GroupPresentation, rng,
+                      n_blocks: int) -> BlockWord:
+    """Seeded random admissible block word with geometric exponents of
+    mean 2, capped at 12."""
     labels = pres.labels()
     blocks = []
     prev = None
@@ -268,7 +267,7 @@ def random_block_word(pres: GroupPresentation, rng, n_blocks: int,
                    if prev is None or pres.block_admissible(prev, l)]
         label = choices[rng.integers(len(choices))]
         if pres.gen(label).is_parabolic():
-            exp = 1 + min(exp_cap - 1, rng.geometric(1.0 / exp_mean) - 1)
+            exp = min(12, rng.geometric(0.5))
         else:
             exp = 1
         blocks.append((label, int(exp)))
@@ -276,10 +275,9 @@ def random_block_word(pres: GroupPresentation, rng, n_blocks: int,
     return BlockWord(tuple(blocks))
 
 
-def poincare_divergence_probe(pres: GroupPresentation, ss,
-                              max_len: int = 13) -> list:
-    """Shell-ratio divergence statistics of the Poincare series, one dict
-    per exponent s in ``ss``.
+def poincare_divergence_probe(pres: GroupPresentation, ss) -> list:
+    """Shell-ratio divergence statistics of the Poincare series over words
+    of length up to 13, one dict per exponent s in ``ss``.
 
     Each holds the last raw shell ratio and its 1/L Richardson
     extrapolation; values above one indicate divergence (s below the
@@ -287,7 +285,7 @@ def poincare_divergence_probe(pres: GroupPresentation, ss,
     O(1/L), hence the extrapolation.
     """
     out = []
-    for s, shells in zip(ss, poincare_shell_sums(pres, ss, max_len)):
+    for s, shells in zip(ss, poincare_shell_sums(pres, ss, 13)):
         ratios = [shells[k + 1] / shells[k] for k in range(len(shells) - 1)]
         n = len(ratios)
         extrapolated = ratios[-1] + (ratios[-1] - ratios[-2]) * (n - 1)

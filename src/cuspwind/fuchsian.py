@@ -72,17 +72,18 @@ class CircleInterval:
     def offset(self, x: float) -> float:
         return (boundary_angle(x) - self.angle_lo) % TWO_PI
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
-        off = self.offset(x)
-        return margin < off < self.arc - margin
+    def contains(self, x: float) -> bool:
+        return 0.0 < self.offset(x) < self.arc
 
     def contains_interval(self, other: "CircleInterval", tol: float = 1e-9) -> bool:
         lo_off = self.offset(other.lo)
         hi_off = lo_off + other.arc
         return lo_off >= -tol and hi_off <= self.arc + tol
 
-    def disjoint_from(self, other: "CircleInterval", tol: float = 1e-12) -> bool:
-        """Disjoint interiors; shared endpoints are allowed."""
+    def disjoint_from(self, other: "CircleInterval") -> bool:
+        """Disjoint interiors; shared endpoints (to 1e-12 in angle) are
+        allowed."""
+        tol = 1e-12
         for x in (other.lo, other.hi):
             off = self.offset(x)
             if tol < off < self.arc - tol:
@@ -143,7 +144,6 @@ class Horocircle:
     size: float
     conjugator: MobiusMap
     orientation: int
-    label: str
 
     def ball(self) -> geometry.Horoball:
         return geometry.Horoball(self.base, self.size)
@@ -153,10 +153,10 @@ def horocircle_of(gen: Generator) -> Horocircle:
     if not gen.is_parabolic():
         raise NotParabolic("horocircle_of needs a parabolic generator, got %r"
                            % (gen.label,))
-    return _horocircle_from_map(gen.map, gen.label)
+    return _horocircle_from_map(gen.map)
 
 
-def _horocircle_from_map(gamma: MobiusMap, label: str) -> Horocircle:
+def _horocircle_from_map(gamma: MobiusMap) -> Horocircle:
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     if a + d < 0.0:
         a, b, c, d = -a, -b, -c, -d
@@ -166,7 +166,7 @@ def _horocircle_from_map(gamma: MobiusMap, label: str) -> Horocircle:
         orientation = 1 if tau > 0 else -1
         t = abs(tau)
         delta = MobiusMap.from_entries(1.0, 0.0, 0.0, t)  # z -> z/t
-        return Horocircle(INF, t / 2.0, delta, orientation, label)
+        return Horocircle(INF, t / 2.0, delta, orientation)
     p = (a - d) / (2.0 * c)
     # N = -1/(z-p) carries p to oo; N gamma N^{-1} is z + tau'
     n = MobiusMap.from_entries(0.0, -1.0, 1.0, -p)
@@ -179,7 +179,7 @@ def _horocircle_from_map(gamma: MobiusMap, label: str) -> Horocircle:
     m = abs(tau)
     scale = MobiusMap.from_entries(1.0, 0.0, 0.0, m)
     delta = compose(scale, n)
-    return Horocircle(p, 2.0 / m, delta, orientation, label)
+    return Horocircle(p, 2.0 / m, delta, orientation)
 
 
 @dataclass
@@ -254,8 +254,8 @@ class GroupPresentation:
 
     # --- constants -----------------------------------------------------
 
-    def constant_c2(self, grid: int = 64) -> float:
-        return max(math.log(4.0), self.constant_c0(grid).value)
+    def constant_c2(self) -> float:
+        return max(math.log(4.0), self.constant_c0().value)
 
     def constant_c0(self, grid: int = 64) -> "C0Result":
         if grid not in self._c0_cache:
@@ -269,9 +269,6 @@ class C0Result:
 
     value: float  # raw_max inflated by the mesh margin
     raw_max: float
-    grid: int
-    n_points: int
-    mesh_margin: float
 
 
 def build_group(config: dict) -> GroupPresentation:
@@ -327,7 +324,7 @@ def build_group(config: dict) -> GroupPresentation:
     horocircles = {}
     for label, g in gens.items():
         if g.is_parabolic():
-            horocircles[label] = _horocircle_from_map(g.map, label)
+            horocircles[label] = _horocircle_from_map(g.map)
     accidental = _accidental_horocircles(gens, inverse_label, horocircles)
     _validate_horoball_disjointness(horocircles, accidental)
 
@@ -375,10 +372,10 @@ def _validate_intervals(gens: dict, inverse_label: dict):
                 % (label, img_lo, img_hi, jinv.hi, jinv.lo))
 
 
-def _boundary_close(x: float, y: float, tol: float = 1e-9) -> bool:
+def _boundary_close(x: float, y: float) -> bool:
     if is_infinity(x) or is_infinity(y):
         return (is_infinity(x) and is_infinity(y)) or abs(x) > 1e12 or abs(y) > 1e12
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
 def _accidental_horocircles(gens, inverse_label, horocircles) -> list:
@@ -413,13 +410,14 @@ def _accidental_horocircles(gens, inverse_label, horocircles) -> list:
     for v in vertices:
         w = _parabolic_fixing(gens, inverse_label, v)
         if w is not None:
-            out.append(_horocircle_from_map(w, "accidental@%.6g" % v))
+            out.append(_horocircle_from_map(w))
     return out
 
 
-def _parabolic_fixing(gens, inverse_label, v, max_len: int = 6):
+def _parabolic_fixing(gens, inverse_label, v):
+    """A parabolic reduced word of at most six letters fixing v, or None."""
     words = [(label, gens[label].map) for label in gens]
-    for _ in range(max_len):
+    for _ in range(6):
         nxt = []
         for label, m in words:
             img = apply_boundary(m, v)
@@ -433,10 +431,10 @@ def _parabolic_fixing(gens, inverse_label, v, max_len: int = 6):
     return None
 
 
-def _boundary_close_pt(x, y, tol=1e-8):
+def _boundary_close_pt(x, y):
     if is_infinity(x) or is_infinity(y):
         return is_infinity(x) and is_infinity(y)
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= 1e-8 * max(1.0, abs(x), abs(y))
 
 
 def _validate_horoball_disjointness(horocircles: dict, accidental: list):
@@ -472,23 +470,15 @@ def constants_c1(pres: GroupPresentation) -> float:
     return best
 
 
-def constants_c1_c2(pres: GroupPresentation, grid: int = 64) -> tuple:
-    return pres.c1, pres.constant_c2(grid)
-
-
-def constant_c0(pres: GroupPresentation, grid: int = 64) -> C0Result:
-    return pres.constant_c0(grid)
-
-
-def _limit_set_bounds(pres: GroupPresentation, iterations: int = 60) -> dict:
+def _limit_set_bounds(pres: GroupPresentation) -> dict:
     """Per-letter arcs bounding the limit-set piece inside each interval.
 
-    Iterates J_g -> hull(g(union of admissible pieces)); for lattice-type
-    systems this is a fixed point immediately, for second-kind groups it
-    shrinks to a tight cover of the limit set.
+    Iterates J_g -> hull(g(union of admissible pieces)) 60 times; for
+    lattice-type systems this is a fixed point immediately, for second-kind
+    groups it shrinks to a tight cover of the limit set.
     """
     bounds = {l: (0.0, pres.interval_of(l).arc) for l in pres.labels()}
-    for _ in range(iterations):
+    for _ in range(60):
         new = {}
         for label in pres.labels():
             g = pres.gen(label)
@@ -545,10 +535,9 @@ def _sample_c0(pres: GroupPresentation, grid: int) -> C0Result:
     The sampled region: on the fundamental-domain side of every interval
     geodesic, outside every horoball (marked cusps plus accidental ones),
     inside the convex core (outside every limit-set gap half-plane).  The
-    returned value inflates the raw sampled maximum by a fixed mesh margin;
+    returned value inflates the raw sampled maximum by a 10% mesh margin;
     downstream uses of C0 are error bands, so over-estimation is safe.
     """
-    mesh_margin = 0.10
     side_hps = [pres.interval_of(l).halfplane() for l in pres.labels()]
     gap_hps = _core_gap_halfplanes(pres)
     balls = pres.all_horoballs()
@@ -596,7 +585,7 @@ def _sample_c0(pres: GroupPresentation, grid: int) -> C0Result:
         d = hyperbolic_distance(p, q)
         if d > raw:
             raw = d
-    return C0Result(raw * (1.0 + mesh_margin), raw, grid, len(pts), mesh_margin)
+    return C0Result(raw * 1.1, raw)
 
 
 def conjugate_config(config: dict, m: MobiusMap) -> dict:

@@ -28,8 +28,8 @@ resolution of t itself, which is what the left asymptote needs.  One
 bracket search, from a start point and with steps growing 4-fold against
 the sign of P, finds a sign change that Brent's method closes.  Along a
 beta grid (``free_energy_curve``) the search is a continuation: every
-root after the first starts from a guess extrapolated from the roots
-before it, which halves the pressure calls of a spectrum.
+root after the first starts from a guess predicted from the roots before
+it, which halves the pressure calls of a spectrum.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ class GdmsSystem:
     alphabet, synthetic test shifts) have none.
     """
 
-    name: str
     n_keys: int
     in_keys: np.ndarray
     out_keys: np.ndarray
@@ -156,7 +155,6 @@ class GdmsSystem:
     psi: np.ndarray
     log_mult: float = 0.0  # additive log constant of every weight (quadrature)
     tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
-    cap: int = None
     # cell in_key * n_keys + out_key of the key matrix, for the edges
     # followed by the tail pseudo-edges
     flat_keys: np.ndarray = field(init=False, repr=False, compare=False)
@@ -283,7 +281,6 @@ class FreeEnergyPoint:
     t: float
     r: float  # t - (1/2 - beta) for Fuchsian systems, else nan
     err_t: float  # t-width of the final sign-changing bracket
-    cap: int
     pressure_calls: int
 
 
@@ -310,7 +307,10 @@ def free_energy(sys: GdmsSystem, beta: float, guess: float = None
     the search is clipped to [X_MIN, X_MAX]; a pressure still negative at
     r = e^-700 pins the root there, numerically indistinguishable from the
     threshold.  ``err_t`` is the t-width of the final sign-changing
-    bracket: e^-700 at a pinned root, 0 where the pressure is exactly 0.
+    bracket, e^-700 at a pinned root.  Where the pressure at the root is
+    exactly 0 it is the t-width of the nearest nonzero pressures on either
+    side, found by steps of 1e-13 + RTOL |x| growing 4-fold, since Brent's
+    method stops at a zero however wide its bracket is then.
     """
     t0 = sys.divergence_abscissa(beta)
     seen = {}  # x -> pressure; the bracket ends are not evaluated twice
@@ -326,23 +326,33 @@ def free_energy(sys: GdmsSystem, beta: float, guess: float = None
 
     lo, hi = (X_MIN, X_MAX) if t0 is not None else (-math.inf, math.inf)
 
+    def nonzero_side(x, sign):
+        step = 1e-13 + RTOL * abs(x)
+        for _ in range(SEARCH_MOVES):
+            if press(x + sign * step) != 0.0:
+                return x + sign * step
+            step *= 4.0
+        return sign * math.inf
+
     def root(x):
-        # err_t: the t-width from x to the nearest abscissa of opposite
-        # sign, or to r = 0 at the pinned root
+        # err_t: the t-width of [y0, y1], from x to the nearest abscissa of
+        # opposite sign or to r = 0 at the pinned root, or between the
+        # nearest nonzero pressures around an exact zero
         p = seen[x]
         if p == 0.0:
-            y = x
+            y0, y1 = nonzero_side(x, -1.0), nonzero_side(x, 1.0)
         elif p < 0.0 and x <= lo:
-            y = -math.inf
+            y0, y1 = x, -math.inf
         else:
-            y = min((y for y, q in seen.items() if (q > 0.0) != (p > 0.0)),
-                    key=lambda y: abs(y - x))
+            y0, y1 = x, min((y for y, q in seen.items()
+                             if (q > 0.0) != (p > 0.0)),
+                            key=lambda y: abs(y - x))
         if t0 is None:
-            t, r, err = x, math.nan, abs(y - x)
+            t, r, err = x, math.nan, abs(y1 - y0)
         else:
             r = math.exp(x)
-            t, err = t0 + r, abs(r - math.exp(y))
-        return FreeEnergyPoint(beta, t, r, err, sys.cap or 0, len(seen))
+            t, err = t0 + r, abs(math.exp(y1) - math.exp(y0))
+        return FreeEnergyPoint(beta, t, r, err, len(seen))
 
     x = 0.0 if guess is None else min(max(float(guess), lo), hi)
     step = 1.0 if guess is None else 1e-4 * max(1.0, abs(x))
@@ -425,6 +435,11 @@ def _brentq(f, xa, xb, xtol):
     raise RuntimeError("Brent's method did not converge in 100 steps")
 
 
+# Slope decreases up to this size are root-finder noise, not a convexity
+# violation.
+CONVEXITY_NOISE = 1e-6
+
+
 @dataclass
 class FreeEnergyCurve:
     """Sampled free energy t(beta) with the shifted values r(beta), the
@@ -440,10 +455,8 @@ class FreeEnergyCurve:
     r: np.ndarray
     err_t: np.ndarray
     calls: np.ndarray
-    cap: int
-    name: str = ""
 
-    def validate(self, noise: float = 1e-6):
+    def validate(self):
         db = np.diff(self.betas)
         dt = np.diff(self.t)
         # strict decrease up to solver noise: deep in the right tail the
@@ -454,7 +467,7 @@ class FreeEnergyCurve:
         if not np.all(dt[dt < -10.0 * floor] < 0.0):
             raise InvalidCurve("free energy curve has resolvable increases")
         slopes = dt / db
-        if not np.all(np.diff(slopes) >= -noise):
+        if not np.all(np.diff(slopes) >= -CONVEXITY_NOISE):
             raise InvalidCurve("free energy curve is not convex")
         if np.any(self.r < 0.0):
             raise InvalidCurve("free energy below the divergence threshold")
@@ -472,31 +485,32 @@ def free_energy_curve(sys: GdmsSystem, betas) -> FreeEnergyCurve:
     return FreeEnergyCurve(betas, np.array([p.t for p in pts]),
                            np.array([p.r for p in pts]),
                            np.array([p.err_t for p in pts]),
-                           np.array([p.pressure_calls for p in pts]),
-                           sys.cap or 0, sys.name)
+                           np.array([p.pressure_calls for p in pts]))
 
 
 def _predict(sys: GdmsSystem, beta: float, pts: list):
     """Search start for ``beta`` from the roots ``pts`` solved at smaller
-    betas: None (a cold start) for the first; the last root's abscissa
-    when it or the one before is pinned, or when it is alone; else a
-    linear extrapolation in beta of log r on the left branch (r < 1e-3,
-    where t is nearly 1/2 - beta) and of t elsewhere, capped at the last
-    t since t decreases."""
+    betas: None (a cold start) for the first.  On the left branch (last
+    r < 1e-3, where t is nearly 1/2 - beta) a linear extrapolation in beta
+    of log r, or the last log r when it or the one before is pinned or
+    when it is alone.  Everywhere else, and for finite systems, the last
+    t: t decreases, so it bounds the root from above, where a linear
+    extrapolation of the convex t bounds it from below and lands far
+    below the root across the elbow of t(beta)."""
     if not pts:
         return None
     last, t0 = pts[-1], sys.divergence_abscissa(beta)
-    x_last = last.t if t0 is None else math.log(last.r)
+    if t0 is None:
+        return last.t
+    if last.r >= 1e-3:
+        return math.log(last.t - t0)
+    x_last = math.log(last.r)
     pinned = math.exp(X_MIN)
     if len(pts) < 2 or last.r <= pinned or pts[-2].r <= pinned:
         return x_last
     prev = pts[-2]
     s = (beta - last.beta) / (last.beta - prev.beta)
-    t = min(last.t + s * (last.t - prev.t), last.t)
-    if t0 is None:
-        return t
-    x = x_last + s * (x_last - math.log(prev.r))
-    return x if last.r < 1e-3 or t <= t0 else math.log(t - t0)
+    return x_last + s * (x_last - math.log(prev.r))
 
 
 def delta_c(pres) -> FreeEnergyPoint:

@@ -110,21 +110,12 @@ def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
     return compose(g1, parabolic_power(core, len(syms) - 1))
 
 
-def continuation_points(pres: GroupPresentation, e: InducedLetter) -> tuple:
-    """lo/mid/hi continuation points x' = u_{m-1}(point of J_{u_m})."""
-    u_prev = pres.map_of(e.symbols[-2])
-    j_last = pres.interval_of(e.symbols[-1])
-    return tuple(
-        apply_boundary(u_prev, j_last.point_at(f)) for f in (0.0, 0.5, 1.0)
-    )
-
-
-def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> tuple:
-    """(lo, mid, hi) of log |V_e'|_circle over the continuation bracket."""
-    v = branch_map(pres, e)
-    vals = [math.log(circle_derivative_magnitude(v, x))
-            for x in continuation_points(pres, e)]
-    return min(vals), vals[1], max(vals)
+def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> float:
+    """log |V_e'|_circle at the continuation point x' = u_{m-1}(midpoint
+    of J_{u_m})."""
+    x = apply_boundary(pres.map_of(e.symbols[-2]),
+                       pres.interval_of(e.symbols[-1]).point_at(0.5))
+    return math.log(circle_derivative_magnitude(branch_map(pres, e), x))
 
 
 @dataclass(frozen=True)
@@ -224,8 +215,6 @@ def induced_step(pres: GroupPresentation, x: float) -> float:
 
 @dataclass
 class ConjugacyReport:
-    n_points: int
-    letters_each: int
     mismatches: list
     resampled: int = 0
 
@@ -276,12 +265,13 @@ def conjugacy_check(pres: GroupPresentation, samples: int = 100,
                 raise
             continue
         done += 1
-    return ConjugacyReport(samples, letters_each, mismatches, resampled)
+    return ConjugacyReport(mismatches, resampled)
 
 
-def primitivity_witness(pres: GroupPresentation, max_len: int = 6):
+def primitivity_witness(pres: GroupPresentation):
     """Smallest L such that every ordered letter pair joins via a connector
-    of at most L letters (0 = direct adjacency); returns (L, pair count).
+    of at most L letters (0 = direct adjacency); returns (L, pair count),
+    with L = None when no L <= 6 does.
 
     Works on the boundary-pair graph: a letter is an edge from its head
     pair to its tail pair, so connector words correspond to pair paths.
@@ -319,7 +309,7 @@ def primitivity_witness(pres: GroupPresentation, max_len: int = 6):
     # a connector of L letters realizes pair paths of exactly L edges from
     # tail(a) to head(b); direct adjacency is the 0-letter path tail(a)=head(b),
     # so the witness length is the pair-graph diameter
-    if worst > max_len:
+    if worst > 6:
         return None, len(pairs)
     return worst, len(pairs)
 
@@ -535,7 +525,8 @@ def letter_series_sweep(pres: GroupPresentation, t: float, beta: float,
     for f in letter_families(pres):
         total += np.exp(t * f.zeta_at(ns, f.x_mid) + beta * psi_ns)
     cum = np.cumsum(total)
-    hyp = sum(math.exp(t * zeta_letter(pres, e)[1]) for e in hyperbolic_letters(pres))
+    hyp = sum(math.exp(t * zeta_letter(pres, e))
+              for e in hyperbolic_letters(pres))
     return [float(cum[c - 1] + hyp) for c in caps]
 
 
@@ -631,7 +622,6 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             start=start,
         )
     return GdmsSystem(
-        name=pres.name + (":restricted" if restricted else ""),
         n_keys=len(key_index),
         in_keys=np.concatenate(in_keys),
         out_keys=np.concatenate(out_keys),
@@ -639,5 +629,4 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         psi=np.concatenate(psi_vals),
         log_mult=half,
         tails=tails,
-        cap=cap,
     )

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * matrices are normalized to determinant one with the first numerically
   nonzero entry of (a, c) positive, so PSL(2,R) equality is plain
   entrywise comparison,
-* ``ALG_TOL`` separates exact algebraic identities from quadrature-grade
-  comparisons at ``LEN_TOL``.
+* ``ALG_TOL`` is the tolerance of exact algebraic identities (identity
+  and equality of maps).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import DegenerateArc, InfiniteArgument, PoleAtPoint
 
 ALG_TOL = 1e-12
-LEN_TOL = 1e-9
 
 INF = math.inf
 
@@ -137,8 +136,8 @@ class MobiusMap:
     def is_parabolic(self, tol: float = 1e-10) -> bool:
         return abs(self.trace() ** 2 - 4.0) <= tol and not self.is_identity(1e-14)
 
-    def is_hyperbolic(self, tol: float = 1e-10) -> bool:
-        return self.trace() ** 2 > 4.0 + tol
+    def is_hyperbolic(self) -> bool:
+        return self.trace() ** 2 > 4.0 + 1e-10
 
     def fixed_points(self) -> list[float]:
         """Boundary fixed points; one for parabolic, two for hyperbolic."""

@@ -17,15 +17,21 @@ import numpy as np
 from .errors import InsufficientGridReach, InvalidCurve, NotConvex
 from .gdms import FreeEnergyCurve
 
+# Convexity (of t) and concavity (of f) violations up to this size are
+# sampling noise.
+CONVEXITY_NOISE = 1e-6
+# Extreme parametric slopes reported per endpoint by ``endpoint_slopes``.
+TREND_SAMPLES = 4
 
-def check_convex(values: np.ndarray, grid: np.ndarray, noise: float = 1e-6):
+
+def check_convex(values: np.ndarray, grid: np.ndarray):
     slopes = np.diff(values) / np.diff(grid)
-    bad = np.diff(slopes) < -noise
+    bad = np.diff(slopes) < -CONVEXITY_NOISE
     if np.any(bad):
         raise NotConvex("convexity violated at %d interior nodes" % bad.sum())
 
 
-def legendre(grid, values, ps, noise: float = 1e-6):
+def legendre(grid, values, ps):
     """Discrete convex conjugate sup_c (c p - g(c)) with local refinement.
 
     Returns (transform values, attained flags); the flag is False where
@@ -35,7 +41,7 @@ def legendre(grid, values, ps, noise: float = 1e-6):
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    check_convex(values, grid, noise)
+    check_convex(values, grid)
     out = np.empty(len(ps))
     attained = np.empty(len(ps), dtype=bool)
     for i, p in enumerate(ps):
@@ -83,7 +89,7 @@ class SpectrumCurve:
     f0: float
     f1: float
 
-    def validate(self, t0: float = None, noise: float = 1e-6):
+    def validate(self, t0: float = None):
         a, f = self.alphas, self.f
         if np.any(f < -1e-12):
             raise InvalidCurve("negative spectrum values")
@@ -94,7 +100,7 @@ class SpectrumCurve:
         # smaller adjacent gap, so roundoff clusters cannot trip the check
         gaps = np.diff(aa)
         jumps = np.diff(slopes) * np.minimum(gaps[:-1], gaps[1:])
-        if np.any(jumps > noise):
+        if np.any(jumps > CONVEXITY_NOISE):
             raise InvalidCurve("spectrum is not concave on its grid")
         if np.any((a < -0.02) | (a > 1.02)):
             raise InvalidCurve("alpha grid escapes [-0.02, 1.02]")
@@ -105,25 +111,35 @@ class SpectrumCurve:
 
 
 def alpha_values(curve: FreeEnergyCurve) -> np.ndarray:
-    """alpha(beta) = -t'(beta) by centered differences with Richardson.
+    """alpha(beta) = -t'(beta) by centered differences with Richardson
+    (``_alpha_f``)."""
+    return _alpha_f(curve)[0]
+
+
+def _alpha_f(curve: FreeEnergyCurve) -> tuple:
+    """(alpha, f) per sample: alpha = -t'(beta), f = t + beta alpha.
 
     Interior points on a uniform subgrid get the 4th-order Richardson
-    value; everything else uses the three-point nonuniform formula.  The
-    left tail differentiates r instead of t, so alpha = 1 - dr/dbeta stays
-    exact when r is below the resolution of t.
+    derivative; everything else uses the three-point nonuniform formula.
+    The left tail differentiates r instead of t, so alpha = 1 - dr/dbeta
+    and f = 1/2 + r - beta dr/dbeta stay exact when r is below the
+    resolution of t.
     """
     b = curve.betas
     n = len(b)
     use_r = np.all(np.isfinite(curve.r))
-    alphas = np.empty(n)
+    alphas, f = np.empty(n), np.empty(n)
     for k in range(n):
         if use_r and b[k] < -2.0:
             # left tail: differentiate the shifted values, the affine part
             # cancels exactly and the exponentially small r survives
-            alphas[k] = 1.0 - _local_slope(b, curve.r, k)
+            d = _local_slope(b, curve.r, k)
+            alphas[k] = 1.0 - d
+            f[k] = 0.5 + curve.r[k] - b[k] * d
         else:
             alphas[k] = -_local_slope(b, curve.t, k)
-    return alphas
+            f[k] = curve.t[k] + b[k] * alphas[k]
+    return alphas, f
 
 
 def _local_slope(x, y, k):
@@ -161,15 +177,7 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     """
     check_convex(curve.t, curve.betas)
     b = curve.betas
-    alphas = alpha_values(curve)
-    f = curve.t + b * alphas
-    use_r = np.all(np.isfinite(curve.r))
-    if use_r:
-        # identical algebra with the affine part cancelled exactly:
-        # f = 1/2 + r - beta * dr/dbeta on the shifted representation
-        drd = np.array([_local_slope(b, curve.r, k) for k in range(len(b))])
-        f_left = 0.5 + curve.r - b * drd
-        f = np.where(b < -2.0, f_left, f)
+    alphas, f = _alpha_f(curve)
     f = np.maximum(f, 0.0)
 
     order = np.argsort(alphas)
@@ -215,8 +223,8 @@ class EndpointSlopes:
         return check(self.left_trend), check(self.right_trend)
 
 
-def endpoint_slopes(curve: SpectrumCurve, refinements: int = 4,
-                    lo: float = 0.0, hi: float = 1.0) -> EndpointSlopes:
+def endpoint_slopes(curve: SpectrumCurve, lo: float = 0.0,
+                    hi: float = 1.0) -> EndpointSlopes:
     """Endpoint slope estimates; needs the grid within 0.02 of lo and hi."""
     a, f, bs = curve.alphas, curve.f, curve.beta_source
     if a[0] > lo + 0.02 or a[-1] < hi - 0.02:
@@ -240,8 +248,8 @@ def endpoint_slopes(curve: SpectrumCurve, refinements: int = 4,
     # follows the extension ladder toward each endpoint
     pos = np.sort(bs[bs > 0.0])
     neg = np.sort(np.abs(bs[bs < 0.0]))
-    left_trend = tuple(float(x) for x in pos[-refinements:])
-    right_trend = tuple(-float(x) for x in neg[-refinements:])
+    left_trend = tuple(float(x) for x in pos[-TREND_SAMPLES:])
+    right_trend = tuple(-float(x) for x in neg[-TREND_SAMPLES:])
     return EndpointSlopes(lq, rq,
                           float(pos[-1]) if len(pos) else 0.0,
                           -float(neg[-1]) if len(neg) else 0.0,

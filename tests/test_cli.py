@@ -110,7 +110,7 @@ def test_cli_invalid_curve_exit_1(monkeypatch, tmp_path, capsys):
         betas = np.asarray(sorted(betas), dtype=float)
         return cli.gdms.FreeEnergyCurve(betas, betas.copy(), np.ones_like(betas),
                                         np.zeros_like(betas),
-                                        np.ones_like(betas), sysm.cap)
+                                        np.ones_like(betas))
 
     monkeypatch.setattr(cli.gdms, "free_energy_curve", increasing)
     rc = cli.main(["free-energy", "--preset", "one-cusp-one-hyperbolic",
@@ -150,6 +150,20 @@ def test_cli_delta_json(tmp_path, capsys):
     payload = json.loads((tmp_path / "delta.json").read_text())
     assert payload["data"]["delta"] > payload["data"]["delta_c"] > 0.0
     assert payload["meta"]["cap"] == 100
+    assert "seed" not in payload["meta"]  # delta draws no random numbers
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "--preset", "gamma2-type", "--format", "json"],
+    ["validate", "--preset", "gamma2-type", "--cap", "5"],
+    ["code", "--preset", "gamma2-type", "--point", "2", "--out", "."],
+    ["spectrum", "--preset", "gamma2-type", "--seed", "3"],
+])
+def test_cli_rejects_options_the_command_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_free_energy_csv_roundtrip(tmp_path):

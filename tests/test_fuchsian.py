@@ -15,7 +15,6 @@ from cuspwind.fuchsian import (
     CircleInterval,
     build_group,
     conjugate_config,
-    constants_c1_c2,
     horocircle_of,
 )
 from cuspwind.mobius import (
@@ -138,7 +137,7 @@ def test_horocircle_translation_one_has_height_half():
     # no full validation needed: exercise the constructor directly
     from cuspwind.fuchsian import Generator, _horocircle_from_map
 
-    h = _horocircle_from_map(m, "a")
+    h = _horocircle_from_map(m)
     assert math.isinf(h.base)
     assert h.size == pytest.approx(0.5)
 
@@ -158,7 +157,7 @@ def test_horocircle_quarter_inversion_case():
     gamma = compose(compose(delta.inverse(), TRANSLATION_ONE), delta)
     from cuspwind.fuchsian import _horocircle_from_map
 
-    h = _horocircle_from_map(gamma, "g")
+    h = _horocircle_from_map(gamma)
     assert h.base == pytest.approx(0.0)
     assert h.size == pytest.approx(0.5)
 
@@ -194,9 +193,8 @@ def test_onecusp_has_no_accidental_cusps(onecusp):
 # --- constants --------------------------------------------------------------
 
 def test_c1_log3_when_sides_are_far(onecusp):
-    c1, c2 = constants_c1_c2(onecusp)
-    assert c1 == pytest.approx(math.log(3.0))
-    assert c2 >= math.log(4.0)
+    assert onecusp.c1 == pytest.approx(math.log(3.0))
+    assert onecusp.constant_c2() >= math.log(4.0)
 
 
 def test_c1_zero_for_gamma2(gamma2):
@@ -205,8 +203,7 @@ def test_c1_zero_for_gamma2(gamma2):
 
 
 def test_c2_at_least_log4(any_group):
-    _, c2 = constants_c1_c2(any_group)
-    assert c2 >= math.log(4.0) - 1e-12
+    assert any_group.constant_c2() >= math.log(4.0) - 1e-12
 
 
 def test_side_distance_against_sampled_minimum(onecusp):

@@ -23,7 +23,6 @@ from cuspwind.induced import eq4_constant, fuchsian_system, letter_series_sweep
 
 def full_shift(k, zeta_value=0.0, psi_value=0.0):
     return GdmsSystem(
-        name="full-shift-%d" % k,
         n_keys=1,
         in_keys=np.zeros(k, dtype=np.int64),
         out_keys=np.zeros(k, dtype=np.int64),
@@ -37,7 +36,6 @@ def three_vertex_system(ratios):
     in_keys = np.array([0, 1, 2], dtype=np.int64)
     out_keys = np.array([1, 2, 0], dtype=np.int64)
     return GdmsSystem(
-        name="three-vertex",
         n_keys=3,
         in_keys=in_keys,
         out_keys=out_keys,
@@ -163,8 +161,7 @@ def test_three_vertex_instance_independence():
         got = pressure(sysm, t, 0.0)
         assert got == pytest.approx(expect, abs=1e-8)
     # and a genuinely nontrivial root: add a constant to zeta
-    sys2 = GdmsSystem(
-        name="three-vertex-shifted", n_keys=3,
+    sys2 = GdmsSystem( n_keys=3,
         in_keys=sysm.in_keys, out_keys=sysm.out_keys,
         zeta=sysm.zeta, psi=np.ones(3))
     # P(t) = t mean(log r) + beta; root t(beta) = beta / -mean(log r)
@@ -382,6 +379,25 @@ def test_curve_matches_cold_solves(any_group):
         assert abs(t - pt.t) <= 1e-10
     assert np.all(curve.err_t <= 1e-9)
     assert curve.calls.sum() <= 0.6 * sum(pt.pressure_calls for pt in cold)
+
+
+def test_err_t_positive_on_every_solved_row(any_group):
+    # a root where the pressure evaluates to exactly 0 still reports the
+    # width of the bracket around it, not 0
+    sysm = fuchsian_system(any_group, 60)
+    curve = free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    solved = curve.r > math.exp(gdms.X_MIN)
+    assert np.all(curve.err_t[solved] > 0.0)
+    assert np.all(curve.err_t[solved] <= 1e-9)
+
+
+def test_continuation_start_right_of_the_elbow(any_group):
+    # after the elbow of t(beta) the search starts from the last t, an
+    # upper bound of the root; a linear extrapolation of t from beta = -10
+    # and 0 would start far below it
+    sysm = fuchsian_system(any_group, 60)
+    curve = free_energy_curve(sysm, [-10.0, 0.0, 10.0])
+    assert curve.calls[-1] <= 12
 
 
 def test_far_guesses_reach_the_cold_root(any_group):

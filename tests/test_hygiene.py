@@ -1,11 +1,17 @@
 """Source hygiene: every name a module imports is used in that module,
 every top-level function or class of the package is named somewhere in
-the package or the tests outside its own definition, and every method is
-named as an attribute there outside its own body.
+the package or the tests outside its own definition, every method is
+named as an attribute there outside its own body, every upper-case
+module-level constant is loaded there, and every dataclass field is read
+there as an attribute.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module in the package.  ``__init__.py`` is skipped (its imports
 are re-exports, and it defines nothing) and so are ``__future__`` imports.
+The constant and field detectors match by name, not by type: a field is
+taken as read when any object's attribute of that name is read, so a
+write-only field that shares its name with a read attribute of another
+class (``cap``, ``name`` or ``label``, say) goes unseen.
 """
 
 import ast
@@ -133,3 +139,99 @@ def test_no_dead_methods():
     others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     found = ["%s:%d %s" % d for d in dead_methods(modules, others)]
     assert not found, "methods never named as an attribute: " + ", ".join(found)
+
+
+def _loaded(trees, names: bool) -> set:
+    """Attribute names loaded by the syntax trees, and with ``names`` the
+    plain names loaded too."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif names and isinstance(node, ast.Name) \
+                    and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+    return out
+
+
+def unread_constants(modules: dict, others: list) -> list:
+    """(module, line, NAME) of each upper-case name assigned at the top
+    level of ``modules`` that no expression in ``modules`` or ``others``
+    loads."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    loaded = _loaded(list(trees.values()) + [ast.parse(s) for s in others],
+                     names=True)
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            found += [(mod, node.lineno, sub.id) for target in targets
+                      for sub in ast.walk(target)
+                      if isinstance(sub, ast.Name) and sub.id.isupper()
+                      and sub.id not in loaded]
+    return sorted(found)
+
+
+def test_unread_constant_detector():
+    module = ("USED = 1\nUNREAD, ALSO = 2, 3\nlower = USED\n"
+              "def f():\n    LOCAL = 4\n    return LOCAL\n")
+    assert unread_constants({"m.py": module}, ["import m\nm.ALSO\n"]) \
+        == [("m.py", 2, "UNREAD")]
+
+
+def test_no_unread_constants():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    found = ["%s:%d %s" % d for d in unread_constants(modules, others)]
+    assert not found, "constants never loaded: " + ", ".join(found)
+
+
+def _is_dataclass(cls) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def write_only_fields(modules: dict, others: list) -> list:
+    """(module, line, Class.field) of each field of a dataclass in
+    ``modules`` that no attribute load in ``modules`` or ``others``
+    names."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    loaded = _loaded(list(trees.values()) + [ast.parse(s) for s in others],
+                     names=False)
+    return sorted(
+        (mod, stmt.lineno, cls.name + "." + stmt.target.id)
+        for mod, tree in trees.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loaded)
+
+
+def test_write_only_field_detector():
+    module = ("from dataclasses import dataclass\n\n\n"
+              "@dataclass\nclass A:\n    read: int\n    written: int\n"
+              "    elsewhere: int = 0\n\n\n"
+              "@dataclass(frozen=True)\nclass B:\n    unread: int\n\n\n"
+              "class C:\n    plain: int\n\n\n"
+              "def f(a, unread):\n    a.written = 1\n"
+              "    return a.read + unread\n")
+    assert write_only_fields({"m.py": module}, ["x.elsewhere\n"]) \
+        == [("m.py", 7, "A.written"), ("m.py", 13, "B.unread")]
+
+
+def test_no_write_only_fields():
+    modules = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
+    assert not found, "dataclass fields never read: " + ", ".join(found)

@@ -103,12 +103,18 @@ def test_phi_cocycle_identity(any_group):
 
 
 def test_zeta_letter_negative_and_bracketed(any_group):
-    for e in alphabet(any_group, 4):
-        lo, mid, hi = zeta_letter(any_group, e)
-        assert lo <= mid <= hi
-        assert mid < 0.0
-        if e.is_parabolic_core(any_group) and e.exponent >= 2:
-            assert mid <= -any_group.c1 + 0.7  # distortion slack
+    # a parabolic letter's weight is its family's weight at x_mid, the
+    # point the letter series reads
+    fams = {(f.g1, f.core, f.g2): f for f in ind.letter_families(any_group)}
+    for e in alphabet(any_group, 40):
+        z = zeta_letter(any_group, e)
+        assert z < 0.0
+        if e.is_parabolic_core(any_group):
+            f = fams[(e.symbols[0], e.core, e.symbols[-1])]
+            assert abs(z - f.zeta_at(np.array([e.exponent]), f.x_mid)[0]) \
+                <= 1e-12
+            if e.exponent >= 2:
+                assert z <= -any_group.c1 + 0.7  # distortion slack
 
 
 def test_zeta_scales_like_minus_two_log_n(gamma2):

@@ -18,7 +18,6 @@ def weighted_system(weights, in_keys, out_keys, n_keys):
     with np.errstate(divide="ignore"):
         zeta = np.log(np.asarray(weights, dtype=float))
     return GdmsSystem(
-        name="weighted",
         n_keys=n_keys,
         in_keys=np.asarray(in_keys, dtype=np.int64),
         out_keys=np.asarray(out_keys, dtype=np.int64),

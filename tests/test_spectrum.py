@@ -14,8 +14,7 @@ def synthetic_curve(betas, fn):
     betas = np.asarray(betas, dtype=float)
     t = np.array([fn(b) for b in betas])
     return FreeEnergyCurve(betas, t, np.full(len(betas), np.nan),
-                           np.zeros(len(betas)), np.zeros(len(betas), int),
-                           cap=0, name="synthetic")
+                           np.zeros(len(betas)), np.zeros(len(betas), int))
 
 
 @pytest.fixture(scope="module")

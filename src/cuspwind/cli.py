@@ -2,9 +2,9 @@
 
 Results go to CSV or JSON files whose header carries the group, cap and
 timestamp; the spectrum command additionally emits a deterministic
-two-panel SVG.  Exit codes: 0 success, 1 computational
-error, 2 configuration error; errors are written to stderr as a
-machine-readable JSON object.
+two-panel SVG.  Exit codes: 0 success, 1 computational error or internal
+fault, 2 configuration error; errors are written to stderr as a
+machine-readable JSON object, never as a traceback.
 
 Groups with a cusp at infinity work directly (the engine evaluates
 boundary derivatives in a chart covering the whole circle); if a
@@ -32,7 +32,6 @@ from .coding import (
     random_block_word,
 )
 from .config import ConfigError, RunConfig, config_from_preset, load_config
-from .errors import CuspwindError
 from .figures import emit_figure
 from .fuchsian import build_group
 from .induced import (
@@ -78,7 +77,9 @@ def build_parser():
             q.add_argument("--beta-max", type=float)
             q.add_argument("--beta-steps", type=int)
         if "out" in options:
-            q.add_argument("--out", default=".", help="output directory")
+            q.add_argument("--out", dest="out_dir",
+                           help="output directory (default: the config's "
+                                "out_dir, else .)")
         if "format" in options:
             q.add_argument("--format", choices=("csv", "json"), dest="fmt")
         if "t" in options:
@@ -99,11 +100,11 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError("need --config PATH or --preset NAME")
     for attr, key in (("cap", "cap"), ("beta_min", "beta_min"),
                       ("beta_max", "beta_max"), ("beta_steps", "beta_steps"),
-                      ("seed", "seed"), ("fmt", "out_format")):
+                      ("seed", "seed"), ("fmt", "out_format"),
+                      ("out_dir", "out_dir")):
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, key, val)
-    cfg.out_dir = getattr(args, "out", ".")
     return cfg.validate()
 
 
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    except CuspwindError as exc:
+    except Exception as exc:  # a CuspwindError, or an internal fault
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

@@ -5,8 +5,14 @@ the admissibility A compares two-symbol overlap keys only: edge e can be
 followed by f exactly when out(e) = in(f).  Since the weights are
 letter-local, the nonzero spectrum of M coincides with that of the
 key-by-key matrix B[i, j] = sum of w(e) over the edges with in(e) = i and
-out(e) = j, so the pressure is log rho(B), one eigensolve of an
-n_keys x n_keys matrix however many letters the truncation keeps.
+out(e) = j, so the pressure is log rho(B) however many letters the
+truncation keeps.  The key graph has a period p (2 on the free products
+of parabolics, where keys with core a/A only lead to keys with core b/B
+and back), its keys fall into p cyclic classes, and B maps each class to
+the next.  Hence rho(B)^p = rho(B_01 B_12 ... B_(p-1)0), and the pressure
+is one eigensolve of that normalised block product, whose size is that
+of one class (n_keys / p on both presets).  Where the product lost to
+underflow entries that rho depends on, the whole matrix is solved.
 
 Fuchsian instances carry the tails of their letter families, so the
 infinite parabolic exponent range is handled by an exact lump per family:
@@ -158,6 +164,10 @@ class GdmsSystem:
     # cell in_key * n_keys + out_key of the key matrix, for the edges
     # followed by the tail pseudo-edges
     flat_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    # the keys of each cyclic class of the key graph (``cyclic_classes``),
+    # set by the first ``pressure`` call that builds the key matrix
+    classes: list = field(init=False, default=None, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         flat = [self.in_keys * self.n_keys + self.out_keys]
@@ -175,22 +185,66 @@ class GdmsSystem:
         return 0.5 - beta if self.tails is not None else None
 
 
+def cyclic_classes(pattern: np.ndarray) -> list:
+    """The keys of each cyclic class of the graph with adjacency
+    ``pattern``: every edge runs from class k to class k + 1 mod p.
+
+    Each weakly connected component gets BFS potentials, +1 along an edge
+    and -1 against it; the period p is the gcd of pot(i) + 1 - pot(j) over
+    all edges i -> j (1 when that gcd is 0, as on a graph without a
+    directed cycle), and a key's class is pot mod p.
+    """
+    n = len(pattern)
+    src, dst = np.nonzero(pattern)
+    nbrs = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        nbrs[i].append((j, 1))
+        nbrs[j].append((i, -1))
+    pot = [None] * n
+    for root in range(n):
+        if pot[root] is None:
+            pot[root] = 0
+            queue = [root]
+            for i in queue:
+                for j, d in nbrs[i]:
+                    if pot[j] is None:
+                        pot[j] = pot[i] + d
+                        queue.append(j)
+    pot = np.array(pot, dtype=np.int64)
+    p = int(np.gcd.reduce(pot[src] + 1 - pot[dst])) or 1
+    return [np.flatnonzero(pot % p == k) for k in range(p)]
+
+
 def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     """log spectral radius of the truncated weighted transfer operator.
 
-    The edge weights are summed into the key-by-key matrix, which has the
-    same nonzero spectrum as the letter-level operator, and its dominant
-    eigenvalue is taken from a full eigensolve; that stays robust when
-    near-critical tail weights make the dominant eigenvalue nearly
-    degenerate.  When the system carries tails, each tail pseudo-edge
-    weighs the sum of its family's letters beyond ``tails.start``
-    (``tail_log_weights``), and the pressure is +inf where the untruncated
-    letter series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the
-    shifted variable r = t - (1/2 - beta) is given; the tail rule then
-    takes 2r from r, not from t).  All weights share one scale, the
-    largest exponent, and are floored ``LOG_FLOOR`` below it; ``log_mult``
-    enters once, in the returned value.  With no edge weight left the
-    operator is empty and the pressure is -inf.
+    The edge weights are summed into the key-by-key matrix B, which has
+    the same nonzero spectrum as the letter-level operator.  B maps each
+    of the p cyclic classes of the key graph (``sys.classes``) to the
+    next, so rho(B)^p is the spectral radius of the product of its p
+    blocks B_(k, k+1).  Each block is divided by its largest entry before
+    the product and the running product by its largest entry after each
+    multiplication, with the logs of the divisors kept aside: the
+    dominant cycle of a bipartite key graph at large |beta| alternates a
+    weight 1 with the floor, and the plain product of such blocks sinks
+    to subnormals.  Entries of the product that the key graph reaches but
+    that still fall below the normal range are known only to lie in
+    [0, tiny]; when rho changes by more than 1e-13 between the two ends,
+    the product cannot resolve it and the whole matrix is solved (on
+    charts where the entries of a block span 300 decades, the product of
+    two blocks can lose every entry of its dominant cycle).  The dominant
+    eigenvalue comes from a full eigensolve; that stays robust when
+    near-critical tail weights make it nearly degenerate.
+
+    When the system carries tails, each tail pseudo-edge weighs the sum of
+    its family's letters beyond ``tails.start`` (``tail_log_weights``),
+    and the pressure is +inf where the untruncated letter series
+    diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted variable
+    r = t - (1/2 - beta) is given; the tail rule then takes 2r from r,
+    not from t).  All weights share one scale, the largest exponent, and
+    are floored ``LOG_FLOOR`` below it; ``log_mult`` enters once, in the
+    returned value.  With no edge weight left the operator is empty and
+    the pressure is -inf.
     """
     t0 = sys.divergence_abscissa(beta)
     if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
@@ -207,8 +261,40 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     w = np.exp(np.maximum(np.concatenate(parts) - scale, LOG_FLOOR))
     n = sys.n_keys
     b = np.bincount(sys.flat_keys, weights=w, minlength=n * n).reshape(n, n)
-    rho = max(abs(np.linalg.eigvals(b)))
-    return scale + sys.log_mult + math.log(rho) if rho > 0 else -math.inf
+    if sys.classes is None:
+        # every cell carries a weight >= e^LOG_FLOOR: b > 0 is the key graph
+        sys.classes = cyclic_classes(b > 0)
+    cls = sys.classes
+    p = len(cls)
+    log_top, prod = 0.0, None
+    for k in range(p):
+        m = b[cls[k]][:, cls[(k + 1) % p]]
+        top = m.max()
+        if prod is not None and top > 0.0:
+            reach = reach @ (m > 0.0)
+            m = prod @ (m / top)
+            log_top += math.log(top)
+            top = m.max()
+        else:
+            reach = m > 0.0
+        if not top > 0.0:
+            return -math.inf
+        prod = m / top
+        log_top += math.log(top)
+    rho = _radius(prod)
+    # reached entries below the normal range are known only to lie in
+    # [0, tiny]; if rho moves with them, solve the whole matrix
+    tiny = np.finfo(float).tiny
+    lost = reach & (prod < tiny)
+    if lost.any() and _radius(np.where(lost, tiny, prod)) > rho * (1 + 1e-13):
+        log_top, p, rho = 0.0, 1, _radius(b)
+    if not rho > 0.0:
+        return -math.inf
+    return scale + sys.log_mult + (log_top + math.log(rho)) / p
+
+
+def _radius(a: np.ndarray) -> float:
+    return float(max(abs(np.linalg.eigvals(a))))
 
 
 def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:

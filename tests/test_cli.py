@@ -76,14 +76,44 @@ def test_cli_unknown_preset_exit_2(capsys):
     assert rc == 2
 
 
-def test_cli_internal_key_error_not_config_error(monkeypatch, tmp_path):
+def test_cli_internal_key_error_not_config_error(monkeypatch, tmp_path,
+                                                capsys):
     def broken(*args, **kwargs):
         raise KeyError("internal")
 
     monkeypatch.setattr(cli.gdms, "free_energy", broken)
-    with pytest.raises(KeyError, match="internal"):
-        cli.main(["delta", "--preset", "one-cusp-one-hyperbolic",
-                  "--cap", "10", "--out", str(tmp_path)])
+    rc = cli.main(["delta", "--preset", "one-cusp-one-hyperbolic",
+                   "--cap", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    obj = json.loads(capsys.readouterr().err)
+    assert obj == {"error": "KeyError", "message": "'internal'"}
+
+
+def test_cli_internal_fault_exit_1_json(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli.gdms, "free_energy_curve", broken)
+    rc = cli.main(["free-energy", "--preset", "one-cusp-one-hyperbolic",
+                   "--cap", "10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    obj = json.loads(err)
+    assert obj == {"error": "RuntimeError", "message": "internal fault"}
+
+
+def test_cli_config_out_dir_unless_out_given(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "c.cw"
+    path.write_text('out_dir = "wanted"\n' + GAMMA2_TEXT)
+    argv = ["free-energy", "--config", str(path), "--cap", "10",
+            "--beta-min", "0", "--beta-max", "1", "--beta-steps", "2"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "wanted" / "free_energy.csv").is_file()
+    assert not (tmp_path / "free_energy.csv").exists()
+    assert cli.main(argv + ["--out", str(tmp_path / "given")]) == 0
+    assert (tmp_path / "given" / "free_energy.csv").is_file()
 
 
 def test_cli_missing_config_exit_2(capsys):

@@ -18,7 +18,10 @@ from cuspwind.gdms import (
     partition_sum,
     pressure,
 )
+from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.induced import eq4_constant, fuchsian_system, letter_series_sweep
+from cuspwind.mobius import MobiusMap
+from cuspwind.presets import preset_config
 
 
 def full_shift(k, zeta_value=0.0, psi_value=0.0):
@@ -93,6 +96,72 @@ def test_pressure_convex_in_t_and_beta(onecusp):
 def test_pressure_divergence_flag(gamma2):
     sysm = fuchsian_system(gamma2, 50)
     assert math.isinf(pressure(sysm, 0.5, 0.0))  # t + beta = 1/2 exactly
+
+
+# --- cyclic classes of the key graph ------------------------------------------
+
+def test_key_graph_classes(gamma2, onecusp):
+    # gamma2's key graph is bipartite (cores a/A against b/B); one-cusp's
+    # hyperbolic letters break the alternation
+    for sysm, sizes in ((fuchsian_system(gamma2, 400), [44, 44]),
+                        (fuchsian_system(onecusp, 400), [50]),
+                        (fuchsian_system(gamma2, 2, restricted=True), [8, 8])):
+        assert sysm.classes is None
+        pressure(sysm, 1.0, 0.0)
+        assert [len(c) for c in sysm.classes] == sizes
+        p = len(sysm.classes)
+        cls = np.empty(sysm.n_keys, dtype=np.int64)
+        for k, keys in enumerate(sysm.classes):
+            cls[keys] = k
+        rows, cols = np.divmod(sysm.flat_keys, sysm.n_keys)
+        assert np.array_equal(cls[cols], (cls[rows] + 1) % p)
+
+
+def full_matrix_pressure(sysm, t, beta, r):
+    """scale + log_mult + log max |eigvals(B)| of the whole key matrix."""
+    lw = np.concatenate([t * sysm.zeta + beta * sysm.psi,
+                         gdms.tail_log_weights(sysm.tails, t, beta, 2.0 * r)])
+    scale = lw.max()
+    w = np.exp(np.maximum(lw - scale, gdms.LOG_FLOOR))
+    n = sysm.n_keys
+    b = np.bincount(sysm.flat_keys, weights=w, minlength=n * n).reshape(n, n)
+    return scale + sysm.log_mult + math.log(max(abs(np.linalg.eigvals(b))))
+
+
+@pytest.mark.parametrize("beta", [1000.0, 0.0, 3000.0, -3000.0])
+def test_block_product_matches_full_eigensolve(gamma2, beta, monkeypatch):
+    # at beta = 1000 the dominant cycle alternates a weight 1 with the
+    # floor, and the plain product of the two blocks sits at ~1e-304 with
+    # its other entries subnormal
+    sysm = fuchsian_system(gamma2, 60)
+    radius, sizes = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: sizes.append(len(a)) or radius(a))
+    for r in (math.exp(-0.5), 1.0, math.e):
+        t = 0.5 - beta + r
+        assert pressure(sysm, t, beta, r=r) == pytest.approx(
+            full_matrix_pressure(sysm, t, beta, r), rel=1e-12)
+    assert set(sizes) == {sysm.n_keys // 2}  # the product, never the whole
+
+
+def test_whole_matrix_where_the_product_underflows(monkeypatch):
+    # gamma2 conjugated by z -> lam z / (c z + 1) + u (perfbench's chart of
+    # seed 10): at beta = 1000 the blocks span 300 decades and their
+    # product alone is nilpotent at r = 1 (it read -inf for every
+    # log r <= 4.77); a cold solve must not pin the root at t = 1/2 - beta
+    chart = MobiusMap.from_entries(0.9575203991628636, 0.3565226346725965,
+                                   -0.21871866658356112, 0.9629265815575861)
+    sysm = fuchsian_system(build_group(conjugate_config(
+        preset_config("gamma2-type"), chart)), 400)
+    radius, sizes = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: sizes.append(len(a)) or radius(a))
+    t = 0.5 - 1000.0 + 1.0
+    assert pressure(sysm, t, 1000.0, r=1.0) == pytest.approx(
+        full_matrix_pressure(sysm, t, 1000.0, 1.0), rel=1e-12)
+    assert sysm.n_keys in sizes
+    assert free_energy(sysm, 1000.0).t == pytest.approx(0.80197728158703,
+                                                        abs=1e-10)
 
 
 # --- partition sums ----------------------------------------------------------

@@ -136,13 +136,9 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     The continuation is the midpoint of an admissible interval, pushed
     forward through the inverse branches.
     """
-    last = symbols[-1]
-    for cand in pres.labels():
-        if pres.word_admissible(last, cand) and not (
-            cand == last and pres.gen(last).is_parabolic()
-        ):
-            x = pres.interval_of(cand).midpoint()
-            break
+    cand = next(g for g in pres.labels()
+                if pres.block_admissible(symbols[-1], g))
+    x = pres.interval_of(cand).midpoint()
     for label in reversed(symbols):
         x = apply_boundary(pres.map_of(label), x)
     return x

@@ -33,8 +33,12 @@ class RunConfig:
         return {"name": self.name, "generators": self.generators}
 
     def betas(self) -> list:
-        if self.beta_steps < 2 or self.beta_max <= self.beta_min:
-            raise ConfigError("need beta_min < beta_max and beta_steps >= 2")
+        if not (self.beta_steps >= 2 and self.beta_min < self.beta_max
+                and math.isfinite(self.beta_max - self.beta_min)):
+            raise ConfigError("need finite beta_min < beta_max and "
+                              "beta_steps >= 2")
+        if not all(map(math.isfinite, self.beta_extensions)):
+            raise ConfigError("beta_extensions must be finite")
         step = (self.beta_max - self.beta_min) / (self.beta_steps - 1)
         main = [self.beta_min + k * step for k in range(self.beta_steps)]
         ext = []
@@ -45,6 +49,9 @@ class RunConfig:
     def validate(self):
         if self.cap < 1:
             raise ConfigError("cap must be >= 1")
+        if self.out_format not in ("csv", "json"):
+            raise ConfigError("out_format must be \"csv\" or \"json\", got %r"
+                              % (self.out_format,))
         return self
 
 
@@ -88,13 +95,17 @@ def parse_config_text(text: str) -> RunConfig:
         elif key in _SCALARS:
             try:
                 setattr(cfg, key, _SCALARS[key](value))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("line %d: bad value for %s" % (lineno, key)) \
                     from None
         elif key in _LISTS:
             if not isinstance(value, list):
                 raise ConfigError("line %d: %s needs a list" % (lineno, key))
-            setattr(cfg, key, tuple(_LISTS[key](v) for v in value))
+            try:
+                setattr(cfg, key, tuple(_LISTS[key](v) for v in value))
+            except ValueError:
+                raise ConfigError("line %d: bad value for %s" % (lineno, key)) \
+                    from None
         else:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
     _check_generators(cfg.generators)
@@ -134,12 +145,31 @@ def _check_generators(gens: list):
         for need in ("label", "matrix", "interval", "interval_inverse"):
             if need not in g:
                 raise ConfigError("%s: missing field %r" % (path, need))
-        g.setdefault("inverse_label", str(g["label"]).swapcase())
-        if len(g["matrix"]) != 4:
-            raise ConfigError("%s.matrix: need four entries" % path)
+        if not isinstance(g["label"], str):
+            raise ConfigError("%s.label: need a quoted string" % path)
+        g.setdefault("inverse_label", g["label"].swapcase())
+        if not isinstance(g["inverse_label"], str):
+            raise ConfigError("%s.inverse_label: need a quoted string" % path)
+        if "kind" in g and g["kind"] not in ("parabolic", "hyperbolic"):
+            raise ConfigError("%s.kind: need \"parabolic\" or \"hyperbolic\""
+                              % path)
+        if not _numbers(g["matrix"], 4) or not all(map(math.isfinite,
+                                                        g["matrix"])):
+            raise ConfigError("%s.matrix: need four finite numbers" % path)
         for fieldname in ("interval", "interval_inverse"):
-            if len(g[fieldname]) != 2:
-                raise ConfigError("%s.%s: need two endpoints" % (path, fieldname))
+            if not _numbers(g[fieldname], 2):
+                raise ConfigError("%s.%s: need two endpoints, numbers or inf"
+                                  % (path, fieldname))
+
+
+def _numbers(value, n: int) -> bool:
+    """A list of n numbers, none of them nan (+-inf allowed)."""
+    try:
+        return (isinstance(value, list) and len(value) == n
+                and all(isinstance(v, (int, float)) and not math.isnan(v)
+                        for v in value))
+    except OverflowError:  # an integer beyond the double range
+        return False
 
 
 def load_config(path: str) -> RunConfig:

@@ -47,7 +47,8 @@ class CircleInterval:
     """Open arc of the boundary circle from lo to hi.
 
     The arc runs in the direction of increasing x and wraps through oo when
-    lo > hi; an infinite endpoint is the single point oo.
+    lo > hi; an infinite endpoint is the single point oo.  Coinciding
+    endpoints are invalid geometry (``GroupValidationError``).
     """
 
     lo: float
@@ -55,10 +56,11 @@ class CircleInterval:
 
     def __post_init__(self):
         if is_infinity(self.lo) and is_infinity(self.hi):
-            raise ValueError("interval cannot have both endpoints at infinity")
+            raise GroupValidationError(
+                "interval cannot have both endpoints at infinity")
         if abs(boundary_angle(self.lo) - boundary_angle(self.hi)) < 1e-15:
-            raise ValueError("interval endpoints coincide: %r" % ((self.lo,
-                                                                   self.hi),))
+            raise GroupValidationError(
+                "interval endpoints coincide: %r" % ((self.lo, self.hi),))
 
     @property
     def angle_lo(self) -> float:
@@ -219,10 +221,6 @@ class GroupPresentation:
     def n_hyperbolic_pairs(self) -> int:
         return len(self.hyperbolic_labels()) // 2
 
-    def word_admissible(self, prev: str, nxt: str) -> bool:
-        """Reduced-word constraint for consecutive coding letters."""
-        return nxt != self.inverse_label[prev]
-
     def block_admissible(self, prev: str, nxt: str) -> bool:
         """Consecutive block letters: reduced, and parabolic runs merge."""
         if nxt == self.inverse_label[prev]:
@@ -291,7 +289,13 @@ def build_group(config: dict) -> GroupPresentation:
             raise NotUnitDeterminant(
                 "generator %r has determinant %.12g" % (label, det))
         m = MobiusMap.from_entries(*mat)
+        if m.is_identity():
+            raise GroupValidationError(
+                "generator %r is the identity" % (label,))
         kind = entry.get("kind")
+        if kind not in (None, "parabolic", "hyperbolic"):
+            raise GroupValidationError(
+                "generator %r has unknown kind %r" % (label, kind))
         tr2 = m.trace() ** 2
         if kind is None:
             kind = "parabolic" if abs(tr2 - 4.0) <= 1e-10 else "hyperbolic"

@@ -57,7 +57,7 @@ LOG_FLOOR = -700.0
 
 @dataclass
 class TailData:
-    """The exponent tails n > ``start`` of the Fuchsian letter families:
+    """The exponent tails n > ``start`` of the parabolic letter families:
     one pseudo-edge per family, follower bucket and quadrature point.
 
     Row (p0, p1, r0, r1, log(1 + x^2)) of ``rows`` gives the weights
@@ -222,7 +222,8 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     the same nonzero spectrum as the letter-level operator.  B maps each
     of the p cyclic classes of the key graph (``sys.classes``) to the
     next, so rho(B)^p is the spectral radius of the product of its p
-    blocks B_(k, k+1).  Each block is divided by its largest entry before
+    blocks B_(k, k+1); with one class (p = 1) that block is B itself, and
+    B is solved directly.  Each block is divided by its largest entry before
     the product and the running product by its largest entry after each
     multiplication, with the logs of the divisors kept aside: the
     dominant cycle of a bipartite key graph at large |beta| alternates a
@@ -266,27 +267,33 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
         sys.classes = cyclic_classes(b > 0)
     cls = sys.classes
     p = len(cls)
-    log_top, prod = 0.0, None
-    for k in range(p):
-        m = b[cls[k]][:, cls[(k + 1) % p]]
-        top = m.max()
-        if prod is not None and top > 0.0:
-            reach = reach @ (m > 0.0)
-            m = prod @ (m / top)
-            log_top += math.log(top)
+    log_top, rho = 0.0, None
+    if p > 1:
+        prod = None
+        for k in range(p):
+            m = b[cls[k]][:, cls[(k + 1) % p]]
             top = m.max()
-        else:
-            reach = m > 0.0
-        if not top > 0.0:
-            return -math.inf
-        prod = m / top
-        log_top += math.log(top)
-    rho = _radius(prod)
-    # reached entries below the normal range are known only to lie in
-    # [0, tiny]; if rho moves with them, solve the whole matrix
-    tiny = np.finfo(float).tiny
-    lost = reach & (prod < tiny)
-    if lost.any() and _radius(np.where(lost, tiny, prod)) > rho * (1 + 1e-13):
+            if prod is not None and top > 0.0:
+                reach = reach @ (m > 0.0)
+                m = prod @ (m / top)
+                log_top += math.log(top)
+                top = m.max()
+            else:
+                reach = m > 0.0
+            if not top > 0.0:
+                return -math.inf
+            prod = m / top
+            log_top += math.log(top)
+        rho = _radius(prod)
+        # reached entries below the normal range are known only to lie in
+        # [0, tiny]; if rho moves with them, solve the whole matrix
+        tiny = np.finfo(float).tiny
+        lost = reach & (prod < tiny)
+        if lost.any() and \
+                _radius(np.where(lost, tiny, prod)) > rho * (1 + 1e-13):
+            rho = None
+    if rho is None:
+        # one class (its only block is B itself), or a product that lost rho
         log_top, p, rho = 0.0, 1, _radius(b)
     if not rho > 0.0:
         return -math.inf

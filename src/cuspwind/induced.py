@@ -1,11 +1,16 @@
 """Induced first-return shift on {a_1 = 0}: alphabet, incidence, potentials.
 
-Letters are overlapping words g1 c^n g2 over the symmetric generators
-(c parabolic, n >= 1) or g1 h g2 (h hyperbolic): the first symbol is the
-closing letter of the previous block, the core is the next full block,
-the last symbol opens the block after.  Consecutive letters share two
-symbols, which is exactly the incidence condition and what lets the
-transfer operator factor through symbol pairs.
+Letters are overlapping words g1 c^n g2 over the symmetric generators,
+n >= 1 when the core c is parabolic and n = 1 when it is hyperbolic: the
+first symbol is the closing letter of the previous block, the core is the
+next full block, the last symbol opens the block after.  Every letter
+belongs to the family (``LetterFamily``) of its triple (g1, c, g2), and
+the triples are those whose consecutive blocks pass
+``GroupPresentation.block_admissible`` (reduced, parabolic runs merged);
+the alphabet, the letter series and the transfer operator all read the
+families.  Consecutive letters share two symbols, which is exactly the
+incidence condition and what lets the transfer operator factor through
+symbol pairs.
 
 Potential conventions: psi(e) = -2 log+(|e| - 3) reads off the winding of
 the core block.  The geometric weight of a letter is the log-derivative
@@ -34,7 +39,7 @@ from .coding import (
     point_from_symbols,
     random_block_word,
 )
-from .fuchsian import GroupPresentation
+from .fuchsian import TWO_PI, CircleInterval, GroupPresentation
 from .mobius import (
     MobiusMap,
     apply_boundary,
@@ -72,9 +77,6 @@ class InducedLetter:
     def exponent(self) -> int:
         return len(self.symbols) - 2
 
-    def is_parabolic_core(self, pres: GroupPresentation) -> bool:
-        return pres.gen(self.core).is_parabolic()
-
 
 def incidence(e: InducedLetter, f: InducedLetter) -> bool:
     return e.tail == f.head
@@ -85,19 +87,12 @@ def psi(e: InducedLetter) -> float:
 
 
 def alphabet(pres: GroupPresentation, n_max: int) -> list:
-    """All letters with parabolic exponent <= n_max plus hyperbolic cores."""
+    """The letters of every family, parabolic exponents up to n_max."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    out = []
-    labels = pres.labels()
-    for gamma in pres.parabolic_labels():
-        banned = {gamma, pres.inv(gamma)}
-        outer = [l for l in labels if l not in banned]
-        for g1 in outer:
-            for g2 in outer:
-                for n in range(1, n_max + 1):
-                    out.append(InducedLetter((g1,) + (gamma,) * n + (g2,)))
-    return out + hyperbolic_letters(pres)
+    return [InducedLetter((f.g1,) + (f.core,) * n + (f.g2,))
+            for f in letter_families(pres)
+            for n in range(1, (n_max if f.parabolic else 1) + 1)]
 
 
 def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
@@ -276,20 +271,10 @@ def primitivity_witness(pres: GroupPresentation):
     Works on the boundary-pair graph: a letter is an edge from its head
     pair to its tail pair, so connector words correspond to pair paths.
     """
-    pairs = []
-    for x in pres.labels():
-        for y in pres.labels():
-            if y == pres.inv(x):
-                continue
-            if y == x and pres.gen(x).is_parabolic():
-                continue
-            pairs.append((x, y))
-    index = {p: k for k, p in enumerate(pairs)}
-    succ = {p: [] for p in pairs}
-    for (x, y) in pairs:
-        for z in pres.labels():
-            if pres.block_admissible(y, z) and (y, z) in index:
-                succ[(x, y)].append((y, z))
+    succ = {}
+    for f in letter_families(pres):
+        succ.setdefault((f.g1, f.core), []).append((f.core, f.g2))
+    pairs = list(succ)
     # BFS from every pair
     worst = 0
     for p in pairs:
@@ -357,20 +342,23 @@ TAIL_START = 64
 
 @dataclass(frozen=True)
 class LetterFamily:
-    """All parabolic-core letters g1 c^n g2 for one (g1, c, g2) triple.
+    """The induced letters g1 c^n g2 of one admissible triple (g1, c, g2):
+    every n >= 1 when the core c is parabolic, n = 1 when it is hyperbolic.
 
-    The branch matrices are affine in n via the nilpotent part of the
-    parabolic core, so at a fixed continuation point x the weight of
-    letter n = k + 1 is zeta_n = log(1 + x^2) - log((p0 + k p1)^2 +
-    (r0 + k r1)^2), with the numbers of ``row(x)``; the operator's head
-    letters and its tail rule both read that row.
+    The branch matrix of letter n = k + 1 is m0 + k m1, affine in n via the
+    nilpotent part of a parabolic core (m1 = 0 for a hyperbolic one), so at
+    a continuation point x its weight is zeta_n = log(1 + x^2) -
+    log((p0 + k p1)^2 + (r0 + k r1)^2) with the numbers of ``row(x)``.
+    ``zeta`` evaluates that formula on any rows; the operator's letters
+    and its tail rule read the same rows.
     """
 
     g1: str
     core: str
     g2: str
+    parabolic: bool
     m0: tuple  # branch matrix of n = 1 (just g1)
-    m1: tuple  # increment per extra core letter: g1 * (core - id)
+    m1: tuple  # increment per extra core letter: g1 * (core - id), or 0
     x_mid: float  # core image of the midpoint of J_g2
 
     def row(self, x: float) -> tuple:
@@ -382,71 +370,62 @@ class LetterFamily:
         return (m0[0] * x + m0[1], m1[0] * x + m1[1],
                 m0[2] * x + m0[3], m1[2] * x + m1[3], math.log1p(x * x))
 
-    def zeta_at(self, ns: np.ndarray, x: float) -> np.ndarray:
-        """Letter weights log|V_n'|_circle(x) for the exponent array ns."""
-        p0, p1, r0, r1, lx = self.row(x)
+    @staticmethod
+    def zeta(rows, ns: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Letter weights log|V_n'|_circle: one row of the result (or of
+        ``out``) per row of ``rows``, one column per exponent of ``ns``."""
+        p0, p1, r0, r1, lx = np.asarray(rows, dtype=float).T[:, :, None]
         k = ns - 1
-        return lx - np.log((p0 + k * p1) ** 2 + (r0 + k * r1) ** 2)
+        # lx - log((p0 + k p1)^2 + (r0 + k r1)^2), in two buffers
+        a = np.multiply(k, p1, out=out)
+        a += p0
+        a *= a
+        b = k * r1
+        b += r0
+        b *= b
+        a += b
+        return np.subtract(lx, np.log(a, out=a), out=a)
 
 
 def letter_families(pres: GroupPresentation) -> list:
+    """Every family (g1, c, g2) with block_admissible(g1, c) and
+    block_admissible(c, g2), cores in label order."""
     out = []
-    for gamma in pres.parabolic_labels():
-        banned = {gamma, pres.inv(gamma)}
-        outer = [l for l in pres.labels() if l not in banned]
-        core = pres.map_of(gamma)
+    labels = pres.labels()
+    for c in labels:
+        core = pres.map_of(c)
+        parabolic = pres.gen(c).is_parabolic()
         sign = 1.0 if core.trace() > 0 else -1.0
         nil = (sign * core.a - 1.0, sign * core.b,
-               sign * core.c, sign * core.d - 1.0)
-        for g1 in outer:
+               sign * core.c, sign * core.d - 1.0) if parabolic else (0.0,) * 4
+        for g1 in labels:
+            if not pres.block_admissible(g1, c):
+                continue
             m = pres.map_of(g1)
             m1 = (m.a * nil[0] + m.b * nil[2], m.a * nil[1] + m.b * nil[3],
                   m.c * nil[0] + m.d * nil[2], m.c * nil[1] + m.d * nil[3])
-            for g2 in outer:
-                x_mid = apply_boundary(core, pres.interval_of(g2).point_at(0.5))
-                out.append(LetterFamily(g1, gamma, g2, (m.a, m.b, m.c, m.d),
-                                        m1, x_mid))
+            for g2 in labels:
+                if pres.block_admissible(c, g2):
+                    x_mid = apply_boundary(core,
+                                           pres.interval_of(g2).point_at(0.5))
+                    out.append(LetterFamily(g1, c, g2, parabolic,
+                                            (m.a, m.b, m.c, m.d), m1, x_mid))
     return out
-
-
-def hyperbolic_letters(pres: GroupPresentation) -> list:
-    out = []
-    for h in pres.hyperbolic_labels():
-        for g1 in [l for l in pres.labels() if l != pres.inv(h)]:
-            for g2 in [l for l in pres.labels() if l != pres.inv(h)]:
-                out.append(InducedLetter((g1, h, g2)))
-    return out
-
-
-def _hull_of_intervals(intervals):
-    """Smallest arc containing the given pairwise-disjoint arcs."""
-    from .fuchsian import CircleInterval
-
-    best = None
-    for a in intervals:
-        for b in intervals:
-            try:
-                cand = CircleInterval(a.lo, b.hi)
-            except ValueError:
-                continue  # degenerate candidate (coinciding endpoints)
-            if all(cand.contains_interval(j, tol=1e-9) for j in intervals):
-                if best is None or cand.arc < best.arc:
-                    best = cand
-    if best is None:
-        raise ValueError("no containing arc found")
-    return best
 
 
 def _core_continuation_hull(pres: GroupPresentation, c_label: str):
-    """Hull of the intervals a block with letter c can continue into."""
-    allowed = []
-    for g in pres.labels():
-        if g == pres.inv(c_label):
-            continue
-        if g == c_label and pres.gen(c_label).is_parabolic():
-            continue
-        allowed.append(pres.interval_of(g))
-    return _hull_of_intervals(allowed)
+    """Hull of the intervals a block with letter c can continue into: the
+    complement of the widest gap between them (they are disjoint, so it
+    skips no other interval)."""
+    arcs = sorted((pres.interval_of(g) for g in pres.labels()
+                   if pres.block_admissible(c_label, g)),
+                  key=lambda j: j.angle_lo)
+    nxt = arcs[1:] + arcs[:1]
+    # the gap after arc k, measured from its lo: touching arcs give ~0
+    # (a rounding error either way), never 2 pi - eps
+    k = max(range(len(arcs)), key=lambda i: (
+        (nxt[i].angle_lo - arcs[i].angle_lo) % TWO_PI - arcs[i].arc))
+    return CircleInterval(nxt[k].lo, arcs[k].hi)
 
 
 def _bucket_ranges(cap: int) -> list:
@@ -484,22 +463,19 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
         return [min(max(j.offset(img.lo), 0.0), j.arc),
                 min(max(j.offset(img.hi), 0.0), j.arc)]
 
-    if not gen.is_parabolic():
-        offs = offsets_of_image(1)
-        spans = [(min(offs), max(offs))]
-    else:
-        spans = []
-        for (klo, khi) in ranges:
-            offs = offsets_of_image(klo) + offsets_of_image(khi)
-            spans.append((min(offs), max(offs)))
-        if tail:
-            offs = offsets_of_image(ranges[-1][1] + 1)
-            p = gen.fixed_points[0]
-            off_p = j.offset(p)
-            off_p = 0.0 if min(off_p, 2.0 * math.pi - off_p) < abs(off_p - j.arc) \
-                else j.arc
-            offs.append(off_p)
-            spans.append((min(offs), max(offs)))
+    spans = []
+    # a hyperbolic core has the one exponent of the first range
+    for (klo, khi) in ranges if gen.is_parabolic() else ranges[:1]:
+        offs = offsets_of_image(klo) + offsets_of_image(khi)
+        spans.append((min(offs), max(offs)))
+    if tail and gen.is_parabolic():
+        offs = offsets_of_image(ranges[-1][1] + 1)
+        p = gen.fixed_points[0]
+        off_p = j.offset(p)
+        off_p = 0.0 if min(off_p, 2.0 * math.pi - off_p) < abs(off_p - j.arc) \
+            else j.arc
+        offs.append(off_p)
+        spans.append((min(offs), max(offs)))
     reps = []
     for lo, hi in spans:
         reps.append(tuple(j.point_at(f / j.arc)
@@ -523,34 +499,33 @@ def letter_series_sweep(pres: GroupPresentation, t: float, beta: float,
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
     total = np.zeros(top)
     for f in letter_families(pres):
-        total += np.exp(t * f.zeta_at(ns, f.x_mid) + beta * psi_ns)
+        m = top if f.parabolic else 1
+        zeta = f.zeta([f.row(f.x_mid)], ns[:m])[0]
+        total[:m] += np.exp(t * zeta + beta * psi_ns[:m])
     cum = np.cumsum(total)
-    hyp = sum(math.exp(t * zeta_letter(pres, e))
-              for e in hyperbolic_letters(pres))
-    return [float(cum[c - 1] + hyp) for c in caps]
+    return [float(cum[c - 1]) for c in caps]
 
 
 def fuchsian_system(pres: GroupPresentation, cap: int,
                     restricted: bool = False):
     """Truncated GDMS instance of the induced shift.
 
-    Edges are the induced letters with parabolic exponent <= cap plus all
-    hyperbolic-core letters; incidence keys are (overlap pair, exponent
-    bucket of the entering letter).  Every letter is replicated per
-    follower bucket so its weight can use the follower's continuation
-    range - a two-and-a-half-symbol lookahead that keeps the operator
-    factorized while shrinking the locally-constant-weight bias.
-    Each parabolic family registers one tail pseudo-edge per follower
-    bucket and quadrature point for its exponents beyond
-    max(cap, TAIL_START), unless ``restricted`` builds the finite
-    bounded-winding subsystem (cap=2 and no tail is the delta_c alphabet);
-    below TAIL_START the exponents cap+1 .. TAIL_START enter the tail key
-    as ordinary edges.
+    Edges are the letters of every family (``letter_families``): the
+    parabolic exponents up to the cap and the one letter of each
+    hyperbolic family.  Incidence keys are (overlap pair, exponent bucket
+    of the entering letter).  A family is evaluated on one row
+    (``LetterFamily.row``) per follower bucket and quadrature point, and
+    each row carries a copy of every letter, so its weight can use the
+    follower's continuation range - a two-and-a-half-symbol lookahead that
+    keeps the operator factorized while shrinking the locally-constant-
+    weight bias.  Unless ``restricted`` builds the finite bounded-winding
+    subsystem (cap=2 and no tail is the delta_c alphabet), each row of a
+    parabolic family is also a tail pseudo-edge for its exponents beyond
+    max(cap, TAIL_START), and below TAIL_START the exponents cap+1 ..
+    TAIL_START are ordinary edges into the same tail key.
     """
     from .gdms import GdmsSystem, TailData
 
-    fams = letter_families(pres)
-    hyps = hyperbolic_letters(pres)
     tail = not restricted
     ranges = _bucket_ranges(cap)
     reps = {c_label: _bucket_reps(pres, c_label, ranges, tail)
@@ -564,55 +539,39 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             key_index[k] = len(key_index)
         return key_index[k]
 
-    # one block per family, follower bucket and quadrature point; keys are
-    # created in the order the blocks first use them
-    in_keys, out_keys, z_vals, psi_vals = [], [], [], []
-    t_in, t_out, t_rows = [], [], []
     start = max(cap, TAIL_START)
-    ns = np.arange(1, cap + 1, dtype=float)
-    ns_mid = np.arange(cap + 1, start + 1, dtype=float)  # explicit tail letters
-    psi_ns, psi_mid = (-2.0 * np.log(np.maximum(n - 1.0, 1.0))
-                       for n in (ns, ns_mid))
-    in_bucket = np.searchsorted([klo for klo, _ in ranges], ns,
+    ns = np.arange(1, (start if tail else cap) + 1, dtype=float)
+    psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
+    # the bucket of each entering exponent; beyond the cap, the tail bucket
+    in_bucket = np.searchsorted([klo for klo, _ in ranges] + [cap + 1], ns,
                                 side="right") - 1
 
+    # each family fills one block of (rows x exponents) edges in place
+    fams = letter_families(pres)
+    n_edges = sum((len(ns) if f.parabolic else 1) * sum(map(len, reps[f.g2]))
+                  for f in fams)
+    in_keys, out_keys = np.empty(n_edges, np.int64), np.empty(n_edges, np.int64)
+    zeta, psi = np.empty(n_edges), np.empty(n_edges)
+    t_in, t_out, t_rows = [], [], []
+    hi = 0
     for f in fams:
-        cmap = pres.map_of(f.core)
-        in_key_n = np.array([key_of((f.g1, f.core), b)
-                             for b in range(len(ranges))])[in_bucket]
-        for b, ys in enumerate(reps[f.g2]):
-            xs = [apply_boundary(cmap, y) for y in ys]
-            ok = key_of((f.core, f.g2), b)
-            for x in xs:
-                in_keys.append(in_key_n)
-                out_keys.append(np.full(cap, ok))
-                z_vals.append(f.zeta_at(ns, x))
-                psi_vals.append(psi_ns)
-            if tail:
-                tk = key_of((f.g1, f.core), len(ranges))
-                for x in xs:
-                    in_keys.append(np.full(len(ns_mid), tk))
-                    out_keys.append(np.full(len(ns_mid), ok))
-                    z_vals.append(f.zeta_at(ns_mid, x))
-                    psi_vals.append(psi_mid)
-                    t_in.append(tk)
-                    t_out.append(ok)
-                    t_rows.append(f.row(x))
+        m = len(ns) if f.parabolic else 1
+        heads = np.array([key_of((f.g1, f.core), b)
+                          for b in range(in_bucket[m - 1] + 1)])[in_bucket[:m]]
+        outs = [key_of((f.core, f.g2), b)
+                for b, ys in enumerate(reps[f.g2]) for _ in ys]
+        rows = [f.row(apply_boundary(pres.map_of(f.core), y))
+                for ys in reps[f.g2] for y in ys]
+        lo, hi = hi, hi + len(rows) * m
+        in_keys[lo:hi].reshape(-1, m)[:] = heads
+        out_keys[lo:hi].reshape(-1, m)[:] = np.array(outs)[:, None]
+        psi[lo:hi].reshape(-1, m)[:] = psi_ns[:m]
+        f.zeta(rows, ns[:m], out=zeta[lo:hi].reshape(-1, m))
+        if tail and f.parabolic:
+            t_in += [key_of((f.g1, f.core), len(ranges))] * len(outs)
+            t_out += outs
+            t_rows += rows
 
-    for e in hyps:
-        g1map = pres.map_of(e.symbols[0])
-        hmap = pres.map_of(e.core)
-        ik = key_of(e.head, 0)
-        for b, ys in enumerate(reps[e.symbols[-1]]):
-            ok = key_of(e.tail, b)
-            for y in ys:
-                x = apply_boundary(hmap, y)
-                in_keys.append([ik])
-                out_keys.append([ok])
-                z_vals.append([math.log(circle_derivative_magnitude(g1map, x))])
-                psi_vals.append([0.0])
-
-    half = math.log(0.5)
     tails = None
     if t_in:
         tails = TailData(
@@ -623,10 +582,10 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         )
     return GdmsSystem(
         n_keys=len(key_index),
-        in_keys=np.concatenate(in_keys),
-        out_keys=np.concatenate(out_keys),
-        zeta=np.concatenate(z_vals),
-        psi=np.concatenate(psi_vals),
-        log_mult=half,
+        in_keys=in_keys,
+        out_keys=out_keys,
+        zeta=zeta,
+        psi=psi,
+        log_mult=math.log(0.5),
         tails=tails,
     )

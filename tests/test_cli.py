@@ -6,8 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from cuspwind import cli
 from cuspwind.config import ConfigError, config_from_preset, parse_config_text
+from cuspwind.errors import CuspwindError
+from cuspwind.fuchsian import build_group
+from cuspwind.presets import PRESETS, preset_config
 from cuspwind.figures import emit_figure
 from cuspwind.induced import letter_series_sweep
 
@@ -52,6 +57,14 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("name = \"x\"\ncap_ladder = [100, 200]\n")
     with pytest.raises(ConfigError, match="line 2: unknown key 'pressure_tol'"):
         parse_config_text("name = \"x\"\npressure_tol = 1e-8\n")
+
+
+@pytest.mark.parametrize("line", ["beta_min = nan", "beta_min = -inf",
+                                  "beta_max = 1e400",
+                                  "beta_extensions = [30, nan]"])
+def test_beta_grid_needs_finite_ordered_bounds(line):
+    with pytest.raises(ConfigError, match="beta"):
+        parse_config_text(line + "\n" + GAMMA2_TEXT).betas()
 
 
 def test_preset_configs_load():
@@ -133,6 +146,116 @@ def test_cli_bad_determinant_exit_1(tmp_path, capsys):
     obj = json.loads(capsys.readouterr().err)
     assert obj["error"] == "NotUnitDeterminant"
     assert "a" in obj["message"]
+
+
+@pytest.mark.parametrize("case, rc, error", [
+    ("matrix = 3", 2, "ConfigError"),
+    ('matrix = [1, 2, 0, "q"]', 2, "ConfigError"),
+    ("label = 5", 2, "ConfigError"),
+    ('interval = ["x", inf]', 2, "ConfigError"),
+    ('kind = "elliptic"', 2, "ConfigError"),
+    ('out_format = "xml"', 2, "ConfigError"),
+    ("interval = [1, 1]", 1, "GroupValidationError"),
+    ("interval = [inf, inf]", 1, "GroupValidationError"),
+    ("matrix = [-1, 0, 0, -1]", 1, "GroupValidationError"),
+])
+def test_cli_config_errors_exit_as_config_or_group_errors(case, rc, error,
+                                                          tmp_path, capsys):
+    # malformed fields and values are configuration errors; degenerate arcs
+    # and the identity are invalid geometry
+    key = case.split(" =")[0]
+    if key == "out_format":
+        text = case + "\n" + GAMMA2_TEXT
+    else:
+        text = re.sub(r"^%s = .*$" % key, case, GAMMA2_TEXT, count=1,
+                      flags=re.M)
+    path = tmp_path / "case.cw"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == rc
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def preset_text(name):
+    """A preset in the config file format."""
+    lines = ['name = "%s"' % name]
+    for gen in preset_config(name)["generators"]:
+        lines.append("[generator]")
+        lines += ['%s = "%s"' % (k, gen[k])
+                  for k in ("label", "inverse_label", "kind")]
+        lines += ["%s = [%s]" % (k, ", ".join(repr(float(v)) for v in gen[k]))
+                  for k in ("matrix", "interval", "interval_inverse")]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_preset_text(draw):
+    """A preset text with one to three fields of its generators replaced:
+    wrong types, coincident or infinite endpoints, determinants off by
+    1e-9, swapped arcs."""
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    gens = [dict(g) for g in preset_config(name)["generators"]]
+    raw = [{} for _ in gens]  # field -> replacement text, written last
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(gens) - 1))
+        g = gens[i]
+        kind = draw(st.sampled_from(
+            ["type", "coincide", "infinite", "determinant", "swap",
+             "reverse"]))
+        arc = draw(st.sampled_from(["interval", "interval_inverse"]))
+        if kind == "type":
+            key = draw(st.sampled_from(
+                ["label", "inverse_label", "kind", "matrix", "interval"]))
+            raw[i][key] = draw(st.sampled_from(
+                ['"x"', "3", "[1, 2]", '["inf", 1]', "[]", "nan", "[nan, 1]",
+                 '"parabolic"', "[1, 2, 3, 4, 5]", "[1%s, 0, 0, 1]" % (
+                     "0" * 400)]))
+        elif kind == "coincide":
+            end = draw(st.sampled_from(g[arc]))
+            g[arc] = [end, end]
+        elif kind == "infinite":
+            g[arc] = list(g[arc])
+            g[arc][draw(st.integers(0, 1))] = draw(
+                st.sampled_from(["inf", "-inf"]))
+        elif kind == "determinant":
+            g["matrix"] = list(g["matrix"])
+            k = draw(st.integers(0, 3))
+            g["matrix"][k] = g["matrix"][k] + draw(
+                st.sampled_from([1e-9, -1e-9]))
+        elif kind == "swap":
+            g["interval"], g["interval_inverse"] = \
+                g["interval_inverse"], g["interval"]
+        else:
+            g[arc] = list(reversed(g[arc]))
+    lines = ['name = "%s"' % name]
+    for g, text in zip(gens, raw):
+        lines.append("[generator]")
+        for key, value in g.items():
+            if key in text:
+                value = text[key]
+            elif isinstance(value, list):
+                value = "[%s]" % ", ".join(
+                    v if isinstance(v, str) else repr(float(v)) for v in value)
+            else:
+                value = '"%s"' % value
+            lines.append("%s = %s" % (key, value))
+    return "\n".join(lines) + "\n"
+
+
+def test_preset_text_builds_the_preset():
+    for name in PRESETS:
+        pres = build_group(parse_config_text(preset_text(name)).group_config())
+        assert pres.labels() == build_group(preset_config(name)).labels()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_preset_text())
+def test_config_fuzz_returns_group_or_library_error(text):
+    # every mutated config builds a group or fails with a configuration
+    # error or a library error, never a bare Python exception
+    try:
+        build_group(parse_config_text(text).group_config())
+    except (ConfigError, CuspwindError):
+        pass
 
 
 def test_cli_invalid_curve_exit_1(monkeypatch, tmp_path, capsys):

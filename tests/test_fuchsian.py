@@ -6,6 +6,7 @@ import pytest
 from cuspwind import geometry
 from cuspwind.errors import (
     Elementary,
+    GroupValidationError,
     NoParabolic,
     NotFree,
     NotParabolic,
@@ -114,6 +115,16 @@ def test_bad_determinant_rejected():
     cfg = rotated({"a": {"matrix": [1.0, 2.0, 0.0, 1.1]}})
     with pytest.raises(NotUnitDeterminant):
         build_group(cfg)
+
+
+@pytest.mark.parametrize("update", [
+    {"kind": "elliptic"}, {"matrix": [-1.0, 0.0, 0.0, -1.0]},
+    {"interval": [1.0, 1.0]}, {"interval_inverse": ["inf", "inf"]}])
+def test_invalid_geometry_is_a_validation_error(update):
+    # an unknown kind, the identity and a degenerate arc, passed to
+    # build_group directly rather than through a config file
+    with pytest.raises(GroupValidationError):
+        build_group(rotated({"a": update}))
 
 
 def test_markov_mismatch_not_free():

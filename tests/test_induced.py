@@ -20,17 +20,24 @@ from cuspwind.induced import (
     shift_metric,
     zeta_letter,
 )
-from cuspwind.mobius import apply_boundary, circle_derivative_magnitude, compose
+from cuspwind.fuchsian import build_group, conjugate_config
+from cuspwind.mobius import (
+    MobiusMap,
+    apply_boundary,
+    circle_derivative_magnitude,
+    compose,
+)
+from cuspwind.presets import preset_config
 
 
 def test_alphabet_counts(gamma2, onecusp):
     assert len(alphabet(gamma2, 1)) == 16
     assert len(alphabet(gamma2, 2)) == 32
     # no hyperbolic-core letters when u = 0
-    assert all(e.is_parabolic_core(gamma2) for e in alphabet(gamma2, 3))
+    assert all(gamma2.gen(e.core).is_parabolic() for e in alphabet(gamma2, 3))
     letters = alphabet(onecusp, 1)
     assert len(letters) == 26
-    assert sum(1 for e in letters if not e.is_parabolic_core(onecusp)) == 18
+    assert sum(1 for e in letters if e.core in onecusp.hyperbolic_labels()) == 18
 
 
 def test_incidence_is_two_symbol_overlap():
@@ -103,36 +110,70 @@ def test_phi_cocycle_identity(any_group):
 
 
 def test_zeta_letter_negative_and_bracketed(any_group):
-    # a parabolic letter's weight is its family's weight at x_mid, the
-    # point the letter series reads
+    # every letter's weight, parabolic or hyperbolic, is its family's
+    # weight at x_mid, the point the letter series reads
     fams = {(f.g1, f.core, f.g2): f for f in ind.letter_families(any_group)}
     for e in alphabet(any_group, 40):
         z = zeta_letter(any_group, e)
         assert z < 0.0
-        if e.is_parabolic_core(any_group):
-            f = fams[(e.symbols[0], e.core, e.symbols[-1])]
-            assert abs(z - f.zeta_at(np.array([e.exponent]), f.x_mid)[0]) \
-                <= 1e-12
-            if e.exponent >= 2:
-                assert z <= -any_group.c1 + 0.7  # distortion slack
+        f = fams[(e.symbols[0], e.core, e.symbols[-1])]
+        assert f.parabolic == any_group.gen(e.core).is_parabolic()
+        assert abs(z - f.zeta([f.row(f.x_mid)], np.array([e.exponent]))[0, 0]) \
+            <= 1e-12
+        if e.exponent >= 2:
+            assert z <= -any_group.c1 + 0.7  # distortion slack
 
 
 def test_zeta_scales_like_minus_two_log_n(gamma2):
     fam = ind.letter_families(gamma2)[0]
     ns = np.array([50, 100, 200, 400])
-    c = -fam.zeta_at(ns, fam.x_mid) - 2.0 * np.log(ns)
+    c = -fam.zeta([fam.row(fam.x_mid)], ns)[0] - 2.0 * np.log(ns)
     assert abs(c[-1] - c[-2]) < 0.01  # converging envelope constant
 
 
-def test_system_sizes(gamma2):
-    # one tail row per family, follower bucket and quadrature point; below
-    # TAIL_START the exponents cap+1 .. TAIL_START enter the tail keys as
-    # ordinary edges, so cap 60 carries as many edges as cap 64
-    for cap, sizes in ((60, (64, 16384, 256)), (64, (64, 16384, 256)),
-                       (400, (88, 140800, 352))):
-        sysm = ind.fuchsian_system(gamma2, cap)
-        assert (sysm.n_keys, sysm.n_edges, len(sysm.tails.rows)) == sizes
-        assert sysm.tails.start == max(cap, ind.TAIL_START)
+def test_system_sizes(gamma2, onecusp):
+    # (n_keys, n_edges, tail rows): one tail row per parabolic family,
+    # follower bucket and quadrature point; below TAIL_START the exponents
+    # cap+1 .. TAIL_START enter the tail keys as ordinary edges, so cap 60
+    # carries as many edges as cap 64; the restricted systems have no tail
+    for pres, cap, restricted, sizes in (
+            (gamma2, 60, False, (64, 16384, 256)),
+            (gamma2, 64, False, (64, 16384, 256)),
+            (gamma2, 400, False, (88, 140800, 352)),
+            (onecusp, 400, False, (50, 6676, 16)),
+            (gamma2, 2, True, (16, 128, 0)),
+            (onecusp, 2, True, (14, 92, 0))):
+        sysm = ind.fuchsian_system(pres, cap, restricted=restricted)
+        tails = sysm.tails
+        assert (tails is None) == restricted
+        assert (sysm.n_keys, sysm.n_edges,
+                0 if restricted else len(tails.rows)) == sizes
+        if tails is not None:
+            assert tails.start == max(cap, ind.TAIL_START)
+
+
+@pytest.mark.parametrize("chart", [
+    None, (1.0, 0.3, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.4, 1.0),
+    (0.9575203991628636, 0.3565226346725965, -0.21871866658356112,
+     0.9629265815575861)])
+def test_core_continuation_hull(chart):
+    # on both presets, as given and conjugated by z+0.3, 4z, z/(0.4z+1) and
+    # perfbench's chart of seed 10: the hull of the follower arcs of c
+    # contains each of them, runs between two of their endpoints and
+    # leaves out J_{c^-1}
+    for name in ("gamma2-type", "one-cusp-one-hyperbolic"):
+        cfg = preset_config(name)
+        if chart is not None:
+            cfg = conjugate_config(cfg, MobiusMap.from_entries(*chart))
+        pres = build_group(cfg)
+        for c in pres.labels():
+            hull = ind._core_continuation_hull(pres, c)
+            arcs = [pres.interval_of(g) for g in pres.labels()
+                    if pres.block_admissible(c, g)]
+            assert all(hull.contains_interval(j, tol=1e-12) for j in arcs)
+            ends = [x for j in arcs for x in (j.lo, j.hi)]
+            assert hull.lo in ends and hull.hi in ends
+            assert not hull.contains(pres.interval_of(pres.inv(c)).midpoint())
 
 
 def test_letters_of_blocks_overlap(gamma2):

@@ -138,3 +138,19 @@ def test_product_that_loses_the_cycle_solves_the_whole_matrix():
         [0, 2, 1, 3, 0], [2, 1, 3, 0, 3], 4)
     assert log_radius(sysm) == pytest.approx(-200.0, rel=1e-12)
     assert [c.tolist() for c in sysm.classes] == [[0, 1], [2, 3]]
+
+
+def test_one_class_solves_the_key_matrix_once(monkeypatch):
+    # p = 1 (a self-loop): B = [[10000, e^-700], [1, 0]] is its own block
+    # and is solved once, as it is; divided by its largest entry its chord
+    # would fall below the normal range and call for a second solve
+    sysm = weighted_system(np.exp([0.0] * 10_000 + [-700.0, 0.0]),
+                           [0] * 10_001 + [1], [0] * 10_000 + [1, 0], 2)
+    radius, seen = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: seen.append(a.copy()) or radius(a))
+    expect = math.log(5000.0 + math.sqrt(5000.0 ** 2 + math.exp(-700.0)))
+    assert log_radius(sysm) == pytest.approx(expect, rel=1e-15)
+    assert len(sysm.classes) == 1
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], [[10000.0, math.exp(-700.0)], [1.0, 0.0]])

@@ -23,9 +23,16 @@ One rule sums it (``tail_log_weights``): midpoint Euler-Maclaurin with
 the integral taken by a Gauss-Jacobi rule in u = 1/n, which matches
 direct summation to 1e-14 of a family's total weight.  A system with tails diverges at
 t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the one
-number P(t, beta) = log rho(B) as a float.  B is built in one pass: the
-edge and tail log-weights are scaled against their one common maximum
-and floored ``LOG_FLOOR`` below it before exponentiation.
+number P(t, beta) = log rho(B) as a float.
+
+The letters are stored as blocks (``LetterBlock``): a (rows x exponents)
+array of zeta, psi per exponent, and the runs of consecutive exponents
+that enter the same key.  Everything but the weights is fixed when the
+system is built, so B is built in one pass over one work array per block:
+the exponents t zeta + beta psi, updated in place, share one maximum with
+the tail log-weights, are floored ``LOG_FLOOR`` below it and
+exponentiated, summed over each run, and the (rows x runs) sums and the
+tail weights go into B by one small ``np.bincount``.
 
 t(beta) is the unique zero of the decreasing map t -> P(t, beta).
 Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
@@ -51,14 +58,39 @@ from .errors import InvalidCurve, NoSignChange
 # floor keeps the key matrix irreducible: without it the weights of whole
 # key classes underflow to zero at large |beta| near the threshold and P
 # drops to -inf.  e^-700 is a normal double, so no subnormal ever reaches
-# exp or the bincount collapse, where subnormals cost ~100x per value.
+# exp or the run sums, where subnormals cost ~100x per value.
 LOG_FLOOR = -700.0
+
+
+@dataclass
+class LetterBlock:
+    """Letters stored as a (rows x m) array of weights ``zeta``.
+
+    ``psi`` broadcasts against ``zeta``: a length-m vector when psi depends
+    on the exponent only (the letter families), or (rows, 1) for an edge
+    list (``GdmsSystem.from_edges``).  The columns fall into runs of
+    consecutive exponents that enter the same key: ``starts`` holds the
+    first column of each run, and ``cells[i, j]`` the key-matrix cell
+    in_key * n_keys + out_key of the letters of row i in run j.
+    """
+
+    zeta: np.ndarray  # (rows, m)
+    psi: np.ndarray  # (m,) or (rows, 1)
+    starts: np.ndarray  # (runs,)
+    cells: np.ndarray  # (rows, runs)
+
+    def letter_cells(self) -> np.ndarray:
+        """The key-matrix cell of every letter, shaped like ``zeta``."""
+        runs = np.diff(self.starts, append=self.zeta.shape[1])
+        return np.repeat(self.cells, runs, axis=1)
 
 
 @dataclass
 class TailData:
     """The exponent tails n > ``start`` of the parabolic letter families:
-    one pseudo-edge per family, follower bucket and quadrature point.
+    one pseudo-edge per family, follower bucket and quadrature point, which
+    enters the key-matrix cell ``cells[i]`` (in_key * n_keys + out_key, the
+    tail key of its family and the out key of its row).
 
     Row (p0, p1, r0, r1, log(1 + x^2)) of ``rows`` gives the weights
     zeta_n = log(1 + x^2) - log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1,
@@ -66,8 +98,7 @@ class TailData:
     psi_n = -2 log k, ``tail_log_weights`` sums them for given (t, beta).
     """
 
-    in_keys: np.ndarray
-    out_keys: np.ndarray
+    cells: np.ndarray
     rows: np.ndarray  # (n_tails, 5)
     start: int
 
@@ -147,7 +178,7 @@ def tail_log_weights(tails: TailData, t: float, beta: float,
 
 @dataclass
 class GdmsSystem:
-    """Truncated edge shift with factorized incidence and edge potentials.
+    """Truncated edge shift whose letters are stored as ``LetterBlock``s.
 
     Fuchsian instances carry ``tails``, the analytic exponent tails of
     their parabolic letter families; finite systems (the delta_c
@@ -155,29 +186,29 @@ class GdmsSystem:
     """
 
     n_keys: int
-    in_keys: np.ndarray
-    out_keys: np.ndarray
-    zeta: np.ndarray
-    psi: np.ndarray
+    blocks: list  # LetterBlock
     log_mult: float = 0.0  # additive log constant of every weight (quadrature)
     tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
-    # cell in_key * n_keys + out_key of the key matrix, for the edges
-    # followed by the tail pseudo-edges
-    flat_keys: np.ndarray = field(init=False, repr=False, compare=False)
     # the keys of each cyclic class of the key graph (``cyclic_classes``),
     # set by the first ``pressure`` call that builds the key matrix
     classes: list = field(init=False, default=None, repr=False,
                           compare=False)
 
-    def __post_init__(self):
-        flat = [self.in_keys * self.n_keys + self.out_keys]
-        if self.tails is not None:
-            flat.append(self.tails.in_keys * self.n_keys + self.tails.out_keys)
-        self.flat_keys = np.concatenate(flat)
+    @classmethod
+    def from_edges(cls, n_keys: int, in_keys, out_keys, zeta, psi):
+        """A finite system with one weight per edge: a one-column block
+        whose psi has one value per row."""
+        cells = (np.asarray(in_keys, dtype=np.int64) * n_keys
+                 + np.asarray(out_keys, dtype=np.int64))
+        block = LetterBlock(zeta=np.asarray(zeta, dtype=float)[:, None],
+                            psi=np.asarray(psi, dtype=float)[:, None],
+                            starts=np.zeros(1, dtype=np.int64),
+                            cells=cells[:, None])
+        return cls(n_keys=n_keys, blocks=[block])
 
     @property
     def n_edges(self) -> int:
-        return len(self.zeta)
+        return sum(block.zeta.size for block in self.blocks)
 
     def divergence_abscissa(self, beta: float):
         """Analytic divergence threshold in t: 1/2 - beta when the system
@@ -251,17 +282,35 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
         return math.inf
 
-    parts = [t * sys.zeta + beta * sys.psi]
+    # one work array per block, updated in place from the exponents to
+    # the weights
+    work = []
+    for block in sys.blocks:
+        lw = np.multiply(block.zeta, t)
+        lw += beta * block.psi
+        work.append(lw)
+    tail = []
     if sys.tails is not None:
         two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-        parts.append(tail_log_weights(sys.tails, t, beta, two_r))
-    scale = max((float(p.max()) for p in parts if p.size), default=0.0)
+        tail = [tail_log_weights(sys.tails, t, beta, two_r)]
+    scale = max((float(lw.max()) for lw in work + tail if lw.size),
+                default=0.0)
     if not math.isfinite(scale):
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
-    w = np.exp(np.maximum(np.concatenate(parts) - scale, LOG_FLOOR))
+    cells, sums = [], []
+    for block, lw in zip(sys.blocks, work):
+        lw -= scale
+        np.maximum(lw, LOG_FLOOR, out=lw)
+        np.exp(lw, out=lw)
+        cells.append(block.cells.ravel())
+        sums.append(np.add.reduceat(lw, block.starts, axis=1).ravel())
+    if tail:
+        cells.append(sys.tails.cells)
+        sums.append(np.exp(np.maximum(tail[0] - scale, LOG_FLOOR)))
     n = sys.n_keys
-    b = np.bincount(sys.flat_keys, weights=w, minlength=n * n).reshape(n, n)
+    b = np.bincount(np.concatenate(cells), weights=np.concatenate(sums),
+                    minlength=n * n).reshape(n, n)
     if sys.classes is None:
         # every cell carries a weight >= e^LOG_FLOOR: b > 0 is the key graph
         sys.classes = cyclic_classes(b > 0)
@@ -311,14 +360,17 @@ def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    lw = t * sys.zeta + beta * sys.psi + sys.log_mult
+    in_keys, out_keys = np.divmod(np.concatenate(
+        [block.letter_cells().ravel() for block in sys.blocks]), sys.n_keys)
+    lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel()
+                         for block in sys.blocks]) + sys.log_mult
     scale = float(lw.max())
     w = np.exp(lw - scale)
     u = w.copy()
     log_acc = scale
     for _ in range(n - 1):
-        s = np.bincount(sys.out_keys, weights=u, minlength=sys.n_keys)
-        u = w * s[sys.in_keys]
+        s = np.bincount(out_keys, weights=u, minlength=sys.n_keys)
+        u = w * s[in_keys]
         norm = u.sum()
         u /= norm
         log_acc += math.log(norm) + scale

@@ -514,17 +514,22 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     parabolic exponents up to the cap and the one letter of each
     hyperbolic family.  Incidence keys are (overlap pair, exponent bucket
     of the entering letter).  A family is evaluated on one row
-    (``LetterFamily.row``) per follower bucket and quadrature point, and
-    each row carries a copy of every letter, so its weight can use the
-    follower's continuation range - a two-and-a-half-symbol lookahead that
-    keeps the operator factorized while shrinking the locally-constant-
-    weight bias.  Unless ``restricted`` builds the finite bounded-winding
-    subsystem (cap=2 and no tail is the delta_c alphabet), each row of a
-    parabolic family is also a tail pseudo-edge for its exponents beyond
-    max(cap, TAIL_START), and below TAIL_START the exponents cap+1 ..
-    TAIL_START are ordinary edges into the same tail key.
+    (``LetterFamily.row``) per follower bucket and quadrature point, so a
+    letter's weight can use the follower's continuation range - a
+    two-and-a-half-symbol lookahead that keeps the operator factorized
+    while shrinking the locally-constant-weight bias.  The rows of all
+    families with the same number m of exponents form one
+    ``gdms.LetterBlock`` of (rows x m) weights: one block for the
+    parabolic families and one of a single column for the hyperbolic
+    ones.  The in key of a letter depends on its family and its
+    exponent's bucket only, so each block's runs are the buckets.  Unless
+    ``restricted`` builds the finite bounded-winding subsystem (cap=2 and
+    no tail is the delta_c alphabet), each row of a parabolic family is
+    also a tail pseudo-edge for its exponents beyond max(cap, TAIL_START),
+    and below TAIL_START the exponents cap+1 .. TAIL_START are ordinary
+    edges into the same tail key.
     """
-    from .gdms import GdmsSystem, TailData
+    from .gdms import GdmsSystem, LetterBlock, TailData
 
     tail = not restricted
     ranges = _bucket_ranges(cap)
@@ -546,46 +551,54 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     in_bucket = np.searchsorted([klo for klo, _ in ranges] + [cap + 1], ns,
                                 side="right") - 1
 
-    # each family fills one block of (rows x exponents) edges in place
-    fams = letter_families(pres)
-    n_edges = sum((len(ns) if f.parabolic else 1) * sum(map(len, reps[f.g2]))
-                  for f in fams)
-    in_keys, out_keys = np.empty(n_edges, np.int64), np.empty(n_edges, np.int64)
-    zeta, psi = np.empty(n_edges), np.empty(n_edges)
+    # per number of exponents m: the rows of each family, and per row the
+    # in key of each run and the out key
+    groups: dict = {}
     t_in, t_out, t_rows = [], [], []
-    hi = 0
-    for f in fams:
+    for f in letter_families(pres):
         m = len(ns) if f.parabolic else 1
-        heads = np.array([key_of((f.g1, f.core), b)
-                          for b in range(in_bucket[m - 1] + 1)])[in_bucket[:m]]
+        heads = [key_of((f.g1, f.core), b) for b in range(in_bucket[m - 1] + 1)]
         outs = [key_of((f.core, f.g2), b)
                 for b, ys in enumerate(reps[f.g2]) for _ in ys]
         rows = [f.row(apply_boundary(pres.map_of(f.core), y))
                 for ys in reps[f.g2] for y in ys]
-        lo, hi = hi, hi + len(rows) * m
-        in_keys[lo:hi].reshape(-1, m)[:] = heads
-        out_keys[lo:hi].reshape(-1, m)[:] = np.array(outs)[:, None]
-        psi[lo:hi].reshape(-1, m)[:] = psi_ns[:m]
-        f.zeta(rows, ns[:m], out=zeta[lo:hi].reshape(-1, m))
+        fam_rows, in_keys, out_keys = groups.setdefault(m, ([], [], []))
+        fam_rows.append(rows)
+        in_keys += [heads] * len(rows)
+        out_keys += outs
         if tail and f.parabolic:
             t_in += [key_of((f.g1, f.core), len(ranges))] * len(outs)
             t_out += outs
             t_rows += rows
 
+    n_keys = len(key_index)
+    blocks = []
+    for m, (fam_rows, in_keys, out_keys) in groups.items():
+        # each family writes its rows of the block's weights in place
+        zeta = np.empty((len(out_keys), m))
+        hi = 0
+        for rows in fam_rows:
+            lo, hi = hi, hi + len(rows)
+            LetterFamily.zeta(rows, ns[:m], out=zeta[lo:hi])
+        blocks.append(LetterBlock(
+            zeta=zeta,
+            psi=psi_ns[:m],
+            starts=np.flatnonzero(np.diff(in_bucket[:m], prepend=-1)),
+            cells=(np.array(in_keys, dtype=np.int64) * n_keys
+                   + np.array(out_keys, dtype=np.int64)[:, None]),
+        ))
+
     tails = None
     if t_in:
         tails = TailData(
-            in_keys=np.array(t_in, dtype=np.int64),
-            out_keys=np.array(t_out, dtype=np.int64),
+            cells=(np.array(t_in, dtype=np.int64) * n_keys
+                   + np.array(t_out, dtype=np.int64)),
             rows=np.array(t_rows),
             start=start,
         )
     return GdmsSystem(
-        n_keys=len(key_index),
-        in_keys=in_keys,
-        out_keys=out_keys,
-        zeta=zeta,
-        psi=psi,
+        n_keys=n_keys,
+        blocks=blocks,
         log_mult=math.log(0.5),
         tails=tails,
     )

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspwind import cli
-from cuspwind.config import ConfigError, config_from_preset, parse_config_text
+from cuspwind.config import (
+    MAX_CAP,
+    ConfigError,
+    config_from_preset,
+    parse_config_text,
+)
 from cuspwind.errors import CuspwindError
 from cuspwind.fuchsian import build_group
 from cuspwind.presets import PRESETS, preset_config
@@ -135,6 +140,26 @@ def test_cli_missing_config_exit_2(capsys):
     err = capsys.readouterr().err
     obj = json.loads(err)
     assert obj["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("cap", ["1" + "0" * 400, str(MAX_CAP + 1)])
+def test_cli_cap_beyond_the_bound_exit_2(cap, monkeypatch, tmp_path, capsys):
+    # rejected as a configuration error before any system is built, from a
+    # config file and from --cap alike
+    def build(*args, **kwargs):
+        raise AssertionError("system built")
+
+    monkeypatch.setattr(cli, "fuchsian_system", build)
+    path = tmp_path / "c.cw"
+    path.write_text(GAMMA2_TEXT.replace("cap = 50", "cap = " + cap))
+    for argv in (["delta", "--config", str(path)],
+                 ["delta", "--preset", "gamma2-type", "--cap", cap]):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        obj = json.loads(capsys.readouterr().err)
+        assert obj["error"] == "ConfigError"
+        assert str(MAX_CAP) in obj["message"]
+    assert parse_config_text(
+        GAMMA2_TEXT.replace("cap = 50", "cap = %d" % MAX_CAP)).cap == MAX_CAP
 
 
 def test_cli_bad_determinant_exit_1(tmp_path, capsys):

@@ -25,26 +25,15 @@ from cuspwind.presets import preset_config
 
 
 def full_shift(k, zeta_value=0.0, psi_value=0.0):
-    return GdmsSystem(
-        n_keys=1,
-        in_keys=np.zeros(k, dtype=np.int64),
-        out_keys=np.zeros(k, dtype=np.int64),
-        zeta=np.full(k, zeta_value),
-        psi=np.full(k, psi_value),
-    )
+    keys = np.zeros(k, dtype=np.int64)
+    return GdmsSystem.from_edges(1, keys, keys, np.full(k, zeta_value),
+                                 np.full(k, psi_value))
 
 
-def three_vertex_system(ratios):
+def three_vertex_system(ratios, psi=(0.0, 0.0, 0.0)):
     """Cyclic 3-vertex GDMS with constant-derivative contractions."""
-    in_keys = np.array([0, 1, 2], dtype=np.int64)
-    out_keys = np.array([1, 2, 0], dtype=np.int64)
-    return GdmsSystem(
-        n_keys=3,
-        in_keys=in_keys,
-        out_keys=out_keys,
-        zeta=np.log(np.asarray(ratios)),
-        psi=np.zeros(3),
-    )
+    return GdmsSystem.from_edges(3, [0, 1, 2], [1, 2, 0],
+                                 np.log(np.asarray(ratios)), psi)
 
 
 # --- pressure on toy systems -------------------------------------------------
@@ -98,6 +87,29 @@ def test_pressure_divergence_flag(gamma2):
     assert math.isinf(pressure(sysm, 0.5, 0.0))  # t + beta = 1/2 exactly
 
 
+def test_pressure_call_works_in_one_letter_array(gamma2):
+    # the system keeps one float per letter (zeta) and a pressure call one
+    # work array of the same size, updated in place
+    import tracemalloc
+
+    sysm = fuchsian_system(gamma2, 1600)
+    n = sysm.n_edges
+    arrays = [a for block in sysm.blocks for a in vars(block).values()]
+    arrays += list(vars(sysm.tails).values())
+    sizes = sorted(a.size for a in arrays if isinstance(a, np.ndarray))
+    (block,) = sysm.blocks
+    assert block.zeta.dtype == float and block.zeta.size == n
+    assert sizes[-1] == n and sizes[-2] < 0.01 * n
+    pressure(sysm, 1.0, 0.0)  # the first call also finds the key classes
+    tracemalloc.start()
+    try:
+        pressure(sysm, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
+
+
 # --- cyclic classes of the key graph ------------------------------------------
 
 def test_key_graph_classes(gamma2, onecusp):
@@ -113,18 +125,24 @@ def test_key_graph_classes(gamma2, onecusp):
         cls = np.empty(sysm.n_keys, dtype=np.int64)
         for k, keys in enumerate(sysm.classes):
             cls[keys] = k
-        rows, cols = np.divmod(sysm.flat_keys, sysm.n_keys)
+        cells = [block.cells.ravel() for block in sysm.blocks]
+        if sysm.tails is not None:
+            cells.append(sysm.tails.cells)
+        rows, cols = np.divmod(np.concatenate(cells), sysm.n_keys)
         assert np.array_equal(cls[cols], (cls[rows] + 1) % p)
 
 
 def full_matrix_pressure(sysm, t, beta, r):
-    """scale + log_mult + log max |eigvals(B)| of the whole key matrix."""
-    lw = np.concatenate([t * sysm.zeta + beta * sysm.psi,
+    """scale + log_mult + log max |eigvals(B)| of the whole key matrix,
+    collapsed letter by letter."""
+    (block,) = sysm.blocks
+    lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel(),
                          gdms.tail_log_weights(sysm.tails, t, beta, 2.0 * r)])
+    cells = np.concatenate([block.letter_cells().ravel(), sysm.tails.cells])
     scale = lw.max()
     w = np.exp(np.maximum(lw - scale, gdms.LOG_FLOOR))
     n = sysm.n_keys
-    b = np.bincount(sysm.flat_keys, weights=w, minlength=n * n).reshape(n, n)
+    b = np.bincount(cells, weights=w, minlength=n * n).reshape(n, n)
     return scale + sysm.log_mult + math.log(max(abs(np.linalg.eigvals(b))))
 
 
@@ -230,9 +248,7 @@ def test_three_vertex_instance_independence():
         got = pressure(sysm, t, 0.0)
         assert got == pytest.approx(expect, abs=1e-8)
     # and a genuinely nontrivial root: add a constant to zeta
-    sys2 = GdmsSystem( n_keys=3,
-        in_keys=sysm.in_keys, out_keys=sysm.out_keys,
-        zeta=sysm.zeta, psi=np.ones(3))
+    sys2 = three_vertex_system(ratios, psi=np.ones(3))
     # P(t) = t mean(log r) + beta; root t(beta) = beta / -mean(log r)
     for beta in (0.5, 1.0):
         pt = free_energy(sys2, beta)
@@ -504,6 +520,8 @@ def test_no_sign_change_error(gamma2):
     # the same with tails: the search stops at r = 4^41, short of the r
     # where the tail weights overflow
     flat = fuchsian_system(gamma2, 60)
-    flat = dataclasses.replace(flat, zeta=np.zeros_like(flat.zeta))
+    flat = dataclasses.replace(flat, blocks=[
+        dataclasses.replace(block, zeta=np.zeros_like(block.zeta))
+        for block in flat.blocks])
     with pytest.raises(NoSignChange, match="positive up to r="):
         free_energy(flat, 0.0)

@@ -2,8 +2,8 @@
 every top-level function or class of the package is named somewhere in
 the package or the tests outside its own definition, every method is
 named as an attribute there outside its own body, every upper-case
-module-level constant is loaded there, and every dataclass field is read
-there as an attribute.
+module-level constant is loaded there, every dataclass field is read
+there as an attribute, and importing the command line loads no scipy.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module in the package.  ``__init__.py`` is skipped (its imports
@@ -15,7 +15,10 @@ class (``cap``, ``name`` or ``label``, say) goes unseen.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuspwind"
@@ -235,3 +238,15 @@ def test_no_write_only_fields():
     others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
     found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
     assert not found, "dataclass fields never read: " + ", ".join(found)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: at run time scipy.optimize alone
+    # adds ~50 MB of resident memory to every command
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cuspwind.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -19,23 +19,19 @@ def weighted_system(weights, in_keys, out_keys, n_keys):
     """Edge shift whose weight at t = 1, beta = 0 is the given w(e)."""
     with np.errstate(divide="ignore"):
         zeta = np.log(np.asarray(weights, dtype=float))
-    return GdmsSystem(
-        n_keys=n_keys,
-        in_keys=np.asarray(in_keys, dtype=np.int64),
-        out_keys=np.asarray(out_keys, dtype=np.int64),
-        zeta=zeta,
-        psi=np.zeros(len(zeta)),
-    )
+    return GdmsSystem.from_edges(n_keys, in_keys, out_keys, zeta,
+                                 np.zeros(len(zeta)))
 
 
 def log_radius(sysm):
     return pressure(sysm, 1.0, 0.0)
 
 
-def dense_log_radius(sysm):
+def dense_log_radius(weights, in_keys, out_keys):
     """log rho of the edge-level matrix M[e, f] = w(e) [out(e) = in(f)]."""
-    w = np.exp(sysm.zeta)
-    m = w[:, None] * (sysm.out_keys[:, None] == sysm.in_keys[None, :])
+    w = np.asarray(weights, dtype=float)
+    m = w[:, None] * (np.asarray(out_keys)[:, None]
+                      == np.asarray(in_keys)[None, :])
     rho = max(abs(np.linalg.eigvals(m)))
     return math.log(rho) if rho > 0 else -math.inf
 
@@ -46,11 +42,11 @@ def test_matches_dense_eigenvalues():
     for _ in range(200):
         n_keys = int(rng.integers(2, 5))
         n_edges = int(rng.integers(4, 20))
-        sysm = weighted_system(
-            rng.uniform(0.05, 1.0, size=n_edges),
-            rng.integers(0, n_keys, size=n_edges),
-            rng.integers(0, n_keys, size=n_edges), n_keys)
-        expect = dense_log_radius(sysm)
+        edges = (rng.uniform(0.05, 1.0, size=n_edges),
+                 rng.integers(0, n_keys, size=n_edges),
+                 rng.integers(0, n_keys, size=n_edges))
+        sysm = weighted_system(*edges, n_keys)
+        expect = dense_log_radius(*edges)
         if expect < math.log(1e-12):
             continue  # nilpotent incidence
         assert log_radius(sysm) == pytest.approx(expect, abs=1e-12)
@@ -60,16 +56,20 @@ def test_matches_dense_eigenvalues():
 
 def test_periodic_cycles_converge():
     # pure 3-cycle: the radius is the geometric mean of the cycle weights
-    sysm = weighted_system([0.5, 0.2, 0.1], [0, 1, 2], [1, 2, 0], 3)
+    edges = ([0.5, 0.2, 0.1], [0, 1, 2], [1, 2, 0])
+    sysm = weighted_system(*edges, 3)
     assert log_radius(sysm) == pytest.approx(
         math.log(0.5 * 0.2 * 0.1) / 3.0, abs=1e-12)
-    assert log_radius(sysm) == pytest.approx(dense_log_radius(sysm), abs=1e-12)
+    assert log_radius(sysm) == pytest.approx(dense_log_radius(*edges),
+                                             abs=1e-12)
 
 
 def test_period_two_bipartite():
-    sysm = weighted_system([0.7, 0.3], [0, 1], [1, 0], 2)
+    edges = ([0.7, 0.3], [0, 1], [1, 0])
+    sysm = weighted_system(*edges, 2)
     assert log_radius(sysm) == pytest.approx(0.5 * math.log(0.21), abs=1e-12)
-    assert log_radius(sysm) == pytest.approx(dense_log_radius(sysm), abs=1e-12)
+    assert log_radius(sysm) == pytest.approx(dense_log_radius(*edges),
+                                             abs=1e-12)
 
 
 def test_zero_weights_give_minus_inf():
@@ -110,9 +110,8 @@ def test_three_cyclic_product_below_underflow(monkeypatch):
                 in_keys.append(i)
                 out_keys.append(j)
                 zeta.append(log_c[k])
-    sysm = GdmsSystem(n_keys=6, in_keys=np.array(in_keys),
-                      out_keys=np.array(out_keys), zeta=np.array(zeta),
-                      psi=np.zeros(len(zeta)))
+    sysm = GdmsSystem.from_edges(6, in_keys, out_keys, zeta,
+                                 np.zeros(len(zeta)))
     b = np.zeros((6, 6))
     b[in_keys, out_keys] = np.exp(zeta)
     plain = b[np.ix_(classes[0], classes[1])] \

@@ -105,6 +105,14 @@ def resolve_config(args) -> RunConfig:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, key, val)
+    # the numbers that only the command line carries
+    if getattr(args, "blocks", 1) < 1:
+        raise ConfigError("--blocks must be at least 1")
+    if getattr(args, "t_steps", 1) < 1:
+        raise ConfigError("--t-steps must be at least 1")
+    for attr in ("point", "t_min", "t_max"):
+        if not math.isfinite(getattr(args, attr, 0.0)):
+            raise ConfigError("--%s must be finite" % attr.replace("_", "-"))
     return cfg.validate()
 
 

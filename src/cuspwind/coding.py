@@ -23,7 +23,6 @@ from .mobius import (
     MobiusMap,
     apply_boundary,
     apply_plane,
-    compose,
     hyperbolic_distance,
     power,
 )
@@ -72,13 +71,6 @@ class BlockWord:
 
 def block_element(pres: GroupPresentation, label: str, exp: int) -> MobiusMap:
     return power(pres.map_of(label), exp)
-
-
-def word_element(pres: GroupPresentation, word: BlockWord) -> MobiusMap:
-    out = MobiusMap.identity()
-    for label, exp in word.blocks:
-        out = compose(out, block_element(pres, label, exp))
-    return out
 
 
 def bowen_series_step(pres: GroupPresentation, x: float):
@@ -142,16 +134,6 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     for label in reversed(symbols):
         x = apply_boundary(pres.map_of(label), x)
     return x
-
-
-def displacement(pres: GroupPresentation, word: BlockWord) -> float:
-    """Hyperbolic displacement d(B_1...B_n(i), i) of the coded prefix."""
-    if len(word) == 0:
-        return 0.0
-    q = BASE_POINT
-    for label, exp in reversed(word.blocks):
-        q = apply_plane(block_element(pres, label, exp), q)
-    return hyperbolic_distance(q, BASE_POINT)
 
 
 @dataclass(frozen=True)
@@ -225,30 +207,6 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
     residual = hyperbolic_distance(prev, BASE_POINT)
     total = hyperbolic_distance(q[1], BASE_POINT)
     return ArcDecomposition(tuple(lengths), windings, residual, total)
-
-
-def mean_cusp_winding(pres: GroupPresentation, x: float, n: int) -> float:
-    """Finite-n mean cusp-winding ratio 2 sum log+ a_k / d(B_1...B_n(i), i)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    word = code_point(pres, x, n)
-    num = 2.0 * sum(log_plus(a) for a in word.windings(pres))
-    den = displacement(pres, word)
-    return num / den
-
-
-def return_time(pres: GroupPresentation, x: float) -> int:
-    """First-return time of x in D = {a_1 = 0} under the boundary map."""
-    word = code_point(pres, x, 2)
-    (l1, e1), (l2, e2) = word.blocks
-    if e1 != 1:
-        raise ValueError("point is not in D: first block has length %d" % e1)
-    return e2
-
-
-def in_domain_D(pres: GroupPresentation, x: float) -> bool:
-    word = code_point(pres, x, 1)
-    return word.blocks[0][1] == 1
 
 
 def random_block_word(pres: GroupPresentation, rng,

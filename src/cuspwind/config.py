@@ -55,6 +55,8 @@ class RunConfig:
     def validate(self):
         if not 1 <= self.cap <= MAX_CAP:
             raise ConfigError("cap must be between 1 and %d" % MAX_CAP)
+        if self.seed < 0:
+            raise ConfigError("seed must be at least 0")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("out_format must be \"csv\" or \"json\", got %r"
                               % (self.out_format,))

@@ -5,20 +5,6 @@ class CuspwindError(Exception):
     """Base class for all library errors."""
 
 
-# --- mobius ---------------------------------------------------------------
-
-class PoleAtPoint(CuspwindError):
-    """Derivative requested at the pole of the transformation."""
-
-
-class InfiniteArgument(CuspwindError):
-    """Finite-chart derivative requested at the point at infinity."""
-
-
-class DegenerateArc(CuspwindError):
-    """Arc above the horizontal line is empty (h >= r)."""
-
-
 # --- fuchsian -------------------------------------------------------------
 
 class GroupValidationError(CuspwindError):
@@ -39,10 +25,6 @@ class Elementary(GroupValidationError):
 
 class NotFree(GroupValidationError):
     """Interval disjointness or the Markov covering failed."""
-
-
-class NotParabolic(GroupValidationError):
-    """Horocircle requested for a non-parabolic generator."""
 
 
 # --- coding ---------------------------------------------------------------
@@ -81,7 +63,3 @@ class InvalidCurve(CuspwindError, ValueError):
 
 class NotConvex(CuspwindError):
     """Sampled function violates convexity above the noise floor."""
-
-
-class InsufficientGridReach(CuspwindError):
-    """Spectrum grid does not reach close enough to the endpoints."""

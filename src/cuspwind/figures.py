@@ -6,6 +6,8 @@ fixed-precision formatting and no timestamps or randomness enter.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 W, H = 960, 430
@@ -87,7 +89,7 @@ def emit_figure(curve=None, spec=None, delta_c: float = None,
              '<rect width="%d" height="%d" fill="white"/>' % (W, H)]
     if title:
         parts.append('<text x="%d" y="24" font-size="15" text-anchor="middle">'
-                     '%s</text>' % (W // 2, title))
+                     '%s</text>' % (W // 2, html.escape(title, quote=False)))
 
     # left panel: t(beta) over the main window
     if curve is not None and len(curve.betas):

@@ -23,7 +23,6 @@ from .errors import (
     GroupValidationError,
     NoParabolic,
     NotFree,
-    NotParabolic,
     NotUnitDeterminant,
 )
 from .mobius import (
@@ -121,7 +120,6 @@ class CircleInterval:
 class Generator:
     """One symmetric generator with its coding interval."""
 
-    label: str
     kind: str  # "parabolic" | "hyperbolic"
     map: MobiusMap
     interval: CircleInterval
@@ -149,13 +147,6 @@ class Horocircle:
 
     def ball(self) -> geometry.Horoball:
         return geometry.Horoball(self.base, self.size)
-
-
-def horocircle_of(gen: Generator) -> Horocircle:
-    if not gen.is_parabolic():
-        raise NotParabolic("horocircle_of needs a parabolic generator, got %r"
-                           % (gen.label,))
-    return _horocircle_from_map(gen.map)
 
 
 def _horocircle_from_map(gamma: MobiusMap) -> Horocircle:
@@ -310,8 +301,8 @@ def build_group(config: dict) -> GroupPresentation:
         fixed = tuple(m.fixed_points())
         iv = CircleInterval(*_as_endpoint_pair(entry["interval"]))
         iv_inv = CircleInterval(*_as_endpoint_pair(entry["interval_inverse"]))
-        gens[label] = Generator(label, kind, m, iv, fixed)
-        gens[inv_label] = Generator(inv_label, kind, m.inverse(), iv_inv,
+        gens[label] = Generator(kind, m, iv, fixed)
+        gens[inv_label] = Generator(kind, m.inverse(), iv_inv,
                                     tuple(reversed(fixed)))
         inverse_label[label] = inv_label
         inverse_label[inv_label] = label

@@ -353,73 +353,6 @@ def _radius(a: np.ndarray) -> float:
     return float(max(abs(np.linalg.eigvals(a))))
 
 
-def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
-    """log sum over admissible n-edge paths of the product of edge weights.
-
-    Direct oracle, usable for small n; no tail pseudo-edges.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    in_keys, out_keys = np.divmod(np.concatenate(
-        [block.letter_cells().ravel() for block in sys.blocks]), sys.n_keys)
-    lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel()
-                         for block in sys.blocks]) + sys.log_mult
-    scale = float(lw.max())
-    w = np.exp(lw - scale)
-    u = w.copy()
-    log_acc = scale
-    for _ in range(n - 1):
-        s = np.bincount(out_keys, weights=u, minlength=sys.n_keys)
-        u = w * s[in_keys]
-        norm = u.sum()
-        u /= norm
-        log_acc += math.log(norm) + scale
-    # after normalizations, add back the mass of the current vector
-    return log_acc + math.log(u.sum()) if n > 1 else scale + math.log(w.sum())
-
-
-def block_word_geometry(pres, n: int, cap: int):
-    """(displacement, sum log+ winding) over all admissible n-block words.
-
-    Direct enumeration with parabolic exponents <= cap; the independent
-    oracle behind the partition sums Z_n, free of any induced-letter or
-    transfer-operator machinery.
-    """
-    from .coding import log_plus
-    from .mobius import BASE_POINT, apply_plane, compose, hyperbolic_distance, power
-
-    dists, winds = [], []
-
-    def rec(prev, depth, mat, wsum):
-        if depth == n:
-            q = apply_plane(mat, BASE_POINT)
-            dists.append(hyperbolic_distance(q, BASE_POINT))
-            winds.append(wsum)
-            return
-        for label in pres.labels():
-            if prev is not None and not pres.block_admissible(prev, label):
-                continue
-            gen = pres.gen(label)
-            if gen.is_parabolic():
-                for exp in range(1, cap + 1):
-                    rec(label, depth + 1, compose(mat, power(gen.map, exp)),
-                        wsum + log_plus(exp - 1))
-            else:
-                rec(label, depth + 1, compose(mat, gen.map), wsum)
-
-    from .mobius import MobiusMap
-
-    rec(None, 0, MobiusMap.identity(), 0.0)
-    return np.array(dists), np.array(winds)
-
-
-def block_partition_sum(pres, t: float, beta: float, n: int, cap: int,
-                        geometry=None) -> float:
-    """Z_n = log sum over n-block words of exp(-t d - 2 beta sum log+ a)."""
-    d, w = geometry if geometry is not None else block_word_geometry(pres, n, cap)
-    return float(np.logaddexp.reduce(-t * d - 2.0 * beta * w))
-
-
 @dataclass(frozen=True)
 class FreeEnergyPoint:
     beta: float
@@ -580,8 +513,8 @@ def _brentq(f, xa, xb, xtol):
     raise RuntimeError("Brent's method did not converge in 100 steps")
 
 
-# Slope decreases up to this size are root-finder noise, not a convexity
-# violation.
+# Slope decreases of t(beta) up to this size are root-finder noise, not a
+# convexity violation (``spectrum`` applies the same floor to t and f).
 CONVEXITY_NOISE = 1e-6
 
 
@@ -667,10 +600,3 @@ def delta_c(pres) -> FreeEnergyPoint:
     restricted = fuchsian_system(pres, 2, restricted=True)
     return free_energy(restricted, 0.0)
 
-
-def left_asymptote_check(sys: GdmsSystem, beta: float, eps: float) -> bool:
-    """Lemma band 1/2 - beta < t(beta) < 1/2 - beta + eps/2 for beta << 0."""
-    if beta > -10.0:
-        raise ValueError("asymptotic band is asserted for beta <= -10 only")
-    pt = free_energy(sys, beta)
-    return 0.0 < pt.r < 0.5 * eps

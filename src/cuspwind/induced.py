@@ -19,8 +19,8 @@ continuation point x' = (second-to-last symbol applied to the midpoint of
 the last symbol's interval), measured in the Cayley circle chart.  The
 circle chart keeps the weight strictly negative even when the limit set
 contains oo (plane-chart translations have unit derivative, which would
-degenerate the pressure for lattice-type groups); Birkhoff sums of either
-version track -d(B_1...B_n(i), i) up to a bounded constant.
+degenerate the pressure for lattice-type groups); its Birkhoff sums track
+-d(B_1...B_n(i), i) up to a bounded constant.
 """
 
 from __future__ import annotations
@@ -34,20 +34,11 @@ from .coding import (
     BlockWord,
     bowen_series_step,
     code_point,
-    displacement,
-    log_plus,
     point_from_symbols,
     random_block_word,
 )
 from .fuchsian import TWO_PI, CircleInterval, GroupPresentation
-from .mobius import (
-    MobiusMap,
-    apply_boundary,
-    circle_derivative_magnitude,
-    compose,
-    derivative_magnitude,
-    parabolic_power,
-)
+from .mobius import apply_boundary
 
 
 @dataclass(frozen=True)
@@ -58,17 +49,6 @@ class InducedLetter:
         if len(self.symbols) < 3:
             raise ValueError("induced letters have at least three symbols")
 
-    def __len__(self):
-        return len(self.symbols)
-
-    @property
-    def head(self) -> tuple:
-        return self.symbols[:2]
-
-    @property
-    def tail(self) -> tuple:
-        return self.symbols[-2:]
-
     @property
     def core(self) -> str:
         return self.symbols[1]
@@ -76,107 +56,6 @@ class InducedLetter:
     @property
     def exponent(self) -> int:
         return len(self.symbols) - 2
-
-
-def incidence(e: InducedLetter, f: InducedLetter) -> bool:
-    return e.tail == f.head
-
-
-def psi(e: InducedLetter) -> float:
-    return -2.0 * log_plus(len(e) - 3)
-
-
-def alphabet(pres: GroupPresentation, n_max: int) -> list:
-    """The letters of every family, parabolic exponents up to n_max."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    return [InducedLetter((f.g1,) + (f.core,) * n + (f.g2,))
-            for f in letter_families(pres)
-            for n in range(1, (n_max if f.parabolic else 1) + 1)]
-
-
-def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
-    """Contracting inverse branch V_e = product of symbols[:-2]."""
-    syms = e.symbols[:-2]
-    g1 = pres.map_of(syms[0])
-    if len(syms) == 1:
-        return g1
-    core = pres.map_of(syms[1])
-    return compose(g1, parabolic_power(core, len(syms) - 1))
-
-
-def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> float:
-    """log |V_e'|_circle at the continuation point x' = u_{m-1}(midpoint
-    of J_{u_m})."""
-    x = apply_boundary(pres.map_of(e.symbols[-2]),
-                       pres.interval_of(e.symbols[-1]).point_at(0.5))
-    return math.log(circle_derivative_magnitude(branch_map(pres, e), x))
-
-
-@dataclass(frozen=True)
-class ShiftWord:
-    letters: tuple
-
-    def validate(self):
-        for e, f in zip(self.letters, self.letters[1:]):
-            if not incidence(e, f):
-                raise ValueError("letters %r -> %r not admissible"
-                                 % (e.symbols, f.symbols))
-
-    def symbols(self) -> list:
-        """Underlying reduced word (letters overlap in two symbols)."""
-        out = list(self.letters[0].symbols)
-        for f in self.letters[1:]:
-            out.extend(f.symbols[2:])
-        return out
-
-
-def shift_metric(w1: ShiftWord, w2: ShiftWord) -> float:
-    """d(omega, tau) = exp(-length of the longest common initial block)."""
-    k = 0
-    for e, f in zip(w1.letters, w2.letters):
-        if e != f:
-            break
-        k += 1
-    return math.exp(-k)
-
-
-def phi(pres: GroupPresentation, word: ShiftWord, depth: int) -> tuple:
-    """Plane-chart geometric potential of the first letter with error radius.
-
-    Evaluates -log |W'| of the expanding partial word W = (symbols[:-2] of
-    the first letter)^{-1} at the canonical point of the depth-cylinder,
-    i.e. log |V'| of the contracting branch at the continuation point; the
-    distortion radius is the spread over the deepest interval and shrinks
-    geometrically in depth.  Pure-translation branches give exactly zero
-    (this chart-dependent degeneracy is why the transfer operator uses the
-    circle chart instead; see zeta_letter).
-    """
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    word.validate()
-    depth = min(depth, len(word.letters))
-    v = branch_map(pres, word.letters[0])
-    vinv = v.inverse()
-    vals = []
-    for frac in (0.02, 0.5, 0.98):
-        # canonical point of the depth-cylinder: push a reference point
-        # through the inverse branches of the symbol word (all but the
-        # last symbol; letters overlap in two symbols)
-        x = pres.interval_of(word.letters[depth - 1].symbols[-1]).point_at(frac)
-        for k in range(depth - 1, -1, -1):
-            syms = word.letters[k].symbols
-            if k > 0:
-                syms = syms[2:]
-            if k == depth - 1:
-                syms = syms[:-1]
-            for s in reversed(syms):
-                x = apply_boundary(pres.map_of(s), x)
-        # evaluate the contraction derivative at the continuation point
-        vals.append(math.log(derivative_magnitude(v, apply_boundary(vinv, x))))
-    mid = vals[1]
-    radius = max(vals) - min(vals)
-    return mid, radius
 
 
 def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
@@ -297,36 +176,6 @@ def primitivity_witness(pres: GroupPresentation):
     if worst > 6:
         return None, len(pairs)
     return worst, len(pairs)
-
-
-def eq4_constant(pres: GroupPresentation, samples: int = 60,
-                 letters_each: int = 8, seed: int = 23) -> float:
-    """Empirical bound D for |d(B_1...B_n(i), i) + S_n zeta| on samples.
-
-    Birkhoff sums of the letter weight track minus the block displacement;
-    the constant feeds only into test tolerances and is reported, not
-    derived.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        while True:
-            w = random_block_word(pres, rng, letters_each + 8)
-            if w.blocks[0][1] == 1:
-                break
-        letters = letters_of_blocks(pres, w)[:letters_each]
-        x = point_from_symbols(pres, w.symbols())
-        s = 0.0
-        y = x
-        for e in letters:
-            y_next = induced_step(pres, y)
-            v = branch_map(pres, e)
-            s += math.log(circle_derivative_magnitude(v, y_next))
-            y = y_next
-        n_blocks = len(letters)
-        d = displacement(pres, BlockWord(w.blocks[:n_blocks]))
-        worst = max(worst, abs(d + s))
-    return worst
 
 
 # --- vectorized letter families for the transfer operator ------------------

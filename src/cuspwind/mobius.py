@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateArc, InfiniteArgument, PoleAtPoint
-
 ALG_TOL = 1e-12
 
 INF = math.inf
@@ -224,54 +222,11 @@ def apply_plane(m: MobiusMap, z: PlanePoint) -> PlanePoint:
     return PlanePoint((ax * cx + ay * cy) / den, z.y / den)
 
 
-def derivative_magnitude(m: MobiusMap, x: float) -> float:
-    """|m'(x)| = 1/(cx+d)^2 in the real chart.
-
-    Raises InfiniteArgument at x = oo and PoleAtPoint where cx+d = 0;
-    use :func:`circle_derivative_magnitude` for a chart with no special
-    points.
-    """
-    if is_infinity(x):
-        raise InfiniteArgument("derivative_magnitude at the point at infinity")
-    den = m.c * x + m.d
-    if den == 0.0:
-        raise PoleAtPoint("derivative_magnitude at the pole x=%r" % (x,))
-    return 1.0 / (den * den)
-
-
-def circle_derivative_magnitude(m: MobiusMap, x: float) -> float:
-    """Derivative of the boundary action in the Cayley circle chart.
-
-    Equals |m'(x)| * (1+x^2) / (1+m(x)^2) continued projectively; the
-    closed form (1+x^2) / ((ax+b)^2 + (cx+d)^2) is finite and positive for
-    every boundary point including oo, which is what makes the induced
-    potentials usable for groups whose limit set contains oo.
-    """
-    if is_infinity(x):
-        return 1.0 / (m.a * m.a + m.c * m.c)
-    num = m.a * x + m.b
-    den = m.c * x + m.d
-    return (1.0 + x * x) / (num * num + den * den)
-
-
 def hyperbolic_distance(z: PlanePoint, w: PlanePoint) -> float:
     dx = z.x - w.x
     dy = z.y - w.y
     u = (dx * dx + dy * dy) / (2.0 * z.y * w.y)
     return math.acosh(1.0 + u) if u > 0.0 else 0.0
-
-
-def arc_length_above_height(r: float, h: float) -> float:
-    """Length of the geodesic arc of radius r above the line Im = h.
-
-    Closed form log((1 + a/r)/(1 - a/r)) with a = sqrt(r^2 - h^2); this is
-    the excursion length entering the winding estimates.
-    """
-    if not (0.0 < h < r):
-        raise DegenerateArc("need 0 < h < r, got r=%r h=%r" % (r, h))
-    q = h / r
-    aq = math.sqrt(1.0 - q * q)  # a/r
-    return math.log1p(aq) - math.log1p(-aq)
 
 
 def geodesic_distance_between(u1: float, v1: float, u2: float, v2: float) -> float:

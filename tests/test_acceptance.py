@@ -23,7 +23,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from cuspwind import gdms
@@ -31,21 +30,25 @@ from cuspwind import spectrum as sp
 from cuspwind.coding import (
     BlockWord,
     arc_decomposition,
-    displacement,
     log_plus,
-    mean_cusp_winding,
     poincare_divergence_probe,
     random_block_word,
 )
 from cuspwind.fuchsian import build_group
 from cuspwind.induced import (
     conjugacy_check,
-    eq4_constant,
     fuchsian_system,
     letter_series_sweep,
 )
-from cuspwind.mobius import arc_length_above_height
 from cuspwind.presets import preset_config
+from oracles import (
+    arc_length_above_height,
+    block_partition_sum,
+    block_word_geometry,
+    endpoint_slopes,
+    eq4_constant,
+    legendre,
+)
 
 TOP_CAP = 400
 _cache = {}
@@ -163,7 +166,7 @@ def test_criterion_4_pressure_oracle_equivalence():
         c0 = pres.constant_c0(64).value
         dhat = eq4_constant(pres, samples=60, letters_each=8, seed=23)
         sysm = fuchsian_system(pres, 3, restricted=True)
-        geos = {n: gdms.block_word_geometry(pres, n, 3) for n in (2, 3, 4, 5)}
+        geos = {n: block_word_geometry(pres, n, 3) for n in (2, 3, 4, 5)}
         rng = np.random.default_rng(42)
         pairs = 0
         worst = -math.inf
@@ -175,7 +178,7 @@ def test_criterion_4_pressure_oracle_equivalence():
             pairs += 1
             p = gdms.pressure(sysm, t, beta)
             for n in (2, 3, 4, 5):
-                zn = gdms.block_partition_sum(pres, t, beta, n, 3, geos[n]) / n
+                zn = block_partition_sum(pres, t, beta, n, 3, geos[n]) / n
                 slack = (2 * abs(t) * c0 + dhat) / n - abs(p - zn)
                 worst = max(worst, -slack)
                 ok &= slack >= -1e-9
@@ -241,7 +244,7 @@ def test_criterion_7_spectrum_shape():
         ok &= abs(float(specc.f.max()) - t0) <= 1e-3
         ok &= abs(specc.f1 - 0.5) <= 0.05
         ok &= abs(specc.f0 - dc) <= 0.05
-        es = sp.endpoint_slopes(specc)
+        es = endpoint_slopes(specc)
         ok &= abs(es.left_parametric) > 1e3 and abs(es.right_parametric) > 1e3
         ok &= es.diverging == (True, True)
         msg = "%s: max f = %.4f, f0-dc gap %.1e, f1-1/2 gap %.1e" % (
@@ -265,21 +268,21 @@ def test_criterion_8_legendre_machinery():
     c = np.linspace(-5, 5, 201)
     h2 = (c[1] - c[0]) ** 2
     ps = np.linspace(-4, 4, 33)
-    vals, att = sp.legendre(c, c ** 2 / 2.0, ps)
+    vals, att = legendre(c, c ** 2 / 2.0, ps)
     ok &= bool(np.abs(vals - ps ** 2 / 2.0).max() <= h2) and bool(att.all())
     a, b = 1.2, -0.7
-    affine, att2 = sp.legendre(c, a + b * c, np.array([b]))
+    affine, att2 = legendre(c, a + b * c, np.array([b]))
     ok &= abs(affine[0] + a) <= 1e-10 and not att2[0]
     # double transform recovers cosh where the dual slopes cover:
     # asinh(4) > 1, so restrict to |c| <= 1
     inner = c[80:-80]
-    back, _ = sp.legendre(ps, sp.legendre(c, np.cosh(c), ps)[0], inner)
+    back, _ = legendre(ps, legendre(c, np.cosh(c), ps)[0], inner)
     ok &= bool(np.abs(back - np.cosh(inner)).max() <= 25.0 * h2)
     agree = []
     for name in groups():
         _, curve, specc, _ = curve_and_spectrum(name)
         mask = (specc.alphas > 0.05) & (specc.alphas < 0.95)
-        direct, _ = sp.legendre(curve.betas, curve.t, -specc.alphas[mask])
+        direct, _ = legendre(curve.betas, curve.t, -specc.alphas[mask])
         err = float(np.abs((-direct) - specc.f[mask]).max())
         grid_tol = float(np.diff(curve.betas).min()) ** 2
         ok &= err <= 2.0 * max(grid_tol, 1e-4)

@@ -1,7 +1,7 @@
 import json
 import math
-import os
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -160,6 +160,31 @@ def test_cli_cap_beyond_the_bound_exit_2(cap, monkeypatch, tmp_path, capsys):
         assert str(MAX_CAP) in obj["message"]
     assert parse_config_text(
         GAMMA2_TEXT.replace("cap = 50", "cap = %d" % MAX_CAP)).cap == MAX_CAP
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--preset", "gamma2-type", "--seed", "-1"],
+    ["validate", "--config", "seed = -5"],
+    ["code", "--preset", "gamma2-type", "--point", "2.5", "--blocks", "-2"],
+    ["code", "--preset", "gamma2-type", "--point", "2.5", "--blocks", "0"],
+    ["code", "--preset", "gamma2-type", "--point", "nan"],
+    ["code", "--preset", "gamma2-type", "--point", "inf"],
+    ["pressure", "--preset", "gamma2-type", "--t-steps", "0"],
+    ["pressure", "--preset", "gamma2-type", "--t-min", "nan"],
+], ids=lambda argv: " ".join(argv[3:]) or argv[2])
+def test_cli_malformed_numbers_exit_2(argv, monkeypatch, tmp_path, capsys):
+    # rejected as configuration errors before any group is built
+    def build(*args, **kwargs):
+        raise AssertionError("group built")
+
+    monkeypatch.setattr(cli, "build_group", build)
+    if argv[1] == "--config":
+        path = tmp_path / "c.cw"
+        path.write_text(re.sub(r"^seed = .*$", argv[2], GAMMA2_TEXT,
+                               count=1, flags=re.M))
+        argv = argv[:2] + [str(path)]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_cli_bad_determinant_exit_1(tmp_path, capsys):
@@ -418,6 +443,13 @@ def test_svg_deterministic(onecusp):
 def test_svg_empty_inputs_valid():
     svg = emit_figure(None, None, None)
     assert svg.startswith("<?xml") and svg.rstrip().endswith("</svg>")
+
+
+def test_svg_title_is_escaped():
+    # the title is the config's free-text name
+    svg = emit_figure(None, None, None, title="a<b & c")
+    root = ElementTree.fromstring(svg.encode("utf-8"))
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "a<b & c"
 
 
 def test_validate_command_both_presets(capsys):

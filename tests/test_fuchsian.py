@@ -9,14 +9,12 @@ from cuspwind.errors import (
     GroupValidationError,
     NoParabolic,
     NotFree,
-    NotParabolic,
     NotUnitDeterminant,
 )
 from cuspwind.fuchsian import (
     CircleInterval,
     build_group,
     conjugate_config,
-    horocircle_of,
 )
 from cuspwind.mobius import (
     INF,
@@ -146,7 +144,7 @@ def test_horocircle_translation_one_has_height_half():
         }],
     }
     # no full validation needed: exercise the constructor directly
-    from cuspwind.fuchsian import Generator, _horocircle_from_map
+    from cuspwind.fuchsian import _horocircle_from_map
 
     h = _horocircle_from_map(m)
     assert math.isinf(h.base)
@@ -258,8 +256,8 @@ def test_conjugation_helper_preserves_validation():
 
 
 def test_horocircle_of_requires_parabolic(onecusp):
-    with pytest.raises(NotParabolic):
-        horocircle_of(onecusp.gen("h"))
-    h = horocircle_of(onecusp.gen("a"))
+    # only the parabolic generators get a horocircle
+    assert sorted(onecusp.horocircles) == ["A", "a"]
+    h = onecusp.horocircles["a"]
     assert h.base == pytest.approx(0.0)
     assert h.size == pytest.approx(1.0)

@@ -1,17 +1,22 @@
-"""Source hygiene: every name a module imports is used in that module,
-every top-level function or class of the package is named somewhere in
-the package or the tests outside its own definition, every method is
-named as an attribute there outside its own body, every upper-case
-module-level constant is loaded there, every dataclass field is read
-there as an attribute, and importing the command line loads no scipy.
+"""Source hygiene: every name a module of the package or of the tests
+imports is used in that module, every top-level function or class of the
+package is reached from the command line, every method is named as an
+attribute in the package or the tests outside its own body, every
+upper-case module-level constant is loaded there, every dataclass field
+is read there as an attribute, and importing the command line loads no
+scipy.
 
 No linter ships with the test dependencies, so this walks the syntax tree
-of each module in the package.  ``__init__.py`` is skipped (its imports
-are re-exports, and it defines nothing) and so are ``__future__`` imports.
-The constant and field detectors match by name, not by type: a field is
-taken as read when any object's attribute of that name is read, so a
-write-only field that shares its name with a read attribute of another
-class (``cap``, ``name`` or ``label``, say) goes unseen.
+of each module.  ``__init__.py`` is skipped (its imports are re-exports,
+and it defines nothing) and so are ``__future__`` imports.  The walk for
+dead definitions starts at ``cli.main``, at the top-level statements of
+each module and at the names in ``PUBLIC``; neither ``__init__.py`` nor
+a test keeps a definition alive, so the reference implementations the
+tests compare against live in ``tests/oracles.py``.  The constant and
+field detectors match by name, not by type: a field is taken as read
+when any object's attribute of that name is read, so a write-only field
+that shares its name with a read attribute of another class (``cap``,
+``name`` or ``label``, say) goes unseen.
 """
 
 import ast
@@ -47,57 +52,139 @@ def test_detector_flags_unused_and_keeps_used():
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    found = ["%s:%d %s" % (p.name, line, name) for p in modules
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    files += sorted(TESTS.glob("*.py"))
+    found = ["%s:%d %s" % (p.name, line, name) for p in files
              for line, name in unused_imports(p.read_text(encoding="utf-8"))]
     assert not found, "unused imports: " + ", ".join(found)
 
 
-def _names(node) -> set:
-    """Every identifier a syntax tree refers to: names, attributes and
-    imported names."""
-    out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+def _bound(fn) -> set:
+    """The parameters and locals of a function or lambda: every name its
+    body stores or defines, nested functions included."""
+    args = fn.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+           + [args.vararg, args.kwarg] if a is not None}
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
+        elif sub is not fn and isinstance(sub, (ast.FunctionDef,
+                                                ast.ClassDef)):
             out.add(sub.name)
     return out
 
 
-def dead_definitions(modules: dict, others: list) -> list:
+def _references(node, local=frozenset()) -> set:
+    """Each name ``node`` loads that is no parameter or local of an
+    enclosing function, and ``name.attr`` for each attribute of one."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        local = local | _bound(node)
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
+                and child.id not in local:
+            out.add(child.id)
+        elif isinstance(child, ast.Attribute) \
+                and isinstance(child.value, ast.Name) \
+                and child.value.id not in local:
+            out.add(child.value.id + "." + child.attr)
+        out |= _references(child, local)
+    return out
+
+
+def dead_definitions(modules: dict, roots: list) -> list:
     """(module, line, name) of each top-level def or class in ``modules``
-    (file name -> source) that no top-level statement of ``modules`` or
-    ``others`` (sources) names, its own definition excepted."""
-    stmts = [(mod, node) for mod, source in modules.items()
-             for node in ast.parse(source).body]
-    stmts += [(None, node) for source in others
-              for node in ast.parse(source).body]
-    names = [_names(node) for _, node in stmts]
-    return sorted(
-        (mod, node.lineno, node.name) for k, (mod, node) in enumerate(stmts)
-        if mod is not None
-        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not any(node.name in n for j, n in enumerate(names) if j != k))
+    (file name -> source) that no walk from ``roots`` (``module.name``)
+    or from the top-level statements of a module reaches.
+
+    A reached definition reaches what its body refers to (``_references``):
+    a name defined at the top of its module or bound there by a
+    ``from .x import``, and ``alias.attr`` for a module bound by
+    ``from . import``.  ``__init__.py`` is left out of the walk, so its
+    re-exports keep nothing alive.
+    """
+    trees = {mod: ast.parse(source) for mod, source in modules.items()
+             if mod != "__init__.py"}
+    defs, imports = {}, {}
+    for mod, tree in trees.items():
+        defs[mod] = {node.name: node for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        # bound name -> (module, name), with name None for a module alias
+        imports[mod] = {
+            alias.asname or alias.name:
+                (node.module + ".py", alias.name) if node.module
+                else (alias.name + ".py", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+    reached, todo = set(), []
+
+    def reach(mod, ref):
+        head, _, attr = ref.partition(".")
+        if head in imports.get(mod, {}):
+            mod, name = imports[mod][head]
+            if name is None:
+                if attr:
+                    reach(mod, attr)
+            else:
+                reach(mod, name)
+        elif head in defs.get(mod, {}) and (mod, head) not in reached:
+            reached.add((mod, head))
+            todo.append((mod, defs[mod][head]))
+
+    for root in roots:
+        mod, _, name = root.partition(".")
+        reach(mod + ".py", name)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if node not in defs[mod].values():
+                for ref in _references(node):
+                    reach(mod, ref)
+    while todo:
+        mod, node = todo.pop()
+        for ref in _references(node):
+            reach(mod, ref)
+    return sorted((mod, node.lineno, name) for mod in defs
+                  for name, node in defs[mod].items()
+                  if (mod, name) not in reached)
 
 
 def test_dead_definition_detector():
-    module = ("def used():\n    pass\n\n\ndef dead():\n    return dead()\n"
-              "\n\nclass Kept:\n    pass\n\n\nCONST = used\n")
-    assert dead_definitions({"m.py": module}, ["from m import Kept\n"]) \
-        == [("m.py", 5, "dead")]
+    module = ("from . import other\n"
+              "from .other import by_import as renamed\n\n\n"
+              "def main():\n"
+              "    shadowed = 1\n"
+              "    return renamed(shadowed) + other.by_alias()\n\n\n"
+              "def shadowed():\n    return 0\n\n\n"
+              "def reexported():\n    return reexported()\n\n\n"
+              "def at_import():\n    return 2\n\n\n"
+              "CONST = at_import()\n")
+    other = ("def by_import(x):\n    return x\n\n\n"
+             "def by_alias():\n    return 3\n\n\n"
+             "def public():\n    return 4\n\n\n"
+             "def only_a_test_calls():\n    return 5\n")
+    modules = {"m.py": module, "other.py": other,
+               "__init__.py": "from .m import reexported\n"}
+    # a def that only a same-named local of main names, and one that only
+    # an __init__ re-export (and its own body) names, are dead
+    assert dead_definitions(modules, ["m.main", "other.public"]) == [
+        ("m.py", 10, "shadowed"), ("m.py", 14, "reexported"),
+        ("other.py", 13, "only_a_test_calls")]
+
+
+# Definitions no command reaches that stay for callers outside the
+# package, each with the reason.
+PUBLIC = {
+    "fuchsian.conjugate_config": "perfbench/run.py imports it",
+}
 
 
 def test_no_dead_definitions():
     modules = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
-    others = [p.read_text(encoding="utf-8")
-              for p in [PACKAGE / "__init__.py"] + sorted(TESTS.glob("*.py"))]
-    found = ["%s:%d %s" % d for d in dead_definitions(modules, others)]
-    assert not found, "defined but never named: " + ", ".join(found)
+               for p in sorted(PACKAGE.glob("*.py"))}
+    found = ["%s:%d %s" % d
+             for d in dead_definitions(modules, ["cli.main"] + list(PUBLIC))]
+    assert not found, "reached from no command: " + ", ".join(found)
 
 
 def dead_methods(modules: dict, others: list) -> list:

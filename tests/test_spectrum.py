@@ -5,9 +5,10 @@ import pytest
 
 from cuspwind import gdms
 from cuspwind import spectrum as sp
-from cuspwind.errors import InsufficientGridReach, NotConvex
+from cuspwind.errors import NotConvex
 from cuspwind.gdms import FreeEnergyCurve
 from cuspwind.induced import fuchsian_system
+from oracles import InsufficientGridReach, endpoint_slopes, legendre
 
 
 def synthetic_curve(betas, fn):
@@ -30,7 +31,7 @@ def onecusp_curve(onecusp):
 
 def test_legendre_quadratic_self_dual():
     c = np.linspace(-5, 5, 101)
-    vals, att = sp.legendre(c, c ** 2 / 2.0, np.linspace(-4, 4, 17))
+    vals, att = legendre(c, c ** 2 / 2.0, np.linspace(-4, 4, 17))
     ps = np.linspace(-4, 4, 17)
     assert np.abs(vals - ps ** 2 / 2.0).max() <= (c[1] - c[0]) ** 2
     assert att.all()
@@ -39,7 +40,7 @@ def test_legendre_quadratic_self_dual():
 def test_legendre_affine():
     c = np.linspace(-2, 2, 41)
     a, b = 0.7, -1.3
-    vals, att = sp.legendre(c, a + b * c, np.array([b, b + 0.5]))
+    vals, att = legendre(c, a + b * c, np.array([b, b + 0.5]))
     assert vals[0] == pytest.approx(-a, abs=1e-12)
     assert att[0] == False  # sup of an affine function sits on the boundary
     assert not att[1]
@@ -49,15 +50,15 @@ def test_legendre_involution():
     c = np.linspace(-3, 3, 121)
     g = np.cosh(c)  # strictly convex
     ps = np.linspace(-8, 8, 161)
-    ghat, _ = sp.legendre(c, g, ps)
-    back, att = sp.legendre(ps, ghat, c[30:-30])
+    ghat, _ = legendre(c, g, ps)
+    back, att = legendre(ps, ghat, c[30:-30])
     assert np.abs(back - g[30:-30]).max() <= 5e-3
 
 
 def test_legendre_rejects_nonconvex():
     c = np.linspace(-1, 1, 21)
     with pytest.raises(NotConvex):
-        sp.legendre(c, -c ** 2, [0.0])
+        legendre(c, -c ** 2, [0.0])
 
 
 # --- spectrum on synthetic curves -------------------------------------------
@@ -65,13 +66,12 @@ def test_legendre_rejects_nonconvex():
 def test_synthetic_sqrt_curve_slopes_finite():
     betas = np.linspace(-5, 5, 81)
     curve = synthetic_curve(betas, lambda b: math.sqrt(1.0 + b * b))
-    alphas = sp.alpha_values(curve)
+    spec = sp.spectrum(curve)
     # -t' = -b/sqrt(1+b^2), monotone decreasing, range inside (-1, 1)
-    lo, hi = sp.alpha_range(curve)
+    lo, hi = spec.alphas[0], spec.alphas[-1]
     assert lo == pytest.approx(-5.0 / math.sqrt(26.0), abs=1e-3)
     assert hi == pytest.approx(5.0 / math.sqrt(26.0), abs=1e-3)
-    spec = sp.spectrum(curve)
-    es = sp.endpoint_slopes(spec, lo=lo, hi=hi)
+    es = endpoint_slopes(spec, lo=lo, hi=hi)
     assert abs(es.left_parametric) <= 5.0
     assert abs(es.right_parametric) <= 5.0
     assert es.diverging == (False, False)
@@ -81,7 +81,8 @@ def test_synthetic_degenerate_alpha_range():
     # psi proportional to zeta makes t affine: alpha is constant
     betas = np.linspace(-4, 4, 33)
     curve = synthetic_curve(betas, lambda b: 1.0 - 0.5 * b)
-    lo, hi = sp.alpha_range(curve)
+    alphas = sp.spectrum(curve).alphas
+    lo, hi = alphas[0], alphas[-1]
     assert hi - lo <= 1e-10
     assert lo == pytest.approx(0.5)
 
@@ -91,7 +92,7 @@ def test_endpoint_reach_guard():
     curve = synthetic_curve(betas, lambda b: math.sqrt(1.0 + b * b))
     spec = sp.spectrum(curve)
     with pytest.raises(InsufficientGridReach):
-        sp.endpoint_slopes(spec)  # nowhere near [0, 1]
+        endpoint_slopes(spec)  # nowhere near [0, 1]
 
 
 # --- spectrum on a real curve -------------------------------------------------
@@ -108,7 +109,8 @@ def test_spectrum_max_at_t0(onecusp_curve):
 
 
 def test_spectrum_alpha_range_brackets(onecusp_curve):
-    lo, hi = sp.alpha_range(onecusp_curve)
+    alphas = sp.spectrum(onecusp_curve).alphas
+    lo, hi = alphas[0], alphas[-1]
     assert -0.02 <= lo <= 0.02
     assert 0.98 <= hi <= 1.02
 
@@ -123,7 +125,7 @@ def test_spectrum_endpoints(onecusp, onecusp_curve):
 
 def test_spectrum_slope_divergence_flags(onecusp_curve):
     spec = sp.spectrum(onecusp_curve)
-    es = sp.endpoint_slopes(spec)
+    es = endpoint_slopes(spec)
     assert abs(es.left_parametric) > 1e3
     assert abs(es.right_parametric) > 1e3
     assert es.diverging == (True, True)
@@ -135,7 +137,7 @@ def test_spectrum_slope_divergence_flags(onecusp_curve):
 def test_parametric_matches_direct_transform(onecusp_curve):
     spec = sp.spectrum(onecusp_curve)
     mask = (spec.alphas > 0.05) & (spec.alphas < 0.95)
-    vals, att = sp.legendre(onecusp_curve.betas, onecusp_curve.t,
+    vals, att = legendre(onecusp_curve.betas, onecusp_curve.t,
                             -spec.alphas[mask])
     grid_tol = float(np.diff(onecusp_curve.betas).min()) ** 2
     assert np.all(att)

@@ -177,10 +177,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     checks = []
     checks.append(("build+markov+horoballs", True, "validated by construction"))
 
-    c0 = pres.constant_c0(64).value
+    c0 = pres.constant_c0(64)
     upper_const = math.log(4.0) + c0
     violations = 0
-    worst = math.inf
     for _ in range(100):
         w = random_block_word(pres, rng, int(rng.integers(3, 12)))
         dec = arc_decomposition(pres, w)
@@ -194,7 +193,6 @@ def cmd_validate(cfg: RunConfig) -> int:
                 violations += 1
             if l > 2.0 * math.log(a + 1) + upper_const + 1e-9:
                 violations += 1
-            worst = min(worst, 2.0 * math.log(a + 1) + upper_const - l)
     checks.append(("arc sandwich and winding bounds", violations == 0,
                    "%d violations over 100 words" % violations))
 
@@ -246,9 +244,10 @@ def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
 
 
 def _curve(cfg: RunConfig):
+    betas = cfg.betas()
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
-    curve = gdms.free_energy_curve(sysm, cfg.betas())
+    curve = gdms.free_energy_curve(sysm, betas)
     curve.validate()
     return pres, sysm, curve
 

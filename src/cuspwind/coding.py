@@ -140,14 +140,13 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
 class ArcDecomposition:
     """Per-block arc lengths of the geodesic [i, B_1...B_n(i)].
 
-    lengths[k] is l(xi_{k+1}); residual is the final arc l(xi_{n+1}) whose
-    bound is the constant C0 of the presentation; total is the full
-    displacement, equal to sum(lengths) + residual up to roundoff.
+    lengths[k] is l(xi_{k+1}); total is the full displacement, which
+    exceeds sum(lengths) by the final arc l(xi_{n+1}), bounded by the
+    constant C0 of the presentation.
     """
 
     lengths: tuple
     windings: tuple
-    residual: float
     total: float
 
 
@@ -156,7 +155,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
     n = len(word)
     windings = word.windings(pres)
     if n == 0:
-        return ArcDecomposition((), (), 0.0, 0.0)
+        return ArcDecomposition((), (), 0.0)
 
     elements = [block_element(pres, label, exp) for label, exp in word.blocks]
     # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
@@ -186,7 +185,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
                     block_index=k)
             pt = pts[0]
         else:
-            ball = pres.horocircles[label].ball()
+            ball = pres.horocircles[label]
             pts = intersect_geodesic_horocircle(geo, ball)
             pts = [p for p in pts
                    if t_prev - PARAM_TOL <= sgn * geo.param(p) <= t_end + PARAM_TOL]
@@ -204,9 +203,8 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         start = apply_plane(binv, start)
         prev = apply_plane(binv, pt)
 
-    residual = hyperbolic_distance(prev, BASE_POINT)
     total = hyperbolic_distance(q[1], BASE_POINT)
-    return ArcDecomposition(tuple(lengths), windings, residual, total)
+    return ArcDecomposition(tuple(lengths), windings, total)
 
 
 def random_block_word(pres: GroupPresentation, rng,

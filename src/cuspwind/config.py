@@ -43,8 +43,6 @@ class RunConfig:
                 and math.isfinite(self.beta_max - self.beta_min)):
             raise ConfigError("need finite beta_min < beta_max and "
                               "beta_steps >= 2")
-        if not all(map(math.isfinite, self.beta_extensions)):
-            raise ConfigError("beta_extensions must be finite")
         step = (self.beta_max - self.beta_min) / (self.beta_steps - 1)
         main = [self.beta_min + k * step for k in range(self.beta_steps)]
         ext = []
@@ -57,6 +55,12 @@ class RunConfig:
             raise ConfigError("cap must be between 1 and %d" % MAX_CAP)
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
+        if not all(map(math.isfinite, (self.beta_min, self.beta_max)
+                       + tuple(self.beta_extensions))):
+            raise ConfigError("beta_min, beta_max and beta_extensions must "
+                              "be finite")
+        if self.beta_steps < 1:
+            raise ConfigError("beta_steps must be at least 1")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("out_format must be \"csv\" or \"json\", got %r"
                               % (self.out_format,))

@@ -76,11 +76,6 @@ class CircleInterval:
     def contains(self, x: float) -> bool:
         return 0.0 < self.offset(x) < self.arc
 
-    def contains_interval(self, other: "CircleInterval", tol: float = 1e-9) -> bool:
-        lo_off = self.offset(other.lo)
-        hi_off = lo_off + other.arc
-        return lo_off >= -tol and hi_off <= self.arc + tol
-
     def disjoint_from(self, other: "CircleInterval") -> bool:
         """Disjoint interiors; shared endpoints (to 1e-12 in angle) are
         allowed."""
@@ -129,50 +124,18 @@ class Generator:
         return self.kind == "parabolic"
 
 
-@dataclass(frozen=True)
-class Horocircle:
-    """Horocircle of euclidean height 1/2 in the normalized chart.
+def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
+    """The horoball of the parabolic gamma whose horocircle has euclidean
+    height 1/2 in the chart where gamma is z -> z +- 1.
 
-    ``conjugator`` D satisfies D(base) = oo and D g^orientation D^{-1} =
-    z+1, where g is the attached parabolic; orientation is -1 exactly when
-    g itself lies in the z-1 conjugacy class of PSL(2,R).  ``size`` is the
-    euclidean diameter for a finite base and the height of the horizontal
-    line when the base is oo.
+    gamma fixes oo and translates by b, or it is +-(I + c X) with
+    X = [[p, -p^2], [1, -p]] for its fixed point p, and N = -1/(z - p)
+    conjugates it to z - c; both forms hold for either sign of the matrix.
     """
-
-    base: float
-    size: float
-    conjugator: MobiusMap
-    orientation: int
-
-    def ball(self) -> geometry.Horoball:
-        return geometry.Horoball(self.base, self.size)
-
-
-def _horocircle_from_map(gamma: MobiusMap) -> Horocircle:
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    if a + d < 0.0:
-        a, b, c, d = -a, -b, -c, -d
-    if abs(c) < 1e-13:
-        # fixes oo, translation by b
-        tau = b
-        orientation = 1 if tau > 0 else -1
-        t = abs(tau)
-        delta = MobiusMap.from_entries(1.0, 0.0, 0.0, t)  # z -> z/t
-        return Horocircle(INF, t / 2.0, delta, orientation)
-    p = (a - d) / (2.0 * c)
-    # N = -1/(z-p) carries p to oo; N gamma N^{-1} is z + tau'
-    n = MobiusMap.from_entries(0.0, -1.0, 1.0, -p)
-    w = compose(compose(n, gamma), n.inverse())
-    wa, wb = w.a, w.b
-    if wa < 0.0:
-        wa, wb = -wa, -wb
-    tau = wb / wa  # translation length in the N chart
-    orientation = 1 if tau > 0 else -1
-    m = abs(tau)
-    scale = MobiusMap.from_entries(1.0, 0.0, 0.0, m)
-    delta = compose(scale, n)
-    return Horocircle(p, 2.0 / m, delta, orientation)
+    if abs(gamma.c) < 1e-13:
+        return geometry.Horoball(INF, abs(gamma.b) / 2.0)
+    return geometry.Horoball((gamma.a - gamma.d) / (2.0 * gamma.c),
+                             2.0 / abs(gamma.c))
 
 
 @dataclass
@@ -182,7 +145,7 @@ class GroupPresentation:
     name: str
     gens: dict
     inverse_label: dict
-    horocircles: dict  # parabolic label (both of a +/- pair) -> Horocircle
+    horocircles: dict  # parabolic label (both of a +/- pair) -> Horoball
     accidental_horocircles: list
     c1: float = field(default=0.0)
     _c0_cache: dict = field(default_factory=dict)
@@ -197,20 +160,6 @@ class GroupPresentation:
 
     def inv(self, label: str) -> str:
         return self.inverse_label[label]
-
-    def parabolic_labels(self) -> list:
-        return [l for l, g in self.gens.items() if g.is_parabolic()]
-
-    def hyperbolic_labels(self) -> list:
-        return [l for l, g in self.gens.items() if not g.is_parabolic()]
-
-    @property
-    def n_cusps(self) -> int:
-        return len(self.parabolic_labels()) // 2
-
-    @property
-    def n_hyperbolic_pairs(self) -> int:
-        return len(self.hyperbolic_labels()) // 2
 
     def block_admissible(self, prev: str, nxt: str) -> bool:
         """Consecutive block letters: reduced, and parabolic runs merge."""
@@ -235,29 +184,19 @@ class GroupPresentation:
     def all_horoballs(self) -> list:
         """One horoball per cusp, marked cusps first, then accidental ones."""
         balls = {}
-        for h in self.horocircles.values():
-            balls.setdefault(round(boundary_angle(h.base), 9), h.ball())
-        for h in self.accidental_horocircles:
-            balls.setdefault(round(boundary_angle(h.base), 9), h.ball())
+        for h in list(self.horocircles.values()) + self.accidental_horocircles:
+            balls.setdefault(round(boundary_angle(h.base), 9), h)
         return list(balls.values())
 
     # --- constants -----------------------------------------------------
 
     def constant_c2(self) -> float:
-        return max(math.log(4.0), self.constant_c0().value)
+        return max(math.log(4.0), self.constant_c0())
 
-    def constant_c0(self, grid: int = 64) -> "C0Result":
+    def constant_c0(self, grid: int = 64) -> float:
         if grid not in self._c0_cache:
             self._c0_cache[grid] = _sample_c0(self, grid)
         return self._c0_cache[grid]
-
-
-@dataclass(frozen=True)
-class C0Result:
-    """Sampled diameter bound for the horoball-truncated core domain."""
-
-    value: float  # raw_max inflated by the mesh margin
-    raw_max: float
 
 
 def build_group(config: dict) -> GroupPresentation:
@@ -320,9 +259,7 @@ def build_group(config: dict) -> GroupPresentation:
     for label, g in gens.items():
         if g.is_parabolic():
             horocircles[label] = _horocircle_from_map(g.map)
-    accidental = _accidental_horocircles(gens, inverse_label, horocircles)
-    _validate_horoball_disjointness(horocircles, accidental)
-
+    accidental = _accidental_horocircles(gens, inverse_label)
     pres = GroupPresentation(
         name=config.get("name", "group"),
         gens=gens,
@@ -330,6 +267,7 @@ def build_group(config: dict) -> GroupPresentation:
         horocircles=horocircles,
         accidental_horocircles=accidental,
     )
+    _validate_horoball_disjointness(pres)
     pres.c1 = constants_c1(pres)
     return pres
 
@@ -373,7 +311,7 @@ def _boundary_close(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
-def _accidental_horocircles(gens, inverse_label, horocircles) -> list:
+def _accidental_horocircles(gens, inverse_label) -> list:
     """Horoballs at shared interval endpoints not covered by marked cusps.
 
     Free products may have parabolic elements (products of generators)
@@ -432,14 +370,8 @@ def _boundary_close_pt(x, y):
     return abs(x - y) <= 1e-8 * max(1.0, abs(x), abs(y))
 
 
-def _validate_horoball_disjointness(horocircles: dict, accidental: list):
-    balls = {}
-    for h in horocircles.values():
-        balls[round(boundary_angle(h.base), 9)] = h.ball()
-    for h in accidental:
-        balls.setdefault(round(boundary_angle(h.base), 9), h.ball())
-    items = list(balls.values())
-    for b1, b2 in itertools.combinations(items, 2):
+def _validate_horoball_disjointness(pres: GroupPresentation):
+    for b1, b2 in itertools.combinations(pres.all_horoballs(), 2):
         if not geometry.horoballs_disjoint(b1, b2, tol=1e-9):
             raise GroupValidationError(
                 "horoballs at %r and %r overlap" % (b1.base, b2.base))
@@ -524,7 +456,7 @@ def _core_gap_halfplanes(pres: GroupPresentation) -> list:
     return gaps
 
 
-def _sample_c0(pres: GroupPresentation, grid: int) -> C0Result:
+def _sample_c0(pres: GroupPresentation, grid: int) -> float:
     """Max pairwise distance over sampled boundary of the truncated core.
 
     The sampled region: on the fundamental-domain side of every interval
@@ -551,16 +483,7 @@ def _sample_c0(pres: GroupPresentation, grid: int) -> C0Result:
 
     pts: list[PlanePoint] = []
     fracs = [k / grid for k in range(1, grid)]
-    for hp in side_hps:
-        g = hp.boundary
-        for f in fracs:
-            if g.kind == "circle":
-                pt = g.point_at(math.pi * f)
-            else:
-                pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
-            if keep(pt, skip_hp=hp):
-                pts.append(pt)
-    for hp in gap_hps:
+    for hp in side_hps + gap_hps:
         g = hp.boundary
         for f in fracs:
             if g.kind == "circle":
@@ -580,7 +503,7 @@ def _sample_c0(pres: GroupPresentation, grid: int) -> C0Result:
         d = hyperbolic_distance(p, q)
         if d > raw:
             raw = d
-    return C0Result(raw * 1.1, raw)
+    return raw * 1.1
 
 
 def conjugate_config(config: dict, m: MobiusMap) -> dict:

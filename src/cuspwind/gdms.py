@@ -64,25 +64,19 @@ LOG_FLOOR = -700.0
 
 @dataclass
 class LetterBlock:
-    """Letters stored as a (rows x m) array of weights ``zeta``.
+    """Letters stored as a (rows x m) array of weights ``zeta``, with
+    ``psi`` one value per column (it depends on the exponent only).
 
-    ``psi`` broadcasts against ``zeta``: a length-m vector when psi depends
-    on the exponent only (the letter families), or (rows, 1) for an edge
-    list (``GdmsSystem.from_edges``).  The columns fall into runs of
-    consecutive exponents that enter the same key: ``starts`` holds the
-    first column of each run, and ``cells[i, j]`` the key-matrix cell
-    in_key * n_keys + out_key of the letters of row i in run j.
+    The columns fall into runs of consecutive exponents that enter the
+    same key: ``starts`` holds the first column of each run, and
+    ``cells[i, j]`` the key-matrix cell in_key * n_keys + out_key of the
+    letters of row i in run j.
     """
 
     zeta: np.ndarray  # (rows, m)
-    psi: np.ndarray  # (m,) or (rows, 1)
+    psi: np.ndarray  # (m,)
     starts: np.ndarray  # (runs,)
     cells: np.ndarray  # (rows, runs)
-
-    def letter_cells(self) -> np.ndarray:
-        """The key-matrix cell of every letter, shaped like ``zeta``."""
-        runs = np.diff(self.starts, append=self.zeta.shape[1])
-        return np.repeat(self.cells, runs, axis=1)
 
 
 @dataclass
@@ -193,18 +187,6 @@ class GdmsSystem:
     # set by the first ``pressure`` call that builds the key matrix
     classes: list = field(init=False, default=None, repr=False,
                           compare=False)
-
-    @classmethod
-    def from_edges(cls, n_keys: int, in_keys, out_keys, zeta, psi):
-        """A finite system with one weight per edge: a one-column block
-        whose psi has one value per row."""
-        cells = (np.asarray(in_keys, dtype=np.int64) * n_keys
-                 + np.asarray(out_keys, dtype=np.int64))
-        block = LetterBlock(zeta=np.asarray(zeta, dtype=float)[:, None],
-                            psi=np.asarray(psi, dtype=float)[:, None],
-                            starts=np.zeros(1, dtype=np.int64),
-                            cells=cells[:, None])
-        return cls(n_keys=n_keys, blocks=[block])
 
     @property
     def n_edges(self) -> int:

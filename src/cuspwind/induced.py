@@ -53,10 +53,6 @@ class InducedLetter:
     def core(self) -> str:
         return self.symbols[1]
 
-    @property
-    def exponent(self) -> int:
-        return len(self.symbols) - 2
-
 
 def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
     """Induced letters read off a coded block word (needs a_1 = 0)."""

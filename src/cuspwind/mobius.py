@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * matrices are normalized to determinant one with the first numerically
   nonzero entry of (a, c) positive, so PSL(2,R) equality is plain
   entrywise comparison,
-* ``ALG_TOL`` is the tolerance of exact algebraic identities (identity
-  and equality of maps).
+* ``ALG_TOL`` is the tolerance of exact algebraic identities (the
+  identity map).
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class MobiusMap:
     def identity() -> "MobiusMap":
         return MobiusMap(1.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def translation(t: float) -> "MobiusMap":
-        return MobiusMap.from_entries(1.0, t, 0.0, 1.0)
-
     def inverse(self) -> "MobiusMap":
         return MobiusMap.from_entries(self.d, -self.b, -self.c, self.a)
 
@@ -109,33 +105,8 @@ class MobiusMap:
             and abs(self.d - 1.0) <= tol
         )
 
-    def close_to(self, other: "MobiusMap", tol: float = ALG_TOL) -> bool:
-        """PSL(2,R) equality: entrywise up to a global sign.
-
-        The canonical-sign normalization makes the direct comparison work in
-        the generic case, but when the leading entry sits at roundoff scale
-        the sign choice is unstable, so both representatives are tried.
-        """
-        same = max(
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        )
-        flip = max(
-            abs(self.a + other.a),
-            abs(self.b + other.b),
-            abs(self.c + other.c),
-            abs(self.d + other.d),
-        )
-        scale = max(1.0, abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        return min(same, flip) <= tol * scale
-
     def is_parabolic(self, tol: float = 1e-10) -> bool:
         return abs(self.trace() ** 2 - 4.0) <= tol and not self.is_identity(1e-14)
-
-    def is_hyperbolic(self) -> bool:
-        return self.trace() ** 2 > 4.0 + 1e-10
 
     def fixed_points(self) -> list[float]:
         """Boundary fixed points; one for parabolic, two for hyperbolic."""

@@ -44,7 +44,7 @@ class SpectrumCurve:
     f0: float
     f1: float
 
-    def validate(self, t0: float = None):
+    def validate(self):
         a, f = self.alphas, self.f
         if np.any(f < -1e-12):
             raise InvalidCurve("negative spectrum values")
@@ -59,9 +59,6 @@ class SpectrumCurve:
             raise InvalidCurve("spectrum is not concave on its grid")
         if np.any((a < -0.02) | (a > 1.02)):
             raise InvalidCurve("alpha grid escapes [-0.02, 1.02]")
-        if t0 is not None:
-            if abs(float(f.max()) - t0) > 1e-3:
-                raise InvalidCurve("max f does not match t(0)")
         return True
 
 
@@ -76,10 +73,9 @@ def _alpha_f(curve: FreeEnergyCurve) -> tuple:
     """
     b = curve.betas
     n = len(b)
-    use_r = np.all(np.isfinite(curve.r))
     alphas, f = np.empty(n), np.empty(n)
     for k in range(n):
-        if use_r and b[k] < -2.0:
+        if b[k] < -2.0:
             # left tail: differentiate the shifted values, the affine part
             # cancels exactly and the exponentially small r survives
             d = _local_slope(b, curve.r, k)

@@ -5,8 +5,10 @@ enumeration, a closed form or plain summation, sharing as little code as
 possible with what the command line runs: hyperbolic displacements and
 mean windings of coded words, the induced letters one by one, partition
 sums over paths and over block words, and the discrete Legendre
-transform with the spectrum's endpoint slopes.  Nothing under ``src/``
-imports them.
+transform with the spectrum's endpoint slopes.  Next to them sit the
+helpers only tests need: equality of maps up to sign, containment of
+arcs, the key cell of every letter of a block and systems built from an
+edge list.  Nothing under ``src/`` imports them.
 """
 
 import math
@@ -23,8 +25,8 @@ from cuspwind.coding import (
     random_block_word,
 )
 from cuspwind.errors import CuspwindError
-from cuspwind.fuchsian import GroupPresentation
-from cuspwind.gdms import GdmsSystem
+from cuspwind.fuchsian import CircleInterval, GroupPresentation
+from cuspwind.gdms import GdmsSystem, LetterBlock
 from cuspwind.induced import (
     InducedLetter,
     induced_step,
@@ -56,6 +58,26 @@ class InsufficientGridReach(CuspwindError):
 
 
 # --- Moebius maps ---------------------------------------------------------
+
+def close_to(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-12) -> bool:
+    """PSL(2,R) equality: entrywise up to a global sign.
+
+    The canonical-sign normalization makes the direct comparison work in
+    the generic case, but when the leading entry sits at roundoff scale
+    the sign choice is unstable, so both representatives are tried.
+    """
+    e1, e2 = (m1.a, m1.b, m1.c, m1.d), (m2.a, m2.b, m2.c, m2.d)
+    same = max(abs(x - y) for x, y in zip(e1, e2))
+    flip = max(abs(x + y) for x, y in zip(e1, e2))
+    return min(same, flip) <= tol * max(1.0, *map(abs, e1))
+
+
+def contains_interval(outer: CircleInterval, inner: CircleInterval,
+                      tol: float = 1e-9) -> bool:
+    """The arc ``inner`` lies in ``outer``, to ``tol`` in angle."""
+    lo_off = outer.offset(inner.lo)
+    return lo_off >= -tol and lo_off + inner.arc <= outer.arc + tol
+
 
 def circle_derivative_magnitude(m: MobiusMap, x: float) -> float:
     """Derivative of the boundary action in the Cayley circle chart.
@@ -175,6 +197,25 @@ def eq4_constant(pres: GroupPresentation, samples: int = 60,
 
 # --- partition sums -------------------------------------------------------
 
+def system_from_edges(n_keys: int, in_keys, out_keys, zeta,
+                      psi) -> GdmsSystem:
+    """A finite system with one weight per edge: a one-row block with one
+    column, and one run, per edge."""
+    cells = (np.asarray(in_keys, dtype=np.int64) * n_keys
+             + np.asarray(out_keys, dtype=np.int64))
+    block = LetterBlock(zeta=np.asarray(zeta, dtype=float)[None, :],
+                        psi=np.asarray(psi, dtype=float),
+                        starts=np.arange(cells.size, dtype=np.int64),
+                        cells=cells[None, :])
+    return GdmsSystem(n_keys=n_keys, blocks=[block])
+
+
+def letter_cells(block: LetterBlock) -> np.ndarray:
+    """The key-matrix cell of every letter, shaped like ``block.zeta``."""
+    runs = np.diff(block.starts, append=block.zeta.shape[1])
+    return np.repeat(block.cells, runs, axis=1)
+
+
 def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
     """log sum over admissible n-edge paths of the product of edge weights.
 
@@ -183,7 +224,7 @@ def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     in_keys, out_keys = np.divmod(np.concatenate(
-        [block.letter_cells().ravel() for block in sys.blocks]), sys.n_keys)
+        [letter_cells(block).ravel() for block in sys.blocks]), sys.n_keys)
     lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel()
                          for block in sys.blocks]) + sys.log_mult
     scale = float(lw.max())

@@ -114,7 +114,7 @@ def test_criterion_2_distance_sandwich_and_winding_bounds():
     ok = True
     details = []
     for name, pres in groups().items():
-        c0 = pres.constant_c0(64).value
+        c0 = pres.constant_c0(64)
         c1 = pres.c1
         c2_paper = max(math.log(4.0), c0)
         c2_sum = math.log(4.0) + c0
@@ -163,7 +163,7 @@ def test_criterion_4_pressure_oracle_equivalence():
     ok = True
     details = []
     for name, pres in groups().items():
-        c0 = pres.constant_c0(64).value
+        c0 = pres.constant_c0(64)
         dhat = eq4_constant(pres, samples=60, letters_each=8, seed=23)
         sysm = fuchsian_system(pres, 3, restricted=True)
         geos = {n: block_word_geometry(pres, n, 3) for n in (2, 3, 4, 5)}
@@ -240,8 +240,8 @@ def test_criterion_7_spectrum_shape():
         sysm, curve, specc, dc = curve_and_spectrum(name)
         k0 = int(np.argmin(np.abs(curve.betas)))
         t0 = curve.t[k0]
-        specc.validate(t0=t0)  # concavity, 0 <= f, max = t(0) within 1e-3
-        ok &= abs(float(specc.f.max()) - t0) <= 1e-3
+        specc.validate()  # concavity, 0 <= f
+        ok &= abs(float(specc.f.max()) - t0) <= 1e-3  # max f = t(0)
         ok &= abs(specc.f1 - 0.5) <= 0.05
         ok &= abs(specc.f0 - dc) <= 0.05
         es = endpoint_slopes(specc)

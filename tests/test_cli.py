@@ -171,6 +171,11 @@ def test_cli_cap_beyond_the_bound_exit_2(cap, monkeypatch, tmp_path, capsys):
     ["code", "--preset", "gamma2-type", "--point", "inf"],
     ["pressure", "--preset", "gamma2-type", "--t-steps", "0"],
     ["pressure", "--preset", "gamma2-type", "--t-min", "nan"],
+    ["pressure", "--preset", "gamma2-type", "--beta-steps", "0"],
+    ["pressure", "--preset", "gamma2-type", "--beta-min", "nan"],
+    ["free-energy", "--preset", "gamma2-type", "--beta-steps", "1"],
+    ["spectrum", "--preset", "gamma2-type", "--beta-min", "1",
+     "--beta-max", "0"],
 ], ids=lambda argv: " ".join(argv[3:]) or argv[2])
 def test_cli_malformed_numbers_exit_2(argv, monkeypatch, tmp_path, capsys):
     # rejected as configuration errors before any group is built

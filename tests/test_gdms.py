@@ -7,12 +7,7 @@ import pytest
 from cuspwind import gdms
 from cuspwind.config import config_from_preset
 from cuspwind.errors import NoSignChange
-from cuspwind.gdms import (
-    GdmsSystem,
-    free_energy,
-    free_energy_curve,
-    pressure,
-)
+from cuspwind.gdms import free_energy, free_energy_curve, pressure
 from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.induced import fuchsian_system, letter_series_sweep
 from cuspwind.mobius import MobiusMap
@@ -21,20 +16,22 @@ from oracles import (
     block_partition_sum,
     block_word_geometry,
     eq4_constant,
+    letter_cells,
     partition_sum,
+    system_from_edges,
 )
 
 
 def full_shift(k, zeta_value=0.0, psi_value=0.0):
     keys = np.zeros(k, dtype=np.int64)
-    return GdmsSystem.from_edges(1, keys, keys, np.full(k, zeta_value),
-                                 np.full(k, psi_value))
+    return system_from_edges(1, keys, keys, np.full(k, zeta_value),
+                             np.full(k, psi_value))
 
 
 def three_vertex_system(ratios, psi=(0.0, 0.0, 0.0)):
     """Cyclic 3-vertex GDMS with constant-derivative contractions."""
-    return GdmsSystem.from_edges(3, [0, 1, 2], [1, 2, 0],
-                                 np.log(np.asarray(ratios)), psi)
+    return system_from_edges(3, [0, 1, 2], [1, 2, 0],
+                             np.log(np.asarray(ratios)), psi)
 
 
 # --- pressure on toy systems -------------------------------------------------
@@ -139,7 +136,7 @@ def full_matrix_pressure(sysm, t, beta, r):
     (block,) = sysm.blocks
     lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel(),
                          gdms.tail_log_weights(sysm.tails, t, beta, 2.0 * r)])
-    cells = np.concatenate([block.letter_cells().ravel(), sysm.tails.cells])
+    cells = np.concatenate([letter_cells(block).ravel(), sysm.tails.cells])
     scale = lw.max()
     w = np.exp(np.maximum(lw - scale, gdms.LOG_FLOOR))
     n = sysm.n_keys
@@ -199,7 +196,7 @@ def test_partition_sum_constant_weights():
 
 
 def test_block_partition_sum_subadditive(gamma2):
-    c0 = gamma2.constant_c0(64).value
+    c0 = gamma2.constant_c0(64)
     t, beta = 0.9, 0.2
     geos = {n: block_word_geometry(gamma2, n, 3) for n in (2, 3, 4, 5)}
     z = {n: block_partition_sum(gamma2, t, beta, n, 3, geos[n]) for n in geos}
@@ -209,7 +206,7 @@ def test_block_partition_sum_subadditive(gamma2):
 
 def test_pressure_close_to_block_sums(onecusp):
     """Two independent routes: operator spectral radius vs direct Z_n."""
-    c0 = onecusp.constant_c0(64).value
+    c0 = onecusp.constant_c0(64)
     dhat = eq4_constant(onecusp, samples=40, letters_each=6)
     sysm = fuchsian_system(onecusp, 3, restricted=True)
     rng = np.random.default_rng(8)

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module of the package or of the tests
 imports is used in that module, every top-level function or class of the
 package is reached from the command line, every method is named as an
-attribute in the package or the tests outside its own body, every
+attribute in the package or in ``perfbench/`` outside its own body, every
 upper-case module-level constant is loaded there, every dataclass field
 is read there as an attribute, and importing the command line loads no
-scipy.
+scipy.  The tests do not count as users: a member only they read belongs
+in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module.  ``__init__.py`` is skipped (its imports are re-exports,
@@ -27,6 +28,7 @@ import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuspwind"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -223,10 +225,17 @@ def test_dead_method_detector():
         == [("m.py", 11, "A.dead"), ("m.py", 14, "A.only_named")]
 
 
-def test_no_dead_methods():
+def _package_and_perfbench():
+    """The package's sources by file name, and those of ``perfbench/``,
+    its one caller outside ``src/``; the tests are not users."""
     modules = {p.name: p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py"))}
-    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    return modules, [p.read_text(encoding="utf-8")
+                     for p in sorted(PERFBENCH.glob("*.py"))]
+
+
+def test_no_dead_methods():
+    modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in dead_methods(modules, others)]
     assert not found, "methods never named as an attribute: " + ", ".join(found)
 
@@ -277,9 +286,7 @@ def test_unread_constant_detector():
 
 
 def test_no_unread_constants():
-    modules = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py"))}
-    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in unread_constants(modules, others)]
     assert not found, "constants never loaded: " + ", ".join(found)
 
@@ -320,9 +327,7 @@ def test_write_only_field_detector():
 
 
 def test_no_write_only_fields():
-    modules = {p.name: p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py"))}
-    others = [p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))]
+    modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
     assert not found, "dataclass fields never read: " + ", ".join(found)
 

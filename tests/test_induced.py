@@ -13,7 +13,7 @@ from cuspwind.induced import (
 from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
-from oracles import alphabet, eq4_constant, zeta_letter
+from oracles import alphabet, contains_interval, eq4_constant, zeta_letter
 
 
 def test_alphabet_counts(gamma2, onecusp):
@@ -23,7 +23,8 @@ def test_alphabet_counts(gamma2, onecusp):
     assert all(gamma2.gen(e.core).is_parabolic() for e in alphabet(gamma2, 3))
     letters = alphabet(onecusp, 1)
     assert len(letters) == 26
-    assert sum(1 for e in letters if e.core in onecusp.hyperbolic_labels()) == 18
+    assert sum(1 for e in letters
+               if not onecusp.gen(e.core).is_parabolic()) == 18
 
 
 def test_psi_values(gamma2):
@@ -43,9 +44,9 @@ def test_zeta_letter_negative_and_bracketed(any_group):
         assert z < 0.0
         f = fams[(e.symbols[0], e.core, e.symbols[-1])]
         assert f.parabolic == any_group.gen(e.core).is_parabolic()
-        assert abs(z - f.zeta([f.row(f.x_mid)], np.array([e.exponent]))[0, 0]) \
-            <= 1e-12
-        if e.exponent >= 2:
+        n = len(e.symbols) - 2
+        assert abs(z - f.zeta([f.row(f.x_mid)], np.array([n]))[0, 0]) <= 1e-12
+        if n >= 2:
             assert z <= -any_group.c1 + 0.7  # distortion slack
 
 
@@ -95,7 +96,7 @@ def test_core_continuation_hull(chart):
             hull = ind._core_continuation_hull(pres, c)
             arcs = [pres.interval_of(g) for g in pres.labels()
                     if pres.block_admissible(c, g)]
-            assert all(hull.contains_interval(j, tol=1e-12) for j in arcs)
+            assert all(contains_interval(hull, j, tol=1e-12) for j in arcs)
             ends = [x for j in arcs for x in (j.lo, j.hi)]
             assert hull.lo in ends and hull.hi in ends
             assert not hull.contains(pres.interval_of(pres.inv(c)).midpoint())

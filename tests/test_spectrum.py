@@ -14,7 +14,7 @@ from oracles import InsufficientGridReach, endpoint_slopes, legendre
 def synthetic_curve(betas, fn):
     betas = np.asarray(betas, dtype=float)
     t = np.array([fn(b) for b in betas])
-    return FreeEnergyCurve(betas, t, np.full(len(betas), np.nan),
+    return FreeEnergyCurve(betas, t, t - (0.5 - betas),
                            np.zeros(len(betas)), np.zeros(len(betas), int))
 
 
@@ -105,7 +105,7 @@ def test_spectrum_max_at_t0(onecusp_curve):
     # maximum realized at alpha* = -t'(0) = alpha0
     astar = spec.alphas[int(np.argmax(spec.f))]
     assert astar == pytest.approx(spec.alpha0, abs=1e-6)
-    assert spec.validate(t0=t0)
+    assert spec.validate()
 
 
 def test_spectrum_alpha_range_brackets(onecusp_curve):

@@ -33,7 +33,7 @@ from .coding import (
 )
 from .config import ConfigError, RunConfig, config_from_preset, load_config
 from .figures import emit_figure
-from .fuchsian import build_group
+from .fuchsian import build_group, constant_c0, constants_c1
 from .induced import (
     conjugacy_check,
     fuchsian_system,
@@ -177,7 +177,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     checks = []
     checks.append(("build+markov+horoballs", True, "validated by construction"))
 
-    c0 = pres.constant_c0(64)
+    c0 = constant_c0(pres, 64)
+    c1 = constants_c1(pres)
     upper_const = math.log(4.0) + c0
     violations = 0
     for _ in range(100):
@@ -187,7 +188,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                 and dec.total <= sum(dec.lengths) + c0 + 1e-9):
             violations += 1
         for k, (l, a) in enumerate(zip(dec.lengths, dec.windings)):
-            if k >= 1 and l < 2.0 * log_plus(a) + pres.c1 - 1e-9:
+            if k >= 1 and l < 2.0 * log_plus(a) + c1 - 1e-9:
                 violations += 1
             if a >= 2 and l < 2.0 * math.log(a) + math.log(3.0) - 1e-9:
                 violations += 1
@@ -208,7 +209,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     for name, passed, detail in checks:
         print("%-36s %s (%s)" % (name, "ok" if passed else "FAIL", detail))
     print("C0 = %.6f  C1 = %.6f  C2 = %.6f"
-          % (c0, pres.c1, pres.constant_c2()))
+          % (c0, c1, max(math.log(4.0), c0)))
     return 0 if ok else 1
 
 
@@ -266,6 +267,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     spec = sp.spectrum(curve)
     spec.validate()
     delta_c = gdms.delta_c(pres).t
+    svg = emit_figure(curve, spec, delta_c, title=cfg.name)
     path = write_result(
         cfg, "spectrum",
         _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=spec.f0,
@@ -274,7 +276,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
          "err_t": spec.err_t})
     svg_path = os.path.join(cfg.out_dir, "spectrum.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_figure(curve, spec, delta_c, title=cfg.name))
+        fh.write(svg)
     print(path)
     print(svg_path)
     return 0

@@ -43,9 +43,6 @@ class BlockWord:
     def __len__(self):
         return len(self.blocks)
 
-    def __getitem__(self, k):
-        return self.blocks[k]
-
     def windings(self, pres: GroupPresentation) -> tuple:
         out = []
         for label, exp in self.blocks:
@@ -130,7 +127,7 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     """
     cand = next(g for g in pres.labels()
                 if pres.block_admissible(symbols[-1], g))
-    x = pres.interval_of(cand).midpoint()
+    x = pres.interval_of(cand).point_at(0.5)
     for label in reversed(symbols):
         x = apply_boundary(pres.map_of(label), x)
     return x

@@ -74,14 +74,13 @@ def _axes(panel, xlabel, ylabel, xticks, yticks):
     return out
 
 
-def emit_figure(curve=None, spec=None, delta_c: float = None,
-                title: str = "") -> str:
+def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
     """Two-panel SVG: free energy t(beta) left, spectrum f(alpha) right.
 
-    Empty inputs produce a valid figure with axes only.  The left panel
-    marks the asymptote t = 1/2 - beta and the horizontal level delta_c;
-    the right panel marks (0, delta_c) and (1, 1/2) and the interior
-    maximum at height t(0).
+    The left panel shows the betas with |beta| <= 21, or all of them when
+    fewer than two lie there, and marks the asymptote t = 1/2 - beta and
+    the horizontal level delta_c; the right panel marks (0, delta_c) and
+    (1, 1/2) and the interior maximum at height t(0).
     """
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -92,14 +91,12 @@ def emit_figure(curve=None, spec=None, delta_c: float = None,
                      '%s</text>' % (W // 2, html.escape(title, quote=False)))
 
     # left panel: t(beta) over the main window
-    if curve is not None and len(curve.betas):
-        mask = np.abs(curve.betas) <= 21.0
-        bs, ts = curve.betas[mask], curve.t[mask]
-        ymax = float(ts.max()) * 1.05
-        bmin, bmax = float(bs.min()), float(bs.max())
-    else:
-        bs = ts = np.array([])
-        bmin, bmax, ymax = -20.0, 20.0, 22.0
+    window = np.abs(curve.betas) <= 21.0
+    if window.sum() < 2:
+        window[:] = True
+    bs, ts = curve.betas[window], curve.t[window]
+    ymax = float(ts.max()) * 1.05
+    bmin, bmax = float(bs.min()), float(bs.max())
     left = _Panel(MARGIN_L1, MARGIN_T, PANEL_W, PANEL_H,
                   bmin, bmax, 0.0, max(ymax, 1.0))
     parts += _axes(left, "beta", "t(beta)",
@@ -109,33 +106,27 @@ def emit_figure(curve=None, spec=None, delta_c: float = None,
     xs = np.linspace(bmin, bmax, 64)
     parts.append(_polyline(left, xs, 0.5 - xs,
                            'stroke="gray" stroke-dasharray="4,3"'))
-    if delta_c is not None:
-        parts.append(_polyline(left, np.array([bmin, bmax]),
-                               np.array([delta_c, delta_c]),
-                               'stroke="gray" stroke-dasharray="2,3"'))
-        parts.append('<text x="%s" y="%s" font-size="11">delta_c</text>'
-                     % (_fmt(left.px(bmax) - 48), _fmt(left.py(delta_c) - 5)))
-    if len(bs):
-        parts.append(_polyline(left, bs, ts, 'stroke="black" stroke-width="1.6"'))
+    parts.append(_polyline(left, np.array([bmin, bmax]),
+                           np.array([delta_c, delta_c]),
+                           'stroke="gray" stroke-dasharray="2,3"'))
+    parts.append('<text x="%s" y="%s" font-size="11">delta_c</text>'
+                 % (_fmt(left.px(bmax) - 48), _fmt(left.py(delta_c) - 5)))
+    parts.append(_polyline(left, bs, ts, 'stroke="black" stroke-width="1.6"'))
 
     # right panel: f(alpha)
     right = _Panel(MARGIN_L2, MARGIN_T, PANEL_W, PANEL_H, -0.02, 1.02, 0.0, 1.05)
     parts += _axes(right, "alpha", "f(alpha)",
                    [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-    if spec is not None and len(spec.alphas):
-        parts.append(_polyline(right, spec.alphas, spec.f,
-                               'stroke="black" stroke-width="1.6"'))
-        fmax = float(spec.f.max())
-        amax = float(spec.alphas[int(np.argmax(spec.f))])
-        marks = [(amax, fmax, "t(0)")]
-        if delta_c is not None:
-            marks.append((0.0, delta_c, "delta_c"))
-        marks.append((1.0, 0.5, "1/2"))
-        for mx, my, label in marks:
-            parts.append('<circle cx="%s" cy="%s" r="3" fill="black"/>'
-                         % (_fmt(right.px(mx)), _fmt(right.py(my))))
-            parts.append('<text x="%s" y="%s" font-size="11">%s</text>'
-                         % (_fmt(right.px(mx) + 6), _fmt(right.py(my) - 6),
-                            label))
+    parts.append(_polyline(right, spec.alphas, spec.f,
+                           'stroke="black" stroke-width="1.6"'))
+    fmax = float(spec.f.max())
+    amax = float(spec.alphas[int(np.argmax(spec.f))])
+    for mx, my, label in ((amax, fmax, "t(0)"), (0.0, delta_c, "delta_c"),
+                          (1.0, 0.5, "1/2")):
+        parts.append('<circle cx="%s" cy="%s" r="3" fill="black"/>'
+                     % (_fmt(right.px(mx)), _fmt(right.py(my))))
+        parts.append('<text x="%s" y="%s" font-size="11">%s</text>'
+                     % (_fmt(right.px(mx) + 6), _fmt(right.py(my) - 6),
+                        label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geometry
 from .errors import (
@@ -91,11 +91,7 @@ class CircleInterval:
         # rule out identical arcs / containment without endpoint hits
         if abs(self.offset(other.lo)) <= tol and abs(self.arc - other.arc) <= tol:
             return False
-        mid = self.midpoint()
-        return not other.contains(mid)
-
-    def midpoint(self) -> float:
-        return boundary_from_angle(self.angle_lo + 0.5 * self.arc)
+        return not other.contains(self.point_at(0.5))
 
     def point_at(self, frac: float) -> float:
         return boundary_from_angle(self.angle_lo + frac * self.arc)
@@ -140,15 +136,14 @@ def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
 
 @dataclass
 class GroupPresentation:
-    """Validated symmetric presentation with its geometric constants."""
+    """Validated symmetric presentation: generators, their inverses and
+    the horoballs of the cusps."""
 
     name: str
     gens: dict
     inverse_label: dict
     horocircles: dict  # parabolic label (both of a +/- pair) -> Horoball
     accidental_horocircles: list
-    c1: float = field(default=0.0)
-    _c0_cache: dict = field(default_factory=dict)
 
     # --- structure ---------------------------------------------------
 
@@ -187,16 +182,6 @@ class GroupPresentation:
         for h in list(self.horocircles.values()) + self.accidental_horocircles:
             balls.setdefault(round(boundary_angle(h.base), 9), h)
         return list(balls.values())
-
-    # --- constants -----------------------------------------------------
-
-    def constant_c2(self) -> float:
-        return max(math.log(4.0), self.constant_c0())
-
-    def constant_c0(self, grid: int = 64) -> float:
-        if grid not in self._c0_cache:
-            self._c0_cache[grid] = _sample_c0(self, grid)
-        return self._c0_cache[grid]
 
 
 def build_group(config: dict) -> GroupPresentation:
@@ -268,7 +253,6 @@ def build_group(config: dict) -> GroupPresentation:
         accidental_horocircles=accidental,
     )
     _validate_horoball_disjointness(pres)
-    pres.c1 = constants_c1(pres)
     return pres
 
 
@@ -456,8 +440,9 @@ def _core_gap_halfplanes(pres: GroupPresentation) -> list:
     return gaps
 
 
-def _sample_c0(pres: GroupPresentation, grid: int) -> float:
-    """Max pairwise distance over sampled boundary of the truncated core.
+def constant_c0(pres: GroupPresentation, grid: int) -> float:
+    """C0: max pairwise distance over the sampled boundary of the
+    truncated core, ``grid`` steps per side and horocircle.
 
     The sampled region: on the fundamental-domain side of every interval
     geodesic, outside every horoball (marked cusps plus accidental ones),

@@ -17,22 +17,23 @@ underflow entries that rho depends on, the whole matrix is solved.
 Fuchsian instances carry the tails of their letter families, so the
 infinite parabolic exponent range is handled by an exact lump per family:
 all letters of a family share both overlap keys, hence replacing the ones
-beyond the cap by a single pseudo-edge with the summed weight changes
-nothing about the spectral radius except the accuracy of the summed tail.
-One rule sums it (``tail_log_weights``): midpoint Euler-Maclaurin with
-the integral taken by a Gauss-Jacobi rule in u = 1/n, which matches
-direct summation to 1e-14 of a family's total weight.  A system with tails diverges at
-t = 1/2 - beta, where the pressure is +inf; ``pressure`` returns the one
-number P(t, beta) = log rho(B) as a float.
+beyond the cap by one more column of the family's rows, whose weight is
+their sum, changes nothing about the spectral radius except the accuracy
+of the summed tail.  One rule sums it (``tail_log_weights``): midpoint
+Euler-Maclaurin with the integral taken by a Gauss-Jacobi rule in
+u = 1/n, which matches direct summation to 1e-14 of a family's total
+weight.  A system with tails diverges at t = 1/2 - beta, where the
+pressure is +inf; ``pressure`` returns the one number
+P(t, beta) = log rho(B) as a float.
 
 The letters are stored as blocks (``LetterBlock``): a (rows x exponents)
 array of zeta, psi per exponent, and the runs of consecutive exponents
 that enter the same key.  Everything but the weights is fixed when the
 system is built, so B is built in one pass over one work array per block:
-the exponents t zeta + beta psi, updated in place, share one maximum with
-the tail log-weights, are floored ``LOG_FLOOR`` below it and
-exponentiated, summed over each run, and the (rows x runs) sums and the
-tail weights go into B by one small ``np.bincount``.
+the exponents t zeta + beta psi, updated in place (the tail column
+overwritten by the tail rule), share one maximum, are floored
+``LOG_FLOOR`` below it and exponentiated, summed over each run, and the
+(rows x runs) sums go into B by one small ``np.bincount``.
 
 t(beta) is the unique zero of the decreasing map t -> P(t, beta).
 Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
@@ -71,30 +72,19 @@ class LetterBlock:
     same key: ``starts`` holds the first column of each run, and
     ``cells[i, j]`` the key-matrix cell in_key * n_keys + out_key of the
     letters of row i in run j.
+
+    A block of parabolic families carries ``tail``: row i holds the
+    numbers (p0, p1, r0, r1, log(1 + x^2)) of row i of ``zeta``
+    (``induced.LetterFamily.row``).  Its last column then stands for the
+    exponents n > m - 1 beyond the explicit ones, and ``tail_log_weights``
+    gives its weights; that column's zeta and psi are 0 placeholders.
     """
 
     zeta: np.ndarray  # (rows, m)
     psi: np.ndarray  # (m,)
     starts: np.ndarray  # (runs,)
     cells: np.ndarray  # (rows, runs)
-
-
-@dataclass
-class TailData:
-    """The exponent tails n > ``start`` of the parabolic letter families:
-    one pseudo-edge per family, follower bucket and quadrature point, which
-    enters the key-matrix cell ``cells[i]`` (in_key * n_keys + out_key, the
-    tail key of its family and the out key of its row).
-
-    Row (p0, p1, r0, r1, log(1 + x^2)) of ``rows`` gives the weights
-    zeta_n = log(1 + x^2) - log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1,
-    of its pseudo-edge's letters (``induced.LetterFamily.row``); with
-    psi_n = -2 log k, ``tail_log_weights`` sums them for given (t, beta).
-    """
-
-    cells: np.ndarray
-    rows: np.ndarray  # (n_tails, 5)
-    start: int
+    tail: np.ndarray = None  # (rows, 5), or None without a tail column
 
 
 # Gauss-Jacobi nodes of the tail integral.  g is analytic well beyond the
@@ -131,9 +121,12 @@ def _gauss_jacobi(two_r: float):
     return nodes, vecs[0] ** 2
 
 
-def tail_log_weights(tails: TailData, t: float, beta: float,
+def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
                      two_r: float) -> np.ndarray:
-    """log sum_{n > start} exp(t zeta_n + beta psi_n) for each tail row.
+    """log sum_{n > start} exp(t zeta_n + beta psi_n) for each row
+    (p0, p1, r0, r1, log(1 + x^2)) of ``rows``, where zeta_n =
+    log(1 + x^2) - log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1, and
+    psi_n = -2 log k.
 
     Midpoint Euler-Maclaurin from X = start + 1/2: the sum is the integral
     of F(n) = exp(t zeta_n + beta psi_n) over [X, oo) plus F'(X)/24 -
@@ -146,9 +139,9 @@ def tail_log_weights(tails: TailData, t: float, beta: float,
     the integral (s / X large, the tail far below every other weight) the
     row gets a log-weight 708 below its terms, which ``pressure`` floors.
     """
-    p0, p1, r0, r1, lx = tails.rows.T
+    p0, p1, r0, r1, lx = rows.T
     w0, w1 = p0 + 1j * r0, p1 + 1j * r1
-    x = tails.start + 0.5
+    x = start + 0.5
     k = x - 1.0
     nodes, weights = _gauss_jacobi(two_r)
     u = nodes / x
@@ -174,15 +167,15 @@ def tail_log_weights(tails: TailData, t: float, beta: float,
 class GdmsSystem:
     """Truncated edge shift whose letters are stored as ``LetterBlock``s.
 
-    Fuchsian instances carry ``tails``, the analytic exponent tails of
-    their parabolic letter families; finite systems (the delta_c
-    alphabet, synthetic test shifts) have none.
+    Fuchsian instances carry the analytic exponent tails of their
+    parabolic letter families as the tail column of their parabolic
+    block; finite systems (the delta_c alphabet, synthetic test shifts)
+    have none.
     """
 
     n_keys: int
     blocks: list  # LetterBlock
     log_mult: float = 0.0  # additive log constant of every weight (quadrature)
-    tails: "TailData" = None  # analytic exponent tails for Fuchsian caps
     # the keys of each cyclic class of the key graph (``cyclic_classes``),
     # set by the first ``pressure`` call that builds the key matrix
     classes: list = field(init=False, default=None, repr=False,
@@ -193,9 +186,10 @@ class GdmsSystem:
         return sum(block.zeta.size for block in self.blocks)
 
     def divergence_abscissa(self, beta: float):
-        """Analytic divergence threshold in t: 1/2 - beta when the system
+        """Analytic divergence threshold in t: 1/2 - beta when a block
         carries the parabolic tails, else None (finite series)."""
-        return 0.5 - beta if self.tails is not None else None
+        tails = any(block.tail is not None for block in self.blocks)
+        return 0.5 - beta if tails else None
 
 
 def cyclic_classes(pattern: np.ndarray) -> list:
@@ -250,8 +244,8 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     eigenvalue comes from a full eigensolve; that stays robust when
     near-critical tail weights make it nearly degenerate.
 
-    When the system carries tails, each tail pseudo-edge weighs the sum of
-    its family's letters beyond ``tails.start`` (``tail_log_weights``),
+    When a block carries tails, its tail column weighs the sum of each
+    row's letters beyond the explicit exponents (``tail_log_weights``),
     and the pressure is +inf where the untruncated letter series
     diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted variable
     r = t - (1/2 - beta) is given; the tail rule then takes 2r from r,
@@ -270,13 +264,12 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     for block in sys.blocks:
         lw = np.multiply(block.zeta, t)
         lw += beta * block.psi
+        if block.tail is not None:
+            two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
+            lw[:, -1] = tail_log_weights(block.tail, lw.shape[1] - 1, t,
+                                         beta, two_r)
         work.append(lw)
-    tail = []
-    if sys.tails is not None:
-        two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-        tail = [tail_log_weights(sys.tails, t, beta, two_r)]
-    scale = max((float(lw.max()) for lw in work + tail if lw.size),
-                default=0.0)
+    scale = max((float(lw.max()) for lw in work if lw.size), default=0.0)
     if not math.isfinite(scale):
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
@@ -287,9 +280,6 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
         np.exp(lw, out=lw)
         cells.append(block.cells.ravel())
         sums.append(np.add.reduceat(lw, block.starts, axis=1).ravel())
-    if tail:
-        cells.append(sys.tails.cells)
-        sums.append(np.exp(np.maximum(tail[0] - scale, LOG_FLOOR)))
     n = sys.n_keys
     b = np.bincount(np.concatenate(cells), weights=np.concatenate(sums),
                     minlength=n * n).reshape(n, n)

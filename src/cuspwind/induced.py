@@ -41,21 +41,9 @@ from .fuchsian import TWO_PI, CircleInterval, GroupPresentation
 from .mobius import apply_boundary
 
 
-@dataclass(frozen=True)
-class InducedLetter:
-    symbols: tuple
-
-    def __post_init__(self):
-        if len(self.symbols) < 3:
-            raise ValueError("induced letters have at least three symbols")
-
-    @property
-    def core(self) -> str:
-        return self.symbols[1]
-
-
 def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
-    """Induced letters read off a coded block word (needs a_1 = 0)."""
+    """Induced letters read off a coded block word (needs a_1 = 0), each
+    as its tuple of symbols."""
     blocks = word.blocks
     if not blocks:
         return []
@@ -67,7 +55,7 @@ def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
         l0, _ = blocks[k]
         l1, e1 = blocks[k + 1]
         l2, _ = blocks[k + 2]
-        out.append(InducedLetter((l0,) + (l1,) * e1 + (l2,)))
+        out.append((l0,) + (l1,) * e1 + (l2,))
     return out
 
 
@@ -363,18 +351,18 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     letter's weight can use the follower's continuation range - a
     two-and-a-half-symbol lookahead that keeps the operator factorized
     while shrinking the locally-constant-weight bias.  The rows of all
-    families with the same number m of exponents form one
+    families with the same number m of columns form one
     ``gdms.LetterBlock`` of (rows x m) weights: one block for the
     parabolic families and one of a single column for the hyperbolic
     ones.  The in key of a letter depends on its family and its
     exponent's bucket only, so each block's runs are the buckets.  Unless
     ``restricted`` builds the finite bounded-winding subsystem (cap=2 and
-    no tail is the delta_c alphabet), each row of a parabolic family is
-    also a tail pseudo-edge for its exponents beyond max(cap, TAIL_START),
-    and below TAIL_START the exponents cap+1 .. TAIL_START are ordinary
-    edges into the same tail key.
+    no tail is the delta_c alphabet), the parabolic block carries the
+    tails: one more column, whose letters are each row's exponents beyond
+    max(cap, TAIL_START), entering the tail key.  Below TAIL_START the
+    exponents cap+1 .. TAIL_START are explicit columns into the same key.
     """
-    from .gdms import GdmsSystem, LetterBlock, TailData
+    from .gdms import GdmsSystem, LetterBlock
 
     tail = not restricted
     ranges = _bucket_ranges(cap)
@@ -389,32 +377,36 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             key_index[k] = len(key_index)
         return key_index[k]
 
-    start = max(cap, TAIL_START)
-    ns = np.arange(1, (start if tail else cap) + 1, dtype=float)
+    # one column per exponent up to the explicit ones, and with tails one
+    # more for all exponents beyond them: its zeta and psi are evaluated
+    # at the first of those and then replaced by 0 placeholders
+    explicit = max(cap, TAIL_START) if tail else cap
+    ns = np.arange(1, explicit + (2 if tail else 1), dtype=float)
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
+    psi_ns[explicit:] = 0.0
     # the bucket of each entering exponent; beyond the cap, the tail bucket
     in_bucket = np.searchsorted([klo for klo, _ in ranges] + [cap + 1], ns,
                                 side="right") - 1
 
-    # per number of exponents m: the rows of each family, and per row the
+    # per number of columns m: the rows of each family, and per row the
     # in key of each run and the out key
     groups: dict = {}
-    t_in, t_out, t_rows = [], [], []
     for f in letter_families(pres):
         m = len(ns) if f.parabolic else 1
-        heads = [key_of((f.g1, f.core), b) for b in range(in_bucket[m - 1] + 1)]
+        heads = [key_of((f.g1, f.core), b)
+                 for b in range(in_bucket[min(m, explicit) - 1] + 1)]
         outs = [key_of((f.core, f.g2), b)
                 for b, ys in enumerate(reps[f.g2]) for _ in ys]
-        rows = [f.row(apply_boundary(pres.map_of(f.core), y))
-                for ys in reps[f.g2] for y in ys]
+        # at cap >= TAIL_START the tail column is a run of its own, and
+        # its key is numbered after the out keys
+        heads += [key_of((f.g1, f.core), b)
+                  for b in range(len(heads), in_bucket[m - 1] + 1)]
+        rows = np.array([f.row(apply_boundary(pres.map_of(f.core), y))
+                         for ys in reps[f.g2] for y in ys])
         fam_rows, in_keys, out_keys = groups.setdefault(m, ([], [], []))
         fam_rows.append(rows)
         in_keys += [heads] * len(rows)
         out_keys += outs
-        if tail and f.parabolic:
-            t_in += [key_of((f.g1, f.core), len(ranges))] * len(outs)
-            t_out += outs
-            t_rows += rows
 
     n_keys = len(key_index)
     blocks = []
@@ -425,25 +417,17 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         for rows in fam_rows:
             lo, hi = hi, hi + len(rows)
             LetterFamily.zeta(rows, ns[:m], out=zeta[lo:hi])
+        zeta[:, explicit:] = 0.0
         blocks.append(LetterBlock(
             zeta=zeta,
             psi=psi_ns[:m],
             starts=np.flatnonzero(np.diff(in_bucket[:m], prepend=-1)),
             cells=(np.array(in_keys, dtype=np.int64) * n_keys
                    + np.array(out_keys, dtype=np.int64)[:, None]),
+            tail=np.concatenate(fam_rows) if m > explicit else None,
         ))
-
-    tails = None
-    if t_in:
-        tails = TailData(
-            cells=(np.array(t_in, dtype=np.int64) * n_keys
-                   + np.array(t_out, dtype=np.int64)),
-            rows=np.array(t_rows),
-            start=start,
-        )
     return GdmsSystem(
         n_keys=n_keys,
         blocks=blocks,
         log_mult=math.log(0.5),
-        tails=tails,
     )

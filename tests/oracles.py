@@ -7,10 +7,12 @@ mean windings of coded words, the induced letters one by one, partition
 sums over paths and over block words, and the discrete Legendre
 transform with the spectrum's endpoint slopes.  Next to them sit the
 helpers only tests need: equality of maps up to sign, containment of
-arcs, the key cell of every letter of a block and systems built from an
-edge list.  Nothing under ``src/`` imports them.
+arcs, induced letters as objects, the key cell of every letter of a
+block, systems built from an edge list and systems stripped of their tail
+columns.  Nothing under ``src/`` imports them.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,12 +29,7 @@ from cuspwind.coding import (
 from cuspwind.errors import CuspwindError
 from cuspwind.fuchsian import CircleInterval, GroupPresentation
 from cuspwind.gdms import GdmsSystem, LetterBlock
-from cuspwind.induced import (
-    InducedLetter,
-    induced_step,
-    letter_families,
-    letters_of_blocks,
-)
+from cuspwind.induced import induced_step, letter_families, letters_of_blocks
 from cuspwind.mobius import (
     BASE_POINT,
     MobiusMap,
@@ -138,6 +135,19 @@ def mean_cusp_winding(pres: GroupPresentation, x: float, n: int) -> float:
 
 # --- induced letters one by one -------------------------------------------
 
+@dataclass(frozen=True)
+class InducedLetter:
+    symbols: tuple
+
+    def __post_init__(self):
+        if len(self.symbols) < 3:
+            raise ValueError("induced letters have at least three symbols")
+
+    @property
+    def core(self) -> str:
+        return self.symbols[1]
+
+
 def alphabet(pres: GroupPresentation, n_max: int) -> list:
     """The letters of every family, parabolic exponents up to n_max."""
     if n_max < 1:
@@ -180,7 +190,8 @@ def eq4_constant(pres: GroupPresentation, samples: int = 60,
             w = random_block_word(pres, rng, letters_each + 8)
             if w.blocks[0][1] == 1:
                 break
-        letters = letters_of_blocks(pres, w)[:letters_each]
+        letters = [InducedLetter(symbols) for symbols
+                   in letters_of_blocks(pres, w)[:letters_each]]
         x = point_from_symbols(pres, w.symbols())
         s = 0.0
         y = x
@@ -210,6 +221,21 @@ def system_from_edges(n_keys: int, in_keys, out_keys, zeta,
     return GdmsSystem(n_keys=n_keys, blocks=[block])
 
 
+def without_tails(sys: GdmsSystem) -> GdmsSystem:
+    """The system with each block's tail column, its run (when the column
+    is a run of its own) and its ``tail`` rows dropped."""
+    blocks = []
+    for block in sys.blocks:
+        if block.tail is not None:
+            m = block.zeta.shape[1] - 1
+            runs = np.count_nonzero(block.starts < m)
+            block = LetterBlock(zeta=block.zeta[:, :m], psi=block.psi[:m],
+                                starts=block.starts[:runs],
+                                cells=block.cells[:, :runs])
+        blocks.append(block)
+    return dataclasses.replace(sys, blocks=blocks)
+
+
 def letter_cells(block: LetterBlock) -> np.ndarray:
     """The key-matrix cell of every letter, shaped like ``block.zeta``."""
     runs = np.diff(block.starts, append=block.zeta.shape[1])
@@ -219,7 +245,7 @@ def letter_cells(block: LetterBlock) -> np.ndarray:
 def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
     """log sum over admissible n-edge paths of the product of edge weights.
 
-    Direct oracle, usable for small n; no tail pseudo-edges.
+    Direct oracle, usable for small n, on systems without tail columns.
     """
     if n < 1:
         raise ValueError("need n >= 1")

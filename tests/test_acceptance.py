@@ -34,7 +34,7 @@ from cuspwind.coding import (
     poincare_divergence_probe,
     random_block_word,
 )
-from cuspwind.fuchsian import build_group
+from cuspwind.fuchsian import build_group, constant_c0, constants_c1
 from cuspwind.induced import (
     conjugacy_check,
     fuchsian_system,
@@ -114,8 +114,8 @@ def test_criterion_2_distance_sandwich_and_winding_bounds():
     ok = True
     details = []
     for name, pres in groups().items():
-        c0 = pres.constant_c0(64)
-        c1 = pres.c1
+        c0 = constant_c0(pres, 64)
+        c1 = constants_c1(pres)
         c2_paper = max(math.log(4.0), c0)
         c2_sum = math.log(4.0) + c0
         lattice = name == "gamma2-type"
@@ -163,7 +163,7 @@ def test_criterion_4_pressure_oracle_equivalence():
     ok = True
     details = []
     for name, pres in groups().items():
-        c0 = pres.constant_c0(64)
+        c0 = constant_c0(pres, 64)
         dhat = eq4_constant(pres, samples=60, letters_each=8, seed=23)
         sysm = fuchsian_system(pres, 3, restricted=True)
         geos = {n: block_word_geometry(pres, n, 3) for n in (2, 3, 4, 5)}
@@ -298,7 +298,7 @@ def test_criterion_9_fact_level_invariants():
     K = 5
     for name, pres in groups().items():
         rng = np.random.default_rng(99)
-        bound = 1.0 / (1.0 + pres.c1 / (2.0 * math.log(K)))
+        bound = 1.0 / (1.0 + constants_c1(pres) / (2.0 * math.log(K)))
         violations = 0
         for _ in range(500):
             n_blocks = int(rng.integers(15, 35))

@@ -445,16 +445,31 @@ def test_svg_deterministic(onecusp):
     assert a.startswith("<?xml")
 
 
-def test_svg_empty_inputs_valid():
-    svg = emit_figure(None, None, None)
-    assert svg.startswith("<?xml") and svg.rstrip().endswith("</svg>")
-
-
 def test_svg_title_is_escaped():
     # the title is the config's free-text name
-    svg = emit_figure(None, None, None, title="a<b & c")
+    from cuspwind import spectrum as sp
+    from cuspwind.gdms import FreeEnergyCurve
+
+    betas = np.linspace(-5.0, 5.0, 21)
+    t = np.sqrt(1.0 + betas ** 2)
+    curve = FreeEnergyCurve(betas, t, t - (0.5 - betas), np.zeros(21),
+                            np.zeros(21, int))
+    svg = emit_figure(curve, sp.spectrum(curve), 0.4, title="a<b & c")
     root = ElementTree.fromstring(svg.encode("utf-8"))
     assert root.find("{http://www.w3.org/2000/svg}text").text == "a<b & c"
+
+
+def test_cli_spectrum_with_few_betas_in_the_figure_window(tmp_path):
+    # fewer than two betas with |beta| <= 21: the left panel shows all
+    for k, grid in enumerate((["--beta-min", "25", "--beta-max", "28"],
+                              ["--beta-min", "20", "--beta-max", "25",
+                               "--beta-steps", "2"])):
+        out = tmp_path / str(k)
+        rc = cli.main(["spectrum", "--preset", "one-cusp-one-hyperbolic",
+                       "--cap", "20", "--out", str(out)] + grid)
+        assert rc == 0
+        root = ElementTree.fromstring((out / "spectrum.svg").read_bytes())
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def test_validate_command_both_presets(capsys):

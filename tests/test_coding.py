@@ -14,6 +14,7 @@ from cuspwind.coding import (
     random_block_word,
 )
 from cuspwind.errors import CodingStalled, OutsideAllIntervals
+from cuspwind.fuchsian import constant_c0, constants_c1
 from cuspwind.induced import induced_step
 from cuspwind.mobius import (
     BASE_POINT,
@@ -94,7 +95,7 @@ def test_displacement_empty_and_single_block(gamma2):
 
 
 def test_displacement_subadditivity(any_group):
-    c0 = any_group.constant_c0(64)
+    c0 = constant_c0(any_group, 64)
     rng = np.random.default_rng(5)
     for _ in range(100):
         n1 = int(rng.integers(1, 8))
@@ -115,7 +116,7 @@ def test_arc_decomposition_sum_matches_displacement(any_group):
 
 
 def test_arc_decomposition_sandwich(any_group):
-    c0 = any_group.constant_c0(64)
+    c0 = constant_c0(any_group, 64)
     rng = np.random.default_rng(101)
     for _ in range(200):
         w = random_block_word(any_group, rng, int(rng.integers(2, 12)))
@@ -127,8 +128,8 @@ def test_arc_decomposition_sandwich(any_group):
 def test_arc_winding_bounds(any_group):
     """Excursion bounds: lower with C1 on arcs >= 2, Prop bound for a >= 2,
     additive upper bound 2 log(a+1) + log 4 + C0 on every arc."""
-    c0 = any_group.constant_c0(64)
-    c1 = any_group.c1
+    c0 = constant_c0(any_group, 64)
+    c1 = constants_c1(any_group)
     upper_const = math.log(4.0) + c0
     rng = np.random.default_rng(303)
     checked = 0
@@ -165,7 +166,7 @@ def test_mean_winding_bounded_digits(onecusp):
     # digits bounded by K: finite-n ratio respects the Fact-4 bound
     K = 5
     rng = np.random.default_rng(7)
-    bound = 1.0 / (1.0 + onecusp.c1 / (2.0 * math.log(K)))
+    bound = 1.0 / (1.0 + constants_c1(onecusp) / (2.0 * math.log(K)))
     for _ in range(30):
         blocks = []
         prev = None

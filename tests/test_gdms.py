@@ -8,7 +8,7 @@ from cuspwind import gdms
 from cuspwind.config import config_from_preset
 from cuspwind.errors import NoSignChange
 from cuspwind.gdms import free_energy, free_energy_curve, pressure
-from cuspwind.fuchsian import build_group, conjugate_config
+from cuspwind.fuchsian import build_group, conjugate_config, constant_c0
 from cuspwind.induced import fuchsian_system, letter_series_sweep
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
@@ -19,6 +19,7 @@ from oracles import (
     letter_cells,
     partition_sum,
     system_from_edges,
+    without_tails,
 )
 
 
@@ -47,7 +48,7 @@ def test_pressure_matches_partition_growth_rate(gamma2, onecusp):
     # two parabolics gives a period-two incidence graph
     n = 200
     for pres in (gamma2, onecusp):
-        sysm = dataclasses.replace(fuchsian_system(pres, 60), tails=None)
+        sysm = without_tails(fuchsian_system(pres, 60))
         for t, beta in ((0.7, 0.0), (1.0, 0.5), (0.52, 0.1)):
             rate = 0.5 * (partition_sum(sysm, t, beta, n + 2)
                           - partition_sum(sysm, t, beta, n))
@@ -64,7 +65,7 @@ def test_pressure_strictly_decreasing_in_t(gamma2):
 def test_pressure_monotone_in_cap_plain(gamma2):
     vals = []
     for cap in (10, 20, 40, 80):
-        sysm = dataclasses.replace(fuchsian_system(gamma2, cap), tails=None)
+        sysm = without_tails(fuchsian_system(gamma2, cap))
         vals.append(pressure(sysm, 0.8, 0.1))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -93,7 +94,6 @@ def test_pressure_call_works_in_one_letter_array(gamma2):
     sysm = fuchsian_system(gamma2, 1600)
     n = sysm.n_edges
     arrays = [a for block in sysm.blocks for a in vars(block).values()]
-    arrays += list(vars(sysm.tails).values())
     sizes = sorted(a.size for a in arrays if isinstance(a, np.ndarray))
     (block,) = sysm.blocks
     assert block.zeta.dtype == float and block.zeta.size == n
@@ -123,20 +123,24 @@ def test_key_graph_classes(gamma2, onecusp):
         cls = np.empty(sysm.n_keys, dtype=np.int64)
         for k, keys in enumerate(sysm.classes):
             cls[keys] = k
-        cells = [block.cells.ravel() for block in sysm.blocks]
-        if sysm.tails is not None:
-            cells.append(sysm.tails.cells)
-        rows, cols = np.divmod(np.concatenate(cells), sysm.n_keys)
+        rows, cols = np.divmod(np.concatenate(
+            [block.cells.ravel() for block in sysm.blocks]), sysm.n_keys)
         assert np.array_equal(cls[cols], (cls[rows] + 1) % p)
 
 
 def full_matrix_pressure(sysm, t, beta, r):
     """scale + log_mult + log max |eigvals(B)| of the whole key matrix,
     collapsed letter by letter."""
-    (block,) = sysm.blocks
-    lw = np.concatenate([(t * block.zeta + beta * block.psi).ravel(),
-                         gdms.tail_log_weights(sysm.tails, t, beta, 2.0 * r)])
-    cells = np.concatenate([letter_cells(block).ravel(), sysm.tails.cells])
+    lws = []
+    for block in sysm.blocks:
+        lw = t * block.zeta + beta * block.psi
+        if block.tail is not None:
+            lw[:, -1] = gdms.tail_log_weights(
+                block.tail, block.zeta.shape[1] - 1, t, beta, 2.0 * r)
+        lws.append(lw.ravel())
+    lw = np.concatenate(lws)
+    cells = np.concatenate([letter_cells(block).ravel()
+                            for block in sysm.blocks])
     scale = lw.max()
     w = np.exp(np.maximum(lw - scale, gdms.LOG_FLOOR))
     n = sysm.n_keys
@@ -180,6 +184,38 @@ def test_whole_matrix_where_the_product_underflows(monkeypatch):
                                                         abs=1e-10)
 
 
+@pytest.mark.parametrize("cap", [60, 400])
+def test_tail_is_the_last_column_of_the_parabolic_block(any_group, cap):
+    # the exponents beyond max(cap, 64) are one more column of the
+    # parabolic block: its rows are the block's rows, and it enters the
+    # tail key of its family, a run of its own from cap 64 on (below, the
+    # exponents cap+1 .. 64 enter the same key)
+    from cuspwind.induced import LetterFamily
+
+    sysm = fuchsian_system(any_group, cap)
+    (block,) = [block for block in sysm.blocks if block.tail is not None]
+    m = block.zeta.shape[1]
+    assert m == max(cap, 64) + 1
+    assert np.array_equal(LetterFamily.zeta(block.tail, np.arange(1.0, m)),
+                          block.zeta[:, :-1])
+    assert block.zeta[:, -1].tolist() == [0.0] * len(block.tail)
+    assert block.psi[-1] == 0.0
+    assert block.starts[-1] == cap
+    in_keys, out_keys = np.divmod(block.cells, sysm.n_keys)
+    # the row's out key, and an in key that no other run enters, one per
+    # pair (g1, c) like the key of exponent 1
+    assert np.array_equal(out_keys[:, -1], out_keys[:, 0])
+    assert not np.isin(in_keys[:, -1], in_keys[:, :-1]).any()
+    pairs = set(zip(in_keys[:, 0].tolist(), in_keys[:, -1].tolist()))
+    assert len(pairs) == len(set(in_keys[:, 0].tolist())) \
+        == len(set(in_keys[:, -1].tolist()))
+    for beta in (-3.0, 0.0, 3.0):
+        for r in (1e-3, 0.5, 2.0):
+            t = 0.5 - beta + r
+            assert pressure(sysm, t, beta, r=r) == pytest.approx(
+                full_matrix_pressure(sysm, t, beta, r), rel=1e-12, abs=1e-12)
+
+
 # --- partition sums ----------------------------------------------------------
 
 def test_partition_sum_single_edge():
@@ -196,7 +232,7 @@ def test_partition_sum_constant_weights():
 
 
 def test_block_partition_sum_subadditive(gamma2):
-    c0 = gamma2.constant_c0(64)
+    c0 = constant_c0(gamma2, 64)
     t, beta = 0.9, 0.2
     geos = {n: block_word_geometry(gamma2, n, 3) for n in (2, 3, 4, 5)}
     z = {n: block_partition_sum(gamma2, t, beta, n, 3, geos[n]) for n in geos}
@@ -206,7 +242,7 @@ def test_block_partition_sum_subadditive(gamma2):
 
 def test_pressure_close_to_block_sums(onecusp):
     """Two independent routes: operator spectral radius vs direct Z_n."""
-    c0 = onecusp.constant_c0(64)
+    c0 = constant_c0(onecusp, 64)
     dhat = eq4_constant(onecusp, samples=40, letters_each=6)
     sysm = fuchsian_system(onecusp, 3, restricted=True)
     rng = np.random.default_rng(8)
@@ -373,12 +409,14 @@ def direct_tail_sums(rows, start, t, beta, two_r, m=4096):
 @pytest.mark.parametrize("cap", [60, 400])
 def test_tail_rule_matches_direct_sums(any_group, cap):
     sysm = fuchsian_system(any_group, cap)
-    tails = sysm.tails
-    assert tails.start == max(cap, 64)
+    (block,) = [block for block in sysm.blocks if block.tail is not None]
+    start = block.zeta.shape[1] - 1
+    assert start == max(cap, 64)
     for beta in (-8.0, -3.0, -1.0, 0.0, 3.0):
         pt = free_energy(sysm, beta)
-        rule = np.exp(gdms.tail_log_weights(tails, pt.t, beta, 2.0 * pt.r))
-        tail, total = direct_tail_sums(tails.rows, tails.start, pt.t, beta,
+        rule = np.exp(gdms.tail_log_weights(block.tail, start, pt.t, beta,
+                                            2.0 * pt.r))
+        tail, total = direct_tail_sums(block.tail, start, pt.t, beta,
                                        2.0 * pt.r)
         assert np.all(np.abs(rule - tail) <= 1e-12 * total)
 
@@ -426,8 +464,7 @@ def test_finiteness_threshold_values(gamma2):
     # systems without tails have a finite letter series
     restricted = fuchsian_system(gamma2, 2, restricted=True)
     assert restricted.divergence_abscissa(0.0) is None
-    assert dataclasses.replace(sysm, tails=None).divergence_abscissa(0.0) \
-        is None
+    assert without_tails(sysm).divergence_abscissa(0.0) is None
 
 
 def test_letter_series_divergence_split(gamma2):

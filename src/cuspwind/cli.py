@@ -227,16 +227,13 @@ def cmd_code(cfg: RunConfig, point: float, blocks: int) -> int:
 def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
-    ts, bs, ps, series = [], [], [], []
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
-    for beta in betas:
-        for t in np.linspace(t_min, t_max, t_steps):
-            ts.append(t)
-            bs.append(beta)
-            ps.append(gdms.pressure(sysm, float(t), float(beta)))
-            # the one-letter series truncated at the run cap
-            series.append(np.log(letter_series_sweep(
-                pres, float(t), float(beta), [cfg.cap])[0]))
+    ts, bs = (grid.ravel() for grid in np.meshgrid(
+        np.linspace(t_min, t_max, t_steps), betas))
+    ps = [gdms.pressure(sysm, float(t), float(beta))
+          for t, beta in zip(ts, bs)]
+    # the one-letter series truncated at the run cap
+    series = np.log(letter_series_sweep(pres, ts, bs, [cfg.cap])[0])
     path = write_result(cfg, "pressure", _meta(cfg),
                         {"t": ts, "beta": bs, "pressure": ps,
                          "letter_series_log": series})

@@ -251,47 +251,86 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
     with vectorized matrix products (once for all exponents); the
     shell-ratio trend detects whether the series diverges (s below the
     exponent) or converges (s above).  Completely independent of the
-    induced-system machinery.  Each shell is kept as one block of matrix
-    rows per last letter, so block j of the next shell is built from the
-    blocks whose last letter is not j^-1; the final shell is only summed,
-    block by block, never stored.
+    induced-system machinery.  For det W = 1, cosh d(W(i), i) is half the
+    squared Frobenius norm of W.  The words of one length are stored as
+    (4 x n) blocks of entries (a, b, c, d), one block per last letter, and
+    block j of the next length is built from the blocks whose last letter
+    is not j^-1, written into place.  Words are stored up to length
+    max_len - 2 only: each stored block times each letter gives a block of
+    words U of length max_len - 1, which is summed and reduced to its Gram
+    entries (p, q, r) = (a^2 + c^2, ab + cd, b^2 + d^2), and the last
+    shell follows from those, since ||U g||_F^2 = p (g0^2 + g1^2) +
+    2 q (g0 g2 + g1 g3) + r (g2^2 + g3^2) for g = (g0, g1, g2, g3).  So no
+    word of the last length, and only one block of the length before it,
+    is ever held.
     """
     labels = pres.labels()
     mats = np.array([[pres.map_of(l).a, pres.map_of(l).b,
                       pres.map_of(l).c, pres.map_of(l).d] for l in labels])
-    inv_idx = np.array([labels.index(pres.inv(l)) for l in labels])
+    inv_idx = [labels.index(pres.inv(l)) for l in labels]
     k = len(labels)
     shells = [[0.0] * max_len for _ in ss]
+    # per letter g: the factors of p, q and r in ||U g||_F^2
+    gram = np.stack([mats[:, 0] ** 2 + mats[:, 1] ** 2,
+                     2.0 * (mats[:, 0] * mats[:, 2] + mats[:, 1] * mats[:, 3]),
+                     mats[:, 2] ** 2 + mats[:, 3] ** 2], axis=1)
 
-    def times(rows, g):
-        """Rows (a, b, c, d) of the products rows * g."""
-        return np.stack([rows[:, 0] * g[0] + rows[:, 1] * g[2],
-                         rows[:, 0] * g[1] + rows[:, 1] * g[3],
-                         rows[:, 2] * g[0] + rows[:, 3] * g[2],
-                         rows[:, 2] * g[1] + rows[:, 3] * g[3]], axis=1)
-
-    def add(level, rows):
-        a, b, c, d = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-        den = c * c + d * d
-        x = (b * d + a * c) / den
-        y = 1.0 / den
-        u = (x * x + (y - 1.0) ** 2) / (2.0 * y)
-        dist = np.arccosh(1.0 + u)
+    def add(level, fro2):
+        dist = np.arccosh(0.5 * fro2)
         for s, out in zip(ss, shells):
             out[level] += float(np.exp(-s * dist).sum())
 
-    blocks = [mats[j:j + 1] for j in range(k)]  # words of length 1
-    for rows in blocks:
-        add(0, rows)
-    for level in range(1, max_len):
+    def times(words, g, out):
+        """Entries of the products words * g, written into ``out``."""
+        a, b, c, d = words
+        np.multiply(a, g[0], out=out[0])
+        out[0] += b * g[2]
+        np.multiply(a, g[1], out=out[1])
+        out[1] += b * g[3]
+        np.multiply(c, g[0], out=out[2])
+        out[2] += d * g[2]
+        np.multiply(c, g[1], out=out[3])
+        out[3] += d * g[3]
+        return out
+
+    def last_shell(last, words):
+        """Add the shell of the words ``words * g`` over every letter g
+        that may follow ``last``."""
+        a, b, c, d = words
+        p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
+        for j in range(k):
+            if last != inv_idx[j]:
+                fro2 = p * gram[j, 0]
+                fro2 += q * gram[j, 1]
+                fro2 += r * gram[j, 2]
+                add(max_len - 1, fro2)
+
+    def grow(level, blocks):
+        """The blocks of the words one letter longer, their shell added."""
         nxt = []
         for j in range(k):
-            prev = [blocks[i] for i in range(k) if i != inv_idx[j]]
-            if level == max_len - 1:
-                for rows in prev:
-                    add(level, times(rows, mats[j]))
-            else:
-                nxt.append(times(np.concatenate(prev), mats[j]))
-                add(level, nxt[-1])
-        blocks = nxt
+            prev = [words for i, words in blocks if i != inv_idx[j]]
+            out = np.empty((4, sum(words.shape[1] for words in prev)))
+            hi = 0
+            for words in prev:
+                lo, hi = hi, hi + words.shape[1]
+                times(words, mats[j], out[:, lo:hi])
+            add(level, np.einsum("ij,ij->j", out, out))
+            nxt.append((j, out))
+        return nxt
+
+    # the empty word, which every letter may follow (-1 is no letter's
+    # inverse)
+    blocks = [(-1, np.eye(2).reshape(4, 1))]
+    for level in range(max_len - 2):
+        blocks = grow(level, blocks)
+    if max_len == 1:
+        last_shell(-1, blocks[0][1])
+        return shells
+    for i, words in blocks:
+        for j in range(k):
+            if i != inv_idx[j]:
+                child = times(words, mats[j], np.empty_like(words))
+                add(max_len - 2, np.einsum("ij,ij->j", child, child))
+                last_shell(j, child)
     return shells

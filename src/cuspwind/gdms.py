@@ -29,11 +29,14 @@ P(t, beta) = log rho(B) as a float.
 The letters are stored as blocks (``LetterBlock``): a (rows x exponents)
 array of zeta, psi per exponent, and the runs of consecutive exponents
 that enter the same key.  Everything but the weights is fixed when the
-system is built, so B is built in one pass over one work array per block:
-the exponents t zeta + beta psi, updated in place (the tail column
-overwritten by the tail rule), share one maximum, are floored
-``LOG_FLOOR`` below it and exponentiated, summed over each run, and the
-(rows x runs) sums go into B by one small ``np.bincount``.
+system is built, and so are the extremes of each column of zeta, once
+derived; the one scale of all weights, the largest exponent t zeta + beta
+psi, comes from those extremes and the tail column's weights without
+forming the exponents.  B is then built a chunk of rows at a time in one
+buffer that stays in cache (``key_matrix``): the exponents, updated in
+place (the tail column overwritten by the tail rule), are floored
+``LOG_FLOOR`` below the scale and exponentiated, summed over each run,
+and the (rows x runs) sums go into B by one small ``np.bincount``.
 
 t(beta) is the unique zero of the decreasing map t -> P(t, beta).
 Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +65,13 @@ from .errors import InvalidCurve, NoSignChange
 # drops to -inf.  e^-700 is a normal double, so no subnormal ever reaches
 # exp or the run sums, where subnormals cost ~100x per value.
 LOG_FLOOR = -700.0
+
+# ``key_matrix`` builds the letter weights this many doubles (512 KB) at
+# a time, a chunk of whole rows that stays in a core's L2 cache through
+# the seven passes over it; a row longer than that is one chunk of its
+# own.  ``induced.letter_series_sweep`` takes its (t, beta) points in
+# chunks of the same size.
+CHUNK = 1 << 16
 
 
 @dataclass
@@ -85,6 +96,19 @@ class LetterBlock:
     starts: np.ndarray  # (runs,)
     cells: np.ndarray  # (rows, runs)
     tail: np.ndarray = None  # (rows, 5), or None without a tail column
+
+    # The extremes of each column of zeta, from which ``key_matrix`` finds
+    # the largest exponent t zeta + beta psi without forming the exponents.
+    # Each is derived from zeta on first use: a pass over zeta costs 1.4 ms
+    # at cap 6400, which building the system does not pay, and the minima
+    # serve only t < 0.
+    @cached_property
+    def zeta_max(self) -> np.ndarray:
+        return self.zeta.max(axis=0, initial=-math.inf)
+
+    @cached_property
+    def zeta_min(self) -> np.ndarray:
+        return self.zeta.min(axis=0, initial=math.inf)
 
 
 # Gauss-Jacobi nodes of the tail integral.  g is analytic well beyond the
@@ -222,67 +246,100 @@ def cyclic_classes(pattern: np.ndarray) -> list:
     return [np.flatnonzero(pot % p == k) for k in range(p)]
 
 
+def key_matrix(sys: GdmsSystem, t: float, beta: float, r: float = None):
+    """(scale, B): the letter weights exp(t zeta + beta psi - scale) summed
+    into the n_keys x n_keys key matrix B, with the scale the largest
+    exponent; B is None where the scale is not finite.
+
+    A tail column weighs the sum of each row's letters beyond the explicit
+    exponents (``tail_log_weights``, with 2r from r when r is given, else
+    from t).  Every exponent is floored ``LOG_FLOOR`` below the scale.
+    The scale is found without the (rows x m) exponents: t x + c rounds
+    monotonically in x, so the largest exponent of column j is
+    t zeta_max[j] + beta psi[j] (zeta_min when t < 0), and the tail
+    column's is its largest tail log-weight.  The weights are then built
+    ``CHUNK`` values at a time, in whole rows, in one buffer per block
+    updated in place (exponents, floor, ``exp``), and each chunk's run sums
+    go into one (rows x runs) array per block; one ``np.bincount`` takes
+    those into B.
+    """
+    blocks = [block for block in sys.blocks if block.zeta.size]
+    terms, tops = [], []
+    for block in blocks:
+        bpsi = beta * block.psi
+        top = np.multiply(block.zeta_max if t >= 0.0 else block.zeta_min, t)
+        top += bpsi
+        tail = None
+        if block.tail is not None:
+            two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
+            tail = tail_log_weights(block.tail, top.size - 1, t, beta, two_r)
+            top[-1] = tail.max()
+        terms.append((bpsi, tail))
+        tops.append(float(top.max()))
+    scale = max(tops, default=0.0)
+    if not math.isfinite(scale):
+        return scale, None
+    cells, sums = [], []
+    for block, (bpsi, tail) in zip(blocks, terms):
+        rows, m = block.zeta.shape
+        step = max(1, CHUNK // m)
+        buf = np.empty((min(step, rows), m))
+        out = np.empty(block.cells.shape)
+        for lo in range(0, rows, step):
+            zeta = block.zeta[lo:lo + step]
+            lw = np.multiply(zeta, t, out=buf[:len(zeta)])
+            lw += bpsi
+            if tail is not None:
+                lw[:, -1] = tail[lo:lo + step]
+            lw -= scale
+            np.maximum(lw, LOG_FLOOR, out=lw)
+            np.exp(lw, out=lw)
+            np.add.reduceat(lw, block.starts, axis=1, out=out[lo:lo + step])
+        cells.append(block.cells.ravel())
+        sums.append(out.ravel())
+    n = sys.n_keys
+    b = np.bincount(np.concatenate(cells), weights=np.concatenate(sums),
+                    minlength=n * n).reshape(n, n)
+    return scale, b
+
+
 def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     """log spectral radius of the truncated weighted transfer operator.
 
-    The edge weights are summed into the key-by-key matrix B, which has
-    the same nonzero spectrum as the letter-level operator.  B maps each
-    of the p cyclic classes of the key graph (``sys.classes``) to the
-    next, so rho(B)^p is the spectral radius of the product of its p
-    blocks B_(k, k+1); with one class (p = 1) that block is B itself, and
-    B is solved directly.  Each block is divided by its largest entry before
-    the product and the running product by its largest entry after each
-    multiplication, with the logs of the divisors kept aside: the
-    dominant cycle of a bipartite key graph at large |beta| alternates a
-    weight 1 with the floor, and the plain product of such blocks sinks
-    to subnormals.  Entries of the product that the key graph reaches but
-    that still fall below the normal range are known only to lie in
-    [0, tiny]; when rho changes by more than 1e-13 between the two ends,
-    the product cannot resolve it and the whole matrix is solved (on
+    The edge weights are summed into the key-by-key matrix B
+    (``key_matrix``), which has the same nonzero spectrum as the
+    letter-level operator.  B maps each of the p cyclic classes of the key
+    graph (``sys.classes``) to the next, so rho(B)^p is the spectral radius
+    of the product of its p blocks B_(k, k+1); with one class (p = 1) that
+    block is B itself, and B is solved directly.  Each block is divided by
+    its largest entry before the product and the running product by its
+    largest entry after each multiplication, with the logs of the divisors
+    kept aside: the dominant cycle of a bipartite key graph at large |beta|
+    alternates a weight 1 with the floor, and the plain product of such
+    blocks sinks to subnormals.  Entries of the product that the key graph
+    reaches but that still fall below the normal range are known only to
+    lie in [0, tiny]; when rho changes by more than 1e-13 between the two
+    ends, the product cannot resolve it and the whole matrix is solved (on
     charts where the entries of a block span 300 decades, the product of
     two blocks can lose every entry of its dominant cycle).  The dominant
     eigenvalue comes from a full eigensolve; that stays robust when
     near-critical tail weights make it nearly degenerate.
 
-    When a block carries tails, its tail column weighs the sum of each
-    row's letters beyond the explicit exponents (``tail_log_weights``),
-    and the pressure is +inf where the untruncated letter series
-    diverges, i.e. t + beta <= 1/2 (or r <= 0 when the shifted variable
-    r = t - (1/2 - beta) is given; the tail rule then takes 2r from r,
-    not from t).  All weights share one scale, the largest exponent, and
-    are floored ``LOG_FLOOR`` below it; ``log_mult`` enters once, in the
-    returned value.  With no edge weight left the operator is empty and
-    the pressure is -inf.
+    When a block carries tails, the pressure is +inf where the untruncated
+    letter series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the
+    shifted variable r = t - (1/2 - beta) is given; the tail rule then
+    takes 2r from r, not from t), and where a weight diverged.  All
+    weights share one scale, the largest exponent; ``log_mult`` enters
+    once, in the returned value.  With no edge weight left the operator
+    is empty and the pressure is -inf.
     """
     t0 = sys.divergence_abscissa(beta)
     if t0 is not None and ((r <= 0.0) if r is not None else t <= t0):
         return math.inf
-
-    # one work array per block, updated in place from the exponents to
-    # the weights
-    work = []
-    for block in sys.blocks:
-        lw = np.multiply(block.zeta, t)
-        lw += beta * block.psi
-        if block.tail is not None:
-            two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-            lw[:, -1] = tail_log_weights(block.tail, lw.shape[1] - 1, t,
-                                         beta, two_r)
-        work.append(lw)
-    scale = max((float(lw.max()) for lw in work if lw.size), default=0.0)
-    if not math.isfinite(scale):
+    scale, b = key_matrix(sys, t, beta, r)
+    if b is None:
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
-    cells, sums = [], []
-    for block, lw in zip(sys.blocks, work):
-        lw -= scale
-        np.maximum(lw, LOG_FLOOR, out=lw)
-        np.exp(lw, out=lw)
-        cells.append(block.cells.ravel())
-        sums.append(np.add.reduceat(lw, block.starts, axis=1).ravel())
-    n = sys.n_keys
-    b = np.bincount(np.concatenate(cells), weights=np.concatenate(sums),
-                    minlength=n * n).reshape(n, n)
     if sys.classes is None:
         # every cell carries a weight >= e^LOG_FLOOR: b > 0 is the key graph
         sys.classes = cyclic_classes(b > 0)

@@ -38,6 +38,7 @@ from .coding import (
     random_block_word,
 )
 from .fuchsian import TWO_PI, CircleInterval, GroupPresentation
+from .gdms import CHUNK
 from .mobius import apply_boundary
 
 
@@ -317,26 +318,38 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
     return reps
 
 
-def letter_series_sweep(pres: GroupPresentation, t: float, beta: float,
-                        caps) -> list:
+def letter_series_sweep(pres: GroupPresentation, t, beta, caps) -> list:
     """Truncated one-letter weight series sum_{|a| <= cap} e^{t zeta + beta psi}
-    for an increasing ladder of caps (raw values, not logs).
+    for an increasing ladder of caps (raw values, not logs), one per cap:
+    a float for scalar t and beta, and for arrays an array of their
+    broadcast shape, one value per (t, beta).
 
     This is the quantity whose convergence characterizes finiteness of the
-    pressure; it diverges exactly when t + beta <= 1/2.  Vectorized over
-    the full exponent range, so ladders up to ~10^5 are cheap.
+    pressure; it diverges exactly when t + beta <= 1/2.  Each family's
+    weights are evaluated once, and the series are vectorized over the
+    full exponent range and over the (t, beta) points, ``CHUNK`` values at
+    a time, so ladders up to ~10^5 and grids of points are cheap.
     """
     caps = sorted(caps)
     top = caps[-1]
+    t, beta = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                  np.asarray(beta, dtype=float))
     ns = np.arange(1, top + 1, dtype=float)
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
-    total = np.zeros(top)
-    for f in letter_families(pres):
-        m = top if f.parabolic else 1
-        zeta = f.zeta([f.row(f.x_mid)], ns[:m])[0]
-        total[:m] += np.exp(t * zeta + beta * psi_ns[:m])
-    cum = np.cumsum(total)
-    return [float(cum[c - 1]) for c in caps]
+    zetas = [f.zeta([f.row(f.x_mid)], ns[:top if f.parabolic else 1])[0]
+             for f in letter_families(pres)]
+    ts, bs = t.reshape(-1, 1), beta.reshape(-1, 1)
+    out = np.empty((len(caps), ts.size))
+    step = max(1, CHUNK // top)
+    for lo in range(0, ts.size, step):
+        tc, bc = ts[lo:lo + step], bs[lo:lo + step]
+        total = np.zeros((len(tc), top))
+        for zeta in zetas:
+            m = zeta.size
+            total[:, :m] += np.exp(tc * zeta + bc * psi_ns[:m])
+        cum = np.cumsum(total, axis=1)
+        out[:, lo:lo + step] = cum[:, np.subtract(caps, 1)].T
+    return [row.reshape(t.shape)[()] for row in out]
 
 
 def fuchsian_system(pres: GroupPresentation, cap: int,

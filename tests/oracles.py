@@ -5,7 +5,8 @@ enumeration, a closed form or plain summation, sharing as little code as
 possible with what the command line runs: hyperbolic displacements and
 mean windings of coded words, the induced letters one by one, partition
 sums over paths and over block words, and the discrete Legendre
-transform with the spectrum's endpoint slopes.  Next to them sit the
+transform with the spectrum's endpoint slopes, and the key matrix with
+every block's weights built in one whole work array.  Next to them sit the
 helpers only tests need: equality of maps up to sign, containment of
 arcs, induced letters as objects, the key cell of every letter of a
 block, systems built from an edge list and systems stripped of their tail
@@ -28,7 +29,7 @@ from cuspwind.coding import (
 )
 from cuspwind.errors import CuspwindError
 from cuspwind.fuchsian import CircleInterval, GroupPresentation
-from cuspwind.gdms import GdmsSystem, LetterBlock
+from cuspwind.gdms import LOG_FLOOR, GdmsSystem, LetterBlock, tail_log_weights
 from cuspwind.induced import induced_step, letter_families, letters_of_blocks
 from cuspwind.mobius import (
     BASE_POINT,
@@ -265,6 +266,37 @@ def partition_sum(sys: GdmsSystem, t: float, beta: float, n: int) -> float:
         log_acc += math.log(norm) + scale
     # after normalizations, add back the mass of the current vector
     return log_acc + math.log(u.sum()) if n > 1 else scale + math.log(w.sum())
+
+
+def whole_key_matrix(sys: GdmsSystem, t: float, beta: float,
+                     r: float = None):
+    """``gdms.key_matrix`` with each block's weights built in one (rows x m)
+    work array: the exponents t zeta + beta psi with the tail column
+    overwritten by the tail rule, their maximum as the scale, then the
+    floor, ``exp`` and the run sums over the whole array."""
+    work = []
+    for block in sys.blocks:
+        lw = np.multiply(block.zeta, t)
+        lw += beta * block.psi
+        if block.tail is not None:
+            two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
+            lw[:, -1] = tail_log_weights(block.tail, lw.shape[1] - 1, t,
+                                         beta, two_r)
+        work.append(lw)
+    scale = max((float(lw.max()) for lw in work if lw.size), default=0.0)
+    if not math.isfinite(scale):
+        return scale, None
+    cells, sums = [], []
+    for block, lw in zip(sys.blocks, work):
+        lw -= scale
+        np.maximum(lw, LOG_FLOOR, out=lw)
+        np.exp(lw, out=lw)
+        cells.append(block.cells.ravel())
+        sums.append(np.add.reduceat(lw, block.starts, axis=1).ravel())
+    n = sys.n_keys
+    b = np.bincount(np.concatenate(cells), weights=np.concatenate(sums),
+                    minlength=n * n).reshape(n, n)
+    return scale, b
 
 
 def block_word_geometry(pres, n: int, cap: int):

@@ -227,8 +227,10 @@ def test_poincare_shells_split_at_exponent_one(gamma2):
     assert hi[-1] / hi[-2] < 1.0
 
 
-def test_poincare_shells_match_word_recursion(any_group):
-    ss, max_len = [0.9, 1.1], 5
+@pytest.mark.parametrize("max_len", [1, 2, 3, 5])
+def test_poincare_shells_match_word_recursion(any_group, max_len):
+    # below 3 no word is stored before the last two shells, at 3 one length
+    ss = [0.9, 1.1]
     want = [[0.0] * max_len for _ in ss]
 
     def rec(mat, last, length):
@@ -246,3 +248,17 @@ def test_poincare_shells_match_word_recursion(any_group):
     got = poincare_shell_sums(any_group, ss, max_len)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12)
+
+
+def test_poincare_probe_streams_its_last_shells(gamma2):
+    # the 2.1M words of length 13 are never formed, nor the 708k of length
+    # 12 at once
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        poincare_shell_sums(gamma2, [0.93, 1.03], 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

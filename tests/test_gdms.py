@@ -19,6 +19,7 @@ from oracles import (
     letter_cells,
     partition_sum,
     system_from_edges,
+    whole_key_matrix,
     without_tails,
 )
 
@@ -87,8 +88,8 @@ def test_pressure_divergence_flag(gamma2):
 
 
 def test_pressure_call_works_in_one_letter_array(gamma2):
-    # the system keeps one float per letter (zeta) and a pressure call one
-    # work array of the same size, updated in place
+    # the system keeps one float per letter (zeta), and a pressure call
+    # less than that again (it builds the weights in chunks)
     import tracemalloc
 
     sysm = fuchsian_system(gamma2, 1600)
@@ -106,6 +107,42 @@ def test_pressure_call_works_in_one_letter_array(gamma2):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n
+
+
+@pytest.mark.parametrize("cap", [60, 400, 2048])
+def test_chunked_weights_equal_the_whole_array(any_group, cap, monkeypatch):
+    # gamma2's parabolic block spans 3 chunks at cap 400 and 14 at cap
+    # 2048; beta = 3000 gives t < 0, where the scale comes from the column
+    # minima of zeta
+    sysm = fuchsian_system(any_group, cap)
+    grid = [(beta, r) for beta in (-3000.0, -100.0, -1.25, 0.0, 1.25, 10.0,
+                                   3000.0)
+            for r in (1e-300, 1e-5, 0.3, 1.0, 40.0)]
+    got = []
+    for beta, r in grid:
+        t = 0.5 - beta + r
+        scale, b = gdms.key_matrix(sysm, t, beta, r)
+        want_scale, want_b = whole_key_matrix(sysm, t, beta, r)
+        assert scale == want_scale and np.array_equal(b, want_b)
+        got.append(pressure(sysm, t, beta, r=r))
+    monkeypatch.setattr(gdms, "key_matrix", whole_key_matrix)
+    assert got == [pressure(sysm, 0.5 - beta + r, beta, r=r)
+                   for beta, r in grid]
+
+
+def test_pressure_call_allocates_one_chunk(gamma2):
+    # 24.6 MB of weights at cap 6400, built 512 KB at a time
+    import tracemalloc
+
+    sysm = fuchsian_system(gamma2, 6400)
+    pressure(sysm, 1.0, 0.0)  # the first call also finds the key classes
+    tracemalloc.start()
+    try:
+        pressure(sysm, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 # --- cyclic classes of the key graph ------------------------------------------
@@ -474,6 +511,18 @@ def test_letter_series_divergence_split(gamma2):
     assert all(b > a for a, b in zip(div, div[1:]))  # keeps growing
     assert div[-1] / div[0] > 1.5
     assert abs(conv[-1] - conv[-2]) < 1e-3
+
+
+def test_letter_series_grid_matches_single_points(onecusp):
+    # one call over a (beta x t) grid, as the pressure command makes, gives
+    # each point's series exactly; at cap 6400 the 12 points take 2 chunks
+    ts, bs = np.meshgrid(np.linspace(0.6, 1.5, 4), [-1.0, 0.0, 1.0])
+    caps = [5, 40, 6400]
+    grid = letter_series_sweep(onecusp, ts, bs, caps)
+    assert [g.shape for g in grid] == [ts.shape] * len(caps)
+    for i, j in np.ndindex(ts.shape):
+        assert [g[i, j] for g in grid] == letter_series_sweep(
+            onecusp, ts[i, j], bs[i, j], caps)
 
 
 def test_curve_invariants(onecusp):

@@ -21,6 +21,9 @@ class ConfigError(Exception):
 # converges in the cap long before it: caps 800 and 1600 agree to 5e-12.
 MAX_CAP = 2 ** 15
 
+# Betas solved besides the grid, each with its negative.
+BETA_EXTENSIONS = (30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0)
+
 
 @dataclass
 class RunConfig:
@@ -30,7 +33,6 @@ class RunConfig:
     beta_min: float = -20.0
     beta_max: float = 20.0
     beta_steps: int = 33
-    beta_extensions: tuple = (30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0)
     seed: int = 1234
     out_dir: str = "."
     out_format: str = "csv"
@@ -45,20 +47,17 @@ class RunConfig:
                               "beta_steps >= 2")
         step = (self.beta_max - self.beta_min) / (self.beta_steps - 1)
         main = [self.beta_min + k * step for k in range(self.beta_steps)]
-        ext = []
-        for b in self.beta_extensions:
-            ext.extend([float(b), -float(b)])
-        return sorted(set(main) | set(ext))
+        ext = {sign * b for b in BETA_EXTENSIONS for sign in (1.0, -1.0)}
+        return sorted(set(main) | ext)
 
     def validate(self):
         if not 1 <= self.cap <= MAX_CAP:
             raise ConfigError("cap must be between 1 and %d" % MAX_CAP)
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
-        if not all(map(math.isfinite, (self.beta_min, self.beta_max)
-                       + tuple(self.beta_extensions))):
-            raise ConfigError("beta_min, beta_max and beta_extensions must "
-                              "be finite")
+        if not (math.isfinite(self.beta_min)
+                and math.isfinite(self.beta_max)):
+            raise ConfigError("beta_min and beta_max must be finite")
         if self.beta_steps < 1:
             raise ConfigError("beta_steps must be at least 1")
         if self.out_format not in ("csv", "json"):
@@ -72,7 +71,6 @@ _SCALARS = {
     "beta_steps": int, "seed": int,
     "out_dir": str, "out_format": str,
 }
-_LISTS = {"beta_extensions": float}
 _GEN_KEYS = {"label", "inverse_label", "kind", "matrix", "interval",
              "interval_inverse"}
 
@@ -108,14 +106,6 @@ def parse_config_text(text: str) -> RunConfig:
             try:
                 setattr(cfg, key, _SCALARS[key](value))
             except (TypeError, ValueError, OverflowError):
-                raise ConfigError("line %d: bad value for %s" % (lineno, key)) \
-                    from None
-        elif key in _LISTS:
-            if not isinstance(value, list):
-                raise ConfigError("line %d: %s needs a list" % (lineno, key))
-            try:
-                setattr(cfg, key, tuple(_LISTS[key](v) for v in value))
-            except ValueError:
                 raise ConfigError("line %d: bad value for %s" % (lineno, key)) \
                     from None
         else:

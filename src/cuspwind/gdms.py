@@ -8,8 +8,9 @@ key-by-key matrix B[i, j] = sum of w(e) over the edges with in(e) = i and
 out(e) = j, so the pressure is log rho(B) however many letters the
 truncation keeps.  The key graph has a period p (2 on the free products
 of parabolics, where keys with core a/A only lead to keys with core b/B
-and back), its keys fall into p cyclic classes, and B maps each class to
-the next.  Hence rho(B)^p = rho(B_01 B_12 ... B_(p-1)0), and the pressure
+and back), its keys fall into p cyclic classes, which come with the
+system (``GdmsSystem.classes``), and B maps each class to the next.
+Hence rho(B)^p = rho(B_01 B_12 ... B_(p-1)0), and the pressure
 is one eigensolve of that normalised block product, whose size is that
 of one class (n_keys / p on both presets).  Where the product lost to
 underflow entries that rho depends on, the whole matrix is solved.
@@ -52,7 +53,7 @@ it, which halves the pressure calls of a spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -194,16 +195,16 @@ class GdmsSystem:
     Fuchsian instances carry the analytic exponent tails of their
     parabolic letter families as the tail column of their parabolic
     block; finite systems (the delta_c alphabet, synthetic test shifts)
-    have none.
+    have none.  The cyclic classes of the key graph come with the system
+    (``induced.fuchsian_system`` takes them from its pair graph).
     """
 
     n_keys: int
     blocks: list  # LetterBlock
+    # the keys of each cyclic class of the key graph (``cyclic_classes``):
+    # every cell of every block runs from class k to class k + 1 mod p
+    classes: list
     log_mult: float = 0.0  # additive log constant of every weight (quadrature)
-    # the keys of each cyclic class of the key graph (``cyclic_classes``),
-    # set by the first ``pressure`` call that builds the key matrix
-    classes: list = field(init=False, default=None, repr=False,
-                          compare=False)
 
     @property
     def n_edges(self) -> int:
@@ -309,21 +310,23 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     The edge weights are summed into the key-by-key matrix B
     (``key_matrix``), which has the same nonzero spectrum as the
     letter-level operator.  B maps each of the p cyclic classes of the key
-    graph (``sys.classes``) to the next, so rho(B)^p is the spectral radius
-    of the product of its p blocks B_(k, k+1); with one class (p = 1) that
-    block is B itself, and B is solved directly.  Each block is divided by
-    its largest entry before the product and the running product by its
-    largest entry after each multiplication, with the logs of the divisors
-    kept aside: the dominant cycle of a bipartite key graph at large |beta|
-    alternates a weight 1 with the floor, and the plain product of such
-    blocks sinks to subnormals.  Entries of the product that the key graph
-    reaches but that still fall below the normal range are known only to
-    lie in [0, tiny]; when rho changes by more than 1e-13 between the two
-    ends, the product cannot resolve it and the whole matrix is solved (on
-    charts where the entries of a block span 300 decades, the product of
-    two blocks can lose every entry of its dominant cycle).  The dominant
-    eigenvalue comes from a full eigensolve; that stays robust when
-    near-critical tail weights make it nearly degenerate.
+    graph, which come with the system (``sys.classes``), to the next, so
+    rho(B)^p is the spectral radius of the product of its p blocks
+    B_(k, k+1); with one class (p = 1) that block is B itself, and B is
+    solved directly.  The call reads the system and changes nothing in it.
+    Each block is divided by its largest entry before the product and the
+    running product by its largest entry after each multiplication, with
+    the logs of the divisors kept aside: the dominant cycle of a bipartite
+    key graph at large |beta| alternates a weight 1 with the floor, and
+    the plain product of such blocks sinks to subnormals.  Entries of the
+    product that the key graph reaches but that still fall below the
+    normal range are known only to lie in [0, tiny]; when rho changes by
+    more than 1e-13 between the two ends, the product cannot resolve it
+    and the whole matrix is solved (on charts where the entries of a block
+    span 300 decades, the product of two blocks can lose every entry of
+    its dominant cycle).  The dominant eigenvalue comes from a full
+    eigensolve; that stays robust when near-critical tail weights make it
+    nearly degenerate.
 
     When a block carries tails, the pressure is +inf where the untruncated
     letter series diverges, i.e. t + beta <= 1/2 (or r <= 0 when the
@@ -340,9 +343,6 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     if b is None:
         # every weight zero: empty operator; otherwise a weight diverged
         return -math.inf if scale == -math.inf else math.inf
-    if sys.classes is None:
-        # every cell carries a weight >= e^LOG_FLOOR: b > 0 is the key graph
-        sys.classes = cyclic_classes(b > 0)
     cls = sys.classes
     p = len(cls)
     log_top, rho = 0.0, None

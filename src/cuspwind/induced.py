@@ -12,6 +12,12 @@ families.  Consecutive letters share two symbols, which is exactly the
 incidence condition and what lets the transfer operator factor through
 symbol pairs.
 
+The incidence is one graph, built once by ``pair_graph``: its vertices
+are the overlap pairs, and family (g1, c, g2) is the edge from pair
+(g1, c) to pair (c, g2).  The primitivity witness is its diameter, and
+the transfer operator (``fuchsian_system``) numbers its keys pair by
+pair along it and takes its cyclic classes from it.
+
 Potential conventions: psi(e) = -2 log+(|e| - 3) reads off the winding of
 the core block.  The geometric weight of a letter is the log-derivative
 of its contracting branch V_e = symbols[:-2] at the canonical
@@ -127,40 +133,38 @@ def conjugacy_check(pres: GroupPresentation, samples: int = 100,
     return ConjugacyReport(mismatches, resampled)
 
 
+def pair_graph(families) -> tuple:
+    """The pair graph of the induced shift: (pairs, ends, adj).  Vertex v
+    is the overlap pair ``pairs[v]``, numbered in first-use order, family
+    k (g1, c, g2) is the edge ``ends[k]`` = (head, tail) from (g1, c) to
+    (c, g2), and ``adj`` is the boolean adjacency of the vertices."""
+    index: dict = {}
+    ends = [tuple(index.setdefault(pair, len(index))
+                  for pair in ((f.g1, f.core), (f.core, f.g2)))
+            for f in families]
+    adj = np.zeros((len(index), len(index)), dtype=bool)
+    heads, tails = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    adj[heads, tails] = True
+    return list(index), ends, adj
+
+
 def primitivity_witness(pres: GroupPresentation):
     """Smallest L such that every ordered letter pair joins via a connector
     of at most L letters (0 = direct adjacency); returns (L, pair count),
     with L = None when no L <= 6 does.
 
-    Works on the boundary-pair graph: a letter is an edge from its head
-    pair to its tail pair, so connector words correspond to pair paths.
+    A connector of L letters is a path of L edges of the pair graph
+    (``pair_graph``) from tail(a) to head(b), so L is its diameter: the
+    first k at which the reach matrix (I + A)^k has no zero entry.
     """
-    succ = {}
-    for f in letter_families(pres):
-        succ.setdefault((f.g1, f.core), []).append((f.core, f.g2))
-    pairs = list(succ)
-    # BFS from every pair
-    worst = 0
-    for p in pairs:
-        dist = {p: 0}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for rr in succ[q]:
-                    if rr not in dist:
-                        dist[rr] = dist[q] + 1
-                        nxt.append(rr)
-            frontier = nxt
-        if len(dist) != len(pairs):
-            return None, len(pairs)
-        worst = max(worst, max(dist.values()))
-    # a connector of L letters realizes pair paths of exactly L edges from
-    # tail(a) to head(b); direct adjacency is the 0-letter path tail(a)=head(b),
-    # so the witness length is the pair-graph diameter
-    if worst > 6:
-        return None, len(pairs)
-    return worst, len(pairs)
+    pairs, _, adj = pair_graph(letter_families(pres))
+    step = adj | np.eye(len(pairs), dtype=bool)
+    reach = np.eye(len(pairs), dtype=bool)
+    for k in range(7):
+        if reach.all():
+            return k, len(pairs)
+        reach = reach @ step
+    return None, len(pairs)
 
 
 # --- vectorized letter families for the transfer operator ------------------
@@ -374,21 +378,22 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     tails: one more column, whose letters are each row's exponents beyond
     max(cap, TAIL_START), entering the tail key.  Below TAIL_START the
     exponents cap+1 .. TAIL_START are explicit columns into the same key.
+    The keys are numbered pair by pair (``pair_graph``): pair (x, y) owns
+    one key per bucket of core y.  A family joins every key of its head
+    pair to every key of its tail pair, so each key takes the cyclic class
+    of its pair.
     """
-    from .gdms import GdmsSystem, LetterBlock
+    from .gdms import GdmsSystem, LetterBlock, cyclic_classes
 
     tail = not restricted
     ranges = _bucket_ranges(cap)
     reps = {c_label: _bucket_reps(pres, c_label, ranges, tail)
             for c_label in pres.labels()}
-
-    key_index: dict = {}
-
-    def key_of(pair, bucket):
-        k = (pair, bucket)
-        if k not in key_index:
-            key_index[k] = len(key_index)
-        return key_index[k]
+    families = letter_families(pres)
+    pairs, ends, adj = pair_graph(families)
+    sizes = [len(reps[y]) for _, y in pairs]
+    first = np.cumsum([0] + sizes).tolist()
+    n_keys = first[-1]
 
     # one column per exponent up to the explicit ones, and with tails one
     # more for all exponents beyond them: its zeta and psi are evaluated
@@ -402,28 +407,20 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
                                 side="right") - 1
 
     # per number of columns m: the rows of each family, and per row the
-    # in key of each run and the out key
+    # first key of its head pair and its out key
     groups: dict = {}
-    for f in letter_families(pres):
+    for f, (head, out) in zip(families, ends):
         m = len(ns) if f.parabolic else 1
-        heads = [key_of((f.g1, f.core), b)
-                 for b in range(in_bucket[min(m, explicit) - 1] + 1)]
-        outs = [key_of((f.core, f.g2), b)
-                for b, ys in enumerate(reps[f.g2]) for _ in ys]
-        # at cap >= TAIL_START the tail column is a run of its own, and
-        # its key is numbered after the out keys
-        heads += [key_of((f.g1, f.core), b)
-                  for b in range(len(heads), in_bucket[m - 1] + 1)]
         rows = np.array([f.row(apply_boundary(pres.map_of(f.core), y))
                          for ys in reps[f.g2] for y in ys])
-        fam_rows, in_keys, out_keys = groups.setdefault(m, ([], [], []))
+        fam_rows, in_firsts, out_keys = groups.setdefault(m, ([], [], []))
         fam_rows.append(rows)
-        in_keys += [heads] * len(rows)
-        out_keys += outs
+        in_firsts += [first[head]] * len(rows)
+        out_keys += [first[out] + b for b, ys in enumerate(reps[f.g2])
+                     for _ in ys]
 
-    n_keys = len(key_index)
     blocks = []
-    for m, (fam_rows, in_keys, out_keys) in groups.items():
+    for m, (fam_rows, in_firsts, out_keys) in groups.items():
         # each family writes its rows of the block's weights in place
         zeta = np.empty((len(out_keys), m))
         hi = 0
@@ -431,16 +428,22 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             lo, hi = hi, hi + len(rows)
             LetterFamily.zeta(rows, ns[:m], out=zeta[lo:hi])
         zeta[:, explicit:] = 0.0
+        # the runs are the in buckets; the in key of run j is the head
+        # pair's key of bucket in_bucket[starts[j]]
+        starts = np.flatnonzero(np.diff(in_bucket[:m], prepend=-1))
         blocks.append(LetterBlock(
             zeta=zeta,
             psi=psi_ns[:m],
-            starts=np.flatnonzero(np.diff(in_bucket[:m], prepend=-1)),
-            cells=(np.array(in_keys, dtype=np.int64) * n_keys
-                   + np.array(out_keys, dtype=np.int64)[:, None]),
+            starts=starts,
+            cells=((np.array(in_firsts)[:, None] + in_bucket[starts]) * n_keys
+                   + np.array(out_keys)[:, None]),
             tail=np.concatenate(fam_rows) if m > explicit else None,
         ))
+    key_pair = np.repeat(np.arange(len(pairs)), sizes)
     return GdmsSystem(
         n_keys=n_keys,
         blocks=blocks,
+        classes=[np.flatnonzero(np.isin(key_pair, vs))
+                 for vs in cyclic_classes(adj)],
         log_mult=math.log(0.5),
     )

@@ -9,8 +9,9 @@ transform with the spectrum's endpoint slopes, and the key matrix with
 every block's weights built in one whole work array.  Next to them sit the
 helpers only tests need: equality of maps up to sign, containment of
 arcs, induced letters as objects, the key cell of every letter of a
-block, systems built from an edge list and systems stripped of their tail
-columns.  Nothing under ``src/`` imports them.
+block, the key graph of a system's cells, systems built from an edge
+list and systems stripped of their tail columns.  Nothing under ``src/``
+imports them.
 """
 
 import dataclasses
@@ -29,7 +30,13 @@ from cuspwind.coding import (
 )
 from cuspwind.errors import CuspwindError
 from cuspwind.fuchsian import CircleInterval, GroupPresentation
-from cuspwind.gdms import LOG_FLOOR, GdmsSystem, LetterBlock, tail_log_weights
+from cuspwind.gdms import (
+    LOG_FLOOR,
+    GdmsSystem,
+    LetterBlock,
+    cyclic_classes,
+    tail_log_weights,
+)
 from cuspwind.induced import induced_step, letter_families, letters_of_blocks
 from cuspwind.mobius import (
     BASE_POINT,
@@ -212,14 +219,24 @@ def eq4_constant(pres: GroupPresentation, samples: int = 60,
 def system_from_edges(n_keys: int, in_keys, out_keys, zeta,
                       psi) -> GdmsSystem:
     """A finite system with one weight per edge: a one-row block with one
-    column, and one run, per edge."""
+    column, and one run, per edge; its classes are those of the edges'
+    cell pattern."""
     cells = (np.asarray(in_keys, dtype=np.int64) * n_keys
              + np.asarray(out_keys, dtype=np.int64))
     block = LetterBlock(zeta=np.asarray(zeta, dtype=float)[None, :],
                         psi=np.asarray(psi, dtype=float),
                         starts=np.arange(cells.size, dtype=np.int64),
                         cells=cells[None, :])
-    return GdmsSystem(n_keys=n_keys, blocks=[block])
+    return GdmsSystem(n_keys=n_keys, blocks=[block],
+                      classes=cyclic_classes(cell_pattern(n_keys, [block])))
+
+
+def cell_pattern(n_keys: int, blocks) -> np.ndarray:
+    """The key graph of ``blocks``: True at every cell a run enters."""
+    pattern = np.zeros(n_keys * n_keys, dtype=bool)
+    for block in blocks:
+        pattern[block.cells.ravel()] = True
+    return pattern.reshape(n_keys, n_keys)
 
 
 def without_tails(sys: GdmsSystem) -> GdmsSystem:

@@ -62,11 +62,13 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("name = \"x\"\ncap_ladder = [100, 200]\n")
     with pytest.raises(ConfigError, match="line 2: unknown key 'pressure_tol'"):
         parse_config_text("name = \"x\"\npressure_tol = 1e-8\n")
+    with pytest.raises(ConfigError,
+                       match="line 1: unknown key 'beta_extensions'"):
+        parse_config_text("beta_extensions = [30, nan]\n" + GAMMA2_TEXT)
 
 
 @pytest.mark.parametrize("line", ["beta_min = nan", "beta_min = -inf",
-                                  "beta_max = 1e400",
-                                  "beta_extensions = [30, nan]"])
+                                  "beta_max = 1e400"])
 def test_beta_grid_needs_finite_ordered_bounds(line):
     with pytest.raises(ConfigError, match="beta"):
         parse_config_text(line + "\n" + GAMMA2_TEXT).betas()

@@ -7,14 +7,25 @@ import pytest
 from cuspwind import gdms
 from cuspwind.config import config_from_preset
 from cuspwind.errors import NoSignChange
-from cuspwind.gdms import free_energy, free_energy_curve, pressure
+from cuspwind.gdms import (
+    cyclic_classes,
+    free_energy,
+    free_energy_curve,
+    pressure,
+)
 from cuspwind.fuchsian import build_group, conjugate_config, constant_c0
-from cuspwind.induced import fuchsian_system, letter_series_sweep
+from cuspwind.induced import (
+    fuchsian_system,
+    letter_families,
+    letter_series_sweep,
+    pair_graph,
+)
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
 from oracles import (
     block_partition_sum,
     block_word_geometry,
+    cell_pattern,
     eq4_constant,
     letter_cells,
     partition_sum,
@@ -99,7 +110,6 @@ def test_pressure_call_works_in_one_letter_array(gamma2):
     (block,) = sysm.blocks
     assert block.zeta.dtype == float and block.zeta.size == n
     assert sizes[-1] == n and sizes[-2] < 0.01 * n
-    pressure(sysm, 1.0, 0.0)  # the first call also finds the key classes
     tracemalloc.start()
     try:
         pressure(sysm, 1.0, 0.0)
@@ -135,7 +145,6 @@ def test_pressure_call_allocates_one_chunk(gamma2):
     import tracemalloc
 
     sysm = fuchsian_system(gamma2, 6400)
-    pressure(sysm, 1.0, 0.0)  # the first call also finds the key classes
     tracemalloc.start()
     try:
         pressure(sysm, 1.0, 0.0)
@@ -147,22 +156,44 @@ def test_pressure_call_allocates_one_chunk(gamma2):
 
 # --- cyclic classes of the key graph ------------------------------------------
 
-def test_key_graph_classes(gamma2, onecusp):
-    # gamma2's key graph is bipartite (cores a/A against b/B); one-cusp's
+# perfbench's chart of seed 10: z -> lam z / (c z + 1) + u
+SEED_10_CHART = MobiusMap.from_entries(
+    0.9575203991628636, 0.3565226346725965,
+    -0.21871866658356112, 0.9629265815575861)
+
+
+def test_key_graph_classes():
+    # the classes come with the system and are those of its cell pattern:
+    # gamma2's key graph is bipartite (cores a/A against b/B), one-cusp's
     # hyperbolic letters break the alternation
-    for sysm, sizes in ((fuchsian_system(gamma2, 400), [44, 44]),
-                        (fuchsian_system(onecusp, 400), [50]),
-                        (fuchsian_system(gamma2, 2, restricted=True), [8, 8])):
-        assert sysm.classes is None
-        pressure(sysm, 1.0, 0.0)
-        assert [len(c) for c in sysm.classes] == sizes
-        p = len(sysm.classes)
-        cls = np.empty(sysm.n_keys, dtype=np.int64)
-        for k, keys in enumerate(sysm.classes):
-            cls[keys] = k
-        rows, cols = np.divmod(np.concatenate(
-            [block.cells.ravel() for block in sysm.blocks]), sysm.n_keys)
-        assert np.array_equal(cls[cols], (cls[rows] + 1) % p)
+    for name, p in (("gamma2-type", 2), ("one-cusp-one-hyperbolic", 1)):
+        for chart in (None, SEED_10_CHART):
+            config = preset_config(name)
+            group = build_group(config if chart is None
+                                else conjugate_config(config, chart))
+            _, _, adj = pair_graph(letter_families(group))
+            for cap in (2, 60, 400):
+                sysm = fuchsian_system(group, cap, restricted=cap == 2)
+                check_key_graph(sysm, adj, p)
+
+
+def check_key_graph(sysm, adj, p):
+    pattern = cell_pattern(sysm.n_keys, sysm.blocks)
+    want = cyclic_classes(pattern)
+    assert len(want) == p
+    assert [c.tolist() for c in sysm.classes] == [c.tolist() for c in want]
+    cls = np.empty(sysm.n_keys, dtype=np.int64)
+    for k, keys in enumerate(sysm.classes):
+        cls[keys] = k
+    rows, cols = np.nonzero(pattern)
+    assert np.array_equal(cls[cols], (cls[rows] + 1) % p)
+    # each pair's keys are consecutive twins (equal rows and columns of
+    # the pattern), the pairs in the pair graph's order, and the pattern
+    # between their first keys is the pair graph
+    twins = np.concatenate([pattern, pattern.T], axis=1)
+    first = np.flatnonzero(np.any(twins != np.roll(twins, 1, axis=0), axis=1))
+    assert first[0] == 0 and len(first) == len(np.unique(twins, axis=0))
+    assert np.array_equal(pattern[np.ix_(first, first)], adj)
 
 
 def full_matrix_pressure(sysm, t, beta, r):
@@ -206,10 +237,8 @@ def test_whole_matrix_where_the_product_underflows(monkeypatch):
     # seed 10): at beta = 1000 the blocks span 300 decades and their
     # product alone is nilpotent at r = 1 (it read -inf for every
     # log r <= 4.77); a cold solve must not pin the root at t = 1/2 - beta
-    chart = MobiusMap.from_entries(0.9575203991628636, 0.3565226346725965,
-                                   -0.21871866658356112, 0.9629265815575861)
     sysm = fuchsian_system(build_group(conjugate_config(
-        preset_config("gamma2-type"), chart)), 400)
+        preset_config("gamma2-type"), SEED_10_CHART)), 400)
     radius, sizes = gdms._radius, []
     monkeypatch.setattr(gdms, "_radius",
                         lambda a: sizes.append(len(a)) or radius(a))

@@ -3,9 +3,10 @@ imports is used in that module, every top-level function or class of the
 package is reached from the command line, every method is named as an
 attribute in the package or in ``perfbench/`` outside its own body, every
 upper-case module-level constant is loaded there, every dataclass field
-is read there as an attribute, and importing the command line loads no
-scipy.  The tests do not count as users: a member only they read belongs
-in ``tests/oracles.py`` or nowhere.
+is read there as an attribute, no function of the package sets an
+attribute of one of its own parameters, and importing the command line
+loads no scipy.  The tests do not count as users: a member only they read
+belongs in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module.  ``__init__.py`` is skipped (its imports are re-exports,
@@ -330,6 +331,63 @@ def test_no_write_only_fields():
     modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
     assert not found, "dataclass fields never read: " + ", ".join(found)
+
+
+def parameter_writes(modules: dict) -> list:
+    """(module, line, function, name.attr) of each assignment, augmented
+    assignment or ``setattr`` call in a function of ``modules`` that sets
+    an attribute of one of the function's own parameters; ``self`` of a
+    method is exempt."""
+    found = []
+    for mod, source in modules.items():
+        tree = ast.parse(source)
+        methods = {id(fn) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg]
+                      if a is not None}
+            if id(fn) in methods:
+                params.discard("self")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    target, attr = node.value, node.attr
+                elif isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Name) \
+                        and node.func.id == "setattr" and node.args:
+                    target, attr = node.args[0], "*"
+                else:
+                    continue
+                if isinstance(target, ast.Name) and target.id in params:
+                    found.append((mod, node.lineno,
+                                  getattr(fn, "name", "<lambda>"),
+                                  target.id + "." + attr))
+    return sorted(found)
+
+
+def test_parameter_write_detector():
+    module = ("class A:\n    def set(self, other):\n"
+              "        self.x = other.y\n        other.y = 1\n\n\n"
+              "def f(a, b, *rest, c):\n    local = g()\n"
+              "    local.x, b.n = 1, 2\n    a.n += 1\n"
+              "    setattr(c, 'k', 0)\n    setattr(local, 'k', 0)\n"
+              "    return lambda self: setattr(self, 'k', 1)\n")
+    assert parameter_writes({"m.py": module}) == [
+        ("m.py", 4, "set", "other.y"), ("m.py", 9, "f", "b.n"),
+        ("m.py", 10, "f", "a.n"), ("m.py", 11, "f", "c.*"),
+        ("m.py", 13, "<lambda>", "self.*")]
+
+
+def test_no_function_sets_attributes_of_its_parameters():
+    # a function's arguments are its inputs: a value it derives goes into
+    # what it returns, not into an object the caller handed it
+    modules, _ = _package_and_perfbench()
+    found = ["%s:%d %s sets %s" % d for d in parameter_writes(modules)]
+    assert not found, "attributes of parameters set: " + ", ".join(found)
 
 
 def test_cli_import_loads_no_scipy():

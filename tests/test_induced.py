@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,10 +136,24 @@ def test_conjugacy_empty_sample(gamma2):
 
 
 def test_primitivity_witness_small(any_group):
-    ell, n_pairs = primitivity_witness(any_group)
-    assert ell is not None
-    assert ell <= 3
-    assert n_pairs >= 8
+    n_pairs = 8 if any_group.name == "gamma2-type" else 10
+    assert primitivity_witness(any_group) == (3, n_pairs)
+
+
+def test_primitivity_witness_needs_diameter_at_most_6(monkeypatch):
+    # family (s_i, s_i+1, s_i+2) of a cyclic symbol sequence is the edge
+    # from pair (s_i, s_i+1) to pair (s_i+1, s_i+2): an n-cycle of pairs,
+    # whose diameter is n - 1
+    def cycles(*symbols):
+        return [SimpleNamespace(g1=s[i], core=s[(i + 1) % len(s)],
+                                g2=s[(i + 2) % len(s)])
+                for s in symbols for i in range(len(s))]
+
+    for families, want in ((cycles("abcdefg"), (6, 7)),
+                           (cycles("abcdefgh"), (None, 8)),
+                           (cycles("abc", "xyz"), (None, 6))):
+        monkeypatch.setattr(ind, "letter_families", lambda pres: families)
+        assert primitivity_witness(None) == want
 
 
 def test_eq4_constant_bounded(any_group):

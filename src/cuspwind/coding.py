@@ -263,22 +263,40 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
     2 q (g0 g2 + g1 g3) + r (g2^2 + g3^2) for g = (g0, g1, g2, g3).  So no
     word of the last length, and only one block of the length before it,
     is ever held.
+
+    Only the words whose first letter leads its orbit under the
+    presentation's symmetries are enumerated, each counted once per letter
+    of the orbit (orbits of one size together): a symmetry R fixes i and
+    maps the words W starting with l onto the words R W R^-1 starting with
+    perm[l], at the same distance d(W(i), i).
     """
     labels = pres.labels()
     mats = np.array([[pres.map_of(l).a, pres.map_of(l).b,
                       pres.map_of(l).c, pres.map_of(l).d] for l in labels])
     inv_idx = [labels.index(pres.inv(l)) for l in labels]
     k = len(labels)
+    leads = {}  # orbit size -> the first letter of each orbit of that size
+    for label in labels:
+        images = {sym.perm[label] for sym in pres.symmetries}
+        if label == min(images, key=labels.index):
+            leads.setdefault(len(images), set()).add(labels.index(label))
     shells = [[0.0] * max_len for _ in ss]
     # per letter g: the factors of p, q and r in ||U g||_F^2
     gram = np.stack([mats[:, 0] ** 2 + mats[:, 1] ** 2,
                      2.0 * (mats[:, 0] * mats[:, 2] + mats[:, 1] * mats[:, 3]),
                      mats[:, 2] ** 2 + mats[:, 3] ** 2], axis=1)
 
+    def follows(i, j):
+        """Whether letter j may follow letter i; after the empty word
+        (i = -1), whether j is one of the first letters enumerated."""
+        return j in firsts if i < 0 else i != inv_idx[j]
+
     def add(level, fro2):
+        """Add the words of squared norms ``fro2`` to shell ``level``, each
+        ``size`` times (the size of their first letter's orbit)."""
         dist = np.arccosh(0.5 * fro2)
         for s, out in zip(ss, shells):
-            out[level] += float(np.exp(-s * dist).sum())
+            out[level] += size * float(np.exp(-s * dist).sum())
 
     def times(words, g, out):
         """Entries of the products words * g, written into ``out``."""
@@ -299,7 +317,7 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
         a, b, c, d = words
         p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
         for j in range(k):
-            if last != inv_idx[j]:
+            if follows(last, j):
                 fro2 = p * gram[j, 0]
                 fro2 += q * gram[j, 1]
                 fro2 += r * gram[j, 2]
@@ -309,7 +327,9 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
         """The blocks of the words one letter longer, their shell added."""
         nxt = []
         for j in range(k):
-            prev = [words for i, words in blocks if i != inv_idx[j]]
+            prev = [words for i, words in blocks if follows(i, j)]
+            if not prev:
+                continue
             out = np.empty((4, sum(words.shape[1] for words in prev)))
             hi = 0
             for words in prev:
@@ -319,18 +339,17 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
             nxt.append((j, out))
         return nxt
 
-    # the empty word, which every letter may follow (-1 is no letter's
-    # inverse)
-    blocks = [(-1, np.eye(2).reshape(4, 1))]
-    for level in range(max_len - 2):
-        blocks = grow(level, blocks)
-    if max_len == 1:
-        last_shell(-1, blocks[0][1])
-        return shells
-    for i, words in blocks:
-        for j in range(k):
-            if i != inv_idx[j]:
-                child = times(words, mats[j], np.empty_like(words))
-                add(max_len - 2, np.einsum("ij,ij->j", child, child))
-                last_shell(j, child)
+    for size, firsts in leads.items():
+        blocks = [(-1, np.eye(2).reshape(4, 1))]  # the empty word
+        for level in range(max_len - 2):
+            blocks = grow(level, blocks)
+        if max_len == 1:
+            last_shell(-1, blocks[0][1])
+            continue
+        for i, words in blocks:
+            for j in range(k):
+                if follows(i, j):
+                    child = times(words, mats[j], np.empty_like(words))
+                    add(max_len - 2, np.einsum("ij,ij->j", child, child))
+                    last_shell(j, child)
     return shells

@@ -17,7 +17,7 @@ class ConfigError(Exception):
 
 
 # Largest parabolic exponent cap.  The system stores rows x cap letter
-# weights (~540 rows on the gamma2 preset at this cap, 140 MB), and t(0)
+# weights (136 rows on the gamma2 preset at this cap, 36 MB), and t(0)
 # converges in the cap long before it: caps 800 and 1600 agree to 5e-12.
 MAX_CAP = 2 ** 15
 

@@ -9,6 +9,11 @@ computation.  Conventions:
   records the letter g; the expanding map there is T = g^{-1},
 * the Markov property is the exact endpoint correspondence
   g^{-1}(J_g) = interior of the complement of Cl(J_{g^{-1}}).
+
+The builder also finds the presentation's symmetries
+(``CircleSymmetry``): the label permutations realised by a rotation or
+reflection of the circle chart, the chart in which the induced shift
+measures its weights.
 """
 
 from __future__ import annotations
@@ -134,16 +139,38 @@ def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
                              2.0 / abs(gamma.c))
 
 
+@dataclass(frozen=True)
+class CircleSymmetry:
+    """A symmetry of a presentation: the label permutation ``perm`` realised
+    by the isometry R of the circle angle theta -> shift + theta, or
+    theta -> shift - theta when ``flip`` (a rotation or a reflection of the
+    Cayley disc about its centre, the image of i).
+
+    R maps every coding arc J_l onto J_perm[l] and conjugates every
+    generator g_l to g_perm[l]; perm commutes with taking inverses.
+    """
+
+    perm: dict
+    shift: float
+    flip: bool
+
+    def angle(self, theta: float) -> float:
+        """R of the circle angle theta, in [0, 2 pi)."""
+        theta = self.shift - theta if self.flip else self.shift + theta
+        return theta % TWO_PI
+
+
 @dataclass
 class GroupPresentation:
-    """Validated symmetric presentation: generators, their inverses and
-    the horoballs of the cusps."""
+    """Validated symmetric presentation: generators, their inverses, the
+    horoballs of the cusps and the circle symmetries."""
 
     name: str
     gens: dict
     inverse_label: dict
     horocircles: dict  # parabolic label (both of a +/- pair) -> Horoball
     accidental_horocircles: list
+    symmetries: tuple  # CircleSymmetry, the identity first
 
     # --- structure ---------------------------------------------------
 
@@ -251,6 +278,7 @@ def build_group(config: dict) -> GroupPresentation:
         inverse_label=inverse_label,
         horocircles=horocircles,
         accidental_horocircles=accidental,
+        symmetries=_circle_symmetries(gens, inverse_label),
     )
     _validate_horoball_disjointness(pres)
     return pres
@@ -295,6 +323,78 @@ def _boundary_close(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
+# Largest angle between an image under a candidate symmetry and the arc
+# end or boundary point it must match.
+SYMMETRY_TOL = 1e-9
+
+# The boundary points, as circle angles, at which a symmetry R and each
+# generator g_l must satisfy R g_l = g_perm[l] R: three points fix a
+# Moebius map.
+SYMMETRY_PROBES = (1.0, 3.0, 5.0)
+
+
+def angle_distance(a: float, b: float) -> float:
+    """Distance of two circle angles, around the circle."""
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
+    """Every symmetry of the presentation (``CircleSymmetry``), the
+    identity first.
+
+    A rotation or reflection of the circle angle is fixed by the arc it
+    maps J_l0 onto, l0 the first label, so each arc as long as J_l0 gives
+    two candidates.  One is kept when it maps every arc onto an arc
+    (perm), perm commutes with taking inverses, and R g_l = g_perm[l] R
+    holds at the ``SYMMETRY_PROBES`` for every generator.
+    """
+    ends = {label: (g.interval.angle_lo, g.interval.arc)
+            for label, g in gens.items()}
+    lo0, arc0 = next(iter(ends.values()))
+    out = [CircleSymmetry({label: label for label in gens}, 0.0, False)]
+    for lo, arc in ends.values():
+        if angle_distance(arc, arc0) > SYMMETRY_TOL:
+            continue
+        # a reflection maps the far end of J_l0 onto the near end of J_m
+        for shift, flip in (((lo - lo0) % TWO_PI, False),
+                            ((lo + lo0 + arc0) % TWO_PI, True)):
+            if (shift, flip) == (0.0, False):
+                continue  # the identity
+            sym = _symmetry(gens, inverse_label, ends, shift, flip)
+            if sym is not None:
+                out.append(sym)
+    return tuple(out)
+
+
+def _symmetry(gens, inverse_label, ends, shift, flip):
+    """The ``CircleSymmetry`` of the isometry (shift, flip), or None when
+    it is no symmetry of the presentation."""
+    perm = {}
+    sym = CircleSymmetry(perm, shift, flip)
+    for label, (lo, arc) in ends.items():
+        start = sym.angle(lo + arc if flip else lo)
+        perm[label] = next(
+            (m for m, (lo_m, arc_m) in ends.items()
+             if angle_distance(lo_m, start) <= SYMMETRY_TOL
+             and angle_distance(arc_m, arc) <= SYMMETRY_TOL), None)
+        if perm[label] is None:
+            return None
+    if any(perm[inverse_label[label]] != inverse_label[perm[label]]
+           for label in gens):
+        return None
+    for label, g in gens.items():
+        image = gens[perm[label]].map
+        for theta in SYMMETRY_PROBES:
+            x = boundary_from_angle(theta)
+            if angle_distance(
+                    sym.angle(boundary_angle(apply_boundary(g.map, x))),
+                    boundary_angle(apply_boundary(
+                        image, boundary_from_angle(sym.angle(theta))))) \
+                    > SYMMETRY_TOL:
+                return None
+    return sym
+
+
 def _accidental_horocircles(gens, inverse_label) -> list:
     """Horoballs at shared interval endpoints not covered by marked cusps.
 
@@ -317,9 +417,8 @@ def _accidental_horocircles(gens, inverse_label) -> list:
         key = round(boundary_angle(p), 9)
         if key in marked or key in seen:
             continue
-        if sum(1 for q in endpoints
-               if abs((boundary_angle(q) - boundary_angle(p)) % TWO_PI) < 1e-9
-               or abs((boundary_angle(q) - boundary_angle(p)) % TWO_PI - TWO_PI) < 1e-9) >= 2:
+        if sum(1 for q in endpoints if angle_distance(
+                boundary_angle(q), boundary_angle(p)) < 1e-9) >= 2:
             seen.add(key)
             vertices.append(p)
 

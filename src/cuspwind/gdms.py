@@ -6,14 +6,17 @@ followed by f exactly when out(e) = in(f).  Since the weights are
 letter-local, the nonzero spectrum of M coincides with that of the
 key-by-key matrix B[i, j] = sum of w(e) over the edges with in(e) = i and
 out(e) = j, so the pressure is log rho(B) however many letters the
-truncation keeps.  The key graph has a period p (2 on the free products
-of parabolics, where keys with core a/A only lead to keys with core b/B
-and back), its keys fall into p cyclic classes, which come with the
-system (``GdmsSystem.classes``), and B maps each class to the next.
-Hence rho(B)^p = rho(B_01 B_12 ... B_(p-1)0), and the pressure
-is one eigensolve of that normalised block product, whose size is that
-of one class (n_keys / p on both presets).  Where the product lost to
-underflow entries that rho depends on, the whole matrix is solved.
+truncation keeps.  The key graph has a period p, its keys fall into p
+cyclic classes, which come with the system (``GdmsSystem.classes``),
+and B maps each class to the next.  Hence rho(B)^p =
+rho(B_01 B_12 ... B_(p-1)0), and the pressure is one eigensolve of that
+normalised block product, whose size is that of one class (n_keys / p).
+p is 2 on the whole operator of a free product of parabolics, where
+keys with core a/A only lead to keys with core b/B and back; on both
+presets p = 1 and the block is B itself, for gamma2 because its operator
+is the quotient by its circle symmetries (``induced.fuchsian_system``),
+one of which swaps a and b.  Where the product lost to underflow entries
+that rho depends on, the whole matrix is solved.
 
 Fuchsian instances carry the tails of their letter families, so the
 infinite parabolic exponent range is handled by an exact lump per family:

@@ -14,9 +14,11 @@ symbol pairs.
 
 The incidence is one graph, built once by ``pair_graph``: its vertices
 are the overlap pairs, and family (g1, c, g2) is the edge from pair
-(g1, c) to pair (c, g2).  The primitivity witness is its diameter, and
-the transfer operator (``fuchsian_system``) numbers its keys pair by
-pair along it and takes its cyclic classes from it.
+(g1, c) to pair (c, g2).  The primitivity witness is its diameter.  The
+transfer operator (``fuchsian_system``) is the quotient by the
+presentation's circle symmetries: it numbers its keys orbit by orbit of
+pairs (``pair_orbits``) and takes its cyclic classes from the quotient
+graph.
 
 Potential conventions: psi(e) = -2 log+(|e| - 3) reads off the winding of
 the core block.  The geometric weight of a letter is the log-derivative
@@ -43,9 +45,9 @@ from .coding import (
     point_from_symbols,
     random_block_word,
 )
-from .fuchsian import TWO_PI, CircleInterval, GroupPresentation
+from .fuchsian import TWO_PI, CircleInterval, GroupPresentation, angle_distance
 from .gdms import CHUNK
-from .mobius import apply_boundary
+from .mobius import apply_boundary, boundary_angle
 
 
 def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
@@ -146,6 +148,21 @@ def pair_graph(families) -> tuple:
     heads, tails = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     adj[heads, tails] = True
     return list(index), ends, adj
+
+
+def pair_orbits(pairs, symmetries) -> tuple:
+    """(orbit, leads): the orbit of each overlap pair of ``pairs`` under
+    ``symmetries`` (``fuchsian.CircleSymmetry``, a group), which maps pair
+    (x, y) to (perm[x], perm[y]), and the first pair of each orbit; the
+    orbits are numbered in the order of their first pairs."""
+    index = {pair: v for v, pair in enumerate(pairs)}
+    orbit, leads = [None] * len(pairs), []
+    for v, (x, y) in enumerate(pairs):
+        if orbit[v] is None:
+            for sym in symmetries:
+                orbit[index[sym.perm[x], sym.perm[y]]] = len(leads)
+            leads.append(v)
+    return orbit, leads
 
 
 def primitivity_witness(pres: GroupPresentation):
@@ -298,8 +315,12 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
 
     def offsets_of_image(k):
         img = k_hull.image(mpower(cmap, k))
-        return [min(max(j.offset(img.lo), 0.0), j.arc),
-                min(max(j.offset(img.hi), 0.0), j.arc)]
+        offs = [j.offset(img.lo), j.offset(img.hi)]
+        # an offset past the arc goes to the nearer end around the circle:
+        # an image on the lower end of J_c may read 2 pi - eps
+        return [off if off <= j.arc
+                else j.arc if off - j.arc < TWO_PI - off else 0.0
+                for off in offs]
 
     spans = []
     # a hyperbolic core has the one exponent of the first range
@@ -320,6 +341,30 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
                           for f in (0.75 * lo + 0.25 * hi,
                                     0.25 * lo + 0.75 * hi)))
     return reps
+
+
+# Largest angle by which a symmetry may miss a bucket point it maps onto
+# another core's (``_discretised_symmetries``).
+BUCKET_TOL = 1e-12
+
+
+def _discretised_symmetries(pres: GroupPresentation, reps: dict) -> tuple:
+    """The presentation's symmetries if each maps the bucket points of
+    every core c (``reps[c]``) onto those of perm[c], bucket by bucket, to
+    ``BUCKET_TOL`` in angle, so that the operator is equivariant too; else
+    the identity alone."""
+    def maps_buckets(sym):
+        # perm[c] is parabolic when c is, so it has as many buckets
+        for c, spans in reps.items():
+            for ys, zs in zip(spans, reps[sym.perm[c]]):
+                targets = [boundary_angle(z) for z in zs]
+                if any(min(angle_distance(sym.angle(boundary_angle(y)), a)
+                           for a in targets) > BUCKET_TOL for y in ys):
+                    return False
+        return True
+
+    group = pres.symmetries
+    return group if all(map(maps_buckets, group[1:])) else group[:1]
 
 
 def letter_series_sweep(pres: GroupPresentation, t, beta, caps) -> list:
@@ -360,10 +405,11 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
                     restricted: bool = False):
     """Truncated GDMS instance of the induced shift.
 
-    Edges are the letters of every family (``letter_families``): the
-    parabolic exponents up to the cap and the one letter of each
-    hyperbolic family.  Incidence keys are (overlap pair, exponent bucket
-    of the entering letter).  A family is evaluated on one row
+    Edges are the letters of the families built (``letter_families``,
+    those leaving the first pair of each orbit, below): the parabolic
+    exponents up to the cap and the one letter of each hyperbolic family.
+    Incidence keys are (orbit of overlap pairs, exponent bucket of the
+    entering letter).  A family is evaluated on one row
     (``LetterFamily.row``) per follower bucket and quadrature point, so a
     letter's weight can use the follower's continuation range - a
     two-and-a-half-symbol lookahead that keeps the operator factorized
@@ -378,10 +424,19 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     tails: one more column, whose letters are each row's exponents beyond
     max(cap, TAIL_START), entering the tail key.  Below TAIL_START the
     exponents cap+1 .. TAIL_START are explicit columns into the same key.
-    The keys are numbered pair by pair (``pair_graph``): pair (x, y) owns
-    one key per bucket of core y.  A family joins every key of its head
-    pair to every key of its tail pair, so each key takes the cyclic class
-    of its pair.
+
+    The operator is the quotient by the symmetries
+    (``_discretised_symmetries``): only the families that leave the first
+    pair of an orbit of pairs (``pair_orbits``) are built, orbit o owns one
+    key per bucket of the core of its first pair, and a letter goes to the
+    key of its tail pair's orbit and its follower's bucket.  A symmetry
+    moves every arc, branch and bucket point by an isometry of the circle
+    chart, so B[perm i, perm j] = B[i, j] on the whole operator; its Perron
+    vector is constant on the orbits, and the quotient, whose rows sum B
+    over each orbit's columns, has the same spectral radius.  A family
+    joins every key of its head orbit to every key of its tail orbit, so
+    each key takes the cyclic class of its orbit in the quotient pair
+    graph.
     """
     from .gdms import GdmsSystem, LetterBlock, cyclic_classes
 
@@ -391,7 +446,9 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
             for c_label in pres.labels()}
     families = letter_families(pres)
     pairs, ends, adj = pair_graph(families)
-    sizes = [len(reps[y]) for _, y in pairs]
+    orbit, leads = pair_orbits(pairs, _discretised_symmetries(pres, reps))
+    # orbit o owns one key per bucket of the core of its first pair
+    sizes = [len(reps[pairs[v][1]]) for v in leads]
     first = np.cumsum([0] + sizes).tolist()
     n_keys = first[-1]
 
@@ -407,17 +464,19 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
                                 side="right") - 1
 
     # per number of columns m: the rows of each family, and per row the
-    # first key of its head pair and its out key
+    # first key of its head pair's orbit and its out key
     groups: dict = {}
     for f, (head, out) in zip(families, ends):
+        if leads[orbit[head]] != head:
+            continue
         m = len(ns) if f.parabolic else 1
         rows = np.array([f.row(apply_boundary(pres.map_of(f.core), y))
                          for ys in reps[f.g2] for y in ys])
         fam_rows, in_firsts, out_keys = groups.setdefault(m, ([], [], []))
         fam_rows.append(rows)
-        in_firsts += [first[head]] * len(rows)
-        out_keys += [first[out] + b for b, ys in enumerate(reps[f.g2])
-                     for _ in ys]
+        in_firsts += [first[orbit[head]]] * len(rows)
+        out_keys += [first[orbit[out]] + b
+                     for b, ys in enumerate(reps[f.g2]) for _ in ys]
 
     blocks = []
     for m, (fam_rows, in_firsts, out_keys) in groups.items():
@@ -439,11 +498,14 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
                    + np.array(out_keys)[:, None]),
             tail=np.concatenate(fam_rows) if m > explicit else None,
         ))
-    key_pair = np.repeat(np.arange(len(pairs)), sizes)
+    heads, tails = np.take(orbit, np.nonzero(adj))
+    quotient = np.zeros((len(leads), len(leads)), dtype=bool)
+    quotient[heads, tails] = True
+    key_orbit = np.repeat(np.arange(len(leads)), sizes)
     return GdmsSystem(
         n_keys=n_keys,
         blocks=blocks,
-        classes=[np.flatnonzero(np.isin(key_pair, vs))
-                 for vs in cyclic_classes(adj)],
+        classes=[np.flatnonzero(np.isin(key_orbit, vs))
+                 for vs in cyclic_classes(quotient)],
         log_mult=math.log(0.5),
     )

@@ -10,8 +10,8 @@ every block's weights built in one whole work array.  Next to them sit the
 helpers only tests need: equality of maps up to sign, containment of
 arcs, induced letters as objects, the key cell of every letter of a
 block, the key graph of a system's cells, systems built from an edge
-list and systems stripped of their tail columns.  Nothing under ``src/``
-imports them.
+list, systems stripped of their tail columns and presentations stripped
+of their symmetries.  Nothing under ``src/`` imports them.
 """
 
 import dataclasses
@@ -252,6 +252,13 @@ def without_tails(sys: GdmsSystem) -> GdmsSystem:
                                 cells=block.cells[:, :runs])
         blocks.append(block)
     return dataclasses.replace(sys, blocks=blocks)
+
+
+def without_symmetries(pres: GroupPresentation) -> GroupPresentation:
+    """``pres`` with the identity as its only symmetry, from which
+    ``fuchsian_system`` builds the whole operator, one key per overlap
+    pair and bucket, instead of its quotient."""
+    return dataclasses.replace(pres, symmetries=pres.symmetries[:1])
 
 
 def letter_cells(block: LetterBlock) -> np.ndarray:

@@ -13,6 +13,7 @@ from cuspwind.errors import (
 )
 from cuspwind.fuchsian import (
     CircleInterval,
+    angle_distance,
     build_group,
     conjugate_config,
     constant_c0,
@@ -21,7 +22,10 @@ from cuspwind.fuchsian import (
 from cuspwind.mobius import (
     INF,
     MobiusMap,
+    apply_boundary,
     apply_plane,
+    boundary_angle,
+    boundary_from_angle,
     compose,
     geodesic_distance_between,
     hyperbolic_distance,
@@ -262,3 +266,55 @@ def test_horocircle_of_requires_parabolic(onecusp):
     h = onecusp.horocircles["a"]
     assert h.base == pytest.approx(0.0)
     assert h.size == pytest.approx(1.0)
+
+
+# --- circle symmetries ------------------------------------------------------
+
+def symmetry_images(pres) -> list:
+    """Each symmetry as the images of the labels, in label order."""
+    return ["".join(sym.perm[label] for label in pres.labels())
+            for sym in pres.symmetries]
+
+
+@pytest.mark.parametrize("chart, want", [
+    (None, {"aAbB", "AaBb", "bBaA", "BbAa"}),
+    # a rotation of the Cayley disc conjugates every symmetry to one
+    ((math.cos(0.3), math.sin(0.3), -math.sin(0.3), math.cos(0.3)),
+     {"aAbB", "AaBb", "bBaA", "BbAa"}),
+    # perfbench's chart of seed 10 is no isometry of the disc
+    ((0.9575203991628636, 0.3565226346725965, -0.21871866658356112,
+      0.9629265815575861), {"aAbB"})])
+def test_gamma2_circle_symmetries(chart, want):
+    # z -> -z, z -> 1/z and z -> -1/z: (aA)(bB), (ab)(AB) and (aB)(Ab)
+    cfg = preset_config("gamma2-type")
+    if chart is not None:
+        cfg = conjugate_config(cfg, MobiusMap.from_entries(*chart))
+    pres = build_group(cfg)
+    images = symmetry_images(pres)
+    assert images[0] == "aAbB" and len(images) == len(want)
+    assert set(images) == want
+    check_symmetries(pres)
+
+
+def test_onecusp_has_only_the_identity(onecusp):
+    # J_h = (2, 4.14) is no isometric image of J_H = (-5, -2)
+    assert symmetry_images(onecusp) == ["aAhH"]
+
+
+def check_symmetries(pres):
+    # each R maps the midpoint of J_l into J_perm[l] and commutes with the
+    # generators at points other than those the builder probes
+    for sym in pres.symmetries:
+        for label in pres.labels():
+            image = pres.interval_of(sym.perm[label])
+            mid = boundary_angle(pres.interval_of(label).point_at(0.5))
+            assert image.contains(boundary_from_angle(sym.angle(mid)))
+            assert sym.perm[pres.inv(label)] == pres.inv(sym.perm[label])
+            for theta in (0.4, 2.2, 4.1, 6.0):
+                x = boundary_from_angle(theta)
+                left = sym.angle(boundary_angle(apply_boundary(
+                    pres.map_of(label), x)))
+                right = boundary_angle(apply_boundary(
+                    pres.map_of(sym.perm[label]),
+                    boundary_from_angle(sym.angle(theta))))
+                assert angle_distance(left, right) <= 1e-9

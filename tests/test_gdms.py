@@ -19,6 +19,7 @@ from cuspwind.induced import (
     letter_families,
     letter_series_sweep,
     pair_graph,
+    pair_orbits,
 )
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
@@ -31,6 +32,7 @@ from oracles import (
     partition_sum,
     system_from_edges,
     whole_key_matrix,
+    without_symmetries,
     without_tails,
 )
 
@@ -56,8 +58,8 @@ def test_full_shift_pressure_log_k():
 
 
 def test_pressure_matches_partition_growth_rate(gamma2, onecusp):
-    # Z_n grows like rho^n; two steps at a time, since the free product of
-    # two parabolics gives a period-two incidence graph
+    # Z_n grows like rho^n; two steps at a time, since the whole operator
+    # of a free product of two parabolics has a period-two key graph
     n = 200
     for pres in (gamma2, onecusp):
         sysm = without_tails(fuchsian_system(pres, 60))
@@ -121,9 +123,9 @@ def test_pressure_call_works_in_one_letter_array(gamma2):
 
 @pytest.mark.parametrize("cap", [60, 400, 2048])
 def test_chunked_weights_equal_the_whole_array(any_group, cap, monkeypatch):
-    # gamma2's parabolic block spans 3 chunks at cap 400 and 14 at cap
-    # 2048; beta = 3000 gives t < 0, where the scale comes from the column
-    # minima of zeta
+    # gamma2's parabolic block is one chunk at cap 400 and spans 4 at cap
+    # 2048 (104 rows, 31 to a chunk); beta = 3000 gives t < 0, where the
+    # scale comes from the column minima of zeta
     sysm = fuchsian_system(any_group, cap)
     grid = [(beta, r) for beta in (-3000.0, -100.0, -1.25, 0.0, 1.25, 10.0,
                                    3000.0)
@@ -141,7 +143,7 @@ def test_chunked_weights_equal_the_whole_array(any_group, cap, monkeypatch):
 
 
 def test_pressure_call_allocates_one_chunk(gamma2):
-    # 24.6 MB of weights at cap 6400, built 512 KB at a time
+    # 6.1 MB of weights at cap 6400, built 512 KB at a time
     import tracemalloc
 
     sysm = fuchsian_system(gamma2, 6400)
@@ -156,25 +158,50 @@ def test_pressure_call_allocates_one_chunk(gamma2):
 
 # --- cyclic classes of the key graph ------------------------------------------
 
-# perfbench's chart of seed 10: z -> lam z / (c z + 1) + u
+# perfbench's charts of seeds 10 and 7: z -> lam z / (c z + 1) + u
 SEED_10_CHART = MobiusMap.from_entries(
     0.9575203991628636, 0.3565226346725965,
     -0.21871866658356112, 0.9629265815575861)
+SEED_7_CHART = MobiusMap.from_entries(
+    1.005626161014868, 0.23168178330091974,
+    0.012912058803095375, 0.9973800679542568)
 
 
 def test_key_graph_classes():
     # the classes come with the system and are those of its cell pattern:
-    # gamma2's key graph is bipartite (cores a/A against b/B), one-cusp's
-    # hyperbolic letters break the alternation
+    # gamma2's whole key graph is bipartite (cores a/A against b/B),
+    # one-cusp's hyperbolic letters break the alternation
     for name, p in (("gamma2-type", 2), ("one-cusp-one-hyperbolic", 1)):
         for chart in (None, SEED_10_CHART):
             config = preset_config(name)
-            group = build_group(config if chart is None
-                                else conjugate_config(config, chart))
+            group = without_symmetries(build_group(
+                config if chart is None else conjugate_config(config, chart)))
             _, _, adj = pair_graph(letter_families(group))
             for cap in (2, 60, 400):
                 sysm = fuchsian_system(group, cap, restricted=cap == 2)
                 check_key_graph(sysm, adj, p)
+
+
+def test_quotient_key_graph_classes(gamma2):
+    # the symmetries of gamma2 split its 8 overlap pairs into two orbits
+    # of 4, (b, a), (a, b), (B, A), (A, B) and (B, a), (a, B), (b, A),
+    # (A, b); each orbit leads to both, so every key of the quotient leads
+    # to every key, and it has one class
+    pairs, _, adj = pair_graph(letter_families(gamma2))
+    orbit, leads = pair_orbits(pairs, gamma2.symmetries)
+    assert [orbit[v] for v in leads] == [0, 1]
+    assert sorted(sorted(pair for pair, o in zip(pairs, orbit) if o == k)
+                  for k in (0, 1)) == [
+        [("A", "B"), ("B", "A"), ("a", "b"), ("b", "a")],
+        [("A", "b"), ("B", "a"), ("a", "B"), ("b", "A")]]
+    heads, tails = np.nonzero(adj)
+    assert {(orbit[h], orbit[t]) for h, t in zip(heads, tails)} \
+        == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    for cap in (2, 60, 400):
+        sysm = fuchsian_system(gamma2, cap, restricted=cap == 2)
+        assert cell_pattern(sysm.n_keys, sysm.blocks).all()
+        assert [c.tolist() for c in sysm.classes] \
+            == [list(range(sysm.n_keys))]
 
 
 def check_key_graph(sysm, adj, p):
@@ -221,7 +248,7 @@ def test_block_product_matches_full_eigensolve(gamma2, beta, monkeypatch):
     # at beta = 1000 the dominant cycle alternates a weight 1 with the
     # floor, and the plain product of the two blocks sits at ~1e-304 with
     # its other entries subnormal
-    sysm = fuchsian_system(gamma2, 60)
+    sysm = fuchsian_system(without_symmetries(gamma2), 60)
     radius, sizes = gdms._radius, []
     monkeypatch.setattr(gdms, "_radius",
                         lambda a: sizes.append(len(a)) or radius(a))
@@ -234,11 +261,12 @@ def test_block_product_matches_full_eigensolve(gamma2, beta, monkeypatch):
 
 def test_whole_matrix_where_the_product_underflows(monkeypatch):
     # gamma2 conjugated by z -> lam z / (c z + 1) + u (perfbench's chart of
-    # seed 10): at beta = 1000 the blocks span 300 decades and their
-    # product alone is nilpotent at r = 1 (it read -inf for every
-    # log r <= 4.77); a cold solve must not pin the root at t = 1/2 - beta
-    sysm = fuchsian_system(build_group(conjugate_config(
-        preset_config("gamma2-type"), SEED_10_CHART)), 400)
+    # seed 7), which has no symmetry left: at beta = 1000 the blocks span
+    # 300 decades and their product alone is nilpotent at r = 1 (its rho
+    # reads 0)
+    gamma2 = preset_config("gamma2-type")
+    sysm = fuchsian_system(build_group(conjugate_config(gamma2,
+                                                        SEED_7_CHART)), 400)
     radius, sizes = gdms._radius, []
     monkeypatch.setattr(gdms, "_radius",
                         lambda a: sizes.append(len(a)) or radius(a))
@@ -246,8 +274,67 @@ def test_whole_matrix_where_the_product_underflows(monkeypatch):
     assert pressure(sysm, t, 1000.0, r=1.0) == pytest.approx(
         full_matrix_pressure(sysm, t, 1000.0, 1.0), rel=1e-12)
     assert sysm.n_keys in sizes
-    assert free_energy(sysm, 1000.0).t == pytest.approx(0.80197728158703,
+    # on the chart of seed 10 a cold solve must not pin the root at
+    # t = 1/2 - beta; it lands next to that chart's delta_c
+    sysm = fuchsian_system(build_group(conjugate_config(gamma2,
+                                                        SEED_10_CHART)), 400)
+    assert free_energy(sysm, 1000.0).t == pytest.approx(0.8211478372656,
                                                         abs=1e-10)
+
+
+def rotated_config(name, theta):
+    """The preset conjugated by the rotation of the Cayley disc by 2 theta
+    about its centre."""
+    c, s = math.cos(theta), math.sin(theta)
+    return conjugate_config(preset_config(name),
+                            MobiusMap.from_entries(c, s, -s, c))
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.3, -2.0, 1.1, math.pi / 4])
+def test_operator_is_invariant_under_circle_rotations(any_group, theta):
+    # a rotation of the circle chart moves every arc, bucket point and
+    # weight rigidly, so t(beta) must not move; an image endpoint on the
+    # lower end of an arc once read 2 pi - eps and was clipped to the
+    # far end (gamma2's t(0) read 0.97262 at theta = 0.05, 0.3 and -2.0)
+    want = fuchsian_system(any_group, 60)
+    got = fuchsian_system(build_group(rotated_config(any_group.name, theta)),
+                          60)
+    for beta in (0.0, 1.25):
+        assert free_energy(got, beta).t == pytest.approx(
+            free_energy(want, beta).t, abs=1e-12)
+
+
+PRESSURE_GRID = [(beta, r) for beta in (-3000.0, -300.0, -20.0, -1.25, 0.0,
+                                        1.25, 20.0, 3000.0)
+                 for r in (1e-300, 1e-5, 0.3, 1.0, 40.0)]
+
+
+@pytest.mark.parametrize("name, rotation", [
+    ("gamma2-type", None), ("gamma2-type", 0.3),
+    ("one-cusp-one-hyperbolic", None)])
+def test_quotient_matches_the_whole_operator(name, rotation):
+    # the weights are invariant under the circle symmetries, so the Perron
+    # vector is constant on their orbits and the quotient keeps rho
+    group = build_group(preset_config(name) if rotation is None
+                        else rotated_config(name, rotation))
+    full = without_symmetries(group)
+    for cap in (60, 400):
+        sysm, whole = fuchsian_system(group, cap), fuchsian_system(full, cap)
+        for beta, r in PRESSURE_GRID:
+            t = 0.5 - beta + r
+            assert pressure(sysm, t, beta, r=r) == pytest.approx(
+                pressure(whole, t, beta, r=r), rel=1e-13)
+        betas = config_from_preset(name).betas()
+        assert np.allclose(free_energy_curve(sysm, betas).t,
+                           free_energy_curve(whole, betas).t,
+                           rtol=0.0, atol=1e-12)
+    sysm = fuchsian_system(group, 2, restricted=True)
+    whole = fuchsian_system(full, 2, restricted=True)
+    for beta, r in PRESSURE_GRID:
+        assert pressure(sysm, r, beta) == pytest.approx(
+            pressure(whole, r, beta), rel=1e-13)
+    assert gdms.delta_c(group).t == pytest.approx(gdms.delta_c(full).t,
+                                                  abs=1e-13)
 
 
 @pytest.mark.parametrize("cap", [60, 400])

@@ -14,7 +14,13 @@ from cuspwind.induced import (
 from cuspwind.fuchsian import build_group, conjugate_config, constants_c1
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
-from oracles import alphabet, contains_interval, eq4_constant, zeta_letter
+from oracles import (
+    alphabet,
+    contains_interval,
+    eq4_constant,
+    without_symmetries,
+    zeta_letter,
+)
 
 
 def test_alphabet_counts(gamma2, onecusp):
@@ -64,13 +70,20 @@ def test_system_sizes(gamma2, onecusp):
     # follower bucket and quadrature point, and its tail column counts as
     # an edge; below TAIL_START the exponents cap+1 .. TAIL_START enter
     # the tail keys as ordinary edges, so cap 60 carries as many edges as
-    # cap 64; the restricted systems have no tail
+    # cap 64; the restricted systems have no tail.  The whole gamma2
+    # operator has 8 overlap pairs and 16 families; its quotient by the
+    # four symmetries keeps one pair of each of the 2 orbits and the 4
+    # families leaving them
+    full = without_symmetries(gamma2)
     for pres, cap, restricted, sizes in (
-            (gamma2, 60, False, (64, 16640, 256)),
-            (gamma2, 64, False, (64, 16640, 256)),
-            (gamma2, 400, False, (88, 141152, 352)),
+            (full, 60, False, (64, 16640, 256)),
+            (full, 64, False, (64, 16640, 256)),
+            (full, 400, False, (88, 141152, 352)),
+            (gamma2, 60, False, (16, 4160, 64)),
+            (gamma2, 400, False, (22, 35288, 88)),
             (onecusp, 400, False, (50, 6692, 16)),
-            (gamma2, 2, True, (16, 128, 0)),
+            (full, 2, True, (16, 128, 0)),
+            (gamma2, 2, True, (4, 32, 0)),
             (onecusp, 2, True, (14, 92, 0))):
         sysm = ind.fuchsian_system(pres, cap, restricted=restricted)
         tails = [block for block in sysm.blocks if block.tail is not None]
@@ -79,6 +92,22 @@ def test_system_sizes(gamma2, onecusp):
                 sum(len(block.tail) for block in tails)) == sizes
         for block in tails:
             assert block.zeta.shape[1] == max(cap, ind.TAIL_START) + 1
+
+
+def test_symmetries_the_buckets_break_are_dropped(gamma2, monkeypatch):
+    # a symmetry of the presentation is used only if it maps the bucket
+    # points of each core onto those of its image: with core a's points
+    # moved by 1e-9 the operator is the whole one again
+    reps = ind._bucket_reps
+
+    def moved(pres, c, ranges, tail):
+        spans = reps(pres, c, ranges, tail)
+        return [tuple(y + 1e-9 for y in ys) for ys in spans] if c == "a" \
+            else spans
+
+    assert ind.fuchsian_system(gamma2, 60).n_keys == 16
+    monkeypatch.setattr(ind, "_bucket_reps", moved)
+    assert ind.fuchsian_system(gamma2, 60).n_keys == 64
 
 
 @pytest.mark.parametrize("chart", [

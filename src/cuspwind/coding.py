@@ -24,7 +24,7 @@ from .mobius import (
     apply_boundary,
     apply_plane,
     hyperbolic_distance,
-    power,
+    parabolic_power,
 )
 
 PARAM_TOL = 1e-9
@@ -67,7 +67,9 @@ class BlockWord:
 
 
 def block_element(pres: GroupPresentation, label: str, exp: int) -> MobiusMap:
-    return power(pres.map_of(label), exp)
+    """The block label^exp (exp = 1 for a hyperbolic label)."""
+    gen = pres.gen(label)
+    return parabolic_power(gen.map, exp) if gen.is_parabolic() else gen.map
 
 
 def bowen_series_step(pres: GroupPresentation, x: float):

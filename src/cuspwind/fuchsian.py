@@ -45,6 +45,11 @@ from .mobius import (
 
 TWO_PI = 2.0 * math.pi
 
+# A boundary point farther out than this is the point at infinity: the
+# rotation by pi/4 sends the vertex oo of Gamma(2) to 1.27e16, because
+# cos(pi/4) - sin(pi/4) is not 0 in floating point.
+FAR = 1e12
+
 
 @dataclass(frozen=True)
 class CircleInterval:
@@ -77,6 +82,15 @@ class CircleInterval:
 
     def offset(self, x: float) -> float:
         return (boundary_angle(x) - self.angle_lo) % TWO_PI
+
+    def offset_on_arc(self, x: float) -> float:
+        """The offset of x, where a point past the arc goes to the nearer
+        end around the circle (a point at the lower end may read
+        2 pi - eps)."""
+        off = self.offset(x)
+        if off <= self.arc:
+            return off
+        return self.arc if off - self.arc < TWO_PI - off else 0.0
 
     def contains(self, x: float) -> bool:
         return 0.0 < self.offset(x) < self.arc
@@ -285,17 +299,15 @@ def build_group(config: dict) -> GroupPresentation:
 
 
 def _as_endpoint_pair(pair):
+    """The two endpoints as floats, ``INF`` for oo and beyond ``FAR``."""
     out = []
     for p in pair:
-        if isinstance(p, str):
-            s = p.strip().lower()
-            if s in ("inf", "+inf", "-inf", "oo", "-oo", "infinity"):
-                out.append(INF)
-            else:
-                out.append(float(p))
+        if isinstance(p, str) and p.strip().lower() in (
+                "inf", "+inf", "-inf", "oo", "-oo", "infinity"):
+            x = INF
         else:
             x = float(p)
-            out.append(INF if math.isinf(x) else x)
+        out.append(INF if abs(x) > FAR else x)
     return out
 
 
@@ -319,7 +331,7 @@ def _validate_intervals(gens: dict, inverse_label: dict):
 
 def _boundary_close(x: float, y: float) -> bool:
     if is_infinity(x) or is_infinity(y):
-        return (is_infinity(x) and is_infinity(y)) or abs(x) > 1e12 or abs(y) > 1e12
+        return (is_infinity(x) and is_infinity(y)) or abs(x) > FAR or abs(y) > FAR
     return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
@@ -501,13 +513,10 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
                 olo, ohi = bounds[other]
                 for off in (olo, ohi):
                     x = boundary_from_angle(jo.angle_lo + off)
-                    y = apply_boundary(g.map, x)
-                    pos = jg.offset(y)
-                    if pos > jg.arc + 1e-9:  # endpoint identified across wrap
-                        pos = min(pos, jg.arc)
+                    pos = jg.offset_on_arc(apply_boundary(g.map, x))
                     lo_best = pos if lo_best is None else min(lo_best, pos)
                     hi_best = pos if hi_best is None else max(hi_best, pos)
-            new[label] = (max(0.0, lo_best), min(jg.arc, hi_best))
+            new[label] = (lo_best, hi_best)
         bounds = new
     out = {}
     for label in pres.labels():

@@ -89,7 +89,7 @@ class LetterBlock:
     letters of row i in run j.
 
     A block of parabolic families carries ``tail``: row i holds the
-    numbers (p0, p1, r0, r1, log(1 + x^2)) of row i of ``zeta``
+    numbers (p0, p1, r0, r1) of row i of ``zeta``
     (``induced.LetterFamily.row``).  Its last column then stands for the
     exponents n > m - 1 beyond the explicit ones, and ``tail_log_weights``
     gives its weights; that column's zeta and psi are 0 placeholders.
@@ -99,7 +99,7 @@ class LetterBlock:
     psi: np.ndarray  # (m,)
     starts: np.ndarray  # (runs,)
     cells: np.ndarray  # (rows, runs)
-    tail: np.ndarray = None  # (rows, 5), or None without a tail column
+    tail: np.ndarray = None  # (rows, 4), or None without a tail column
 
     # The extremes of each column of zeta, from which ``key_matrix`` finds
     # the largest exponent t zeta + beta psi without forming the exponents.
@@ -152,14 +152,13 @@ def _gauss_jacobi(two_r: float):
 def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
                      two_r: float) -> np.ndarray:
     """log sum_{n > start} exp(t zeta_n + beta psi_n) for each row
-    (p0, p1, r0, r1, log(1 + x^2)) of ``rows``, where zeta_n =
-    log(1 + x^2) - log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1, and
-    psi_n = -2 log k.
+    (p0, p1, r0, r1) of ``rows``, where zeta_n =
+    -log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1, and psi_n = -2 log k.
 
     Midpoint Euler-Maclaurin from X = start + 1/2: the sum is the integral
     of F(n) = exp(t zeta_n + beta psi_n) over [X, oo) plus F'(X)/24 -
     7 F'''(X)/5760.  With s = 2t + 2 beta = 1 + 2r and u = 1/n, F(n) =
-    n^-s g(u), where g(u) = exp(t log(1 + x^2) - 2t log|w1 + u (w0 - w1)| -
+    n^-s g(u), where g(u) = exp(-2t log|w1 + u (w0 - w1)| -
     2 beta log(1 - u)) with w0 = p0 + i r0 and w1 = p1 + i r1; so g is
     smooth, and the integral is X^-2r times that of v^(2r - 1) g(v / X)
     over [0, 1], a Gauss-Jacobi rule.  2r is passed in, not derived from t, which keeps the weights
@@ -167,14 +166,14 @@ def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
     the integral (s / X large, the tail far below every other weight) the
     row gets a log-weight 708 below its terms, which ``pressure`` floors.
     """
-    p0, p1, r0, r1, lx = rows.T
+    p0, p1, r0, r1 = rows.T
     w0, w1 = p0 + 1j * r0, p1 + 1j * r1
     x = start + 0.5
     k = x - 1.0
     nodes, weights = _gauss_jacobi(two_r)
     u = nodes / x
-    lg = (t * (lx[:, None] - 2.0 * np.log(np.abs(
-        w1[:, None] + np.outer(w0 - w1, u)))) - 2.0 * beta * np.log1p(-u))
+    lg = (-2.0 * t * np.log(np.abs(w1[:, None] + np.outer(w0 - w1, u)))
+          - 2.0 * beta * np.log1p(-u))
     top = lg.max(axis=1)
     log_int = (top + np.log(np.exp(lg - top[:, None]) @ weights)
                - two_r * math.log(x) - math.log(two_r))
@@ -184,8 +183,7 @@ def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
     d1, d2, d3 = (2.0 * (-1) ** j * math.factorial(j - 1)
                   * (t * (om ** j).real + beta / k ** j) for j in (1, 2, 3))
     corr = d1 / 24.0 - 7.0 * (d3 + 3.0 * d1 * d2 + d1 ** 3) / 5760.0
-    log_f = t * (lx - 2.0 * np.log(np.abs(w0 + k * w1))) \
-        - 2.0 * beta * math.log(k)
+    log_f = -2.0 * t * np.log(np.abs(w0 + k * w1)) - 2.0 * beta * math.log(k)
     top = np.maximum(log_int, log_f)
     total = np.exp(log_int - top) + np.exp(log_f - top) * corr
     return top + np.log(np.maximum(total, np.finfo(float).tiny))

@@ -28,7 +28,10 @@ the last symbol's interval), measured in the Cayley circle chart.  The
 circle chart keeps the weight strictly negative even when the limit set
 contains oo (plane-chart translations have unit derivative, which would
 degenerate the pressure for lattice-type groups); its Birkhoff sums track
--d(B_1...B_n(i), i) up to a bounded constant.
+-d(B_1...B_n(i), i) up to a bounded constant.  The operator's
+continuation points are circle angles, and a weight is read at the unit
+vector w of the point (``mobius.unit_image``): the circle-chart
+derivative of V_e there is 1 / |V_e w|^2, with no case for oo.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 
 from .coding import (
     BlockWord,
+    block_element,
     bowen_series_step,
     code_point,
     point_from_symbols,
@@ -47,7 +51,7 @@ from .coding import (
 )
 from .fuchsian import TWO_PI, CircleInterval, GroupPresentation, angle_distance
 from .gdms import CHUNK
-from .mobius import apply_boundary, boundary_angle
+from .mobius import unit_image
 
 
 def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
@@ -201,11 +205,13 @@ class LetterFamily:
     every n >= 1 when the core c is parabolic, n = 1 when it is hyperbolic.
 
     The branch matrix of letter n = k + 1 is m0 + k m1, affine in n via the
-    nilpotent part of a parabolic core (m1 = 0 for a hyperbolic one), so at
-    a continuation point x its weight is zeta_n = log(1 + x^2) -
-    log((p0 + k p1)^2 + (r0 + k r1)^2) with the numbers of ``row(x)``.
-    ``zeta`` evaluates that formula on any rows; the operator's letters
-    and its tail rule read the same rows.
+    nilpotent part of a parabolic core (m1 = 0 for a hyperbolic one).  A
+    continuation point is the unit vector w of its boundary point
+    (``mobius.unit_image``), where the circle-chart derivative of a matrix
+    M is 1 / |M w|^2, so the weight is zeta_n = -log((p0 + k p1)^2 +
+    (r0 + k r1)^2) with the numbers of ``row(w)``.  ``zeta`` evaluates
+    that formula on any rows; the operator's letters and its tail rule
+    read the same rows.
     """
 
     g1: str
@@ -214,24 +220,23 @@ class LetterFamily:
     parabolic: bool
     m0: tuple  # branch matrix of n = 1 (just g1)
     m1: tuple  # increment per extra core letter: g1 * (core - id), or 0
-    x_mid: float  # core image of the midpoint of J_g2
+    w_mid: tuple  # unit vector of the core image of the midpoint of J_g2
 
-    def row(self, x: float) -> tuple:
-        """(p0, p1, r0, r1, log(1 + x^2)) of the weights at x; x = oo
-        keeps the leading terms (the chart factor cancels)."""
+    def row(self, w: tuple) -> tuple:
+        """(p0, p1, r0, r1) of the weights at the unit vector w:
+        (p0, r0) = m0 w and (p1, r1) = m1 w."""
         m0, m1 = self.m0, self.m1
-        if math.isinf(x):
-            return m0[0], m1[0], m0[2], m1[2], 0.0
-        return (m0[0] * x + m0[1], m1[0] * x + m1[1],
-                m0[2] * x + m0[3], m1[2] * x + m1[3], math.log1p(x * x))
+        w0, w1 = w
+        return (m0[0] * w0 + m0[1] * w1, m1[0] * w0 + m1[1] * w1,
+                m0[2] * w0 + m0[3] * w1, m1[2] * w0 + m1[3] * w1)
 
     @staticmethod
     def zeta(rows, ns: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Letter weights log|V_n'|_circle: one row of the result (or of
         ``out``) per row of ``rows``, one column per exponent of ``ns``."""
-        p0, p1, r0, r1, lx = np.asarray(rows, dtype=float).T[:, :, None]
+        p0, p1, r0, r1 = np.asarray(rows, dtype=float).T[:, :, None]
         k = ns - 1
-        # lx - log((p0 + k p1)^2 + (r0 + k r1)^2), in two buffers
+        # -log((p0 + k p1)^2 + (r0 + k r1)^2), in two buffers
         a = np.multiply(k, p1, out=out)
         a += p0
         a *= a
@@ -239,7 +244,7 @@ class LetterFamily:
         b += r0
         b *= b
         a += b
-        return np.subtract(lx, np.log(a, out=a), out=a)
+        return np.negative(np.log(a, out=a), out=a)
 
 
 def letter_families(pres: GroupPresentation) -> list:
@@ -261,10 +266,10 @@ def letter_families(pres: GroupPresentation) -> list:
                   m.c * nil[0] + m.d * nil[2], m.c * nil[1] + m.d * nil[3])
             for g2 in labels:
                 if pres.block_admissible(c, g2):
-                    x_mid = apply_boundary(core,
-                                           pres.interval_of(g2).point_at(0.5))
+                    j = pres.interval_of(g2)
+                    w_mid = unit_image(core, j.angle_lo + 0.5 * j.arc)
                     out.append(LetterFamily(g1, c, g2, parabolic,
-                                            (m.a, m.b, m.c, m.d), m1, x_mid))
+                                            (m.a, m.b, m.c, m.d), m1, w_mid))
     return out
 
 
@@ -297,7 +302,8 @@ def _bucket_ranges(cap: int) -> list:
 
 
 def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
-    """Continuation points (q1, q3) in J_c per follower bucket.
+    """Continuation points (q1, q3) in J_c per follower bucket, as circle
+    angles.
 
     Followers with core c and exponent k put the continuation into
     c^k(K_c) where K_c is the continuation hull; the tail bucket runs from
@@ -306,21 +312,13 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
     of the arc average: the midpoint rule underestimates the convex
     weights).
     """
-    from .mobius import power as mpower
-
     j = pres.interval_of(c_label)
     k_hull = _core_continuation_hull(pres, c_label)
-    cmap = pres.map_of(c_label)
     gen = pres.gen(c_label)
 
     def offsets_of_image(k):
-        img = k_hull.image(mpower(cmap, k))
-        offs = [j.offset(img.lo), j.offset(img.hi)]
-        # an offset past the arc goes to the nearer end around the circle:
-        # an image on the lower end of J_c may read 2 pi - eps
-        return [off if off <= j.arc
-                else j.arc if off - j.arc < TWO_PI - off else 0.0
-                for off in offs]
+        img = k_hull.image(block_element(pres, c_label, k))
+        return [j.offset_on_arc(img.lo), j.offset_on_arc(img.hi)]
 
     spans = []
     # a hyperbolic core has the one exponent of the first range
@@ -329,18 +327,10 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
         spans.append((min(offs), max(offs)))
     if tail and gen.is_parabolic():
         offs = offsets_of_image(ranges[-1][1] + 1)
-        p = gen.fixed_points[0]
-        off_p = j.offset(p)
-        off_p = 0.0 if min(off_p, 2.0 * math.pi - off_p) < abs(off_p - j.arc) \
-            else j.arc
-        offs.append(off_p)
+        offs.append(j.offset_on_arc(gen.fixed_points[0]))
         spans.append((min(offs), max(offs)))
-    reps = []
-    for lo, hi in spans:
-        reps.append(tuple(j.point_at(f / j.arc)
-                          for f in (0.75 * lo + 0.25 * hi,
-                                    0.25 * lo + 0.75 * hi)))
-    return reps
+    return [(j.angle_lo + 0.75 * lo + 0.25 * hi,
+             j.angle_lo + 0.25 * lo + 0.75 * hi) for lo, hi in spans]
 
 
 # Largest angle by which a symmetry may miss a bucket point it maps onto
@@ -357,9 +347,8 @@ def _discretised_symmetries(pres: GroupPresentation, reps: dict) -> tuple:
         # perm[c] is parabolic when c is, so it has as many buckets
         for c, spans in reps.items():
             for ys, zs in zip(spans, reps[sym.perm[c]]):
-                targets = [boundary_angle(z) for z in zs]
-                if any(min(angle_distance(sym.angle(boundary_angle(y)), a)
-                           for a in targets) > BUCKET_TOL for y in ys):
+                if any(min(angle_distance(sym.angle(y), z) for z in zs)
+                       > BUCKET_TOL for y in ys):
                     return False
         return True
 
@@ -385,7 +374,7 @@ def letter_series_sweep(pres: GroupPresentation, t, beta, caps) -> list:
                                   np.asarray(beta, dtype=float))
     ns = np.arange(1, top + 1, dtype=float)
     psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
-    zetas = [f.zeta([f.row(f.x_mid)], ns[:top if f.parabolic else 1])[0]
+    zetas = [f.zeta([f.row(f.w_mid)], ns[:top if f.parabolic else 1])[0]
              for f in letter_families(pres)]
     ts, bs = t.reshape(-1, 1), beta.reshape(-1, 1)
     out = np.empty((len(caps), ts.size))
@@ -470,7 +459,7 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         if leads[orbit[head]] != head:
             continue
         m = len(ns) if f.parabolic else 1
-        rows = np.array([f.row(apply_boundary(pres.map_of(f.core), y))
+        rows = np.array([f.row(unit_image(pres.map_of(f.core), y))
                          for ys in reps[f.g2] for y in ys])
         fam_rows, in_firsts, out_keys = groups.setdefault(m, ([], [], []))
         fam_rows.append(rows)

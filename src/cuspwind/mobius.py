@@ -50,6 +50,23 @@ def boundary_from_angle(theta: float) -> float:
     return -1.0 / math.tan(theta / 2.0)
 
 
+def unit_image(m: MobiusMap, theta: float) -> tuple:
+    """The unit vector of m u(theta), where u(theta) = (-cos theta/2,
+    sin theta/2) is the boundary point of circle angle theta: the vector
+    (x, 1) / |(x, 1)| of x = boundary_from_angle(theta) up to sign, and
+    exactly (1, 0) at theta = 2 pi, the point oo.
+
+    In this form the circle-chart derivative of a matrix M at the point is
+    1 / |M w|^2 for w = unit_image(I, theta), with no case for oo.
+    """
+    # u(theta) = (cos phi, sin phi), with phi exactly 0 at theta = 2 pi
+    phi = math.pi - 0.5 * theta
+    u0, u1 = math.cos(phi), math.sin(phi)
+    v0, v1 = m.a * u0 + m.b * u1, m.c * u0 + m.d * u1
+    norm = math.hypot(v0, v1)
+    return v0 / norm, v1 / norm
+
+
 @dataclass(frozen=True)
 class PlanePoint:
     """Point of the open upper half-plane."""
@@ -86,10 +103,6 @@ class MobiusMap:
         if lead < 0.0:
             a, b, c, d = -a, -b, -c, -d
         return MobiusMap(a, b, c, d)
-
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap.from_entries(self.d, -self.b, -self.c, self.a)
@@ -153,24 +166,6 @@ def parabolic_power(m: MobiusMap, k: int) -> MobiusMap:
     )
 
 
-def power(m: MobiusMap, k: int) -> MobiusMap:
-    """Integer power by repeated squaring (closed form for parabolics)."""
-    if k == 0:
-        return MobiusMap.identity()
-    if k < 0:
-        return power(m.inverse(), -k)
-    if m.is_parabolic(1e-12):
-        return parabolic_power(m, k)
-    out = MobiusMap.identity()
-    base = m
-    while k:
-        if k & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        k >>= 1
-    return out
-
-
 def apply_boundary(m: MobiusMap, x: float) -> float:
     """Projective action on the boundary circle R u {oo}."""
     if is_infinity(x):
@@ -204,36 +199,18 @@ def geodesic_distance_between(u1: float, v1: float, u2: float, v2: float) -> flo
     """Distance between the complete geodesics with ideal endpoints (u1,v1), (u2,v2).
 
     Returns 0 when the geodesics cross, touch, or share an ideal endpoint.
-    Endpoints may be oo.
+    Endpoints may be oo.  With c(x, y) = |sin((theta_x - theta_y) / 2)|,
+    half the chord between the circle angles of x and y, the products
+    P1 = c(u1, u2) c(v1, v2), P2 = c(u1, v2) c(v1, u2) and
+    D = c(u1, v1) c(u2, v2) satisfy Ptolemy's relation: the largest is the
+    sum of the other two.  The geodesics are disjoint when that is P1 or
+    P2, and then cosh d = 1 + 2 min(P1, P2) / D.
     """
-    ends1 = {u1, v1}
-    ends2 = {u2, v2}
-    if ends1 & ends2:
-        return 0.0
-    # send (u1, v1) to (0, oo) and measure against the image of the second
-    m = _map_to_zero_infinity(u1, v1)
-    p = apply_boundary(m, u2)
-    q = apply_boundary(m, v2)
-    if is_infinity(p) or is_infinity(q):
-        return 0.0  # shares the ideal endpoint oo after mapping
-    if p * q <= 0.0:
-        return 0.0  # crosses the imaginary axis
-    lo, hi = sorted([abs(p), abs(q)])
-    mid = 0.5 * (lo + hi)
-    rad = 0.5 * (hi - lo)
-    if rad <= 0.0:
-        return 0.0
-    return math.acosh(mid / rad)
+    def c(x, y):
+        return abs(math.sin(0.5 * (boundary_angle(x) - boundary_angle(y))))
 
-
-def _map_to_zero_infinity(u: float, v: float) -> MobiusMap:
-    """Some PSL(2,R) map sending u -> 0 and v -> oo."""
-    if is_infinity(v):
-        return MobiusMap.from_entries(1.0, -u, 0.0, 1.0)
-    if is_infinity(u):
-        # z -> -1/(z - v) sends oo -> 0, v -> oo
-        return MobiusMap.from_entries(0.0, -1.0, 1.0, -v)
-    # z -> k(z - u)/(z - v) with k = sign(u - v) so the determinant is positive
-    if u > v:
-        return MobiusMap.from_entries(1.0, -u, 1.0, -v)
-    return MobiusMap.from_entries(-1.0, u, 1.0, -v)
+    p1, p2 = c(u1, u2) * c(v1, v2), c(u1, v2) * c(v1, u2)
+    d = c(u1, v1) * c(u2, v2)
+    if max(p1, p2) <= d:
+        return 0.0
+    return math.acosh(1.0 + 2.0 * min(p1, p2) / d)

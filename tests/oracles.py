@@ -47,7 +47,6 @@ from cuspwind.mobius import (
     hyperbolic_distance,
     is_infinity,
     parabolic_power,
-    power,
 )
 from cuspwind.spectrum import SpectrumCurve, check_convex
 
@@ -115,7 +114,7 @@ def arc_length_above_height(r: float, h: float) -> float:
 # --- coded words ----------------------------------------------------------
 
 def word_element(pres: GroupPresentation, word: BlockWord) -> MobiusMap:
-    out = MobiusMap.identity()
+    out = MobiusMap.from_entries(1, 0, 0, 1)
     for label, exp in word.blocks:
         out = compose(out, block_element(pres, label, exp))
     return out
@@ -344,12 +343,13 @@ def block_word_geometry(pres, n: int, cap: int):
             gen = pres.gen(label)
             if gen.is_parabolic():
                 for exp in range(1, cap + 1):
-                    rec(label, depth + 1, compose(mat, power(gen.map, exp)),
+                    rec(label, depth + 1,
+                        compose(mat, parabolic_power(gen.map, exp)),
                         wsum + log_plus(exp - 1))
             else:
                 rec(label, depth + 1, compose(mat, gen.map), wsum)
 
-    rec(None, 0, MobiusMap.identity(), 0.0)
+    rec(None, 0, MobiusMap.from_entries(1, 0, 0, 1), 0.0)
     return np.array(dists), np.array(winds)
 
 

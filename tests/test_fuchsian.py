@@ -13,6 +13,7 @@ from cuspwind.errors import (
 )
 from cuspwind.fuchsian import (
     CircleInterval,
+    _limit_set_bounds,
     angle_distance,
     build_group,
     conjugate_config,
@@ -58,6 +59,17 @@ def test_interval_wrap_membership_and_midpoint():
     assert jw.contains(-5.0)
     assert not jw.contains(0.0)
     assert jw.point_at(0.5) == pytest.approx(-1.0 - math.sqrt(2.0))
+
+
+def test_offset_on_arc_sends_a_point_past_the_arc_to_the_nearer_end():
+    j = CircleInterval(0.0, 1.0)
+    assert j.offset_on_arc(0.5) == j.offset(0.5)
+    assert j.offset_on_arc(1.0 + 1e-6) == j.arc
+    # just below lo the offset reads 2 pi - eps
+    assert j.offset(-1e-6) > math.pi
+    assert j.offset_on_arc(-1e-6) == 0.0
+    assert j.offset_on_arc(-0.5) == 0.0
+    assert j.offset_on_arc(5.0) == j.arc
 
 
 def test_interval_disjointness_allows_touching():
@@ -250,6 +262,48 @@ def test_c0_monotone_and_stable(gamma2):
     c96 = constant_c0(gamma2, 96)
     assert c96 >= c48 - 1e-12  # nested grids
     assert abs(c96 - c48) <= 0.01 * c48
+
+
+# the rotations of the Cayley disc, by twice these angles, under which
+# the limit-set bounds and C0 once moved
+ROTATIONS = (0.0, 0.05, 0.3, -2.0, 1.1, math.pi / 4, 2.5)
+
+
+def rotated_group(name, theta):
+    """The preset conjugated by the rotation of the Cayley disc by 2 theta
+    about its centre."""
+    c, s = math.cos(theta), math.sin(theta)
+    return build_group(conjugate_config(preset_config(name),
+                                        MobiusMap.from_entries(c, s, -s, c)))
+
+
+@pytest.mark.parametrize("name", ["gamma2-type", "one-cusp-one-hyperbolic"])
+def test_limit_set_bounds_do_not_move_under_rotations(name):
+    # an image past the end of an arc goes to its nearer end; sent to the
+    # far end, Gamma(2)'s bounds covered 98.9% of one to three of its arcs
+    # and one-cusp's first arc 0.6924 or 0.7029, depending on the angle
+    def fractions(pres):
+        bounds = _limit_set_bounds(pres)
+        return [bounds[label].arc / pres.interval_of(label).arc
+                for label in pres.labels()]
+
+    want = fractions(rotated_group(name, ROTATIONS[0]))
+    if name == "gamma2-type":  # a lattice: the limit set is the circle
+        assert want == pytest.approx([1.0] * 4, abs=1e-12)
+    for theta in ROTATIONS[1:]:
+        assert fractions(rotated_group(name, theta)) == pytest.approx(
+            want, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["gamma2-type", "one-cusp-one-hyperbolic"])
+def test_c0_does_not_move_under_rotations(name):
+    # C0 is a conjugacy invariant up to its sampling; the rotation by
+    # pi/4 sends Gamma(2)'s vertex oo to 1.27e16, and read as a finite
+    # endpoint that gave C0 = 6.96 against 2.06-2.12 at the other angles
+    want = constant_c0(rotated_group(name, ROTATIONS[0]), 48)
+    for theta in ROTATIONS[1:]:
+        assert constant_c0(rotated_group(name, theta), 48) == pytest.approx(
+            want, rel=0.1)
 
 
 def test_conjugation_helper_preserves_validation():

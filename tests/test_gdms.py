@@ -535,11 +535,11 @@ def direct_tail_sums(rows, start, t, beta, two_r, m=4096):
     to m; beyond m, F(n) = n^-s g(1/n) with g fitted by a quartic in
     v = Y/n, Y = m + 1/2, summed as the integral over [Y, oo) plus
     F'(Y)/24 - 7 F'''(Y)/5760 (each monomial in closed form)."""
-    p0, p1, r0, r1, lx = (col[:, None] for col in rows.T)
+    p0, p1, r0, r1 = (col[:, None] for col in rows.T)
 
     def weights(ns):
         k = ns - 1.0
-        zeta = lx - np.log((p0 + k * p1) ** 2 + (r0 + k * r1) ** 2)
+        zeta = -np.log((p0 + k * p1) ** 2 + (r0 + k * r1) ** 2)
         return np.exp(t * zeta - 2.0 * beta * np.log(np.maximum(k, 1.0)))
 
     head = weights(np.arange(1.0, start + 1.0)).sum(axis=1)
@@ -548,8 +548,8 @@ def direct_tail_sums(rows, start, t, beta, two_r, m=4096):
     y = m + 0.5
     v = 0.5 + 0.5 * np.cos(np.pi * (np.arange(12) + 0.5) / 12)
     u = v / y
-    g = np.exp(t * (lx - np.log((p1 + u * (p0 - p1)) ** 2
-                                + (r1 + u * (r0 - r1)) ** 2))
+    g = np.exp(-t * np.log((p1 + u * (p0 - p1)) ** 2
+                           + (r1 + u * (r0 - r1)) ** 2)
                - 2.0 * beta * np.log1p(-u))
     s = 1.0 + two_r
     for j, c in enumerate(np.polynomial.polynomial.polyfit(v, g.T, 4)):

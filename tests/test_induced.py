@@ -12,10 +12,19 @@ from cuspwind.induced import (
     primitivity_witness,
 )
 from cuspwind.fuchsian import build_group, conjugate_config, constants_c1
-from cuspwind.mobius import MobiusMap
+from cuspwind.mobius import (
+    MobiusMap,
+    apply_boundary,
+    boundary_from_angle,
+    compose,
+    parabolic_power,
+    unit_image,
+)
 from cuspwind.presets import preset_config
 from oracles import (
     alphabet,
+    circle_derivative_magnitude,
+    close_to,
     contains_interval,
     eq4_constant,
     without_symmetries,
@@ -44,7 +53,7 @@ def test_psi_values(gamma2):
 
 def test_zeta_letter_negative_and_bracketed(any_group):
     # every letter's weight, parabolic or hyperbolic, is its family's
-    # weight at x_mid, the point the letter series reads
+    # weight at w_mid, the point the letter series reads
     fams = {(f.g1, f.core, f.g2): f for f in ind.letter_families(any_group)}
     c1 = constants_c1(any_group)
     for e in alphabet(any_group, 40):
@@ -53,15 +62,49 @@ def test_zeta_letter_negative_and_bracketed(any_group):
         f = fams[(e.symbols[0], e.core, e.symbols[-1])]
         assert f.parabolic == any_group.gen(e.core).is_parabolic()
         n = len(e.symbols) - 2
-        assert abs(z - f.zeta([f.row(f.x_mid)], np.array([n]))[0, 0]) <= 1e-12
+        assert abs(z - f.zeta([f.row(f.w_mid)], np.array([n]))[0, 0]) <= 1e-12
         if n >= 2:
             assert z <= -c1 + 0.7  # distortion slack
+
+
+def test_row_at_infinity_is_the_first_column_of_the_branches(any_group):
+    # theta = 2 pi is the point oo, whose unit vector is exactly (1, 0):
+    # a row there reads the first columns of m0 and m1, as the x-space
+    # rows did in their case for x = oo
+    w = unit_image(MobiusMap.from_entries(1, 0, 0, 1), 2.0 * math.pi)
+    assert w == (1.0, 0.0)
+    for f in ind.letter_families(any_group):
+        assert f.row(w) == (f.m0[0], f.m1[0], f.m0[2], f.m1[2])
+
+
+def test_row_weights_are_the_circle_derivative(any_group):
+    # at every bucket angle theta of the follower g2, zeta_n from the row
+    # of the unit vector of core u(theta) is the log circle derivative of
+    # the branch m0 + (n - 1) m1 at x = core(boundary_from_angle(theta)),
+    # the branch being g1 c^(n-1) (to rounding: a renormalised product
+    # g1 c^399 is off by ~1e-12)
+    ranges = ind._bucket_ranges(400)
+    for f in ind.letter_families(any_group):
+        core = any_group.map_of(f.core)
+        ns = [1, 2, 7, 400] if f.parabolic else [1]
+        branches = [MobiusMap(*(a + (n - 1) * b for a, b in zip(f.m0, f.m1)))
+                    for n in ns]
+        assert all(close_to(m, compose(any_group.map_of(f.g1),
+                                       parabolic_power(core, n - 1)), 1e-9)
+                   for m, n in zip(branches, ns) if f.parabolic)
+        for ys in ind._bucket_reps(any_group, f.g2, ranges, True):
+            for y in ys:
+                got = f.zeta([f.row(unit_image(core, y))], np.array(ns))[0]
+                x = apply_boundary(core, boundary_from_angle(y))
+                want = [math.log(circle_derivative_magnitude(m, x))
+                        for m in branches]
+                assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_zeta_scales_like_minus_two_log_n(gamma2):
     fam = ind.letter_families(gamma2)[0]
     ns = np.array([50, 100, 200, 400])
-    c = -fam.zeta([fam.row(fam.x_mid)], ns)[0] - 2.0 * np.log(ns)
+    c = -fam.zeta([fam.row(fam.w_mid)], ns)[0] - 2.0 * np.log(ns)
     assert abs(c[-1] - c[-2]) < 0.01  # converging envelope constant
 
 

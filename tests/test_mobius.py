@@ -42,8 +42,8 @@ def test_compose_inverse_pair_is_identity():
 
 def test_compose_identity_law():
     m = MobiusMap.from_entries(2.0, 1.0, 3.0, 2.0)
-    assert close_to(compose(MobiusMap.identity(), m), m)
-    assert close_to(compose(m, MobiusMap.identity()), m)
+    assert close_to(compose(MobiusMap.from_entries(1, 0, 0, 1), m), m)
+    assert close_to(compose(m, MobiusMap.from_entries(1, 0, 0, 1)), m)
 
 
 def test_compose_direct_product():
@@ -190,6 +190,22 @@ def test_geodesic_distance_between_known_value():
     assert geodesic_distance_between(0.0, 1.0, 1.0, 2.0) == 0.0
     # crossing geodesics
     assert geodesic_distance_between(-1.0, 1.0, 0.0, 5.0) == 0.0
+
+
+def test_geodesic_distance_matches_the_plane_cross_ratio():
+    # for a < b < c < d the geodesics (a, b) and (c, d) are disjoint, with
+    # cosh d = 1 + 2 (d - a)(c - b) / ((b - a)(d - c)); the distance is an
+    # isometry invariant, so it must not move under a Moebius map either
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a, b, c, d = np.sort(rng.uniform(-5.0, 5.0, size=4))
+        want = math.acosh(1.0 + 2.0 * (d - a) * (c - b) / ((b - a) * (d - c)))
+        assert geodesic_distance_between(a, b, c, d) == pytest.approx(
+            want, rel=1e-10)
+        m = random_map(rng)
+        assert geodesic_distance_between(
+            *(apply_boundary(m, x) for x in (a, b, c, d))) == pytest.approx(
+                want, rel=1e-10)
 
 
 def test_fixed_points_classification():

@@ -13,10 +13,17 @@ rho(B_01 B_12 ... B_(p-1)0), and the pressure is one eigensolve of that
 normalised block product, whose size is that of one class (n_keys / p).
 p is 2 on the whole operator of a free product of parabolics, where
 keys with core a/A only lead to keys with core b/B and back; on both
-presets p = 1 and the block is B itself, for gamma2 because its operator
-is the quotient by its circle symmetries (``induced.fuchsian_system``),
-one of which swaps a and b.  Where the product lost to underflow entries
-that rho depends on, the whole matrix is solved.
+presets p = 1, for gamma2 because its operator is the quotient by its
+circle symmetries (``induced.fuchsian_system``), one of which swaps a and
+b.  With one class, B is folded over an independent set S of keys when
+the other keys T are fewer than half (``GdmsSystem.fold``): B = L R with
+L = [[X, 0], [0, I]] and R = [[0, I], [Y, Z]] (X = B[S, T], Y = B[T, S],
+Z = B[T, T]), and R L = [[0, I], [Y X, Z]] has the nonzero spectrum of
+B in 2 |T| rows.  On one-cusp S is the 4 pairs that end in the parabolic
+generator, T its 6 single-bucket keys, and the eigensolve is 12 x 12 at
+every cap; gamma2's quotient, where every key leads to every key, is
+solved whole.  Where a product lost to underflow entries that rho
+depends on, the whole matrix is solved.
 
 Fuchsian instances carry the tails of their letter families, so the
 infinite parabolic exponent range is handled by an exact lump per family:
@@ -211,6 +218,35 @@ class GdmsSystem:
     def n_edges(self) -> int:
         return sum(block.zeta.size for block in self.blocks)
 
+    @cached_property
+    def fold(self):
+        """(S, T): the keys of an independent set S of the key graph (no
+        cell between two of its keys, none from a key to itself) and the
+        other keys T, or None where p > 1 or 2 |T| >= n_keys.
+
+        S is taken greedily, keys by increasing degree, ties by index;
+        ``pressure`` then solves a 2 |T| x 2 |T| companion instead of B.
+        Derived from the blocks' cells on first use.
+        """
+        n = self.n_keys
+        if len(self.classes) > 1:
+            return None
+        adj = np.zeros(n * n, dtype=bool)
+        for block in self.blocks:
+            adj[block.cells.ravel()] = True
+        adj = adj.reshape(n, n)
+        adj |= adj.T
+        free = ~np.diagonal(adj)
+        in_s = np.zeros(n, dtype=bool)
+        deg = adj.sum(axis=1).tolist()
+        for i in sorted(range(n), key=deg.__getitem__):
+            if free[i]:
+                in_s[i] = True
+                free &= ~adj[i]
+        if 2 * (n - in_s.sum()) >= n:
+            return None
+        return np.flatnonzero(in_s), np.flatnonzero(~in_s)
+
     def divergence_abscissa(self, beta: float):
         """Analytic divergence threshold in t: 1/2 - beta when a block
         carries the parabolic tails, else None (finite series)."""
@@ -313,19 +349,23 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
     letter-level operator.  B maps each of the p cyclic classes of the key
     graph, which come with the system (``sys.classes``), to the next, so
     rho(B)^p is the spectral radius of the product of its p blocks
-    B_(k, k+1); with one class (p = 1) that block is B itself, and B is
-    solved directly.  The call reads the system and changes nothing in it.
-    Each block is divided by its largest entry before the product and the
-    running product by its largest entry after each multiplication, with
-    the logs of the divisors kept aside: the dominant cycle of a bipartite
-    key graph at large |beta| alternates a weight 1 with the floor, and
-    the plain product of such blocks sinks to subnormals.  Entries of the
-    product that the key graph reaches but that still fall below the
-    normal range are known only to lie in [0, tiny]; when rho changes by
-    more than 1e-13 between the two ends, the product cannot resolve it
-    and the whole matrix is solved (on charts where the entries of a block
-    span 300 decades, the product of two blocks can lose every entry of
-    its dominant cycle).  The dominant eigenvalue comes from a full
+    B_(k, k+1).  With one class (p = 1) and an independent key set S
+    whose complement T has k < n_keys / 2 keys (``sys.fold``), rho(B) is
+    c rho(C) for the 2k x 2k companion C = [[0, I], [W, Z / c]], where
+    Y X = c^2 W is the normalised product of Y = B[T, S] and X = B[S, T],
+    and Z = B[T, T]; otherwise B is solved directly.  The call reads the
+    system and changes nothing in it.  In a product (``_product_radius``)
+    each block is divided by its largest entry and the running product by
+    its largest entry after each multiplication, with the logs of the
+    divisors kept aside: the dominant cycle of a bipartite key graph at
+    large |beta| alternates a weight 1 with the floor, and the plain
+    product of such blocks sinks to subnormals.  Entries of the product
+    that the key graph reaches but that still fall below the normal range
+    are known only to lie in [0, tiny]; when rho changes by more than
+    1e-13 between the two ends, the product cannot resolve it and the
+    whole matrix is solved (on charts where the entries of a block span
+    300 decades, the product of two blocks can lose every entry of its
+    dominant cycle).  The dominant eigenvalue comes from a full
     eigensolve; that stays robust when near-critical tail weights make it
     nearly degenerate.
 
@@ -346,41 +386,88 @@ def pressure(sys: GdmsSystem, t: float, beta: float, r: float = None) -> float:
         return -math.inf if scale == -math.inf else math.inf
     cls = sys.classes
     p = len(cls)
-    log_top, rho = 0.0, None
+    log_rho = None
     if p > 1:
-        prod = None
-        for k in range(p):
-            m = b[cls[k]][:, cls[(k + 1) % p]]
-            top = m.max()
-            if prod is not None and top > 0.0:
-                reach = reach @ (m > 0.0)
-                m = prod @ (m / top)
+        log_top, rho = _product_radius(
+            [b[cls[k]][:, cls[(k + 1) % p]] for k in range(p)])
+        if rho is not None:
+            log_rho = (log_top + _log(rho)) / p
+    elif sys.fold is not None:
+        s_keys, t_keys = sys.fold
+        n = len(t_keys)
+        cols = b[:, t_keys]
+        comp = np.eye(2 * n, k=n)  # the first n rows of the companion
+
+        def companion(log_top, w):
+            # [[0, I], [W, Z / c]] with c = e^(log_top / 2)
+            zc = comp[n:, n:]
+            with np.errstate(over="ignore"):
+                np.divide(cols[t_keys], math.exp(0.5 * log_top), out=zc)
+            if not zc.max() < math.inf:
+                return None  # Z / c overflowed: c is far below Z
+            comp[n:, :n] = w
+            return comp
+
+        # B = L R with L = [[X, 0], [0, I]] and R = [[0, I], [Y, Z]], and R L
+        # is the companion [[0, I], [Y X, Z]]; Y X = c^2 W with W the
+        # normalised product, so rho(B) = c rho([[0, I], [W, Z / c]])
+        log_top, rho = _product_radius([b[t_keys][:, s_keys], cols[s_keys]],
+                                       companion)
+        if rho is not None:
+            log_rho = 0.5 * log_top + _log(rho)
+    if log_rho is None:
+        # one class and no fold, or a product that lost rho
+        log_rho = _log(_radius(b))
+    return scale + sys.log_mult + log_rho
+
+
+def _product_radius(blocks, frame=lambda log_top, w: w):
+    """(log_top, rho): rho is the spectral radius of W, the product of the
+    non-negative ``blocks`` divided by e^log_top, or of ``frame(log_top,
+    W)`` when given; rho is None where the product cannot resolve it.
+
+    Each block is divided by its largest entry before the product and the
+    running product by its largest entry after each multiplication, the
+    logs of the divisors summed into log_top.  Entries of W that the
+    blocks' pattern reaches but that fell below the normal range are known
+    only to lie in [0, tiny]; when rho moves by more than 1e-13 with them
+    raised to tiny, rho is None, and so it is where a block is zero or
+    ``frame`` returns None.
+    """
+    log_top, prod = 0.0, None
+    for m in blocks:
+        top = m.max()
+        if not top > 0.0:
+            return log_top, None
+        m = m / top
+        log_top += math.log(top)
+        if prod is None:
+            prod, reach = m, m > 0.0
+        else:
+            prod, reach = prod @ m, reach @ (m > 0.0)
+            top = prod.max()
+            if top > 0.0:
+                prod /= top
                 log_top += math.log(top)
-                top = m.max()
-            else:
-                reach = m > 0.0
-            if not top > 0.0:
-                return -math.inf
-            prod = m / top
-            log_top += math.log(top)
-        rho = _radius(prod)
-        # reached entries below the normal range are known only to lie in
-        # [0, tiny]; if rho moves with them, solve the whole matrix
-        tiny = np.finfo(float).tiny
-        lost = reach & (prod < tiny)
-        if lost.any() and \
-                _radius(np.where(lost, tiny, prod)) > rho * (1 + 1e-13):
-            rho = None
-    if rho is None:
-        # one class (its only block is B itself), or a product that lost rho
-        log_top, p, rho = 0.0, 1, _radius(b)
-    if not rho > 0.0:
-        return -math.inf
-    return scale + sys.log_mult + (log_top + math.log(rho)) / p
+    a = frame(log_top, prod)
+    if a is None:
+        return log_top, None
+    rho = _radius(a)
+    tiny = np.finfo(float).tiny
+    lost = reach & (prod < tiny)
+    if lost.any() and \
+            _radius(frame(log_top, np.where(lost, tiny, prod))) \
+            > rho * (1 + 1e-13):
+        return log_top, None
+    return log_top, rho
 
 
 def _radius(a: np.ndarray) -> float:
-    return float(max(abs(np.linalg.eigvals(a))))
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -337,6 +337,39 @@ def test_quotient_matches_the_whole_operator(name, rotation):
                                                   abs=1e-13)
 
 
+def test_one_cusp_fold_matches_the_whole_key_matrix(onecusp, monkeypatch):
+    # the 4 pairs that end in the parabolic generator are independent keys
+    # ((p, p) runs merge, (p, P) is not reduced); the other 6 keys are
+    # single-bucket keys at every cap, so the eigensolve is 12 x 12
+    radius, sizes = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: sizes.append(len(a)) or radius(a))
+    for cap, size in ((60, 32), (400, 44), (6400, 60), (2, 8)):
+        restricted = cap == 2
+        sysm = fuchsian_system(onecusp, cap, restricted=restricted)
+        assert [len(keys) for keys in sysm.fold] == [size, 6]
+        for beta, r in PRESSURE_GRID:
+            t, r = (r, None) if restricted else (0.5 - beta + r, r)
+            scale, b = gdms.key_matrix(sysm, t, beta, r)
+            assert pressure(sysm, t, beta, r=r) == pytest.approx(
+                scale + sysm.log_mult + math.log(radius(b)), rel=1e-13)
+    assert set(sizes) == {12}
+
+
+def test_no_fold_on_gamma2_or_two_classes(gamma2):
+    # gamma2's quotient is one class in which every key leads to every
+    # key; a bipartite key graph (p = 2) is solved by its block product
+    seed_10 = build_group(conjugate_config(preset_config("gamma2-type"),
+                                           SEED_10_CHART))
+    for group in (gamma2, seed_10, without_symmetries(gamma2)):
+        for cap in (2, 60, 400):
+            sysm = fuchsian_system(group, cap, restricted=cap == 2)
+            assert sysm.fold is None
+    two = fuchsian_system(without_symmetries(gamma2), 60)
+    assert len(two.classes) == 2 and two.fold is None
+    assert three_vertex_system([0.5, 0.2, 0.1]).fold is None
+
+
 @pytest.mark.parametrize("cap", [60, 400])
 def test_tail_is_the_last_column_of_the_parabolic_block(any_group, cap):
     # the exponents beyond max(cap, 64) are one more column of the

@@ -390,13 +390,20 @@ def test_no_function_sets_attributes_of_its_parameters():
     assert not found, "attributes of parameters set: " + ", ".join(found)
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: at run time scipy.optimize alone
-    # adds ~50 MB of resident memory to every command
+    # adds ~50 MB of resident memory to every command, and numpy.ma (which
+    # np.setdiff1d and its kin import) 1.25 MB; neither the import nor a
+    # one-cusp spectrum loads them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, cuspwind.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == "
+              "'scipy' or (m + '.').startswith('numpy.ma.')))")
+    for run in ("", "cuspwind.cli.main(sys.argv[1:])\n"):
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, cuspwind.cli\n" + run + loaded,
+             "spectrum", "--preset", "one-cusp-one-hyperbolic", "--cap", "60",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "spectrum.csv").exists()

@@ -2,8 +2,10 @@
 
 ``gdms.pressure`` is log rho of the key-by-key matrix that the edge-level
 matrix M[e, f] = w(e) [out(e) = in(f)] collapses to, taken from the product
-of its blocks between consecutive cyclic classes; these checks compare it
-with the edge-level matrix itself and with cycles whose radius is known.
+of its blocks between consecutive cyclic classes, or, with one class, from
+the companion of the key matrix folded over an independent key set
+(``GdmsSystem.fold``); these checks compare it with the edge-level matrix
+itself and with cycles whose radius is known.
 """
 
 import math
@@ -37,22 +39,44 @@ def dense_log_radius(weights, in_keys, out_keys):
     return math.log(rho) if rho > 0 else -math.inf
 
 
+def random_edges(rng):
+    n_keys = int(rng.integers(2, 5))
+    n_edges = int(rng.integers(4, 20))
+    return n_keys, (rng.uniform(0.05, 1.0, size=n_edges),
+                    rng.integers(0, n_keys, size=n_edges),
+                    rng.integers(0, n_keys, size=n_edges))
+
+
+def planted_fold_edges(rng):
+    """Edges S -> T, T -> S and T -> T only, with |T| < n_keys / 2: the
+    keys S are independent, so the key matrix can be folded."""
+    n_keys = int(rng.integers(3, 9))
+    k = int(rng.integers(1, (n_keys + 1) // 2))
+    n_edges = int(rng.integers(4, 30))
+    kind = rng.integers(0, 3, size=n_edges)
+    s_keys = rng.integers(k, n_keys, size=n_edges)
+    t_keys = rng.integers(0, k, size=(2, n_edges))
+    in_keys = np.where(kind == 0, s_keys, t_keys[0])
+    out_keys = np.where(kind == 1, s_keys, t_keys[1])
+    return n_keys, (rng.uniform(0.05, 1.0, size=n_edges), in_keys, out_keys)
+
+
 def test_matches_dense_eigenvalues():
+    # the planted inputs fold (``GdmsSystem.fold``) in most draws
     rng = np.random.default_rng(3)
-    checked = 0
-    for _ in range(200):
-        n_keys = int(rng.integers(2, 5))
-        n_edges = int(rng.integers(4, 20))
-        edges = (rng.uniform(0.05, 1.0, size=n_edges),
-                 rng.integers(0, n_keys, size=n_edges),
-                 rng.integers(0, n_keys, size=n_edges))
-        sysm = weighted_system(*edges, n_keys)
-        expect = dense_log_radius(*edges)
-        if expect < math.log(1e-12):
-            continue  # nilpotent incidence
-        assert log_radius(sysm) == pytest.approx(expect, abs=1e-12)
-        checked += 1
-    assert checked >= 100
+    for draw, folds in ((random_edges, 0), (planted_fold_edges, 100)):
+        checked = folded = 0
+        for _ in range(200):
+            n_keys, edges = draw(rng)
+            sysm = weighted_system(*edges, n_keys)
+            expect = dense_log_radius(*edges)
+            if expect < math.log(1e-12):
+                continue  # nilpotent incidence
+            assert log_radius(sysm) == pytest.approx(expect, abs=1e-12)
+            checked += 1
+            folded += sysm.fold is not None
+        assert checked >= 100
+        assert folded >= folds
 
 
 def test_periodic_cycles_converge():
@@ -154,3 +178,35 @@ def test_one_class_solves_the_key_matrix_once(monkeypatch):
     assert len(sysm.classes) == 1
     assert len(seen) == 1
     assert np.array_equal(seen[0], [[10000.0, math.exp(-700.0)], [1.0, 0.0]])
+
+
+def test_fold_that_loses_a_cycle_solves_the_whole_matrix(monkeypatch):
+    # keys s0, s1, s2 | t0, t1, S independent: the 4-cycle
+    # t0 -> s0 -> t1 -> s1 -> t0 of weights 1, 1, e^-400, e^-400 sets
+    # rho(B) = e^-200, but its two-step entry t1 -> t0 of the normalised
+    # product Y X is e^-800, below the double range, and the product alone
+    # reads e^-300 from the 2-cycle t0 -> s2 -> t0; the chord t0 -> t1 of
+    # weight e^-500 closes a 3-cycle, so p = 1
+    sysm = weighted_system(
+        np.exp([0.0, 0.0, -400.0, -400.0, -300.0, -300.0, -500.0]),
+        [3, 0, 4, 1, 3, 2, 3], [0, 4, 1, 3, 2, 3, 4], 5)
+    assert [keys.tolist() for keys in sysm.fold] == [[0, 1, 2], [3, 4]]
+    radius, sizes = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: sizes.append(len(a)) or radius(a))
+    assert log_radius(sysm) == pytest.approx(-200.0, rel=1e-12)
+    assert sizes[-1] == 5  # the companion lost rho; B is solved whole
+
+
+def test_fold_whose_companion_overflows_solves_the_whole_matrix(monkeypatch):
+    # keys s0, s1 | t0: t0 -> s0 -> t0 weighs e^-700 twice, so c = e^-700,
+    # and Z = 20000 (a self-loop of 20000 unit letters) divided by c
+    # overflows; the whole B is solved, and rho(B) is that of Z to 1e-600
+    sysm = weighted_system(np.exp([0.0] * 20_000 + [-700.0, -700.0]),
+                           [2] * 20_001 + [0], [2] * 20_000 + [0, 2], 3)
+    assert [keys.tolist() for keys in sysm.fold] == [[0, 1], [2]]
+    radius, sizes = gdms._radius, []
+    monkeypatch.setattr(gdms, "_radius",
+                        lambda a: sizes.append(len(a)) or radius(a))
+    assert log_radius(sysm) == pytest.approx(math.log(20_000.0), rel=1e-14)
+    assert sizes == [3]

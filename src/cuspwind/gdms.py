@@ -56,8 +56,9 @@ resolution of t itself, which is what the left asymptote needs.  One
 bracket search, from a start point and with steps growing 4-fold against
 the sign of P, finds a sign change that Brent's method closes.  Along a
 beta grid (``free_energy_curve``) the search is a continuation: every
-root after the first starts from a guess predicted from the roots before
-it, which halves the pressure calls of a spectrum.
+root after the first starts at the root before it, and its first move is
+a Newton step on that root's pressure slope, which halves the pressure
+calls of a spectrum.
 """
 
 from __future__ import annotations
@@ -472,11 +473,11 @@ def _log(x: float) -> float:
 
 @dataclass(frozen=True)
 class FreeEnergyPoint:
-    beta: float
     t: float
     r: float  # t - (1/2 - beta) for Fuchsian systems, else nan
     err_t: float  # t-width of the final sign-changing bracket
     pressure_calls: int
+    slope: float  # secant dP/dx at the root (see ``free_energy``)
 
 
 # The search in x = log r stays in [-700, 41 log 4]: e^-700 is the
@@ -486,26 +487,33 @@ X_MIN, X_MAX = -700.0, 41.0 * math.log(4.0)
 SEARCH_MOVES = 40
 
 
-def free_energy(sys: GdmsSystem, beta: float, guess: float = None
-                ) -> FreeEnergyPoint:
+def free_energy(sys: GdmsSystem, beta: float,
+                start: FreeEnergyPoint = None) -> FreeEnergyPoint:
     """Unique root of the decreasing map t -> pressure(t, beta).
 
     Fuchsian systems are solved in x = log r with r = t - (1/2 - beta),
     which resolves roots exponentially close to the divergence threshold;
     systems without a divergence abscissa are solved in x = t.  One
-    bracket search starts at ``guess`` (an x predicted from neighbouring
-    roots, as ``free_energy_curve`` does) or at x = 0, and moves against
-    the sign of the pressure, first by 1e-4 max(1, |x|) after a guess or
-    by 1 from x = 0, each move 4 times the last; upward moves are capped
-    at max(log 4, |x|), so x at most doubles.  At the first sign change
-    Brent's method closes the last two points to width 1e-13.  In log r
-    the search is clipped to [X_MIN, X_MAX]; a pressure still negative at
-    r = e^-700 pins the root there, numerically indistinguishable from the
-    threshold.  ``err_t`` is the t-width of the final sign-changing
-    bracket, e^-700 at a pinned root.  Where the pressure at the root is
-    exactly 0 it is the t-width of the nearest nonzero pressures on either
-    side, found by steps of 1e-13 + RTOL |x| growing 4-fold, since Brent's
-    method stops at a zero however wide its bracket is then.
+    bracket search starts at x = 0 or, given the ``start`` root at a
+    neighbouring beta (as ``free_energy_curve`` does), at its r on the
+    left branch (r < 1e-3, where t is nearly 1/2 - beta) and at its t
+    elsewhere (t decreases in beta, so the last t bounds the next root
+    from above).  It moves against the sign of the pressure, first by the
+    Newton step 1.1 |P(x) / s| on the start's ``slope`` s, or by 1 when s
+    is not negative and finite, each move 4 times the last; upward moves
+    are capped at max(log 4, |x|), so x at most doubles.  At the first
+    sign change Brent's method closes the last two points to width 1e-13.
+    In log r the search is clipped to [X_MIN, X_MAX]; a pressure still
+    negative at r = e^-700 pins the root there, numerically
+    indistinguishable from the threshold.  ``err_t`` is the t-width of
+    the final sign-changing bracket, e^-700 at a pinned root.  Where the
+    pressure at the root is exactly 0 it is the t-width of the nearest
+    nonzero pressures on either side, found by steps of 1e-13 + RTOL |x|
+    growing 4-fold, since Brent's method stops at a zero however wide its
+    bracket is then.  ``slope`` is the secant of the pressure between the
+    root and the nearest other abscissa evaluated at least
+    1e-9 max(1, |x|) away from it, or the start's slope where the search
+    evaluated none that far.
     """
     t0 = sys.divergence_abscissa(beta)
     seen = {}  # x -> pressure; the bracket ends are not evaluated twice
@@ -547,11 +555,22 @@ def free_energy(sys: GdmsSystem, beta: float, guess: float = None
         else:
             r = math.exp(x)
             t, err = t0 + r, abs(math.exp(y1) - math.exp(y0))
-        return FreeEnergyPoint(beta, t, r, err, len(seen))
+        y = min((y for y in seen if abs(y - x) >= 1e-9 * max(1.0, abs(x))),
+                key=lambda y: abs(y - x), default=None)
+        slope = s if y is None else (seen[y] - p) / (y - x)
+        return FreeEnergyPoint(t, r, err, len(seen), slope)
 
-    x = 0.0 if guess is None else min(max(float(guess), lo), hi)
-    step = 1.0 if guess is None else 1e-4 * max(1.0, abs(x))
+    x, s = 0.0, math.nan
+    if start is not None:
+        s = start.slope
+        if t0 is None:
+            x = start.t
+        else:
+            # a start at a larger beta can lie below this beta's threshold
+            r = start.r if start.r < 1e-3 else start.t - t0
+            x = min(max(math.log(r) if r > 0.0 else lo, lo), hi)
     p = press(x)
+    step = 1.1 * abs(p / s) if -math.inf < s < 0.0 else 1.0
     for _ in range(SEARCH_MOVES):
         if p == 0.0 or (p < 0.0 and x <= lo):
             return root(x)  # an exact root, or the pinned one
@@ -670,42 +689,17 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(sys: GdmsSystem, betas) -> FreeEnergyCurve:
-    """t(beta) on the sorted betas by continuation: every root after the
-    first starts its search from a guess predicted by the roots before it
-    (``_predict``)."""
-    betas = np.asarray(sorted(betas), dtype=float)
+    """t(beta) on the distinct betas in increasing order by continuation:
+    every root after the first starts at the root before it."""
+    betas = np.array(sorted(set(map(float, betas))))
     pts = []
     for b in betas:
-        pts.append(free_energy(sys, float(b), guess=_predict(sys, b, pts)))
+        pts.append(free_energy(sys, float(b),
+                               start=pts[-1] if pts else None))
     return FreeEnergyCurve(betas, np.array([p.t for p in pts]),
                            np.array([p.r for p in pts]),
                            np.array([p.err_t for p in pts]),
                            np.array([p.pressure_calls for p in pts]))
-
-
-def _predict(sys: GdmsSystem, beta: float, pts: list):
-    """Search start for ``beta`` from the roots ``pts`` solved at smaller
-    betas: None (a cold start) for the first.  On the left branch (last
-    r < 1e-3, where t is nearly 1/2 - beta) a linear extrapolation in beta
-    of log r, or the last log r when it or the one before is pinned or
-    when it is alone.  Everywhere else, and for finite systems, the last
-    t: t decreases, so it bounds the root from above, where a linear
-    extrapolation of the convex t bounds it from below and lands far
-    below the root across the elbow of t(beta)."""
-    if not pts:
-        return None
-    last, t0 = pts[-1], sys.divergence_abscissa(beta)
-    if t0 is None:
-        return last.t
-    if last.r >= 1e-3:
-        return math.log(last.t - t0)
-    x_last = math.log(last.r)
-    pinned = math.exp(X_MIN)
-    if len(pts) < 2 or last.r <= pinned or pts[-2].r <= pinned:
-        return x_last
-    prev = pts[-2]
-    s = (beta - last.beta) / (last.beta - prev.beta)
-    return x_last + s * (x_last - math.log(prev.r))
 
 
 def delta_c(pres) -> FreeEnergyPoint:

@@ -685,7 +685,7 @@ def test_curve_invariants(onecusp):
 # --- continuation along the beta grid -----------------------------------------
 
 def test_curve_matches_cold_solves(any_group):
-    # every warm-started root is the cold root, in under 60% of the calls
+    # every warm-started root is the cold root, in under half the calls
     sysm = fuchsian_system(any_group, 60)
     curve = free_energy_curve(sysm, config_from_preset(any_group.name).betas())
     assert len(curve.betas) == 45
@@ -695,7 +695,7 @@ def test_curve_matches_cold_solves(any_group):
             assert (t, r) == (pt.t, pt.r)
         assert abs(t - pt.t) <= 1e-10
     assert np.all(curve.err_t <= 1e-9)
-    assert curve.calls.sum() <= 0.6 * sum(pt.pressure_calls for pt in cold)
+    assert curve.calls.sum() <= 0.5 * sum(pt.pressure_calls for pt in cold)
 
 
 def test_err_t_positive_on_every_solved_row(any_group):
@@ -709,29 +709,48 @@ def test_err_t_positive_on_every_solved_row(any_group):
 
 
 def test_continuation_start_right_of_the_elbow(any_group):
-    # after the elbow of t(beta) the search starts from the last t, an
-    # upper bound of the root; a linear extrapolation of t from beta = -10
-    # and 0 would start far below it
+    # across and after the elbow of t(beta) the search starts from the last
+    # t, an upper bound of the root, and its first Newton step on the last
+    # root's slope lands near the root; a linear extrapolation of t from
+    # beta = -10 and 0 would start far below it
     sysm = fuchsian_system(any_group, 60)
     curve = free_energy_curve(sysm, [-10.0, 0.0, 10.0])
+    assert curve.calls[1] <= 12
     assert curve.calls[-1] <= 12
 
 
-def test_far_guesses_reach_the_cold_root(any_group):
+def _start(beta, x):
+    # a root at beta with log r = x and no slope, so the first move is 1
+    r = math.exp(x)
+    return gdms.FreeEnergyPoint(0.5 - beta + r, r, 0.0, 0, math.nan)
+
+
+def test_far_guesses_reach_the_cold_root(any_group, monkeypatch):
     sysm = fuchsian_system(any_group, 60)
     cold = free_energy(sysm, 0.0)
     # from far below and far above: x = 57 is past the top of the search,
     # and unbounded upward moves from -700 overflow the tail weights
-    for guess in (-700.0, 57.0):
-        assert free_energy(sysm, 0.0, guess=guess).t == pytest.approx(
-            cold.t, abs=1e-13)
-    pinned = free_energy(sysm, -3000.0, guess=0.0)
+    for x in (-700.0, 57.0):
+        assert free_energy(sysm, 0.0, start=_start(0.0, x)).t == \
+            pytest.approx(cold.t, abs=1e-13)
+    pinned = free_energy(sysm, -3000.0, start=_start(-3000.0, 0.0))
     assert pinned.r == math.exp(gdms.X_MIN)
     assert pinned.err_t == pinned.r
+    # every unpinned root of the default curve has a Newton slope to pass on
+    pts, solve = [], gdms.free_energy
+    monkeypatch.setattr(gdms, "free_energy",
+                        lambda *a, **k: pts.append(solve(*a, **k)) or pts[-1])
+    free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    assert len(pts) == 45
+    for pt in pts:
+        if pt.r > math.exp(gdms.X_MIN):
+            assert -math.inf < pt.slope < 0.0
 
 
 def test_curve_calls_free_energy_once_per_beta(onecusp, monkeypatch):
-    # tracers wrap the module-level name and read beta from args[1]
+    # tracers wrap the module-level name and read beta from args[1]; a
+    # repeated beta is solved once, so no zero beta step reaches the
+    # continuation
     seen, solve = [], gdms.free_energy
 
     def counted(*args, **kwargs):
@@ -739,9 +758,9 @@ def test_curve_calls_free_energy_once_per_beta(onecusp, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(gdms, "free_energy", counted)
-    betas = [3.0, -2.0, 0.0, 1.0]
+    betas = [3.0, -2.0, 0.0, 1.0, -2.0]
     curve = free_energy_curve(fuchsian_system(onecusp, 60), betas)
-    assert seen == sorted(betas) == list(curve.betas)
+    assert seen == sorted(set(betas)) == list(curve.betas)
 
 
 def test_no_sign_change_error(gamma2):

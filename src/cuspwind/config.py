@@ -21,9 +21,6 @@ class ConfigError(Exception):
 # converges in the cap long before it: caps 800 and 1600 agree to 5e-12.
 MAX_CAP = 2 ** 15
 
-# Betas solved besides the grid, each with its negative.
-BETA_EXTENSIONS = (30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0)
-
 
 @dataclass
 class RunConfig:
@@ -46,9 +43,7 @@ class RunConfig:
             raise ConfigError("need finite beta_min < beta_max and "
                               "beta_steps >= 2")
         step = (self.beta_max - self.beta_min) / (self.beta_steps - 1)
-        main = [self.beta_min + k * step for k in range(self.beta_steps)]
-        ext = {sign * b for b in BETA_EXTENSIONS for sign in (1.0, -1.0)}
-        return sorted(set(main) | ext)
+        return [self.beta_min + k * step for k in range(self.beta_steps)]
 
     def validate(self):
         if not 1 <= self.cap <= MAX_CAP:

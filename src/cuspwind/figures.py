@@ -77,10 +77,9 @@ def _axes(panel, xlabel, ylabel, xticks, yticks):
 def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
     """Two-panel SVG: free energy t(beta) left, spectrum f(alpha) right.
 
-    The left panel shows the betas with |beta| <= 21, or all of them when
-    fewer than two lie there, and marks the asymptote t = 1/2 - beta and
-    the horizontal level delta_c; the right panel marks (0, delta_c) and
-    (1, 1/2) and the interior maximum at height t(0).
+    The left panel marks the asymptote t = 1/2 - beta and the horizontal
+    level delta_c; the right panel marks (0, delta_c) and (1, 1/2) and the
+    interior maximum at height t(0).
     """
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -90,11 +89,8 @@ def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
         parts.append('<text x="%d" y="24" font-size="15" text-anchor="middle">'
                      '%s</text>' % (W // 2, html.escape(title, quote=False)))
 
-    # left panel: t(beta) over the main window
-    window = np.abs(curve.betas) <= 21.0
-    if window.sum() < 2:
-        window[:] = True
-    bs, ts = curve.betas[window], curve.t[window]
+    # left panel: t(beta)
+    bs, ts = curve.betas, curve.t
     ymax = float(ts.max()) * 1.05
     bmin, bmax = float(bs.min()), float(bs.max())
     left = _Panel(MARGIN_L1, MARGIN_T, PANEL_W, PANEL_H,

@@ -30,10 +30,11 @@ def check_convex(values: np.ndarray, grid: np.ndarray):
 class SpectrumCurve:
     """Sampled Hausdorff-dimension spectrum f(alpha).
 
-    ``alphas`` are sorted increasing; ``beta_source`` records the free
-    energy parameter realizing each sample and ``err_t`` the bracket
-    width of its t(beta).  ``f0``/``f1`` are f at the first and last
-    samples, the values nearest the endpoints alpha -> 0 and alpha -> 1.
+    Samples run by decreasing ``beta_source``, the free energy parameter
+    realizing each, which on a convex curve is increasing alpha; ``err_t``
+    is the bracket width of its t(beta).  ``f0``/``f1`` are f at the first
+    and last samples, the values nearest the endpoints alpha -> 0 and
+    alpha -> 1.
     """
 
     alphas: np.ndarray
@@ -57,8 +58,8 @@ class SpectrumCurve:
         jumps = np.diff(slopes) * np.minimum(gaps[:-1], gaps[1:])
         if np.any(jumps > CONVEXITY_NOISE):
             raise InvalidCurve("spectrum is not concave on its grid")
-        if np.any((a < -0.02) | (a > 1.02)):
-            raise InvalidCurve("alpha grid escapes [-0.02, 1.02]")
+        if np.any((a < -1e-9) | (a > 1.0 + 1e-9)):
+            raise InvalidCurve("alpha grid escapes [0, 1] by more than 1e-9")
         return True
 
 
@@ -125,7 +126,7 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     alphas, f = _alpha_f(curve)
     f = np.maximum(f, 0.0)
 
-    order = np.argsort(alphas)
+    order = np.argsort(-b)
     alphas_s = alphas[order]
     f_s = f[order]
     betas_s = b[order]

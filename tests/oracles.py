@@ -11,7 +11,8 @@ helpers only tests need: equality of maps up to sign, containment of
 arcs, induced letters as objects, the key cell of every letter of a
 block, the key graph of a system's cells, systems built from an edge
 list, systems stripped of their tail columns and presentations stripped
-of their symmetries.  Nothing under ``src/`` imports them.
+of their symmetries, and a beta grid that reaches deep into both
+asymptotes.  Nothing under ``src/`` imports them.
 """
 
 import dataclasses
@@ -49,6 +50,13 @@ from cuspwind.mobius import (
     parabolic_power,
 )
 from cuspwind.spectrum import SpectrumCurve, check_convex
+
+# The default grid, -20 to 20 in steps of 1.25, with +-30, +-50, +-100,
+# +-300, +-1000 and +-3000 added: 45 betas whose outer 12 hold pinned
+# roots and the asymptotes' rounding noise.
+WIDE_BETAS = sorted([-20.0 + 1.25 * k for k in range(33)]
+                    + [sign * b for sign in (1.0, -1.0)
+                       for b in (30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0)])
 
 
 # --- errors of the oracles ------------------------------------------------

@@ -42,6 +42,7 @@ from cuspwind.induced import (
 )
 from cuspwind.presets import preset_config
 from oracles import (
+    WIDE_BETAS,
     arc_length_above_height,
     block_partition_sum,
     block_word_geometry,
@@ -69,11 +70,7 @@ def curve_and_spectrum(name):
     if key not in _cache:
         pres = groups()[name]
         sysm = fuchsian_system(pres, TOP_CAP)
-        betas = sorted(set(
-            list(np.arange(-20.0, 20.01, 1.25))
-            + [-3000.0, -1000.0, -300.0, -100.0, -50.0, -30.0,
-               30.0, 50.0, 100.0, 300.0, 1000.0, 3000.0]))
-        curve = gdms.free_energy_curve(sysm, betas)
+        curve = gdms.free_energy_curve(sysm, WIDE_BETAS)
         curve.validate()
         spec = sp.spectrum(curve)
         restricted = fuchsian_system(pres, 2, restricted=True)

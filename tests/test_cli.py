@@ -12,6 +12,7 @@ from cuspwind import cli
 from cuspwind.config import (
     MAX_CAP,
     ConfigError,
+    RunConfig,
     config_from_preset,
     parse_config_text,
 )
@@ -72,6 +73,14 @@ def test_parse_errors_carry_line_numbers():
 def test_beta_grid_needs_finite_ordered_bounds(line):
     with pytest.raises(ConfigError, match="beta"):
         parse_config_text(line + "\n" + GAMMA2_TEXT).betas()
+
+
+def test_beta_grid_is_the_uniform_grid_alone():
+    assert RunConfig().betas() == [-20.0 + 1.25 * k for k in range(33)]
+    for name in PRESETS:
+        assert config_from_preset(name).betas() == RunConfig().betas()
+    assert RunConfig(beta_min=-3000.0, beta_max=3000.0,
+                     beta_steps=3).betas() == [-3000.0, 0.0, 3000.0]
 
 
 def test_preset_configs_load():
@@ -387,6 +396,7 @@ def test_cli_free_energy_csv_roundtrip(tmp_path):
     cols = lines[len(header)].split(",")
     assert cols == ["beta", "t", "r", "err_t", "calls"]
     rows = [l.split(",") for l in lines[len(header) + 1:]]
+    assert [float(r[0]) for r in rows] == [-4.0, -2.0, 0.0, 2.0, 4.0]
     # 17 significant digits round-trip exactly
     from cuspwind.fuchsian import build_group
     from cuspwind.induced import fuchsian_system

@@ -24,6 +24,7 @@ from cuspwind.induced import (
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
 from oracles import (
+    WIDE_BETAS,
     block_partition_sum,
     block_word_geometry,
     cell_pattern,
@@ -687,7 +688,7 @@ def test_curve_invariants(onecusp):
 def test_curve_matches_cold_solves(any_group):
     # every warm-started root is the cold root, in under half the calls
     sysm = fuchsian_system(any_group, 60)
-    curve = free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    curve = free_energy_curve(sysm, WIDE_BETAS)
     assert len(curve.betas) == 45
     cold = [free_energy(sysm, float(b)) for b in curve.betas]
     for pt, t, r in zip(cold, curve.t, curve.r):
@@ -702,7 +703,7 @@ def test_err_t_positive_on_every_solved_row(any_group):
     # a root where the pressure evaluates to exactly 0 still reports the
     # width of the bracket around it, not 0
     sysm = fuchsian_system(any_group, 60)
-    curve = free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    curve = free_energy_curve(sysm, WIDE_BETAS)
     solved = curve.r > math.exp(gdms.X_MIN)
     assert np.all(curve.err_t[solved] > 0.0)
     assert np.all(curve.err_t[solved] <= 1e-9)
@@ -736,15 +737,31 @@ def test_far_guesses_reach_the_cold_root(any_group, monkeypatch):
     pinned = free_energy(sysm, -3000.0, start=_start(-3000.0, 0.0))
     assert pinned.r == math.exp(gdms.X_MIN)
     assert pinned.err_t == pinned.r
-    # every unpinned root of the default curve has a Newton slope to pass on
+    # every unpinned root of the wide curve has a Newton slope to pass on
     pts, solve = [], gdms.free_energy
     monkeypatch.setattr(gdms, "free_energy",
                         lambda *a, **k: pts.append(solve(*a, **k)) or pts[-1])
-    free_energy_curve(sysm, config_from_preset(any_group.name).betas())
+    free_energy_curve(sysm, WIDE_BETAS)
     assert len(pts) == 45
     for pt in pts:
         if pt.r > math.exp(gdms.X_MIN):
             assert -math.inf < pt.slope < 0.0
+
+
+@pytest.mark.parametrize("chart", [(1.0, 0.3, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5),
+                                   (1.0, 0.0, 0.4, 1.0)],
+                         ids=["z+0.3", "4z", "z/(0.4z+1)"])
+def test_default_betas_solve_in_conjugated_charts(any_group, chart):
+    # the default run solves its grid and nothing past it: with -3000 in
+    # the grid, gamma2 under z+0.3 and z/(0.4z+1) raised NoSignChange
+    config = conjugate_config(preset_config(any_group.name),
+                              MobiusMap.from_entries(*chart))
+    sysm = fuchsian_system(build_group(config), 60)
+    betas = config_from_preset(any_group.name).betas()
+    curve = free_energy_curve(sysm, betas)
+    assert list(curve.betas) == betas
+    assert curve.validate()
+    assert np.all(curve.err_t <= 1e-9)
 
 
 def test_curve_calls_free_energy_once_per_beta(onecusp, monkeypatch):

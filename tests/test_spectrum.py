@@ -5,10 +5,15 @@ import pytest
 
 from cuspwind import gdms
 from cuspwind import spectrum as sp
-from cuspwind.errors import NotConvex
+from cuspwind.errors import InvalidCurve, NotConvex
 from cuspwind.gdms import FreeEnergyCurve
 from cuspwind.induced import fuchsian_system
-from oracles import InsufficientGridReach, endpoint_slopes, legendre
+from oracles import (
+    WIDE_BETAS,
+    InsufficientGridReach,
+    endpoint_slopes,
+    legendre,
+)
 
 
 def synthetic_curve(betas, fn):
@@ -21,10 +26,7 @@ def synthetic_curve(betas, fn):
 @pytest.fixture(scope="module")
 def onecusp_curve(onecusp):
     sysm = fuchsian_system(onecusp, 200)
-    betas = sorted(set(list(np.arange(-20.0, 20.01, 1.25))
-                       + [-3000., -1000., -300., -100., -50., -30.,
-                          30., 50., 100., 300., 1000., 3000.]))
-    return gdms.free_energy_curve(sysm, betas)
+    return gdms.free_energy_curve(sysm, WIDE_BETAS)
 
 
 # --- legendre ---------------------------------------------------------------
@@ -93,6 +95,35 @@ def test_endpoint_reach_guard():
     spec = sp.spectrum(curve)
     with pytest.raises(InsufficientGridReach):
         endpoint_slopes(spec)  # nowhere near [0, 1]
+
+
+def test_spectrum_rows_follow_decreasing_beta():
+    # t = 0.6 + s(beta) with s' from -1 to 0, flat for beta > 0 up to a
+    # few ulps of noise, so alpha there is 0 with noise of either sign;
+    # the noise must not reorder the rows
+    betas = np.array([-20.0 + 1.25 * k for k in range(33)])
+    noise = np.resize([1, -3, 2, 0, -1, 3, -2], len(betas)) * 2.0 ** -52
+    t = np.where(betas <= -1.0, 0.1 - betas,
+                 0.6 + np.where(betas <= 0.0, betas * betas / 2.0, noise))
+    spec = sp.spectrum(synthetic_curve(betas, dict(zip(betas, t)).get))
+    right = spec.alphas[spec.beta_source > 1.0]
+    assert right.min() < 0.0 < right.max()
+    assert np.all(np.abs(right) <= 1e-14)
+    assert list(spec.beta_source) == list(betas[::-1])
+    assert spec.alphas[-1] == 1.0
+
+
+def test_validate_rejects_alpha_below_zero():
+    def curve(alpha_first):
+        return sp.SpectrumCurve(np.array([alpha_first, 0.5, 1.0]),
+                                np.array([0.4, 0.7, 0.5]),
+                                np.array([5.0, 0.0, -5.0]), np.zeros(3),
+                                0.5, 0.4, 0.5)
+
+    assert curve(0.0).validate()
+    assert curve(-1e-10).validate()
+    with pytest.raises(InvalidCurve, match="alpha"):
+        curve(-1e-6).validate()
 
 
 # --- spectrum on a real curve -------------------------------------------------

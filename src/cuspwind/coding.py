@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CodingStalled, GeodesicMissesHorocircle, OutsideAllIntervals
 from .fuchsian import GroupPresentation
-from .geometry import Geodesic, intersect_geodesic_horocircle, intersect_geodesics
+from .geometry import Geodesic
 from .mobius import (
     BASE_POINT,
     MobiusMap,
@@ -168,34 +168,28 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
     lengths = []
     for k in range(1, n + 1):
         label, exp = word.blocks[k - 1]
-        geo = Geodesic.through_points(start, q[k])
-        sgn = 1.0 if geo.param(q[k]) >= geo.param(start) else -1.0
-        t_prev = sgn * geo.param(prev)
-        t_end = sgn * geo.param(q[k])
+        # parameters are arc lengths from the start, increasing towards
+        # q[k]; q[k] may lie so near the boundary that mapping it to the
+        # axis loses its height, so its parameter is its distance
+        geo = Geodesic.through(start, q[k])
+        s_prev, s_end = geo.param(prev), hyperbolic_distance(start, q[k])
 
         if exp == 1:
-            side = pres.interval_of(label).geodesic()
-            pts = intersect_geodesics(geo, side)
-            pts = [p for p in pts
-                   if t_prev - PARAM_TOL <= sgn * geo.param(p) <= t_end + PARAM_TOL]
-            if not pts:
-                raise GeodesicMissesHorocircle(
-                    "no side crossing for block %d (%r)" % (k, label),
-                    block_index=k)
-            pt = pts[0]
+            found = geo.crossings(pres.interval_of(label).geodesic())
         else:
             ball = pres.horocircles[label]
-            pts = intersect_geodesic_horocircle(geo, ball)
-            pts = [p for p in pts
-                   if t_prev - PARAM_TOL <= sgn * geo.param(p) <= t_end + PARAM_TOL]
-            if pts:
-                pt = max(pts, key=lambda p: sgn * geo.param(p))  # exit crossing
-            elif ball.contains(q[k], tol=PARAM_TOL):
-                pt = q[k]  # geodesic ends inside the horoball
-            else:
-                raise GeodesicMissesHorocircle(
-                    "geodesic misses the horoball of block %d (%r^%d)"
-                    % (k, label, exp), block_index=k)
+            found = geo.horoball_crossings(ball)
+        found = [s for s in found
+                 if s_prev - PARAM_TOL <= s <= s_end + PARAM_TOL]
+        if found:
+            pt = geo.point_at(found[-1])  # the exit crossing of a horoball
+        elif exp > 1 and ball.depth(q[k]) >= -PARAM_TOL:
+            pt = q[k]  # geodesic ends inside the horoball
+        else:
+            raise GeodesicMissesHorocircle(
+                "geodesic misses the %s of block %d (%r^%d)"
+                % ("side" if exp == 1 else "horoball", k, label, exp),
+                block_index=k)
 
         lengths.append(hyperbolic_distance(prev, pt))
         binv = elements[k - 1].inverse()

@@ -14,6 +14,12 @@ The builder also finds the presentation's symmetries
 (``CircleSymmetry``): the label permutations realised by a rotation or
 reflection of the circle chart, the chart in which the induced shift
 measures its weights.
+
+Boundary points are compared by their circle angles (``same_point``), so
+no point, oo included, needs a case of its own.  The geometry is that of
+:mod:`geometry`: the side of an interval is the geodesic T(i R+) with T(0)
+and T(oo) at the interval's ends, and the horoball of a cusp is its base
+p with the height k read off the parabolic's nilpotent part.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .errors import (
     NotUnitDeterminant,
 )
 from .mobius import (
-    INF,
     MobiusMap,
     PlanePoint,
     apply_boundary,
@@ -40,15 +45,9 @@ from .mobius import (
     compose,
     geodesic_distance_between,
     hyperbolic_distance,
-    is_infinity,
 )
 
 TWO_PI = 2.0 * math.pi
-
-# A boundary point farther out than this is the point at infinity: the
-# rotation by pi/4 sends the vertex oo of Gamma(2) to 1.27e16, because
-# cos(pi/4) - sin(pi/4) is not 0 in floating point.
-FAR = 1e12
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,6 @@ class CircleInterval:
     hi: float
 
     def __post_init__(self):
-        if is_infinity(self.lo) and is_infinity(self.hi):
-            raise GroupValidationError(
-                "interval cannot have both endpoints at infinity")
         if abs(boundary_angle(self.lo) - boundary_angle(self.hi)) < 1e-15:
             raise GroupValidationError(
                 "interval endpoints coincide: %r" % ((self.lo, self.hi),))
@@ -120,10 +116,9 @@ class CircleInterval:
         return CircleInterval(apply_boundary(m, self.lo), apply_boundary(m, self.hi))
 
     def geodesic(self) -> geometry.Geodesic:
-        return geometry.Geodesic.from_ideal_endpoints(self.lo, self.hi)
-
-    def halfplane(self) -> geometry.HalfPlane:
-        return geometry.halfplane_of_interval(self.lo, self.hi)
+        """The side over the arc; its half-plane over the arc is where
+        ``sinh_distance`` is positive."""
+        return geometry.Geodesic.over_arc(self.angle_lo, self.arc)
 
 
 @dataclass(frozen=True)
@@ -143,14 +138,19 @@ def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
     """The horoball of the parabolic gamma whose horocircle has euclidean
     height 1/2 in the chart where gamma is z -> z +- 1.
 
-    gamma fixes oo and translates by b, or it is +-(I + c X) with
-    X = [[p, -p^2], [1, -p]] for its fixed point p, and N = -1/(z - p)
-    conjugates it to z - c; both forms hold for either sign of the matrix.
+    With the sign of the matrix that gives trace +2, the nilpotent part
+    N = gamma - I is lambda p p_perp^T for the unit base p (p_perp = p
+    turned by a right angle), and it is z -> z + lambda in the rotated
+    chart where p is oo, so k = |lambda| / 2.  N N^T = lambda^2 p p^T gives
+    both: lambda^2 is its trace and 2 psi, for p = (cos psi, sin psi), the
+    angle of (N N^T_11 - N N^T_22, 2 N N^T_12).
     """
-    if abs(gamma.c) < 1e-13:
-        return geometry.Horoball(INF, abs(gamma.b) / 2.0)
-    return geometry.Horoball((gamma.a - gamma.d) / (2.0 * gamma.c),
-                             2.0 / abs(gamma.c))
+    s = math.copysign(1.0, gamma.trace())
+    n0, n1, n2, n3 = gamma.a - s, gamma.b, gamma.c, gamma.d - s
+    m11, m12, m22 = n0 * n0 + n1 * n1, n0 * n2 + n1 * n3, n2 * n2 + n3 * n3
+    psi = 0.5 * math.atan2(2.0 * m12, m11 - m22)
+    return geometry.Horoball((math.cos(psi), math.sin(psi)),
+                             0.5 * math.sqrt(m11 + m22))
 
 
 @dataclass(frozen=True)
@@ -219,10 +219,11 @@ class GroupPresentation:
 
     def all_horoballs(self) -> list:
         """One horoball per cusp, marked cusps first, then accidental ones."""
-        balls = {}
+        balls = []
         for h in list(self.horocircles.values()) + self.accidental_horocircles:
-            balls.setdefault(round(boundary_angle(h.base), 9), h)
-        return list(balls.values())
+            if all(angle_distance(h.angle, b.angle) > ANGLE_TOL for b in balls):
+                balls.append(h)
+        return balls
 
 
 def build_group(config: dict) -> GroupPresentation:
@@ -281,11 +282,10 @@ def build_group(config: dict) -> GroupPresentation:
 
     _validate_intervals(gens, inverse_label)
 
-    horocircles = {}
-    for label, g in gens.items():
-        if g.is_parabolic():
-            horocircles[label] = _horocircle_from_map(g.map)
-    accidental = _accidental_horocircles(gens, inverse_label)
+    horocircles = {label: _horocircle_from_map(g.map)
+                   for label, g in gens.items() if g.is_parabolic()}
+    accidental = _accidental_horocircles(
+        gens, inverse_label, [h.angle for h in horocircles.values()])
     pres = GroupPresentation(
         name=config.get("name", "group"),
         gens=gens,
@@ -299,16 +299,10 @@ def build_group(config: dict) -> GroupPresentation:
 
 
 def _as_endpoint_pair(pair):
-    """The two endpoints as floats, ``INF`` for oo and beyond ``FAR``."""
-    out = []
-    for p in pair:
-        if isinstance(p, str) and p.strip().lower() in (
-                "inf", "+inf", "-inf", "oo", "-oo", "infinity"):
-            x = INF
-        else:
-            x = float(p)
-        out.append(INF if abs(x) > FAR else x)
-    return out
+    """The two endpoints as floats, ``math.inf`` for oo."""
+    return [math.inf if isinstance(p, str) and p.strip().lower() in (
+        "inf", "+inf", "-inf", "oo", "-oo", "infinity") else float(p)
+        for p in pair]
 
 
 def _validate_intervals(gens: dict, inverse_label: dict):
@@ -323,21 +317,16 @@ def _validate_intervals(gens: dict, inverse_label: dict):
         jinv = gens[inverse_label[label]].interval
         img_lo = apply_boundary(ginv, g.interval.lo)
         img_hi = apply_boundary(ginv, g.interval.hi)
-        if not (_boundary_close(img_lo, jinv.hi) and _boundary_close(img_hi, jinv.lo)):
+        if not (same_point(img_lo, jinv.hi) and same_point(img_hi, jinv.lo)):
             raise NotFree(
                 "Markov covering fails for %r: image (%r, %r) vs required (%r, %r)"
                 % (label, img_lo, img_hi, jinv.hi, jinv.lo))
 
 
-def _boundary_close(x: float, y: float) -> bool:
-    if is_infinity(x) or is_infinity(y):
-        return (is_infinity(x) and is_infinity(y)) or abs(x) > FAR or abs(y) > FAR
-    return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
-
-
-# Largest angle between an image under a candidate symmetry and the arc
-# end or boundary point it must match.
-SYMMETRY_TOL = 1e-9
+# Largest angle between two circle angles taken for the same boundary
+# point: an image and the arc end, fixed point or symmetry image it must
+# match.
+ANGLE_TOL = 1e-9
 
 # The boundary points, as circle angles, at which a symmetry R and each
 # generator g_l must satisfy R g_l = g_perm[l] R: three points fix a
@@ -348,6 +337,12 @@ SYMMETRY_PROBES = (1.0, 3.0, 5.0)
 def angle_distance(a: float, b: float) -> float:
     """Distance of two circle angles, around the circle."""
     return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def same_point(x: float, y: float) -> bool:
+    """Whether the boundary points x and y agree to ``ANGLE_TOL`` in
+    circle angle."""
+    return angle_distance(boundary_angle(x), boundary_angle(y)) <= ANGLE_TOL
 
 
 def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
@@ -365,7 +360,7 @@ def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
     lo0, arc0 = next(iter(ends.values()))
     out = [CircleSymmetry({label: label for label in gens}, 0.0, False)]
     for lo, arc in ends.values():
-        if angle_distance(arc, arc0) > SYMMETRY_TOL:
+        if angle_distance(arc, arc0) > ANGLE_TOL:
             continue
         # a reflection maps the far end of J_l0 onto the near end of J_m
         for shift, flip in (((lo - lo0) % TWO_PI, False),
@@ -387,8 +382,8 @@ def _symmetry(gens, inverse_label, ends, shift, flip):
         start = sym.angle(lo + arc if flip else lo)
         perm[label] = next(
             (m for m, (lo_m, arc_m) in ends.items()
-             if angle_distance(lo_m, start) <= SYMMETRY_TOL
-             and angle_distance(arc_m, arc) <= SYMMETRY_TOL), None)
+             if angle_distance(lo_m, start) <= ANGLE_TOL
+             and angle_distance(arc_m, arc) <= ANGLE_TOL), None)
         if perm[label] is None:
             return None
     if any(perm[inverse_label[label]] != inverse_label[perm[label]]
@@ -402,55 +397,48 @@ def _symmetry(gens, inverse_label, ends, shift, flip):
                     sym.angle(boundary_angle(apply_boundary(g.map, x))),
                     boundary_angle(apply_boundary(
                         image, boundary_from_angle(sym.angle(theta))))) \
-                    > SYMMETRY_TOL:
+                    > ANGLE_TOL:
                 return None
     return sym
 
 
-def _accidental_horocircles(gens, inverse_label) -> list:
-    """Horoballs at shared interval endpoints not covered by marked cusps.
+def _accidental_horocircles(gens, inverse_label, marked) -> list:
+    """Horoballs at shared interval endpoints other than the cusps at the
+    circle angles ``marked``.
 
     Free products may have parabolic elements (products of generators)
     fixing the touching points of adjacent intervals; the truncated domain
     is only compact once those cusps are cut too.  The fixing element is
     located by a short reduced-word search.
     """
-    marked = set()
-    for label, g in gens.items():
-        if g.is_parabolic():
-            marked.add(round(boundary_angle(g.fixed_points[0]), 9))
-
+    ends = [boundary_angle(x) for g in gens.values()
+            for x in (g.interval.lo, g.interval.hi)]
     vertices = []
-    endpoints = []
-    for g in gens.values():
-        endpoints.extend([g.interval.lo, g.interval.hi])
-    seen = set()
-    for p in endpoints:
-        key = round(boundary_angle(p), 9)
-        if key in marked or key in seen:
-            continue
-        if sum(1 for q in endpoints if angle_distance(
-                boundary_angle(q), boundary_angle(p)) < 1e-9) >= 2:
-            seen.add(key)
-            vertices.append(p)
+    for theta in ends:
+        if all(angle_distance(theta, v) > ANGLE_TOL for v in marked + vertices) \
+                and sum(angle_distance(theta, e) <= ANGLE_TOL
+                        for e in ends) >= 2:
+            vertices.append(theta)
 
     out = []
-    for v in vertices:
-        w = _parabolic_fixing(gens, inverse_label, v)
+    for theta in vertices:
+        w = _parabolic_fixing(gens, inverse_label, theta)
         if w is not None:
             out.append(_horocircle_from_map(w))
     return out
 
 
-def _parabolic_fixing(gens, inverse_label, v):
-    """A parabolic reduced word of at most six letters fixing v, or None."""
+def _parabolic_fixing(gens, inverse_label, theta):
+    """A parabolic reduced word of at most six letters fixing the boundary
+    point of circle angle theta, or None."""
+    v = boundary_from_angle(theta)
     words = [(label, gens[label].map) for label in gens]
     for _ in range(6):
         nxt = []
         for label, m in words:
-            img = apply_boundary(m, v)
-            if _boundary_close_pt(img, v) and m.is_parabolic(1e-8) \
-                    and not m.is_identity(1e-10):
+            img = boundary_angle(apply_boundary(m, v))
+            if angle_distance(img, theta) <= ANGLE_TOL \
+                    and m.is_parabolic(1e-8) and not m.is_identity(1e-10):
                 return m
             for label2 in gens:
                 if label2 != inverse_label[label]:
@@ -459,17 +447,12 @@ def _parabolic_fixing(gens, inverse_label, v):
     return None
 
 
-def _boundary_close_pt(x, y):
-    if is_infinity(x) or is_infinity(y):
-        return is_infinity(x) and is_infinity(y)
-    return abs(x - y) <= 1e-8 * max(1.0, abs(x), abs(y))
-
-
 def _validate_horoball_disjointness(pres: GroupPresentation):
     for b1, b2 in itertools.combinations(pres.all_horoballs(), 2):
-        if not geometry.horoballs_disjoint(b1, b2, tol=1e-9):
+        if not geometry.horoballs_disjoint(b1, b2):
             raise GroupValidationError(
-                "horoballs at %r and %r overlap" % (b1.base, b2.base))
+                "horoballs at %r and %r overlap"
+                % (boundary_from_angle(b1.angle), boundary_from_angle(b2.angle)))
 
 
 # --- constants -------------------------------------------------------------
@@ -529,8 +512,9 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
     return out
 
 
-def _core_gap_halfplanes(pres: GroupPresentation) -> list:
-    """Half-planes below the geodesics spanning gaps of the limit set."""
+def _core_gaps(pres: GroupPresentation) -> list:
+    """The geodesics over the gaps of the limit set; their half-planes
+    over the gaps lie outside the convex core."""
     bounds = _limit_set_bounds(pres)
     marks = []
     for label in pres.labels():
@@ -542,9 +526,7 @@ def _core_gap_halfplanes(pres: GroupPresentation) -> list:
         nxt_lo = marks[(k + 1) % len(marks)][0]
         width = (nxt_lo - hi_a) % TWO_PI
         if width > 1e-7 and width < TWO_PI - 1e-7:
-            u = boundary_from_angle(hi_a)
-            v = boundary_from_angle(nxt_lo)
-            gaps.append(geometry.halfplane_of_interval(u, v))
+            gaps.append(geometry.Geodesic.over_arc(hi_a, width))
     return gaps
 
 
@@ -554,41 +536,31 @@ def constant_c0(pres: GroupPresentation, grid: int) -> float:
 
     The sampled region: on the fundamental-domain side of every interval
     geodesic, outside every horoball (marked cusps plus accidental ones),
-    inside the convex core (outside every limit-set gap half-plane).  The
-    returned value inflates the raw sampled maximum by a 10% mesh margin;
-    downstream uses of C0 are error bands, so over-estimation is safe.
+    inside the convex core (outside every limit-set gap half-plane).  Step
+    f of a geodesic is its point at i tan(pi f / 2) on the axis, and step
+    f of a horocircle its point at tan(pi (f - 1/2)) + ik in the chart
+    where its base is oo.  The returned value inflates the raw sampled
+    maximum by a 10% mesh margin; downstream uses of C0 are error bands,
+    so over-estimation is safe.
     """
-    side_hps = [pres.interval_of(l).halfplane() for l in pres.labels()]
-    gap_hps = _core_gap_halfplanes(pres)
+    sides = [pres.interval_of(l).geodesic() for l in pres.labels()]
+    gaps = _core_gaps(pres)
     balls = pres.all_horoballs()
 
-    def keep(pt: PlanePoint, skip_hp=None) -> bool:
-        for hp in side_hps:
-            if hp is not skip_hp and hp.contains(pt, tol=1e-12):
-                return False
-        for hp in gap_hps:
-            if hp.contains(pt, tol=-1e-9):
-                return False
-        for b in balls:
-            if b.contains(pt, tol=-1e-9):
-                return False
-        return True
+    def keep(pt: PlanePoint, own=None) -> bool:
+        return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
+                and all(g.sinh_distance(pt) <= -1e-9 for g in gaps)
+                and all(b.depth(pt) <= 1e-9 for b in balls))
 
     pts: list[PlanePoint] = []
-    fracs = [k / grid for k in range(1, grid)]
-    for hp in side_hps + gap_hps:
-        g = hp.boundary
-        for f in fracs:
-            if g.kind == "circle":
-                pt = g.point_at(math.pi * f)
-            else:
-                pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
-            if keep(pt, skip_hp=hp):
+    for f in (k / grid for k in range(1, grid)):
+        for g in sides + gaps:
+            pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
+            if keep(pt, g):
                 pts.append(pt)
-    for b in balls:
-        for f in fracs:
-            pt = b.boundary_point_at(f)
-            if pt.y > 0.0 and keep(pt):
+        for b in balls:
+            pt = b.point_at(math.tan(math.pi * (f - 0.5)))
+            if keep(pt):
                 pts.append(pt)
 
     raw = 0.0

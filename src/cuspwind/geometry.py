@@ -1,211 +1,145 @@
-"""Euclidean representations of geodesics, half-planes and horoballs.
+"""Geodesics and horoballs in one Moebius-covariant form.
 
-Everything here is plain circle/line algebra in the upper half-plane;
-the hyperbolic content (lengths, invariance) lives in :mod:`mobius`.
+A boundary point is a homogeneous vector v of R^2, the point v1 / v2; the
+point oo is (1, 0) and needs no case of its own.
+
+* A geodesic is the orientation-preserving map T that sends the imaginary
+  axis onto it.  The parameter of a point z is log Im T^-1 z, its signed
+  arc length along the geodesic from T(i); a geodesic over a boundary arc
+  has T(0) at the arc's lower end and T(oo) at its upper end, and its
+  half-plane over the arc is Re T^-1 z > 0.  Crossings with another
+  geodesic or a horocircle are solved on the axis after mapping by T^-1.
+* A horoball is {z : Im z >= k |p2 z - p1|^2} for a homogeneous base p and
+  a height k.  A Moebius map M carries it to the horoball of base M p and
+  the same k, so k k' (p x p')^2 is an invariant of two horoballs; with p
+  a unit vector, k is the euclidean height of the horocircle in the chart
+  where the rotation about i that sends p to oo has been applied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .mobius import PlanePoint, is_infinity
+from .mobius import MobiusMap, PlanePoint, apply_plane, boundary_vector
+
+# Relative tolerance of the tangency k k' (p x p')^2 = 1 of two horoballs:
+# Gamma(2)'s cusps are pairwise tangent.
+TANGENCY_TOL = 1e-9
+
+
+def cross(p: tuple, q: tuple) -> float:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _apply(m: MobiusMap, v: tuple) -> tuple:
+    """The matrix m times the homogeneous vector v."""
+    return m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]
 
 
 @dataclass(frozen=True)
 class Geodesic:
-    """Complete geodesic: semicircle (center, radius) or vertical line."""
+    """The image of the imaginary axis under the map ``axis`` (T)."""
 
-    kind: str  # "circle" | "vline"
-    center: float = 0.0
-    radius: float = 0.0
-    x0: float = 0.0
+    axis: MobiusMap
 
     @staticmethod
-    def from_ideal_endpoints(u: float, v: float) -> "Geodesic":
-        if is_infinity(u) and is_infinity(v):
-            raise ValueError("degenerate geodesic with both endpoints infinite")
-        if is_infinity(u):
-            return Geodesic("vline", x0=v)
-        if is_infinity(v):
-            return Geodesic("vline", x0=u)
-        if u == v:
-            raise ValueError("degenerate geodesic with equal endpoints")
-        lo, hi = (u, v) if u < v else (v, u)
-        return Geodesic("circle", center=0.5 * (lo + hi), radius=0.5 * (hi - lo))
+    def over_arc(theta: float, arc: float) -> "Geodesic":
+        """The geodesic over the boundary arc from circle angle theta to
+        theta + arc (0 < arc < 2 pi): T(0) is its lower end, T(oo) its
+        upper end, and T(i) the point of the geodesic nearest to the centre
+        i of the circle chart."""
+        hi, lo = boundary_vector(theta + arc), boundary_vector(theta)
+        # det [hi lo] = sin(arc / 2) > 0
+        return Geodesic(MobiusMap.from_entries(hi[0], lo[0], hi[1], lo[1]))
 
     @staticmethod
-    def through_points(z: PlanePoint, w: PlanePoint) -> "Geodesic":
-        dx = w.x - z.x
-        scale = max(1.0, abs(z.x), abs(w.x))
-        if abs(dx) <= 1e-13 * scale:
-            return Geodesic("vline", x0=0.5 * (z.x + w.x))
-        c = (w.x * w.x + w.y * w.y - z.x * z.x - z.y * z.y) / (2.0 * dx)
-        r = math.hypot(z.x - c, z.y)
-        return Geodesic("circle", center=c, radius=r)
+    def through(z: PlanePoint, w: PlanePoint) -> "Geodesic":
+        """The geodesic from z through w, with T(i) = z, so that the
+        parameter of w is the distance d(z, w)."""
+        s = math.sqrt(z.y)
+        # u + iv is w seen from z: the image of w under x + iy -> (x - z.x + iy) / z.y
+        u, v = (w.x - z.x) / z.y, w.y / z.y
+        # the rotation about i by phi turns the Cayley disc by 2 phi; it
+        # takes the axis point of height e^d to u + iv
+        phi = 0.5 * math.atan2(-2.0 * u, u * u + v * v - 1.0)
+        c, r = math.cos(phi), math.sin(phi)
+        return Geodesic(MobiusMap.from_entries(
+            s * c - z.x * r / s, s * r + z.x * c / s, -r / s, c / s))
 
-    def param(self, pt: PlanePoint) -> float:
-        """Monotone parameter along the geodesic (direction fixed by caller)."""
-        if self.kind == "vline":
-            return math.log(pt.y)
-        return math.atan2(pt.y, pt.x - self.center)
+    @cached_property
+    def _inverse(self) -> MobiusMap:
+        return self.axis.inverse()
 
-    def point_at(self, t: float) -> PlanePoint:
-        if self.kind == "vline":
-            return PlanePoint(self.x0, math.exp(t))
-        return PlanePoint(
-            self.center + self.radius * math.cos(t), self.radius * math.sin(t)
-        )
+    def param(self, z: PlanePoint) -> float:
+        return math.log(apply_plane(self._inverse, z).y)
 
+    def point_at(self, s: float) -> PlanePoint:
+        return apply_plane(self.axis, PlanePoint(0.0, math.exp(s)))
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """Open hyperbolic half-plane cut off by a geodesic.
+    def sinh_distance(self, z: PlanePoint) -> float:
+        """sinh of the signed distance of z from the geodesic, positive on
+        the half-plane Re T^-1 z > 0."""
+        w = apply_plane(self._inverse, z)
+        return w.x / w.y
 
-    ``inside``: for a circle boundary, True means the half-disk under the
-    semicircle; for a vline, True means the x > x0 side.
-    """
+    def crossings(self, other: "Geodesic") -> list:
+        """The parameter of the crossing with another geodesic, if any: its
+        ends T^-1 T'(0) and T^-1 T'(oo) lie on either side of the axis, and
+        the crossing is at the height sqrt(-x x') of the axis."""
+        m = other.axis
+        x0, y0 = _apply(self._inverse, (m.b, m.d))
+        x1, y1 = _apply(self._inverse, (m.a, m.c))
+        if x0 * y0 * x1 * y1 >= 0.0:
+            return []
+        return [0.5 * math.log(-(x0 * x1) / (y0 * y1))]
 
-    boundary: Geodesic
-    inside: bool
-
-    def contains(self, pt: PlanePoint, tol: float = 0.0) -> bool:
-        g = self.boundary
-        if g.kind == "vline":
-            s = pt.x - g.x0
-            return s > tol if self.inside else s < -tol
-        s = math.hypot(pt.x - g.center, pt.y) - g.radius
-        return s < -tol if self.inside else s > tol
-
-
-def halfplane_of_interval(lo: float, hi: float) -> HalfPlane:
-    """Half-plane whose ideal boundary is the arc from lo to hi.
-
-    The arc convention matches CircleInterval: increasing x, wrapping
-    through oo when lo > hi or an endpoint is infinite.
-    """
-    if is_infinity(lo) and is_infinity(hi):
-        raise ValueError("full-circle interval has no bounding geodesic")
-    if is_infinity(hi):  # (lo, oo): right vertical half-plane
-        return HalfPlane(Geodesic("vline", x0=lo), inside=True)
-    if is_infinity(lo):  # (oo, hi) = [-oo, hi): left vertical half-plane
-        return HalfPlane(Geodesic("vline", x0=hi), inside=False)
-    if lo < hi:
-        return HalfPlane(Geodesic.from_ideal_endpoints(lo, hi), inside=True)
-    # wraps through oo: complement of the half-disk over (hi, lo)
-    return HalfPlane(Geodesic.from_ideal_endpoints(hi, lo), inside=False)
+    def horoball_crossings(self, ball: "Horoball") -> list:
+        """Parameters of the crossings with the horocircle, in increasing
+        order.  With q = T^-1 p, the axis point iy lies on it where
+        k q2^2 y^2 - y + k q1^2 = 0."""
+        q = _apply(self._inverse, ball.base)
+        a, b = ball.height * q[0] ** 2, ball.height * q[1] ** 2
+        disc = 1.0 - 4.0 * a * b
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        # a base at an end of the axis (a or b zero) leaves one crossing
+        out = [math.log(2.0 * a / (1.0 + sq))] if a > 0.0 else []
+        if b > 0.0:
+            out.append(math.log((1.0 + sq) / (2.0 * b)))
+        return out
 
 
 @dataclass(frozen=True)
 class Horoball:
-    """Euclidean model of a closed horoball.
+    """{z : Im z >= k |p2 z - p1|^2} for the unit base p = ``base`` and the
+    height k = ``height``."""
 
-    Finite base: disk of the given euclidean diameter tangent at ``base``.
-    Infinite base: the region above the horizontal line at ``size``.
-    """
+    base: tuple
+    height: float
 
-    base: float
-    size: float  # diameter (finite base) or height (base at oo)
+    @property
+    def angle(self) -> float:
+        """Circle angle of the base, in [0, 2 pi)."""
+        return 2.0 * math.atan2(self.base[1], -self.base[0]) % (2.0 * math.pi)
 
-    def is_line(self) -> bool:
-        return is_infinity(self.base)
+    def depth(self, z: PlanePoint) -> float:
+        """Signed distance of z from the horocircle, positive inside."""
+        p = self.base
+        return math.log(z.y / (self.height * (
+            (p[1] * z.x - p[0]) ** 2 + (p[1] * z.y) ** 2)))
 
-    def contains(self, pt: PlanePoint, tol: float = 0.0) -> bool:
-        if self.is_line():
-            return pt.y >= self.size - tol
-        rho = 0.5 * self.size
-        return math.hypot(pt.x - self.base, pt.y - rho) <= rho + tol
-
-    def boundary_point_at(self, t: float) -> PlanePoint:
-        """t in (0,1) parametrizes the horocircle away from the tangency."""
-        if self.is_line():
-            return PlanePoint(math.tan(math.pi * (t - 0.5)), self.size)
-        rho = 0.5 * self.size
-        phi = 2.0 * math.pi * t  # phi=0 is the tangency point at the base
-        return PlanePoint(
-            self.base + rho * math.sin(phi), rho * (1.0 - math.cos(phi))
-        )
+    def point_at(self, x: float) -> PlanePoint:
+        """The point x + ik of the horocircle, moved by the rotation about
+        i that sends oo to the base (x = 0 is the point nearest to i)."""
+        p = self.base
+        return apply_plane(MobiusMap(p[0], -p[1], p[1], p[0]),
+                           PlanePoint(x, self.height))
 
 
-def horoballs_disjoint(b1: Horoball, b2: Horoball, tol: float = 1e-12) -> bool:
+def horoballs_disjoint(b1: Horoball, b2: Horoball) -> bool:
     """Disjoint interiors; tangency counts as disjoint."""
-    if b1.is_line() and b2.is_line():
-        return False
-    if b1.is_line() or b2.is_line():
-        line, ball = (b1, b2) if b1.is_line() else (b2, b1)
-        return ball.size <= line.size + tol
-    return (b1.base - b2.base) ** 2 >= b1.size * b2.size - tol
-
-
-def intersect_geodesics(g1: Geodesic, g2: Geodesic) -> list[PlanePoint]:
-    """Crossing point of two complete geodesics (at most one)."""
-    if g1.kind == "vline" and g2.kind == "vline":
-        return []
-    if g1.kind == "vline" or g2.kind == "vline":
-        line, circ = (g1, g2) if g1.kind == "vline" else (g2, g1)
-        y2 = circ.radius**2 - (line.x0 - circ.center) ** 2
-        if y2 <= 0.0:
-            return []
-        return [PlanePoint(line.x0, math.sqrt(y2))]
-    dc = g2.center - g1.center
-    if dc == 0.0:
-        return []
-    x = (g1.radius**2 - g2.radius**2 + g2.center**2 - g1.center**2) / (2.0 * dc)
-    y2 = g1.radius**2 - (x - g1.center) ** 2
-    if y2 <= 0.0:
-        return []
-    return [PlanePoint(x, math.sqrt(y2))]
-
-
-def intersect_geodesic_horocircle(g: Geodesic, ball: Horoball) -> list[PlanePoint]:
-    """Intersections of a complete geodesic with a horocircle (0-2 points)."""
-    pts: list[PlanePoint] = []
-    if ball.is_line():
-        h = ball.size
-        if g.kind == "vline":
-            return [PlanePoint(g.x0, h)]
-        y2 = g.radius**2 - h * h
-        if y2 < 0.0:
-            return []
-        dx = math.sqrt(y2) if y2 > 0.0 else 0.0
-        out = [PlanePoint(g.center - dx, h), PlanePoint(g.center + dx, h)]
-        return out if dx > 0.0 else out[:1]
-    p, rho = ball.base, 0.5 * ball.size
-    if g.kind == "vline":
-        u2 = rho * rho - (g.x0 - p) ** 2
-        if u2 < 0.0:
-            return []
-        du = math.sqrt(u2) if u2 > 0.0 else 0.0
-        pts = [PlanePoint(g.x0, rho - du)]
-        if du > 0.0:
-            pts.append(PlanePoint(g.x0, rho + du))
-        return [q for q in pts if q.y > 0.0]
-    c, r = g.center, g.radius
-    if abs(p - c) <= 1e-15 * max(1.0, abs(p)):
-        y = r * r / (2.0 * rho) if rho > 0.0 else -1.0
-        x2 = r * r - y * y
-        if x2 < 0.0 or y <= 0.0:
-            return []
-        dx = math.sqrt(x2) if x2 > 0.0 else 0.0
-        out = [PlanePoint(c - dx, y), PlanePoint(c + dx, y)]
-        return out if dx > 0.0 else out[:1]
-    # radical line: x = (p^2 - c^2 + r^2 - 2*rho*y) / (2 (p - c))
-    k0 = (p * p - c * c + r * r) / (2.0 * (p - c))
-    k1 = -rho / (p - c)
-    # substitute x = k0 + k1 y into (x-c)^2 + y^2 = r^2
-    A = k1 * k1 + 1.0
-    B = 2.0 * k1 * (k0 - c)
-    C = (k0 - c) ** 2 - r * r
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        if disc > -1e-12 * max(1.0, B * B):
-            disc = 0.0
-        else:
-            return []
-    sq = math.sqrt(disc)
-    for y in ((-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)):
-        if y > 0.0:
-            pts.append(PlanePoint(k0 + k1 * y, y))
-    if len(pts) == 2 and abs(pts[0].y - pts[1].y) == 0.0 and pts[0].x == pts[1].x:
-        pts = pts[:1]
-    return pts
+    return b1.height * b2.height * cross(b1.base, b2.base) ** 2 \
+        >= 1.0 - TANGENCY_TOL

@@ -50,18 +50,23 @@ def boundary_from_angle(theta: float) -> float:
     return -1.0 / math.tan(theta / 2.0)
 
 
+def boundary_vector(theta: float) -> tuple:
+    """u(theta) = (-cos theta/2, sin theta/2), the unit homogeneous vector
+    of the boundary point of circle angle theta: the vector (x, 1) / |(x, 1)|
+    of x = boundary_from_angle(theta) up to sign, and exactly (1, 0) at
+    theta = 2 pi, the point oo."""
+    # (cos phi, sin phi), with phi exactly 0 at theta = 2 pi
+    phi = math.pi - 0.5 * theta
+    return math.cos(phi), math.sin(phi)
+
+
 def unit_image(m: MobiusMap, theta: float) -> tuple:
-    """The unit vector of m u(theta), where u(theta) = (-cos theta/2,
-    sin theta/2) is the boundary point of circle angle theta: the vector
-    (x, 1) / |(x, 1)| of x = boundary_from_angle(theta) up to sign, and
-    exactly (1, 0) at theta = 2 pi, the point oo.
+    """The unit vector of m u(theta) (``boundary_vector``).
 
     In this form the circle-chart derivative of a matrix M at the point is
     1 / |M w|^2 for w = unit_image(I, theta), with no case for oo.
     """
-    # u(theta) = (cos phi, sin phi), with phi exactly 0 at theta = 2 pi
-    phi = math.pi - 0.5 * theta
-    u0, u1 = math.cos(phi), math.sin(phi)
+    u0, u1 = boundary_vector(theta)
     v0, v1 = m.a * u0 + m.b * u1, m.c * u0 + m.d * u1
     norm = math.hypot(v0, v1)
     return v0 / norm, v1 / norm

@@ -155,19 +155,25 @@ def test_markov_mismatch_not_free():
 
 # --- horocircles ------------------------------------------------------------
 
+def diameter(h) -> float:
+    """Euclidean diameter of the horoball of a finite base x: the disc
+    Im z >= k |z - x|^2 / (1 + x^2), with p2^2 = 1 / (1 + x^2)."""
+    return 1.0 / (h.height * h.base[1] ** 2)
+
+
 def test_horocircle_translation_one_has_height_half():
     # no full validation needed: exercise the constructor directly
     from cuspwind.fuchsian import _horocircle_from_map
 
     h = _horocircle_from_map(TRANSLATION_ONE)
-    assert math.isinf(h.base)
-    assert h.size == pytest.approx(0.5)
+    assert h.base == pytest.approx((1.0, 0.0))  # the point oo
+    assert h.height == pytest.approx(0.5)
 
 
 def test_horocircle_z_plus_two_has_height_one(gamma2):
     h = gamma2.horocircles["a"]
-    assert math.isinf(h.base)
-    assert h.size == pytest.approx(1.0)
+    assert angle_distance(h.angle, boundary_angle(INF)) == 0.0
+    assert h.height == pytest.approx(1.0)
 
 
 def test_horocircle_quarter_inversion_case():
@@ -178,39 +184,98 @@ def test_horocircle_quarter_inversion_case():
     from cuspwind.fuchsian import _horocircle_from_map
 
     h = _horocircle_from_map(gamma)
-    assert h.base == pytest.approx(0.0)
-    assert h.size == pytest.approx(0.5)
+    assert h.angle == pytest.approx(boundary_angle(0.0))
+    assert diameter(h) == pytest.approx(0.5)
+
+
+def check_horocircles_invariant(pres):
+    # g maps its horocircle onto itself, and moves each point of it by
+    # acosh 3, the displacement of z -> z + 1 at height 1/2
+    for label, h in pres.horocircles.items():
+        g = pres.gen(label).map
+        for k in range(16):
+            pt = h.point_at(math.tan(math.pi * ((k + 0.5) / 16 - 0.5)))
+            assert h.depth(pt) == pytest.approx(0.0, abs=1e-10)
+            img = apply_plane(g, pt)
+            assert h.depth(img) == pytest.approx(0.0, abs=1e-10)
+            assert hyperbolic_distance(pt, img) == pytest.approx(
+                math.acosh(3.0), abs=1e-10)
 
 
 def test_horocircle_invariant_under_its_parabolic(any_group):
-    # g maps its horocircle onto itself, and moves each point of it by
-    # acosh 3, the displacement of z -> z + 1 at height 1/2
-    for label, h in any_group.horocircles.items():
-        g = any_group.gen(label).map
-        for k in range(16):
-            pt = h.boundary_point_at((k + 0.5) / 16)
-            img = apply_plane(g, pt)
-            if h.is_line():
-                assert img.y == pytest.approx(h.size, abs=1e-10)
-            else:
-                rho = 0.5 * h.size
-                assert math.hypot(img.x - h.base, img.y - rho) \
-                    == pytest.approx(rho, abs=1e-10)
-            assert hyperbolic_distance(pt, img) == pytest.approx(
-                math.acosh(3.0), abs=1e-10)
+    check_horocircles_invariant(any_group)
+
+
+# the charts z + 0.3, 4z, z / (0.4z + 1) and a rotation of the Cayley disc
+# that sends Gamma(2)'s cusp 1 to -1e4
+CHARTS = ((1.0, 0.3, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.4, 1.0),
+          (math.cos(math.pi / 4 + 1e-4), math.sin(math.pi / 4 + 1e-4),
+           -math.sin(math.pi / 4 + 1e-4), math.cos(math.pi / 4 + 1e-4)))
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+@pytest.mark.parametrize("name", ["gamma2-type", "one-cusp-one-hyperbolic"])
+def test_horocircle_invariant_in_conjugated_charts(name, chart):
+    # the horoball of a conjugated parabolic is the image of the preset's
+    m = MobiusMap.from_entries(*chart)
+    pres = build_group(conjugate_config(preset_config(name), m))
+    check_horocircles_invariant(pres)
+    preset = build_group(preset_config(name))
+    for label, h in pres.horocircles.items():
+        pt = apply_plane(m, preset.horocircles[label].point_at(0.7))
+        assert h.depth(pt) == pytest.approx(0.0, abs=1e-9)
+        assert angle_distance(
+            h.angle, boundary_angle(apply_boundary(
+                m, boundary_from_angle(preset.horocircles[label].angle)))) \
+            <= 1e-9
 
 
 def test_horoballs_pairwise_disjoint(any_group):
     balls = any_group.all_horoballs()
     for b1, b2 in itertools.combinations(balls, 2):
-        assert geometry.horoballs_disjoint(b1, b2, tol=1e-9)
+        assert geometry.horoballs_disjoint(b1, b2)
+
+
+# Charts in which Gamma(2)'s tangent horoballs were once read as
+# overlapping (an absolute tolerance of 1e-9 on euclidean coordinates of
+# 1e2-1e4): rotations of the Cayley disc by 2 theta, theta = pi i / 2000,
+# and near the angles that send a cusp to oo, and perfbench's seeded
+# charts 315 and 575.
+def _rotation(theta):
+    return (math.cos(theta), math.sin(theta), -math.sin(theta),
+            math.cos(theta))
+
+
+NEAR_CUSP_CHARTS = (
+    _rotation(math.pi / 2000), _rotation(495 * math.pi / 2000),
+    _rotation(998 * math.pi / 2000), _rotation(1503 * math.pi / 2000),
+    _rotation(1.0353218432956627e-4), _rotation(math.pi / 2 + 1.32e-4),
+    _rotation(3 * math.pi / 4 - 2e-4),
+    (0.8576720443732561, -0.5173843309805979, -0.0021566560698725065,
+     1.167247815322501),
+    (0.9812315905607525, 0.014531857608840886, 0.0009417783863197987,
+     1.0191413478829427))
+
+
+@pytest.mark.parametrize("chart", NEAR_CUSP_CHARTS)
+def test_gamma2_builds_in_charts_near_a_cusp_at_infinity(chart):
+    pres = build_group(conjugate_config(preset_config("gamma2-type"),
+                                        MobiusMap.from_entries(*chart)))
+    balls = pres.all_horoballs()
+    assert len(balls) == 4
+    # each cusp touches two others: k k' (p x p')^2 = 1
+    invariants = sorted(b1.height * b2.height
+                        * geometry.cross(b1.base, b2.base) ** 2
+                        for b1, b2 in itertools.combinations(balls, 2))
+    assert invariants[:4] == pytest.approx([1.0] * 4, rel=1e-12)
 
 
 def test_gamma2_accidental_cusps_found(gamma2):
-    bases = sorted(h.base for h in gamma2.accidental_horocircles)
-    assert bases == pytest.approx([-1.0, 1.0])
+    angles = sorted(h.angle for h in gamma2.accidental_horocircles)
+    assert angles == pytest.approx([boundary_angle(-1.0),
+                                    boundary_angle(1.0)])
     for h in gamma2.accidental_horocircles:
-        assert h.size == pytest.approx(1.0)
+        assert diameter(h) == pytest.approx(1.0)
 
 
 def test_onecusp_has_no_accidental_cusps(onecusp):
@@ -243,12 +308,13 @@ def test_side_distance_against_sampled_minimum(onecusp):
     from cuspwind.mobius import hyperbolic_distance
 
     def sampled(n):
+        # the points at tan(pi f / 2) on the axis, as C0 samples them
         best = math.inf
         g1, g2 = ja.geodesic(), jh.geodesic()
         for i in range(1, n):
-            p = g1.point_at(math.pi * i / n)
+            p = g1.point_at(math.log(math.tan(0.5 * math.pi * i / n)))
             for j in range(1, n):
-                q = g2.point_at(math.pi * j / n)
+                q = g2.point_at(math.log(math.tan(0.5 * math.pi * j / n)))
                 best = min(best, hyperbolic_distance(p, q))
         return best
 
@@ -318,8 +384,8 @@ def test_horocircle_of_requires_parabolic(onecusp):
     # only the parabolic generators get a horocircle
     assert sorted(onecusp.horocircles) == ["A", "a"]
     h = onecusp.horocircles["a"]
-    assert h.base == pytest.approx(0.0)
-    assert h.size == pytest.approx(1.0)
+    assert h.angle == pytest.approx(boundary_angle(0.0))
+    assert diameter(h) == pytest.approx(1.0)
 
 
 # --- circle symmetries ------------------------------------------------------

@@ -407,3 +407,37 @@ def test_cli_import_loads_no_scipy(tmp_path):
             env=env, capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "spectrum.csv").exists()
+
+
+def euclidean_cases(source: str) -> list:
+    """Each name, attribute or import ``INF`` or ``is_infinity`` and each
+    string ``"vline"`` or ``"circle"`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in ("INF", "is_infinity", "vline", "circle"):
+            found.append(name)
+    return sorted(found)
+
+
+def test_euclidean_case_detector():
+    src = ('from .mobius import INF\nimport mobius\n'
+           'def f(g):\n    return g.kind == "vline" or mobius.is_infinity(g)\n'
+           'x = "a circle"\n')
+    assert euclidean_cases(src) == ["INF", "is_infinity", "vline"]
+
+
+def test_geometry_has_no_euclidean_cases():
+    # geodesics and horoballs have one Moebius-covariant form: no case for
+    # the point oo and no circle/vertical-line kind
+    source = (PACKAGE / "geometry.py").read_text(encoding="utf-8")
+    assert euclidean_cases(source) == []

@@ -28,6 +28,7 @@ from .mobius import (
 )
 
 PARAM_TOL = 1e-9
+SUFFIX_LEN = 3  # the shells that poincare_shell_sums takes from Gram entries
 
 
 def log_plus(a: float) -> float:
@@ -252,12 +253,12 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
     (4 x n) blocks of entries (a, b, c, d), one block per last letter, and
     block j of the next length is built from the blocks whose last letter
     is not j^-1, written into place.  Words are stored up to length
-    max_len - 2 only: each stored block times each letter gives a block of
-    words U of length max_len - 1, which is summed and reduced to its Gram
-    entries (p, q, r) = (a^2 + c^2, ab + cd, b^2 + d^2), and the last
-    shell follows from those, since ||U g||_F^2 = p (g0^2 + g1^2) +
-    2 q (g0 g2 + g1 g3) + r (g2^2 + g3^2) for g = (g0, g1, g2, g3).  So no
-    word of the last length, and only one block of the length before it,
+    max_len - SUFFIX_LEN only: each stored block of words U is reduced to
+    its Gram entries (p, q, r) = (a^2 + c^2, ab + cd, b^2 + d^2), and the
+    last SUFFIX_LEN shells follow from those, since ||U S||_F^2 =
+    p (s0^2 + s1^2) + 2 q (s0 s2 + s1 s3) + r (s2^2 + s3^2) for every
+    reduced suffix S = (s0, s1, s2, s3) of up to SUFFIX_LEN letters that
+    may follow U's last letter.  So no word of the last SUFFIX_LEN lengths
     is ever held.
 
     Only the words whose first letter leads its orbit under the
@@ -277,10 +278,22 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
         if label == min(images, key=labels.index):
             leads.setdefault(len(images), set()).add(labels.index(label))
     shells = [[0.0] * max_len for _ in ss]
-    # per letter g: the factors of p, q and r in ||U g||_F^2
-    gram = np.stack([mats[:, 0] ** 2 + mats[:, 1] ** 2,
-                     2.0 * (mats[:, 0] * mats[:, 2] + mats[:, 1] * mats[:, 3]),
-                     mats[:, 2] ** 2 + mats[:, 3] ** 2], axis=1)
+    top = max(max_len - SUFFIX_LEN, 0)  # the length of the stored words
+    suffixes = []  # (first letter, length, the factors of p, q and r)
+
+    def suffix(first, last, s, length):
+        """Record the reduced suffix s and extend it by one letter."""
+        s0, s1, s2, s3 = s.ravel()
+        suffixes.append((first, length, (s0 * s0 + s1 * s1,
+                                         2.0 * (s0 * s2 + s1 * s3),
+                                         s2 * s2 + s3 * s3)))
+        if length < max_len - top:
+            for j in range(k):
+                if last != inv_idx[j]:
+                    suffix(first, j, s @ mats[j].reshape(2, 2), length + 1)
+
+    for j in range(k):
+        suffix(j, j, mats[j].reshape(2, 2), 1)
 
     def follows(i, j):
         """Whether letter j may follow letter i; after the empty word
@@ -307,18 +320,6 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
         out[3] += d * g[3]
         return out
 
-    def last_shell(last, words):
-        """Add the shell of the words ``words * g`` over every letter g
-        that may follow ``last``."""
-        a, b, c, d = words
-        p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
-        for j in range(k):
-            if follows(last, j):
-                fro2 = p * gram[j, 0]
-                fro2 += q * gram[j, 1]
-                fro2 += r * gram[j, 2]
-                add(max_len - 1, fro2)
-
     def grow(level, blocks):
         """The blocks of the words one letter longer, their shell added."""
         nxt = []
@@ -337,15 +338,14 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
 
     for size, firsts in leads.items():
         blocks = [(-1, np.eye(2).reshape(4, 1))]  # the empty word
-        for level in range(max_len - 2):
+        for level in range(top):
             blocks = grow(level, blocks)
-        if max_len == 1:
-            last_shell(-1, blocks[0][1])
-            continue
-        for i, words in blocks:
-            for j in range(k):
-                if follows(i, j):
-                    child = times(words, mats[j], np.empty_like(words))
-                    add(max_len - 2, np.einsum("ij,ij->j", child, child))
-                    last_shell(j, child)
+        for i, (a, b, c, d) in blocks:
+            p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
+            for first, length, (gp, gq, gr) in suffixes:
+                if follows(i, first):
+                    fro2 = p * gp
+                    fro2 += q * gq
+                    fro2 += r * gr
+                    add(top + length - 1, fro2)
     return shells

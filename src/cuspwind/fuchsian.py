@@ -530,18 +530,17 @@ def _core_gaps(pres: GroupPresentation) -> list:
     return gaps
 
 
-def constant_c0(pres: GroupPresentation, grid: int) -> float:
-    """C0: max pairwise distance over the sampled boundary of the
-    truncated core, ``grid`` steps per side and horocircle.
+def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
+    """The sampled boundary of the truncated core, ``grid`` steps per
+    side, gap and horocircle.
 
     The sampled region: on the fundamental-domain side of every interval
     geodesic, outside every horoball (marked cusps plus accidental ones),
-    inside the convex core (outside every limit-set gap half-plane).  Step
-    f of a geodesic is its point at i tan(pi f / 2) on the axis, and step
-    f of a horocircle its point at tan(pi (f - 1/2)) + ik in the chart
-    where its base is oo.  The returned value inflates the raw sampled
-    maximum by a 10% mesh margin; downstream uses of C0 are error bands,
-    so over-estimation is safe.
+    inside the convex core (outside every limit-set gap half-plane); a
+    sample of a side or gap geodesic is exempt from its own geodesic's
+    test.  Step f of a geodesic is its point at i tan(pi f / 2) on the
+    axis, and step f of a horocircle its point at tan(pi (f - 1/2)) + ik
+    in the chart where its base is oo.
     """
     sides = [pres.interval_of(l).geodesic() for l in pres.labels()]
     gaps = _core_gaps(pres)
@@ -549,7 +548,8 @@ def constant_c0(pres: GroupPresentation, grid: int) -> float:
 
     def keep(pt: PlanePoint, own=None) -> bool:
         return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
-                and all(g.sinh_distance(pt) <= -1e-9 for g in gaps)
+                and all(g is own or g.sinh_distance(pt) <= -1e-9
+                        for g in gaps)
                 and all(b.depth(pt) <= 1e-9 for b in balls))
 
     pts: list[PlanePoint] = []
@@ -562,9 +562,18 @@ def constant_c0(pres: GroupPresentation, grid: int) -> float:
             pt = b.point_at(math.tan(math.pi * (f - 0.5)))
             if keep(pt):
                 pts.append(pt)
+    return pts
 
+
+def constant_c0(pres: GroupPresentation, grid: int) -> float:
+    """C0: max pairwise distance over ``core_boundary_samples``.
+
+    The returned value inflates the raw sampled maximum by a 10% mesh
+    margin; downstream uses of C0 are error bands, so over-estimation is
+    safe.
+    """
     raw = 0.0
-    for p, q in itertools.combinations(pts, 2):
+    for p, q in itertools.combinations(core_boundary_samples(pres, grid), 2):
         d = hyperbolic_distance(p, q)
         if d > raw:
             raw = d

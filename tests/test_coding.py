@@ -227,9 +227,11 @@ def test_poincare_shells_split_at_exponent_one(gamma2):
     assert hi[-1] / hi[-2] < 1.0
 
 
-@pytest.mark.parametrize("max_len", [1, 2, 3, 5])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5, 6])
 def test_poincare_shells_match_word_recursion(any_group, max_len):
-    # below 3 no word is stored before the last two shells, at 3 one length
+    # up to 3 no word is stored before the last three shells, which come
+    # from suffixes of up to max_len letters; at 4 to 6 one to three
+    # lengths are stored
     ss = [0.9, 1.1]
     want = [[0.0] * max_len for _ in ss]
 
@@ -274,16 +276,26 @@ def test_poincare_shells_agree_over_symmetric_first_letters(gamma2):
             assert got == pytest.approx(want, rel=1e-14)
 
 
-def test_poincare_probe_streams_its_last_shells(gamma2):
-    # the 2.1M words of length 13 are never formed, nor the 708k of length
-    # 12 at once, and only the quarter starting with gamma2's first letter
-    # is enumerated (12.8 MB traced when all four first letters were)
+def traced_probe_peak(pres):
+    """Traced peak bytes of the probe's shells at word length 13."""
     import tracemalloc
 
     tracemalloc.start()
     try:
-        poincare_shell_sums(gamma2, [0.93, 1.03], 13)
-        peak = tracemalloc.get_traced_memory()[1]
+        poincare_shell_sums(pres, [0.93, 1.03], 13)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5e6
+
+
+def test_poincare_probe_streams_its_last_shells(gamma2):
+    # no word of the last three lengths (2.1M of length 13) is formed,
+    # and only the quarter starting with gamma2's first letter is
+    # enumerated (3.2 MB traced when the last two shells were streamed,
+    # 12.8 MB when all four first letters were enumerated)
+    assert traced_probe_peak(gamma2) <= 1.5e6
+
+
+def test_poincare_probe_streams_its_last_shells_on_one_cusp(onecusp):
+    # 12.8 MB traced when the last two shells were streamed
+    assert traced_probe_peak(onecusp) <= 5e6

@@ -13,11 +13,13 @@ from cuspwind.errors import (
 )
 from cuspwind.fuchsian import (
     CircleInterval,
+    _core_gaps,
     _limit_set_bounds,
     angle_distance,
     build_group,
     conjugate_config,
     constant_c0,
+    core_boundary_samples,
     constants_c1,
 )
 from cuspwind.mobius import (
@@ -328,6 +330,17 @@ def test_c0_monotone_and_stable(gamma2):
     c96 = constant_c0(gamma2, 96)
     assert c96 >= c48 - 1e-12  # nested grids
     assert abs(c96 - c48) <= 0.01 * c48
+
+
+def test_c0_samples_every_gap_geodesic(onecusp):
+    # the geodesics over one-cusp's 3 limit-set gaps bound the convex
+    # core, so each gives C0 samples; a gap's own samples are exempt from
+    # its gap test, which rejects the points on its geodesic
+    gaps = _core_gaps(onecusp)
+    assert len(gaps) == 3
+    pts = core_boundary_samples(onecusp, 64)
+    for gap in gaps:
+        assert any(abs(gap.sinh_distance(pt)) <= 1e-12 for pt in pts)
 
 
 # the rotations of the Cayley disc, by twice these angles, under which

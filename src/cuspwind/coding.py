@@ -23,6 +23,7 @@ from .mobius import (
     MobiusMap,
     apply_boundary,
     apply_plane,
+    boundary_from_angle,
     hyperbolic_distance,
     parabolic_power,
 )
@@ -130,7 +131,7 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     """
     cand = next(g for g in pres.labels()
                 if pres.block_admissible(symbols[-1], g))
-    x = pres.interval_of(cand).point_at(0.5)
+    x = boundary_from_angle(pres.interval_of(cand).point_at(0.5))
     for label in reversed(symbols):
         x = apply_boundary(pres.map_of(label), x)
     return x

@@ -15,11 +15,15 @@ The builder also finds the presentation's symmetries
 reflection of the circle chart, the chart in which the induced shift
 measures its weights.
 
-Boundary points are compared by their circle angles (``same_point``), so
-no point, oo included, needs a case of its own.  The geometry is that of
-:mod:`geometry`: the side of an interval is the geodesic T(i R+) with T(0)
-and T(oo) at the interval's ends, and the horoball of a cusp is its base
-p with the height k read off the parabolic's nilpotent part.
+Boundary points are circle angles (see :mod:`mobius`): arcs, their
+images under ``apply_angle``, cusps and symmetries are computed and
+compared as angles, so no point, oo included, needs a case of its own.
+The real coordinate x is read only from the config, written only by
+``conjugate_config``, and converted once per coding step
+(``letter_at``).  The geometry is that of :mod:`geometry`: the side of an
+interval is the geodesic T(i R+) with T(0) and T(oo) at the interval's
+ends, and the horoball of a cusp is its base p with the height k read
+off the parabolic's nilpotent part.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
 from .mobius import (
     MobiusMap,
     PlanePoint,
+    apply_angle,
     apply_boundary,
     boundary_angle,
     boundary_from_angle,
@@ -52,68 +57,59 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CircleInterval:
-    """Open arc of the boundary circle from lo to hi.
+    """Open arc of the boundary circle from the circle angle ``angle_lo``
+    to ``angle_lo + arc``, 0 < arc < 2 pi, built by ``between``.
 
-    The arc runs in the direction of increasing x and wraps through oo when
-    lo > hi; an infinite endpoint is the single point oo.  Coinciding
-    endpoints are invalid geometry (``GroupValidationError``).
+    Points of the arc are circle angles, taken mod 2 pi.
     """
 
-    lo: float
-    hi: float
+    angle_lo: float
+    arc: float
 
-    def __post_init__(self):
-        if abs(boundary_angle(self.lo) - boundary_angle(self.hi)) < 1e-15:
+    @staticmethod
+    def between(lo: float, hi: float) -> "CircleInterval":
+        """The arc from the circle angle lo up to hi.  Endpoints that
+        coincide to 1e-15 around the circle are invalid geometry
+        (``GroupValidationError``)."""
+        arc = (hi - lo) % TWO_PI
+        if min(arc, TWO_PI - arc) < 1e-15:
             raise GroupValidationError(
-                "interval endpoints coincide: %r" % ((self.lo, self.hi),))
+                "interval endpoints coincide: circle angles %r" % ((lo, hi),))
+        return CircleInterval(lo, arc)
 
     @property
-    def angle_lo(self) -> float:
-        return boundary_angle(self.lo)
+    def angle_hi(self) -> float:
+        return self.angle_lo + self.arc
 
-    @property
-    def arc(self) -> float:
-        a = (boundary_angle(self.hi) - boundary_angle(self.lo)) % TWO_PI
-        return a if a > 0.0 else TWO_PI
+    def offset(self, theta: float) -> float:
+        return (theta - self.angle_lo) % TWO_PI
 
-    def offset(self, x: float) -> float:
-        return (boundary_angle(x) - self.angle_lo) % TWO_PI
-
-    def offset_on_arc(self, x: float) -> float:
-        """The offset of x, where a point past the arc goes to the nearer
-        end around the circle (a point at the lower end may read
+    def offset_on_arc(self, theta: float) -> float:
+        """The offset of theta, where a point past the arc goes to the
+        nearer end around the circle (a point at the lower end may read
         2 pi - eps)."""
-        off = self.offset(x)
+        off = self.offset(theta)
         if off <= self.arc:
             return off
         return self.arc if off - self.arc < TWO_PI - off else 0.0
 
-    def contains(self, x: float) -> bool:
-        return 0.0 < self.offset(x) < self.arc
+    def contains(self, theta: float) -> bool:
+        return 0.0 < self.offset(theta) < self.arc
 
     def disjoint_from(self, other: "CircleInterval") -> bool:
-        """Disjoint interiors; shared endpoints (to 1e-12 in angle) are
-        allowed."""
+        """Disjoint interiors: each arc starts at or past the other's end,
+        to 1e-12 in angle, so shared endpoints are allowed."""
         tol = 1e-12
-        for x in (other.lo, other.hi):
-            off = self.offset(x)
-            if tol < off < self.arc - tol:
-                return False
-        for x in (self.lo, self.hi):
-            off = other.offset(x)
-            if tol < off < other.arc - tol:
-                return False
-        # rule out identical arcs / containment without endpoint hits
-        if abs(self.offset(other.lo)) <= tol and abs(self.arc - other.arc) <= tol:
-            return False
-        return not other.contains(self.point_at(0.5))
+        return (self.offset(other.angle_lo) >= self.arc - tol
+                and other.offset(self.angle_lo) >= other.arc - tol)
 
     def point_at(self, frac: float) -> float:
-        return boundary_from_angle(self.angle_lo + frac * self.arc)
+        return self.angle_lo + frac * self.arc
 
     def image(self, m: MobiusMap) -> "CircleInterval":
         """Image arc; Moebius maps preserve the circle orientation."""
-        return CircleInterval(apply_boundary(m, self.lo), apply_boundary(m, self.hi))
+        return CircleInterval.between(apply_angle(m, self.angle_lo),
+                                      apply_angle(m, self.angle_hi))
 
     def geodesic(self) -> geometry.Geodesic:
         """The side over the arc; its half-plane over the arc is where
@@ -128,7 +124,6 @@ class Generator:
     kind: str  # "parabolic" | "hyperbolic"
     map: MobiusMap
     interval: CircleInterval
-    fixed_points: tuple
 
     def is_parabolic(self) -> bool:
         return self.kind == "parabolic"
@@ -145,8 +140,7 @@ def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
     both: lambda^2 is its trace and 2 psi, for p = (cos psi, sin psi), the
     angle of (N N^T_11 - N N^T_22, 2 N N^T_12).
     """
-    s = math.copysign(1.0, gamma.trace())
-    n0, n1, n2, n3 = gamma.a - s, gamma.b, gamma.c, gamma.d - s
+    n0, n1, n2, n3 = gamma.nilpotent()
     m11, m12, m22 = n0 * n0 + n1 * n1, n0 * n2 + n1 * n3, n2 * n2 + n3 * n3
     psi = 0.5 * math.atan2(2.0 * m12, m11 - m22)
     return geometry.Horoball((math.cos(psi), math.sin(psi)),
@@ -206,8 +200,10 @@ class GroupPresentation:
         return True
 
     def letter_at(self, x: float):
+        """The label whose arc holds the real boundary point x, or None."""
+        theta = boundary_angle(x)
         for label, g in self.gens.items():
-            if g.interval.contains(x):
+            if g.interval.contains(theta):
                 return label
         return None
 
@@ -264,12 +260,9 @@ def build_group(config: dict) -> GroupPresentation:
             raise GroupValidationError(
                 "generator %r declared hyperbolic but trace^2 = %.12g"
                 % (label, tr2))
-        fixed = tuple(m.fixed_points())
-        iv = CircleInterval(*_as_endpoint_pair(entry["interval"]))
-        iv_inv = CircleInterval(*_as_endpoint_pair(entry["interval_inverse"]))
-        gens[label] = Generator(kind, m, iv, fixed)
-        gens[inv_label] = Generator(kind, m.inverse(), iv_inv,
-                                    tuple(reversed(fixed)))
+        gens[label] = Generator(kind, m, _config_arc(entry["interval"]))
+        gens[inv_label] = Generator(kind, m.inverse(),
+                                    _config_arc(entry["interval_inverse"]))
         inverse_label[label] = inv_label
         inverse_label[inv_label] = label
 
@@ -305,6 +298,12 @@ def _as_endpoint_pair(pair):
         for p in pair]
 
 
+def _config_arc(pair) -> CircleInterval:
+    """The arc between the real endpoints of a config entry."""
+    lo, hi = map(boundary_angle, _as_endpoint_pair(pair))
+    return CircleInterval.between(lo, hi)
+
+
 def _validate_intervals(gens: dict, inverse_label: dict):
     labels = list(gens)
     for l1, l2 in itertools.combinations(labels, 2):
@@ -313,14 +312,15 @@ def _validate_intervals(gens: dict, inverse_label: dict):
     # exact Markov correspondence: g^{-1}(J_g) is the complement of
     # Cl(J_{g^{-1}}), i.e. the arc from hi(J_{g^{-1}}) to lo(J_{g^{-1}}).
     for label, g in gens.items():
-        ginv = g.map.inverse()
+        img = g.interval.image(g.map.inverse())
         jinv = gens[inverse_label[label]].interval
-        img_lo = apply_boundary(ginv, g.interval.lo)
-        img_hi = apply_boundary(ginv, g.interval.hi)
-        if not (same_point(img_lo, jinv.hi) and same_point(img_hi, jinv.lo)):
+        if angle_distance(img.angle_lo, jinv.angle_hi) > ANGLE_TOL \
+                or angle_distance(img.angle_hi, jinv.angle_lo) > ANGLE_TOL:
+            ends = map(boundary_from_angle, (img.angle_lo, img.angle_hi,
+                                             jinv.angle_hi, jinv.angle_lo))
             raise NotFree(
                 "Markov covering fails for %r: image (%r, %r) vs required (%r, %r)"
-                % (label, img_lo, img_hi, jinv.hi, jinv.lo))
+                % (label, *ends))
 
 
 # Largest angle between two circle angles taken for the same boundary
@@ -339,12 +339,6 @@ def angle_distance(a: float, b: float) -> float:
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 
 
-def same_point(x: float, y: float) -> bool:
-    """Whether the boundary points x and y agree to ``ANGLE_TOL`` in
-    circle angle."""
-    return angle_distance(boundary_angle(x), boundary_angle(y)) <= ANGLE_TOL
-
-
 def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
     """Every symmetry of the presentation (``CircleSymmetry``), the
     identity first.
@@ -355,35 +349,34 @@ def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
     (perm), perm commutes with taking inverses, and R g_l = g_perm[l] R
     holds at the ``SYMMETRY_PROBES`` for every generator.
     """
-    ends = {label: (g.interval.angle_lo, g.interval.arc)
-            for label, g in gens.items()}
-    lo0, arc0 = next(iter(ends.values()))
+    j0 = next(iter(gens.values())).interval
     out = [CircleSymmetry({label: label for label in gens}, 0.0, False)]
-    for lo, arc in ends.values():
-        if angle_distance(arc, arc0) > ANGLE_TOL:
+    for j in (g.interval for g in gens.values()):
+        if angle_distance(j.arc, j0.arc) > ANGLE_TOL:
             continue
         # a reflection maps the far end of J_l0 onto the near end of J_m
-        for shift, flip in (((lo - lo0) % TWO_PI, False),
-                            ((lo + lo0 + arc0) % TWO_PI, True)):
+        for shift, flip in (((j.angle_lo - j0.angle_lo) % TWO_PI, False),
+                            ((j.angle_lo + j0.angle_hi) % TWO_PI, True)):
             if (shift, flip) == (0.0, False):
                 continue  # the identity
-            sym = _symmetry(gens, inverse_label, ends, shift, flip)
+            sym = _symmetry(gens, inverse_label, shift, flip)
             if sym is not None:
                 out.append(sym)
     return tuple(out)
 
 
-def _symmetry(gens, inverse_label, ends, shift, flip):
+def _symmetry(gens, inverse_label, shift, flip):
     """The ``CircleSymmetry`` of the isometry (shift, flip), or None when
     it is no symmetry of the presentation."""
     perm = {}
     sym = CircleSymmetry(perm, shift, flip)
-    for label, (lo, arc) in ends.items():
-        start = sym.angle(lo + arc if flip else lo)
+    for label, g in gens.items():
+        j = g.interval
+        start = sym.angle(j.angle_hi if flip else j.angle_lo)
         perm[label] = next(
-            (m for m, (lo_m, arc_m) in ends.items()
-             if angle_distance(lo_m, start) <= ANGLE_TOL
-             and angle_distance(arc_m, arc) <= ANGLE_TOL), None)
+            (m for m, h in gens.items()
+             if angle_distance(h.interval.angle_lo, start) <= ANGLE_TOL
+             and angle_distance(h.interval.arc, j.arc) <= ANGLE_TOL), None)
         if perm[label] is None:
             return None
     if any(perm[inverse_label[label]] != inverse_label[perm[label]]
@@ -392,11 +385,8 @@ def _symmetry(gens, inverse_label, ends, shift, flip):
     for label, g in gens.items():
         image = gens[perm[label]].map
         for theta in SYMMETRY_PROBES:
-            x = boundary_from_angle(theta)
-            if angle_distance(
-                    sym.angle(boundary_angle(apply_boundary(g.map, x))),
-                    boundary_angle(apply_boundary(
-                        image, boundary_from_angle(sym.angle(theta))))) \
+            if angle_distance(sym.angle(apply_angle(g.map, theta)),
+                              apply_angle(image, sym.angle(theta))) \
                     > ANGLE_TOL:
                 return None
     return sym
@@ -411,8 +401,8 @@ def _accidental_horocircles(gens, inverse_label, marked) -> list:
     is only compact once those cusps are cut too.  The fixing element is
     located by a short reduced-word search.
     """
-    ends = [boundary_angle(x) for g in gens.values()
-            for x in (g.interval.lo, g.interval.hi)]
+    ends = [theta for g in gens.values()
+            for theta in (g.interval.angle_lo, g.interval.angle_hi)]
     vertices = []
     for theta in ends:
         if all(angle_distance(theta, v) > ANGLE_TOL for v in marked + vertices) \
@@ -431,13 +421,11 @@ def _accidental_horocircles(gens, inverse_label, marked) -> list:
 def _parabolic_fixing(gens, inverse_label, theta):
     """A parabolic reduced word of at most six letters fixing the boundary
     point of circle angle theta, or None."""
-    v = boundary_from_angle(theta)
     words = [(label, gens[label].map) for label in gens]
     for _ in range(6):
         nxt = []
         for label, m in words:
-            img = boundary_angle(apply_boundary(m, v))
-            if angle_distance(img, theta) <= ANGLE_TOL \
+            if angle_distance(apply_angle(m, theta), theta) <= ANGLE_TOL \
                     and m.is_parabolic(1e-8) and not m.is_identity(1e-10):
                 return m
             for label2 in gens:
@@ -470,7 +458,8 @@ def constants_c1(pres: GroupPresentation) -> float:
         if l2 == pres.inv(l1):
             continue  # cancelling side pair
         j1, j2 = pres.interval_of(l1), pres.interval_of(l2)
-        d = geodesic_distance_between(j1.lo, j1.hi, j2.lo, j2.hi)
+        d = geodesic_distance_between(j1.angle_lo, j1.angle_hi,
+                                      j2.angle_lo, j2.angle_hi)
         best = min(best, d)
     return best
 
@@ -495,8 +484,8 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
                 jo = pres.interval_of(other)
                 olo, ohi = bounds[other]
                 for off in (olo, ohi):
-                    x = boundary_from_angle(jo.angle_lo + off)
-                    pos = jg.offset_on_arc(apply_boundary(g.map, x))
+                    pos = jg.offset_on_arc(apply_angle(g.map,
+                                                       jo.angle_lo + off))
                     lo_best = pos if lo_best is None else min(lo_best, pos)
                     hi_best = pos if hi_best is None else max(hi_best, pos)
             new[label] = (lo_best, hi_best)
@@ -505,10 +494,7 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
     for label in pres.labels():
         jg = pres.interval_of(label)
         lo, hi = bounds[label]
-        out[label] = CircleInterval(
-            boundary_from_angle(jg.angle_lo + lo),
-            boundary_from_angle(jg.angle_lo + hi),
-        )
+        out[label] = CircleInterval.between(jg.angle_lo + lo, jg.angle_lo + hi)
     return out
 
 
@@ -516,11 +502,8 @@ def _core_gaps(pres: GroupPresentation) -> list:
     """The geodesics over the gaps of the limit set; their half-planes
     over the gaps lie outside the convex core."""
     bounds = _limit_set_bounds(pres)
-    marks = []
-    for label in pres.labels():
-        b = bounds[label]
-        marks.append((boundary_angle(b.lo), boundary_angle(b.hi)))
-    marks.sort()
+    # the starts mod 2 pi put the pieces in circle order
+    marks = sorted((b.angle_lo % TWO_PI, b.angle_hi) for b in bounds.values())
     gaps = []
     for k, (lo_a, hi_a) in enumerate(marks):
         nxt_lo = marks[(k + 1) % len(marks)][0]

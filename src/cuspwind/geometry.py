@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mobius import MobiusMap, PlanePoint, apply_plane, boundary_vector
+from .mobius import (
+    MobiusMap,
+    PlanePoint,
+    apply_plane,
+    boundary_vector,
+    vector_angle,
+)
 
 # Relative tolerance of the tangency k k' (p x p')^2 = 1 of two horoballs:
 # Gamma(2)'s cusps are pairwise tangent.
@@ -122,8 +128,8 @@ class Horoball:
 
     @property
     def angle(self) -> float:
-        """Circle angle of the base, in [0, 2 pi)."""
-        return 2.0 * math.atan2(self.base[1], -self.base[0]) % (2.0 * math.pi)
+        """Circle angle of the base, in [0, 2 pi] (``vector_angle``)."""
+        return vector_angle(self.base)
 
     def depth(self, z: PlanePoint) -> float:
         """Signed distance of z from the horocircle, positive inside."""

@@ -255,9 +255,7 @@ def letter_families(pres: GroupPresentation) -> list:
     for c in labels:
         core = pres.map_of(c)
         parabolic = pres.gen(c).is_parabolic()
-        sign = 1.0 if core.trace() > 0 else -1.0
-        nil = (sign * core.a - 1.0, sign * core.b,
-               sign * core.c, sign * core.d - 1.0) if parabolic else (0.0,) * 4
+        nil = core.nilpotent() if parabolic else (0.0,) * 4
         for g1 in labels:
             if not pres.block_admissible(g1, c):
                 continue
@@ -285,7 +283,7 @@ def _core_continuation_hull(pres: GroupPresentation, c_label: str):
     # (a rounding error either way), never 2 pi - eps
     k = max(range(len(arcs)), key=lambda i: (
         (nxt[i].angle_lo - arcs[i].angle_lo) % TWO_PI - arcs[i].arc))
-    return CircleInterval(nxt[k].lo, arcs[k].hi)
+    return CircleInterval.between(nxt[k].angle_lo, arcs[k].angle_hi)
 
 
 def _bucket_ranges(cap: int) -> list:
@@ -318,7 +316,7 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
 
     def offsets_of_image(k):
         img = k_hull.image(block_element(pres, c_label, k))
-        return [j.offset_on_arc(img.lo), j.offset_on_arc(img.hi)]
+        return [j.offset_on_arc(img.angle_lo), j.offset_on_arc(img.angle_hi)]
 
     spans = []
     # a hyperbolic core has the one exponent of the first range
@@ -327,7 +325,7 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
         spans.append((min(offs), max(offs)))
     if tail and gen.is_parabolic():
         offs = offsets_of_image(ranges[-1][1] + 1)
-        offs.append(j.offset_on_arc(gen.fixed_points[0]))
+        offs.append(j.offset_on_arc(pres.horocircles[c_label].angle))
         spans.append((min(offs), max(offs)))
     return [(j.angle_lo + 0.75 * lo + 0.25 * hi,
              j.angle_lo + 0.25 * lo + 0.75 * hi) for lo, hi in spans]

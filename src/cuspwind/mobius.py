@@ -3,7 +3,13 @@
 Conventions used throughout the package:
 
 * the hyperbolic plane is the upper half-plane, its boundary the circle
-  R u {oo}; the single point at infinity is represented by ``math.inf``
+  R u {oo}; inside the package a boundary point is its circle angle under
+  the Cayley map (``boundary_angle``), or a homogeneous vector
+  (``boundary_vector``, ``vector_angle``), and Moebius maps move angles
+  (``apply_angle``),
+* the real coordinate x appears only at the edges: config endpoints, the
+  conjugated configs of ``fuchsian.conjugate_config``, error messages and
+  the Bowen-Series coding; there the point at infinity is ``math.inf``
   (``-math.inf`` is accepted on input and treated as the same point),
 * matrices are normalized to determinant one with the first numerically
   nonzero entry of (a, c) positive, so PSL(2,R) equality is plain
@@ -58,6 +64,19 @@ def boundary_vector(theta: float) -> tuple:
     # (cos phi, sin phi), with phi exactly 0 at theta = 2 pi
     phi = math.pi - 0.5 * theta
     return math.cos(phi), math.sin(phi)
+
+
+def vector_angle(v: tuple) -> float:
+    """Circle angle in [0, 2 pi] of the boundary point of the homogeneous
+    vector v: the inverse of ``boundary_vector``, up to the sign of v."""
+    return 2.0 * math.atan2(v[1], -v[0]) % (2.0 * math.pi)
+
+
+def apply_angle(m: MobiusMap, theta: float) -> float:
+    """Projective action on the boundary circle, in circle angles: the
+    angle of m u(theta), with no case for oo or the pole of m."""
+    u0, u1 = boundary_vector(theta)
+    return vector_angle((m.a * u0 + m.b * u1, m.c * u0 + m.d * u1))
 
 
 def unit_image(m: MobiusMap, theta: float) -> tuple:
@@ -126,23 +145,11 @@ class MobiusMap:
     def is_parabolic(self, tol: float = 1e-10) -> bool:
         return abs(self.trace() ** 2 - 4.0) <= tol and not self.is_identity(1e-14)
 
-    def fixed_points(self) -> list[float]:
-        """Boundary fixed points; one for parabolic, two for hyperbolic."""
-        if abs(self.c) < 1e-14:
-            # fixes infinity; second fixed point of a hyperbolic is b/(d-a)
-            if self.is_parabolic():
-                return [INF]
-            return [INF, self.b / (self.d - self.a)]
-        if self.is_parabolic():
-            return [(self.a - self.d) / (2.0 * self.c)]
-        disc = self.trace() ** 2 - 4.0
-        if disc <= 0.0:
-            raise ValueError("elliptic transformation has no boundary fixed point")
-        r = math.sqrt(disc)
-        return [
-            (self.a - self.d - r) / (2.0 * self.c),
-            (self.a - self.d + r) / (2.0 * self.c),
-        ]
+    def nilpotent(self) -> tuple:
+        """The entries (a, b, c, d) of N = M - I for the sign of the matrix
+        with trace +2; N^2 = 0 when M is parabolic."""
+        s = math.copysign(1.0, self.trace())
+        return s * self.a - 1.0, s * self.b, s * self.c, s * self.d - 1.0
 
 
 def compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
@@ -159,16 +166,12 @@ def parabolic_power(m: MobiusMap, k: int) -> MobiusMap:
     """Exact k-th power of a parabolic map via its nilpotent part.
 
     A parabolic with trace +2 satisfies (m - I)^2 = 0, hence
-    m^k = I + k (m - I).  Trace -2 representatives are sign-flipped first.
+    m^k = I + k (m - I) (``MobiusMap.nilpotent``).
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    if a + d < 0.0:
-        a, b, c, d = -a, -b, -c, -d
-    if abs(a + d - 2.0) > 1e-8:
+    if abs(abs(m.trace()) - 2.0) > 1e-8:
         raise ValueError("parabolic_power applied to a non-parabolic map")
-    return MobiusMap.from_entries(
-        1.0 + k * (a - 1.0), k * b, k * c, 1.0 + k * (d - 1.0)
-    )
+    n0, n1, n2, n3 = m.nilpotent()
+    return MobiusMap.from_entries(1.0 + k * n0, k * n1, k * n2, 1.0 + k * n3)
 
 
 def apply_boundary(m: MobiusMap, x: float) -> float:
@@ -203,16 +206,16 @@ def hyperbolic_distance(z: PlanePoint, w: PlanePoint) -> float:
 def geodesic_distance_between(u1: float, v1: float, u2: float, v2: float) -> float:
     """Distance between the complete geodesics with ideal endpoints (u1,v1), (u2,v2).
 
-    Returns 0 when the geodesics cross, touch, or share an ideal endpoint.
-    Endpoints may be oo.  With c(x, y) = |sin((theta_x - theta_y) / 2)|,
-    half the chord between the circle angles of x and y, the products
+    The endpoints are circle angles.  Returns 0 when the geodesics cross,
+    touch, or share an ideal endpoint.  With c(x, y) = |sin((x - y) / 2)|,
+    half the chord between the circle angles x and y, the products
     P1 = c(u1, u2) c(v1, v2), P2 = c(u1, v2) c(v1, u2) and
     D = c(u1, v1) c(u2, v2) satisfy Ptolemy's relation: the largest is the
     sum of the other two.  The geodesics are disjoint when that is P1 or
     P2, and then cosh d = 1 + 2 min(P1, P2) / D.
     """
     def c(x, y):
-        return abs(math.sin(0.5 * (boundary_angle(x) - boundary_angle(y))))
+        return abs(math.sin(0.5 * (x - y)))
 
     p1, p2 = c(u1, u2) * c(v1, v2), c(u1, v2) * c(v1, u2)
     d = c(u1, v1) * c(u2, v2)

@@ -11,6 +11,7 @@ endpoint behavior f -> 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ class SpectrumCurve:
 
     Samples run by decreasing ``beta_source``, the free energy parameter
     realizing each, which on a convex curve is increasing alpha; ``err_t``
-    is the bracket width of its t(beta).  ``f0``/``f1`` are f at the first
-    and last samples, the values nearest the endpoints alpha -> 0 and
-    alpha -> 1.
+    is the bracket width of its t(beta); ``alpha0`` is -t'(0), nan on a
+    grid without beta = 0.  ``f0``/``f1`` are f at the first and last
+    samples, the values nearest the endpoints alpha -> 0 and alpha -> 1.
     """
 
     alphas: np.ndarray
@@ -131,7 +132,9 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     f_s = f[order]
     betas_s = b[order]
 
+    # alpha0 = -t'(0) needs a sample at beta = 0, to the grid's rounding;
+    # the slope at the beta nearest 0 would be another beta's alpha
     k0 = int(np.argmin(np.abs(b)))
-    alpha0 = alphas[k0]
+    alpha0 = alphas[k0] if abs(b[k0]) <= 1e-9 * np.ptp(b) else math.nan
     return SpectrumCurve(alphas_s, f_s, betas_s, curve.err_t[order], alpha0,
                          float(f_s[0]), float(f_s[-1]))

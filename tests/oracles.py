@@ -44,6 +44,7 @@ from cuspwind.mobius import (
     MobiusMap,
     apply_boundary,
     apply_plane,
+    boundary_from_angle,
     compose,
     hyperbolic_distance,
     is_infinity,
@@ -87,7 +88,8 @@ def close_to(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-12) -> bool:
 def contains_interval(outer: CircleInterval, inner: CircleInterval,
                       tol: float = 1e-9) -> bool:
     """The arc ``inner`` lies in ``outer``, to ``tol`` in angle."""
-    lo_off = outer.offset(inner.lo)
+    # a start a rounding error before the outer arc's reads -eps, not 2 pi
+    lo_off = (outer.offset(inner.angle_lo) + tol) % (2.0 * math.pi) - tol
     return lo_off >= -tol and lo_off + inner.arc <= outer.arc + tol
 
 
@@ -185,8 +187,8 @@ def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
 def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> float:
     """log |V_e'|_circle at the continuation point x' = u_{m-1}(midpoint
     of J_{u_m})."""
-    x = apply_boundary(pres.map_of(e.symbols[-2]),
-                       pres.interval_of(e.symbols[-1]).point_at(0.5))
+    mid = pres.interval_of(e.symbols[-1]).point_at(0.5)
+    x = apply_boundary(pres.map_of(e.symbols[-2]), boundary_from_angle(mid))
     return math.log(circle_derivative_magnitude(branch_map(pres, e), x))
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cuspwind import geometry
 from cuspwind.errors import (
@@ -51,35 +52,80 @@ def rotated(entry_updates, base_name="gamma2-type"):
 
 # --- intervals --------------------------------------------------------------
 
+def real_arc(lo, hi):
+    """The arc between the real boundary points lo and hi."""
+    return CircleInterval.between(boundary_angle(lo), boundary_angle(hi))
+
+
 def test_interval_wrap_membership_and_midpoint():
-    j = CircleInterval(1.0, INF)  # (1, oo)
-    assert j.contains(2.0)
-    assert not j.contains(0.5)
-    assert not j.contains(1.0)
-    assert j.point_at(0.5) == pytest.approx(1.0 + math.sqrt(2.0))
-    jw = CircleInterval(INF, -1.0)  # [-oo, -1)
-    assert jw.contains(-5.0)
-    assert not jw.contains(0.0)
-    assert jw.point_at(0.5) == pytest.approx(-1.0 - math.sqrt(2.0))
+    j = real_arc(1.0, INF)  # (1, oo)
+    assert j.contains(boundary_angle(2.0))
+    assert not j.contains(boundary_angle(0.5))
+    assert not j.contains(boundary_angle(1.0))
+    assert boundary_from_angle(j.point_at(0.5)) == pytest.approx(
+        1.0 + math.sqrt(2.0))
+    jw = real_arc(INF, -1.0)  # [-oo, -1)
+    assert jw.contains(boundary_angle(-5.0))
+    assert not jw.contains(boundary_angle(0.0))
+    assert boundary_from_angle(jw.point_at(0.5)) == pytest.approx(
+        -1.0 - math.sqrt(2.0))
 
 
 def test_offset_on_arc_sends_a_point_past_the_arc_to_the_nearer_end():
-    j = CircleInterval(0.0, 1.0)
-    assert j.offset_on_arc(0.5) == j.offset(0.5)
-    assert j.offset_on_arc(1.0 + 1e-6) == j.arc
+    j = real_arc(0.0, 1.0)
+
+    def offset_on_arc(x):
+        return j.offset_on_arc(boundary_angle(x))
+
+    assert offset_on_arc(0.5) == j.offset(boundary_angle(0.5))
+    assert offset_on_arc(1.0 + 1e-6) == j.arc
     # just below lo the offset reads 2 pi - eps
-    assert j.offset(-1e-6) > math.pi
-    assert j.offset_on_arc(-1e-6) == 0.0
-    assert j.offset_on_arc(-0.5) == 0.0
-    assert j.offset_on_arc(5.0) == j.arc
+    assert j.offset(boundary_angle(-1e-6)) > math.pi
+    assert offset_on_arc(-1e-6) == 0.0
+    assert offset_on_arc(-0.5) == 0.0
+    assert offset_on_arc(5.0) == j.arc
 
 
 def test_interval_disjointness_allows_touching():
-    j1 = CircleInterval(0.0, 1.0)
-    j2 = CircleInterval(1.0, INF)
-    j3 = CircleInterval(0.5, 2.0)
+    j1 = real_arc(0.0, 1.0)
+    j2 = real_arc(1.0, INF)
+    j3 = real_arc(0.5, 2.0)
     assert j1.disjoint_from(j2)
     assert not j1.disjoint_from(j3)
+
+
+@pytest.mark.parametrize("lo", [1e17, -1e17])
+def test_endpoints_coinciding_across_infinity_are_rejected(lo):
+    # +-1e17 lies 2e-17 rad from oo on either side; the arc to oo is
+    # degenerate whichever side the rounding puts it
+    with pytest.raises(GroupValidationError):
+        real_arc(lo, INF)
+    with pytest.raises(GroupValidationError):
+        real_arc(INF, lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo1=st.floats(0.0, 2.0 * math.pi), arc1=st.floats(0.01, 6.2),
+       lo2=st.floats(0.0, 2.0 * math.pi), arc2=st.floats(0.01, 6.2),
+       touch=st.sampled_from([None, "after", "before"]))
+def test_disjointness_against_sampled_points(lo1, arc1, lo2, arc2, touch):
+    # disjoint_from agrees with sampling both arcs' interiors, on a grid
+    # and 1e-6 of the arc from each end; arcs that touch at one end are
+    # disjoint exactly when the rest of the circle holds the other arc.
+    # An end lies on the other's start or 1e-4 or more away from it, where
+    # the samples next to the ends see any overlap
+    if touch == "after":
+        lo2 = lo1 + arc1
+    elif touch == "before":
+        lo2 = lo1 - arc2
+    for gap in (lo2 - lo1 - arc1, lo1 - lo2 - arc2):
+        assume(not 1e-12 <= angle_distance(gap, 0.0) <= 1e-4)
+    j1 = CircleInterval.between(lo1, lo1 + arc1)
+    j2 = CircleInterval.between(lo2, lo2 + arc2)
+    fracs = [1e-6, 1.0 - 1e-6] + [(k + 0.5) / 400 for k in range(400)]
+    overlap = any(j1.contains(j2.point_at(f)) for f in fracs) \
+        or any(j2.contains(j1.point_at(f)) for f in fracs)
+    assert j1.disjoint_from(j2) == j2.disjoint_from(j1) == (not overlap)
 
 
 # --- build_group ------------------------------------------------------------
@@ -305,7 +351,8 @@ def test_side_distance_against_sampled_minimum(onecusp):
     # on both sides, minimize, refine the mesh
     ja = onecusp.interval_of("a")
     jh = onecusp.interval_of("h")
-    exact = geodesic_distance_between(ja.lo, ja.hi, jh.lo, jh.hi)
+    exact = geodesic_distance_between(ja.angle_lo, ja.angle_hi,
+                                      jh.angle_lo, jh.angle_hi)
 
     from cuspwind.mobius import hyperbolic_distance
 
@@ -440,8 +487,8 @@ def check_symmetries(pres):
     for sym in pres.symmetries:
         for label in pres.labels():
             image = pres.interval_of(sym.perm[label])
-            mid = boundary_angle(pres.interval_of(label).point_at(0.5))
-            assert image.contains(boundary_from_angle(sym.angle(mid)))
+            mid = pres.interval_of(label).point_at(0.5)
+            assert image.contains(sym.angle(mid))
             assert sym.perm[pres.inv(label)] == pres.inv(sym.perm[label])
             for theta in (0.4, 2.2, 4.1, 6.0):
                 x = boundary_from_angle(theta)

@@ -441,3 +441,49 @@ def test_geometry_has_no_euclidean_cases():
     # the point oo and no circle/vertical-line kind
     source = (PACKAGE / "geometry.py").read_text(encoding="utf-8")
     assert euclidean_cases(source) == []
+
+
+REAL_LINE = ("boundary_angle", "boundary_from_angle", "apply_boundary")
+
+
+def real_line_uses(source: str) -> list:
+    """(outermost enclosing class or function, or "<module>", name) of
+    each use of a name in ``REAL_LINE``, by name or as an attribute;
+    imports do not count."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, child.name if scope == "<module>" else scope)
+                continue
+            name = child.id if isinstance(child, ast.Name) else \
+                child.attr if isinstance(child, ast.Attribute) else None
+            if name in REAL_LINE:
+                found.append((scope, name))
+            walk(child, scope)
+
+    walk(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_real_line_use_detector():
+    src = ("from .mobius import apply_boundary, boundary_angle\n"
+           "class Arc:\n    def f(self, x):\n"
+           "        return boundary_angle(x)\n"
+           "def g(m, x):\n    return mobius.apply_boundary(m, x)\n"
+           "y = boundary_from_angle(1.0)\n")
+    assert real_line_uses(src) == [
+        ("<module>", "boundary_from_angle"), ("Arc", "boundary_angle"),
+        ("g", "apply_boundary")]
+
+
+def test_presentation_arcs_stay_in_circle_angles():
+    # arcs are built, moved and compared as circle angles: no real
+    # coordinate inside CircleInterval, and the real action on the
+    # boundary only where conjugate_config writes a config
+    uses = real_line_uses((PACKAGE / "fuchsian.py").read_text(
+        encoding="utf-8"))
+    assert [u for u in uses if u[0] == "CircleInterval"] == []
+    assert {scope for scope, name in uses if name == "apply_boundary"} \
+        == {"conjugate_config"}

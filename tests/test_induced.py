@@ -11,7 +11,12 @@ from cuspwind.induced import (
     letters_of_blocks,
     primitivity_witness,
 )
-from cuspwind.fuchsian import build_group, conjugate_config, constants_c1
+from cuspwind.fuchsian import (
+    angle_distance,
+    build_group,
+    conjugate_config,
+    constants_c1,
+)
 from cuspwind.mobius import (
     MobiusMap,
     apply_boundary,
@@ -172,8 +177,9 @@ def test_core_continuation_hull(chart):
             arcs = [pres.interval_of(g) for g in pres.labels()
                     if pres.block_admissible(c, g)]
             assert all(contains_interval(hull, j, tol=1e-12) for j in arcs)
-            ends = [x for j in arcs for x in (j.lo, j.hi)]
-            assert hull.lo in ends and hull.hi in ends
+            ends = [a for j in arcs for a in (j.angle_lo, j.angle_hi)]
+            assert all(min(angle_distance(a, e) for e in ends) <= 1e-12
+                       for a in (hull.angle_lo, hull.angle_hi))
             assert not hull.contains(
                 pres.interval_of(pres.inv(c)).point_at(0.5))
 

@@ -7,14 +7,17 @@ from scipy.integrate import quad
 from cuspwind.mobius import (
     MobiusMap,
     PlanePoint,
+    apply_angle,
     apply_boundary,
     apply_plane,
     boundary_angle,
     boundary_from_angle,
+    boundary_vector,
     compose,
     geodesic_distance_between,
     hyperbolic_distance,
     parabolic_power,
+    vector_angle,
 )
 from oracles import (
     DegenerateArc,
@@ -182,14 +185,23 @@ def test_boundary_angle_roundtrip_and_monotonicity():
         assert boundary_from_angle(boundary_angle(x)) == pytest.approx(x, abs=1e-9)
 
 
+def angle_geodesic_distance(*xs):
+    """``geodesic_distance_between`` of the real endpoints xs."""
+    return geodesic_distance_between(*map(boundary_angle, xs))
+
+
 def test_geodesic_distance_between_known_value():
     # imaginary axis vs semicircle over (1, 4): cosh d = 2.5/1.5
-    d = geodesic_distance_between(0.0, INF, 1.0, 4.0)
+    d = angle_geodesic_distance(0.0, INF, 1.0, 4.0)
     assert d == pytest.approx(math.acosh(2.5 / 1.5), rel=1e-12)
     # shared ideal endpoint -> asymptotic, distance zero
-    assert geodesic_distance_between(0.0, 1.0, 1.0, 2.0) == 0.0
+    assert angle_geodesic_distance(0.0, 1.0, 1.0, 2.0) == 0.0
     # crossing geodesics
-    assert geodesic_distance_between(-1.0, 1.0, 0.0, 5.0) == 0.0
+    assert angle_geodesic_distance(-1.0, 1.0, 0.0, 5.0) == 0.0
+    # an endpoint read as 2 pi + theta is the same point
+    assert geodesic_distance_between(
+        math.pi, 2.0 * math.pi, boundary_angle(1.0) + 2.0 * math.pi,
+        boundary_angle(4.0)) == pytest.approx(d, rel=1e-12)
 
 
 def test_geodesic_distance_matches_the_plane_cross_ratio():
@@ -200,23 +212,54 @@ def test_geodesic_distance_matches_the_plane_cross_ratio():
     for _ in range(500):
         a, b, c, d = np.sort(rng.uniform(-5.0, 5.0, size=4))
         want = math.acosh(1.0 + 2.0 * (d - a) * (c - b) / ((b - a) * (d - c)))
-        assert geodesic_distance_between(a, b, c, d) == pytest.approx(
+        assert angle_geodesic_distance(a, b, c, d) == pytest.approx(
             want, rel=1e-10)
         m = random_map(rng)
         assert geodesic_distance_between(
-            *(apply_boundary(m, x) for x in (a, b, c, d))) == pytest.approx(
-                want, rel=1e-10)
+            *(apply_angle(m, boundary_angle(x)) for x in (a, b, c, d))) \
+            == pytest.approx(want, rel=1e-10)
 
 
-def test_fixed_points_classification():
-    t = MobiusMap.from_entries(1.0, 2.0, 0.0, 1.0)
-    assert t.is_parabolic()
-    assert t.fixed_points() == [INF]
-    g = MobiusMap.from_entries(1, 0, 2, 1)
-    assert g.is_parabolic()
-    assert g.fixed_points()[0] == pytest.approx(0.0)
-    ab = compose(t, g)
-    assert ab.trace() ** 2 > 4.0
-    fp = sorted(ab.fixed_points())
-    assert fp[0] == pytest.approx(1.0 - math.sqrt(2.0))
-    assert fp[1] == pytest.approx(1.0 + math.sqrt(2.0))
+
+def test_apply_angle_is_the_boundary_action_in_angles():
+    # apply_angle(m, angle(x)) = angle(m(x)) mod 2 pi at random points,
+    # at oo and at the pole -d/c, which m sends to oo
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m = random_map(rng)
+        xs = [INF, -m.d / m.c, *rng.uniform(-10.0, 10.0, size=4)]
+        for x in xs:
+            got = apply_angle(m, boundary_angle(x))
+            want = boundary_angle(apply_boundary(m, x))
+            assert 0.0 <= got <= 2.0 * math.pi
+            assert abs((got - want + math.pi) % (2.0 * math.pi) - math.pi) \
+                <= 1e-9
+    # the translation z + 1 fixes oo, which vector_angle reads as 0
+    t = MobiusMap.from_entries(1.0, 1.0, 0.0, 1.0)
+    assert apply_angle(t, 2.0 * math.pi) == 0.0
+    assert apply_angle(t, boundary_angle(0.0)) == pytest.approx(
+        boundary_angle(1.0), abs=1e-15)
+
+
+def test_vector_angle_inverts_boundary_vector():
+    for theta in np.linspace(0.0, 2.0 * math.pi, 17)[:-1]:
+        v = boundary_vector(theta)
+        assert vector_angle(v) == pytest.approx(theta, abs=1e-15)
+        assert vector_angle((-v[0], -v[1])) == pytest.approx(theta, abs=1e-15)
+
+
+def test_nilpotent_part_squares_to_zero_for_either_sign():
+    # the trace -2 representative of z / (4z + 1) has the same N as the
+    # trace +2 one, bit for bit
+    pos = MobiusMap(1.0, 0.0, 4.0, 1.0)
+    neg = MobiusMap(-1.0, -0.0, -4.0, -1.0)
+    assert pos.nilpotent() == neg.nilpotent() == (0.0, 0.0, 4.0, 0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        m = random_map(rng)
+        p = compose(compose(m, pos), m.inverse())
+        n0, n1, n2, n3 = p.nilpotent()
+        scale = max(map(abs, (n0, n1, n2, n3)))
+        for entry in (n0 * n0 + n1 * n2, n0 * n1 + n1 * n3,
+                      n2 * n0 + n3 * n2, n2 * n1 + n3 * n3):
+            assert abs(entry) <= 1e-9 * scale * scale

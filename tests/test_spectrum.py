@@ -194,3 +194,19 @@ def test_monotone_refinement(onecusp):
     change_coarse = np.abs(f2 - f4).max()
     change_fine = np.abs(f1 - f2).max()
     assert change_fine <= change_coarse + 1e-9
+
+
+def test_alpha0_is_the_slope_at_beta_zero_or_nan():
+    # t = log(e^-beta + 1) - log 2 + 1/2 has -t'(beta) = 1 / (1 + e^beta),
+    # 1/2 at beta = 0; a grid without beta = 0 has no alpha0, while the
+    # beta nearest 0 there (-6.67) has alpha 0.9987
+    def fn(b):
+        return math.log1p(math.exp(-b)) - math.log(2.0) + 0.5
+
+    spec = sp.spectrum(synthetic_curve(np.linspace(-20.0, 20.0, 33), fn))
+    assert spec.alpha0 == pytest.approx(0.5, abs=1e-4)
+    # here the node at 0 reads 1.7e-16, the grid's rounding
+    rounded = synthetic_curve(np.linspace(-0.3, 0.1, 5) * 3.0, fn)
+    assert sp.spectrum(rounded).alpha0 == pytest.approx(0.5, abs=1e-2)
+    assert math.isnan(sp.spectrum(
+        synthetic_curve(np.linspace(-20.0, 20.0, 4), fn)).alpha0)

@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         if args.command == "delta":
             return cmd_delta(cfg)
         raise ConfigError("unknown command %r" % args.command)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2

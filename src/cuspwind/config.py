@@ -55,6 +55,8 @@ class RunConfig:
             raise ConfigError("beta_min and beta_max must be finite")
         if self.beta_steps < 1:
             raise ConfigError("beta_steps must be at least 1")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("out_format must be \"csv\" or \"json\", got %r"
                               % (self.out_format,))
@@ -170,8 +172,15 @@ def _numbers(value, n: int) -> bool:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse the config file at ``path``; a file that cannot be opened or
+    is not UTF-8 is a ConfigError like a malformed one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config %r: %s" % (
+            path, getattr(exc, "strerror", None) or exc)) from None
+    return parse_config_text(text)
 
 
 def config_from_preset(name: str) -> RunConfig:

@@ -6,8 +6,6 @@ fixed-precision formatting and no timestamps or randomness enter.
 
 from __future__ import annotations
 
-import html
-
 import numpy as np
 
 W, H = 960, 430
@@ -18,6 +16,12 @@ MARGIN_T = 50
 
 def _fmt(x: float) -> str:
     return "%.3f" % x
+
+
+def _escape(text: str) -> str:
+    """``html.escape(text, quote=False)``: ``&`` first, then ``<`` and
+    ``>``; the ``html`` package costs every command 0.46 MB resident."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Panel:
@@ -87,7 +91,7 @@ def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
              '<rect width="%d" height="%d" fill="white"/>' % (W, H)]
     if title:
         parts.append('<text x="%d" y="24" font-size="15" text-anchor="middle">'
-                     '%s</text>' % (W // 2, html.escape(title, quote=False)))
+                     '%s</text>' % (W // 2, _escape(title)))
 
     # left panel: t(beta)
     bs, ts = curve.betas, curve.t

@@ -117,24 +117,23 @@ def _local_slope(x, y, k):
 def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     """Parametric spectrum f(alpha(beta)) = t(beta) + beta alpha(beta).
 
-    Requires convexity of the sampled curve (NotConvex otherwise); the
-    stronger free-energy invariants (strict decrease, domain bound) are
-    validated where the curve is produced, so synthetic convex curves can
-    be transformed too.
+    Requires strictly increasing betas, as ``free_energy_curve`` returns
+    them (InvalidCurve otherwise), and convexity of the sampled curve
+    (NotConvex otherwise); the stronger free-energy invariants (strict
+    decrease, domain bound) are validated where the curve is produced, so
+    synthetic convex curves can be transformed too.
     """
-    check_convex(curve.t, curve.betas)
     b = curve.betas
+    if not np.all(np.diff(b) > 0.0):
+        raise InvalidCurve("betas must be strictly increasing")
+    check_convex(curve.t, b)
     alphas, f = _alpha_f(curve)
     f = np.maximum(f, 0.0)
-
-    order = np.argsort(-b)
-    alphas_s = alphas[order]
-    f_s = f[order]
-    betas_s = b[order]
 
     # alpha0 = -t'(0) needs a sample at beta = 0, to the grid's rounding;
     # the slope at the beta nearest 0 would be another beta's alpha
     k0 = int(np.argmin(np.abs(b)))
     alpha0 = alphas[k0] if abs(b[k0]) <= 1e-9 * np.ptp(b) else math.nan
-    return SpectrumCurve(alphas_s, f_s, betas_s, curve.err_t[order], alpha0,
-                         float(f_s[0]), float(f_s[-1]))
+    # rows by decreasing beta: the increasing grid reversed
+    return SpectrumCurve(alphas[::-1], f[::-1], b[::-1], curve.err_t[::-1],
+                         alpha0, float(f[-1]), float(f[0]))

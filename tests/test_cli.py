@@ -153,7 +153,30 @@ def test_cli_missing_config_exit_2(capsys):
     assert obj["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("cap", ["1" + "0" * 400, str(MAX_CAP + 1)])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_cli_unreadable_config_exit_2(kind, tmp_path, capsys):
+    # a config file that cannot be read is a configuration error, like a
+    # malformed one, never a bare OSError or UnicodeDecodeError
+    path = tmp_path / "c.cw"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(GAMMA2_TEXT.replace("gamma2-from-file", "g\xe9")
+                         .encode("latin-1"))
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    obj = json.loads(capsys.readouterr().err)
+    assert obj["error"] == "ConfigError"
+    assert str(path) in obj["message"]
+
+
+def test_cli_empty_out_dir_exit_2(tmp_path, capsys):
+    assert cli.main(["delta", "--preset", "gamma2-type", "--cap", "10",
+                     "--out", ""]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "out_dir must not be empty"}
+
+
+@pytest.mark.parametrize("cap",["1" + "0" * 400, str(MAX_CAP + 1)])
 def test_cli_cap_beyond_the_bound_exit_2(cap, monkeypatch, tmp_path, capsys):
     # rejected as a configuration error before any system is built, from a
     # config file and from --cap alike

@@ -4,8 +4,9 @@ package is reached from the command line, every method is named as an
 attribute in the package or in ``perfbench/`` outside its own body, every
 upper-case module-level constant is loaded there, every dataclass field
 is read there as an attribute, no function of the package sets an
-attribute of one of its own parameters, and importing the command line
-loads no scipy.  The tests do not count as users: a member only they read
+attribute of one of its own parameters, importing the command line
+loads no scipy or html, and every name ``perfbench/child.py`` wraps
+exists.  The tests do not count as users: a member only they read
 belongs in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -22,6 +23,8 @@ that shares its name with a read attribute of another class (``cap``,
 """
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -392,21 +395,80 @@ def test_no_function_sets_attributes_of_its_parameters():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: at run time scipy.optimize alone
-    # adds ~50 MB of resident memory to every command, and numpy.ma (which
-    # np.setdiff1d and its kin import) 1.25 MB; neither the import nor a
-    # one-cusp spectrum loads them
+    # adds ~50 MB of resident memory to every command, numpy.ma (which
+    # np.setdiff1d and its kin import) 1.25 MB, and html with html.entities
+    # 0.46 MB (the SVG title is escaped by hand); neither the import nor a
+    # one-cusp spectrum nor a delta run loads them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] == "
-              "'scipy' or (m + '.').startswith('numpy.ma.')))")
-    for run in ("", "cuspwind.cli.main(sys.argv[1:])\n"):
+    loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('scipy', 'html') or (m + '.').startswith('numpy.ma.')))")
+    run = "cuspwind.cli.main(sys.argv[1:])\n"
+    for code, command in (
+            ("", "spectrum"), (run, "spectrum"), (run, "delta")):
         out = subprocess.run(
-            [sys.executable, "-c", "import sys, cuspwind.cli\n" + run + loaded,
-             "spectrum", "--preset", "one-cusp-one-hyperbolic", "--cap", "60",
+            [sys.executable, "-c", "import sys, cuspwind.cli\n" + code + loaded,
+             command, "--preset", "one-cusp-one-hyperbolic", "--cap", "60",
              "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "spectrum.csv").exists()
+    assert (tmp_path / "delta.json").exists()
+
+
+def wrapped_names(source: str) -> list:
+    """(module, attribute) of each ``x.wrap(module, attr, ...)`` call in
+    ``source``, the module resolved through the imports there and the
+    attribute a string, or a loop variable over a tuple of strings."""
+    tree = ast.parse(source)
+    modules, loops = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules.update((a.asname or a.name, node.module + "." + a.name)
+                           for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and isinstance(node.iter, ast.Tuple):
+            loops[node.target.id] = [e.value for e in node.iter.elts]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "wrap":
+            module, attr = node.args[:2]
+            attrs = loops[attr.id] if isinstance(attr, ast.Name) \
+                else [attr.value]
+            found.update((modules[module.id], a) for a in attrs)
+    return sorted(found)
+
+
+def test_wrapped_name_detector():
+    src = ("from cuspwind import cli\nimport cuspwind.gdms as g\n"
+           "def install(t):\n    t.wrap(cli, 'main', 'cli.main')\n"
+           "    t.wrap(g, 'pressure')\n"
+           "    for w in ('a', 'b'):\n        t.wrap(cli, w, 'cli.w')\n")
+    assert wrapped_names(src) == [
+        ("cuspwind.cli", "a"), ("cuspwind.cli", "b"),
+        ("cuspwind.cli", "main"), ("cuspwind.gdms", "pressure")]
+
+
+def test_perfbench_names_exist():
+    # perfbench/child.py lists a name it cannot find as missing and goes on,
+    # so a renamed or dropped name would only show as a null metric
+    source = (PERFBENCH / "child.py").read_text(encoding="utf-8")
+    names = wrapped_names(source)
+    assert {("cuspwind.cli", "emit_figure"), ("cuspwind.cli", "write_csv"),
+            ("cuspwind.spectrum", "spectrum")} <= set(names)
+    absent = ["%s.%s" % (mod, attr) for mod, attr in names
+              if not hasattr(importlib.import_module(mod), attr)]
+    assert not absent, "names perfbench wraps are gone: " + ", ".join(absent)
+    # its _solve_info reads a solve's beta as args[1]
+    from cuspwind import gdms
+
+    params = list(inspect.signature(gdms.free_energy).parameters.values())
+    assert params[1].name == "beta"
+    assert params[1].kind in (params[1].POSITIONAL_ONLY,
+                              params[1].POSITIONAL_OR_KEYWORD)
 
 
 def euclidean_cases(source: str) -> list:

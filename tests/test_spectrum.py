@@ -5,6 +5,7 @@ import pytest
 
 from cuspwind import gdms
 from cuspwind import spectrum as sp
+from cuspwind.config import RunConfig
 from cuspwind.errors import InvalidCurve, NotConvex
 from cuspwind.gdms import FreeEnergyCurve
 from cuspwind.induced import fuchsian_system
@@ -111,6 +112,28 @@ def test_spectrum_rows_follow_decreasing_beta():
     assert np.all(np.abs(right) <= 1e-14)
     assert list(spec.beta_source) == list(betas[::-1])
     assert spec.alphas[-1] == 1.0
+
+
+@pytest.mark.parametrize("betas", [
+    np.linspace(5.0, -5.0, 21),
+    np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0]),
+], ids=["descending", "repeated"])
+def test_spectrum_rejects_betas_not_strictly_increasing(betas):
+    # rows run by decreasing beta because the increasing grid is reversed,
+    # never sorted: any other grid is refused, convex as its t may be
+    curve = synthetic_curve(betas, lambda b: math.sqrt(1.0 + b * b))
+    with pytest.raises(InvalidCurve, match="strictly increasing"):
+        sp.spectrum(curve)
+
+
+def test_spectrum_rows_on_the_default_grid(onecusp):
+    betas = RunConfig().betas()
+    curve = gdms.free_energy_curve(fuchsian_system(onecusp, 60), betas)
+    spec = sp.spectrum(curve)
+    assert list(spec.beta_source) == sorted(betas, reverse=True)
+    assert list(spec.err_t) == list(curve.err_t[::-1])
+    assert (spec.f0, spec.f1) == (spec.f[0], spec.f[-1])
+    assert spec.validate()
 
 
 def test_validate_rejects_alpha_below_zero():

@@ -85,42 +85,32 @@ def bowen_series_step(pres: GroupPresentation, x: float):
 def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
     """First n_blocks blocks of the coding of x.
 
-    A parabolic run only closes once a different letter shows up, so the
-    orbit is advanced one letter past the last requested block.
+    A hyperbolic run closes at once, a parabolic one only once a different
+    letter shows up, so the orbit is advanced one letter past the last
+    requested block.
     """
-    if n_blocks == 0:
-        return BlockWord(())
-    blocks = []
-    run_label = None
-    run_len = 0
+    runs = []  # [label, run length]; the last is open while parabolic
     y = x
-    guard = 0
+    steps = 0
     while True:
-        guard += 1
-        if guard > 200 * (n_blocks + 2) + 10_000:
+        closed = len(runs)
+        if runs and pres.gen(runs[-1][0]).is_parabolic():
+            closed -= 1
+        if closed >= n_blocks:
+            return BlockWord(tuple(map(tuple, runs[:n_blocks])))
+        steps += 1
+        if steps > 200 * (n_blocks + 2) + 10_000:
             raise CodingStalled("coding did not close %d blocks" % n_blocks)
         try:
-            y_next, label = bowen_series_step(pres, y)
+            y, label = bowen_series_step(pres, y)
         except OutsideAllIntervals as exc:
             raise CodingStalled(
-                "orbit left the coding domain after %d blocks" % len(blocks)
+                "orbit left the coding domain after %d blocks" % closed
             ) from exc
-        if run_label is None:
-            run_label, run_len = label, 1
-        elif label == run_label and pres.gen(label).is_parabolic():
-            run_len += 1
+        if runs and label == runs[-1][0] and pres.gen(label).is_parabolic():
+            runs[-1][1] += 1
         else:
-            blocks.append((run_label, run_len))
-            if len(blocks) == n_blocks:
-                return BlockWord(tuple(blocks))
-            run_label, run_len = label, 1
-        if not pres.gen(run_label).is_parabolic():
-            blocks.append((run_label, run_len))
-            if len(blocks) == n_blocks:
-                return BlockWord(tuple(blocks))
-            run_label = None
-            run_len = 0
-        y = y_next
+            runs.append([label, 1])
 
 
 def point_from_symbols(pres: GroupPresentation, symbols) -> float:
@@ -190,8 +180,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         else:
             raise GeodesicMissesHorocircle(
                 "geodesic misses the %s of block %d (%r^%d)"
-                % ("side" if exp == 1 else "horoball", k, label, exp),
-                block_index=k)
+                % ("side" if exp == 1 else "horoball", k, label, exp))
 
         lengths.append(hyperbolic_distance(prev, pt))
         binv = elements[k - 1].inverse()

@@ -40,13 +40,9 @@ class CodingStalled(CuspwindError):
 class GeodesicMissesHorocircle(CuspwindError):
     """Arc decomposition could not locate a feature crossing.
 
-    Signals an invalid presentation or a too-short prefix; the offending
-    block index is carried in ``block_index``.
+    Signals an invalid presentation or a too-short prefix; the message
+    names the offending block.
     """
-
-    def __init__(self, message, block_index=None):
-        super().__init__(message)
-        self.block_index = block_index
 
 
 # --- gdms -----------------------------------------------------------------

@@ -82,8 +82,9 @@ def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
     """Two-panel SVG: free energy t(beta) left, spectrum f(alpha) right.
 
     The left panel marks the asymptote t = 1/2 - beta and the horizontal
-    level delta_c; the right panel marks (0, delta_c) and (1, 1/2) and the
-    interior maximum at height t(0).
+    level delta_c; the right panel marks (0, delta_c) and (1, 1/2) and, on
+    a grid with a beta = 0 sample (finite ``alpha0``), the interior
+    maximum at height t(0).
     """
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -119,10 +120,11 @@ def emit_figure(curve, spec, delta_c: float, title: str = "") -> str:
                    [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
     parts.append(_polyline(right, spec.alphas, spec.f,
                            'stroke="black" stroke-width="1.6"'))
-    fmax = float(spec.f.max())
-    amax = float(spec.alphas[int(np.argmax(spec.f))])
-    for mx, my, label in ((amax, fmax, "t(0)"), (0.0, delta_c, "delta_c"),
-                          (1.0, 0.5, "1/2")):
+    marks = ((0.0, delta_c, "delta_c"), (1.0, 0.5, "1/2"))
+    if np.isfinite(spec.alpha0):
+        k = int(np.argmax(spec.f))
+        marks = ((float(spec.alphas[k]), float(spec.f[k]), "t(0)"),) + marks
+    for mx, my, label in marks:
         parts.append('<circle cx="%s" cy="%s" r="3" fill="black"/>'
                      % (_fmt(right.px(mx)), _fmt(right.py(my))))
         parts.append('<text x="%s" y="%s" font-size="11">%s</text>'

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .mobius import (
     MobiusMap,
-    PlanePoint,
     apply_angle,
     apply_boundary,
     boundary_angle,
@@ -236,6 +235,10 @@ def build_group(config: dict) -> GroupPresentation:
         if label == inv_label:
             raise GroupValidationError(
                 "generator %r needs a distinct inverse label" % (label,))
+        for used in (label, inv_label):
+            if used in gens:
+                raise GroupValidationError(
+                    "label %r is used by two generators" % (used,))
         mat = entry["matrix"]
         det = mat[0] * mat[3] - mat[1] * mat[2]
         if abs(det - 1.0) > 1e-6:
@@ -529,13 +532,13 @@ def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
     gaps = _core_gaps(pres)
     balls = pres.all_horoballs()
 
-    def keep(pt: PlanePoint, own=None) -> bool:
+    def keep(pt: complex, own=None) -> bool:
         return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
                 and all(g is own or g.sinh_distance(pt) <= -1e-9
                         for g in gaps)
                 and all(b.depth(pt) <= 1e-9 for b in balls))
 
-    pts: list[PlanePoint] = []
+    pts: list[complex] = []
     for f in (k / grid for k in range(1, grid)):
         for g in sides + gaps:
             pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))

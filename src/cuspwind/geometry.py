@@ -22,13 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .mobius import (
-    MobiusMap,
-    PlanePoint,
-    apply_plane,
-    boundary_vector,
-    vector_angle,
-)
+from .mobius import MobiusMap, apply_plane, boundary_vector, vector_angle
 
 # Relative tolerance of the tangency k k' (p x p')^2 = 1 of two horoballs:
 # Gamma(2)'s cusps are pairwise tangent.
@@ -61,34 +55,34 @@ class Geodesic:
         return Geodesic(MobiusMap.from_entries(hi[0], lo[0], hi[1], lo[1]))
 
     @staticmethod
-    def through(z: PlanePoint, w: PlanePoint) -> "Geodesic":
+    def through(z: complex, w: complex) -> "Geodesic":
         """The geodesic from z through w, with T(i) = z, so that the
         parameter of w is the distance d(z, w)."""
-        s = math.sqrt(z.y)
-        # u + iv is w seen from z: the image of w under x + iy -> (x - z.x + iy) / z.y
-        u, v = (w.x - z.x) / z.y, w.y / z.y
+        s = math.sqrt(z.imag)
+        # u + iv is w seen from z: its image under w -> (w - Re z) / Im z
+        u, v = (w.real - z.real) / z.imag, w.imag / z.imag
         # the rotation about i by phi turns the Cayley disc by 2 phi; it
         # takes the axis point of height e^d to u + iv
         phi = 0.5 * math.atan2(-2.0 * u, u * u + v * v - 1.0)
         c, r = math.cos(phi), math.sin(phi)
         return Geodesic(MobiusMap.from_entries(
-            s * c - z.x * r / s, s * r + z.x * c / s, -r / s, c / s))
+            s * c - z.real * r / s, s * r + z.real * c / s, -r / s, c / s))
 
     @cached_property
     def _inverse(self) -> MobiusMap:
         return self.axis.inverse()
 
-    def param(self, z: PlanePoint) -> float:
-        return math.log(apply_plane(self._inverse, z).y)
+    def param(self, z: complex) -> float:
+        return math.log(apply_plane(self._inverse, z).imag)
 
-    def point_at(self, s: float) -> PlanePoint:
-        return apply_plane(self.axis, PlanePoint(0.0, math.exp(s)))
+    def point_at(self, s: float) -> complex:
+        return apply_plane(self.axis, complex(0.0, math.exp(s)))
 
-    def sinh_distance(self, z: PlanePoint) -> float:
+    def sinh_distance(self, z: complex) -> float:
         """sinh of the signed distance of z from the geodesic, positive on
         the half-plane Re T^-1 z > 0."""
         w = apply_plane(self._inverse, z)
-        return w.x / w.y
+        return w.real / w.imag
 
     def crossings(self, other: "Geodesic") -> list:
         """The parameter of the crossing with another geodesic, if any: its
@@ -131,18 +125,18 @@ class Horoball:
         """Circle angle of the base, in [0, 2 pi] (``vector_angle``)."""
         return vector_angle(self.base)
 
-    def depth(self, z: PlanePoint) -> float:
+    def depth(self, z: complex) -> float:
         """Signed distance of z from the horocircle, positive inside."""
         p = self.base
-        return math.log(z.y / (self.height * (
-            (p[1] * z.x - p[0]) ** 2 + (p[1] * z.y) ** 2)))
+        return math.log(z.imag / (self.height * (
+            (p[1] * z.real - p[0]) ** 2 + (p[1] * z.imag) ** 2)))
 
-    def point_at(self, x: float) -> PlanePoint:
+    def point_at(self, x: float) -> complex:
         """The point x + ik of the horocircle, moved by the rotation about
         i that sends oo to the base (x = 0 is the point nearest to i)."""
         p = self.base
         return apply_plane(MobiusMap(p[0], -p[1], p[1], p[0]),
-                           PlanePoint(x, self.height))
+                           complex(x, self.height))
 
 
 def horoballs_disjoint(b1: Horoball, b2: Horoball) -> bool:

@@ -54,7 +54,7 @@ from .gdms import CHUNK
 from .mobius import unit_image
 
 
-def letters_of_blocks(pres: GroupPresentation, word: BlockWord) -> list:
+def letters_of_blocks(word: BlockWord) -> list:
     """Induced letters read off a coded block word (needs a_1 = 0), each
     as its tuple of symbols."""
     blocks = word.blocks
@@ -118,13 +118,12 @@ def conjugacy_check(pres: GroupPresentation, samples: int = 100,
                 break
         x = point_from_symbols(pres, w.symbols())
         try:
-            direct = letters_of_blocks(
-                pres, code_point(pres, x, letters_each + 2))
+            direct = letters_of_blocks(code_point(pres, x, letters_each + 2))
             y = x
             for j in range(letters_each - 1):
                 y = induced_step(pres, y)
                 shifted = letters_of_blocks(
-                    pres, code_point(pres, y, letters_each + 2 - (j + 1)))
+                    code_point(pres, y, letters_each + 2 - (j + 1)))
                 want = direct[j + 1:]
                 got = shifted[:len(want)]
                 if tuple(got) != tuple(want[:len(got)]):

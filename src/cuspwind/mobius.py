@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* the hyperbolic plane is the upper half-plane, its boundary the circle
+* the hyperbolic plane is the upper half-plane, its points Python
+  ``complex`` numbers z with Im z > 0, its boundary the circle
   R u {oo}; inside the package a boundary point is its circle angle under
   the Cayley map (``boundary_angle``), or a homogeneous vector
   (``boundary_vector``, ``vector_angle``), and Moebius maps move angles
@@ -25,12 +26,6 @@ from dataclasses import dataclass
 
 ALG_TOL = 1e-12
 
-INF = math.inf
-
-
-def is_infinity(x: float) -> bool:
-    return math.isinf(x)
-
 
 def boundary_angle(x: float) -> float:
     """Canonical angle in (0, 2*pi] of a boundary point under the Cayley map.
@@ -38,7 +33,7 @@ def boundary_angle(x: float) -> float:
     The angle increases with x and the point at infinity sits at 2*pi, so
     interval arithmetic on the circle reduces to ordinary arithmetic mod 2*pi.
     """
-    if is_infinity(x):
+    if math.isinf(x):
         return 2.0 * math.pi
     theta = math.atan2(-2.0 * x, x * x - 1.0)
     if theta <= 0.0:
@@ -52,7 +47,7 @@ def boundary_from_angle(theta: float) -> float:
     if theta <= 0.0:
         theta += 2.0 * math.pi
     if abs(theta - 2.0 * math.pi) < 1e-15:
-        return INF
+        return math.inf
     return -1.0 / math.tan(theta / 2.0)
 
 
@@ -91,19 +86,7 @@ def unit_image(m: MobiusMap, theta: float) -> tuple:
     return v0 / norm, v1 / norm
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """Point of the open upper half-plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0.0:
-            raise ValueError("PlanePoint requires y > 0, got y=%r" % (self.y,))
-
-
-BASE_POINT = PlanePoint(0.0, 1.0)
+BASE_POINT = 1j
 
 
 @dataclass(frozen=True)
@@ -176,30 +159,29 @@ def parabolic_power(m: MobiusMap, k: int) -> MobiusMap:
 
 def apply_boundary(m: MobiusMap, x: float) -> float:
     """Projective action on the boundary circle R u {oo}."""
-    if is_infinity(x):
+    if math.isinf(x):
         if abs(m.c) < 1e-300:
-            return INF
+            return math.inf
         return m.a / m.c
     den = m.c * x + m.d
     if den == 0.0:
-        return INF
+        return math.inf
     return (m.a * x + m.b) / den
 
 
-def apply_plane(m: MobiusMap, z: PlanePoint) -> PlanePoint:
-    """Isometric action on the upper half-plane."""
-    cx = m.c * z.x + m.d
-    cy = m.c * z.y
-    den = cx * cx + cy * cy
-    ax = m.a * z.x + m.b
-    ay = m.a * z.y
-    return PlanePoint((ax * cx + ay * cy) / den, z.y / den)
+def apply_plane(m: MobiusMap, z: complex) -> complex:
+    """Isometric action on the upper half-plane; Im m(z) = Im z / |cz + d|^2
+    (det 1) keeps the height of points near the boundary, which the
+    imaginary part of the quotient loses to cancellation."""
+    w = m.c * z + m.d
+    den = w.real * w.real + w.imag * w.imag
+    return complex(((m.a * z + m.b) * w.conjugate()).real / den,
+                   z.imag / den)
 
 
-def hyperbolic_distance(z: PlanePoint, w: PlanePoint) -> float:
-    dx = z.x - w.x
-    dy = z.y - w.y
-    u = (dx * dx + dy * dy) / (2.0 * z.y * w.y)
+def hyperbolic_distance(z: complex, w: complex) -> float:
+    dz = z - w
+    u = (dz.real * dz.real + dz.imag * dz.imag) / (2.0 * z.imag * w.imag)
     return math.acosh(1.0 + u) if u > 0.0 else 0.0
 
 

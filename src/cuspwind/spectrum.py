@@ -50,6 +50,9 @@ class SpectrumCurve:
         a, f = self.alphas, self.f
         if np.any(f < -1e-12):
             raise InvalidCurve("negative spectrum values")
+        # f is the dimension of a subset of the circle
+        if np.any(f > 1.0 + 1e-9):
+            raise InvalidCurve("spectrum exceeds 1 by more than 1e-9")
         keep = np.concatenate([[True], np.diff(a) > 1e-12])
         aa, ff = a[keep], f[keep]
         slopes = np.diff(ff) / np.diff(aa)
@@ -117,15 +120,15 @@ def _local_slope(x, y, k):
 def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     """Parametric spectrum f(alpha(beta)) = t(beta) + beta alpha(beta).
 
-    Requires strictly increasing betas, as ``free_energy_curve`` returns
-    them (InvalidCurve otherwise), and convexity of the sampled curve
+    Requires two or more strictly increasing betas, as ``free_energy_curve``
+    returns them (InvalidCurve otherwise), and convexity of the sampled curve
     (NotConvex otherwise); the stronger free-energy invariants (strict
     decrease, domain bound) are validated where the curve is produced, so
     synthetic convex curves can be transformed too.
     """
     b = curve.betas
-    if not np.all(np.diff(b) > 0.0):
-        raise InvalidCurve("betas must be strictly increasing")
+    if len(b) < 2 or not np.all(np.diff(b) > 0.0):
+        raise InvalidCurve("need two or more strictly increasing betas")
     check_convex(curve.t, b)
     alphas, f = _alpha_f(curve)
     f = np.maximum(f, 0.0)

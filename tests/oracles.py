@@ -47,7 +47,6 @@ from cuspwind.mobius import (
     boundary_from_angle,
     compose,
     hyperbolic_distance,
-    is_infinity,
     parabolic_power,
 )
 from cuspwind.spectrum import SpectrumCurve, check_convex
@@ -101,7 +100,7 @@ def circle_derivative_magnitude(m: MobiusMap, x: float) -> float:
     every boundary point including oo, which is what makes the induced
     potentials usable for groups whose limit set contains oo.
     """
-    if is_infinity(x):
+    if math.isinf(x):
         return 1.0 / (m.a * m.a + m.c * m.c)
     num = m.a * x + m.b
     den = m.c * x + m.d
@@ -208,7 +207,7 @@ def eq4_constant(pres: GroupPresentation, samples: int = 60,
             if w.blocks[0][1] == 1:
                 break
         letters = [InducedLetter(symbols) for symbols
-                   in letters_of_blocks(pres, w)[:letters_each]]
+                   in letters_of_blocks(w)[:letters_each]]
         x = point_from_symbols(pres, w.symbols())
         s = 0.0
         y = x

@@ -385,6 +385,20 @@ interval_inverse = [2.0, 5.0]
     assert json.loads(capsys.readouterr().err)["error"] == "NoParabolic"
 
 
+def test_cli_repeated_generator_label_exit_1(tmp_path, capsys):
+    # one-cusp's a, then h twice: three generator pairs, not the preset
+    text = preset_text("one-cusp-one-hyperbolic")
+    path = tmp_path / "dup.cw"
+    path.write_text(text + text[text.rindex("[generator]"):])
+    rc = cli.main(["delta", "--config", str(path), "--cap", "60",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GroupValidationError"
+    assert "'h' is used by two generators" in err["message"]
+    assert not (tmp_path / "delta.json").exists()
+
+
 def test_cli_delta_json(tmp_path, capsys):
     rc = cli.main(["delta", "--preset", "one-cusp-one-hyperbolic",
                    "--cap", "100", "--out", str(tmp_path)])
@@ -505,6 +519,35 @@ def test_cli_spectrum_with_few_betas_in_the_figure_window(tmp_path):
         assert rc == 0
         root = ElementTree.fromstring((out / "spectrum.svg").read_bytes())
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_svg_marks_t0_only_on_a_grid_with_beta_zero():
+    from cuspwind import spectrum as sp
+    from cuspwind.gdms import FreeEnergyCurve
+
+    def svg(steps):
+        betas = np.linspace(-20.0, 20.0, steps)
+        t = np.log1p(np.exp(-betas)) - math.log(2.0) + 0.5
+        curve = FreeEnergyCurve(betas, t, t - (0.5 - betas),
+                                np.zeros(steps), np.zeros(steps, int))
+        return emit_figure(curve, sp.spectrum(curve), 0.4)
+
+    assert ">t(0)</text>" in svg(33)
+    assert ">t(0)</text>" not in svg(4)  # no beta = 0 sample
+    assert ">delta_c</text>" in svg(4)
+
+
+def test_cli_spectrum_f_above_one_exit_1(tmp_path, capsys):
+    # 4 betas from -20 to 20 miss beta = 0, and the finite-difference
+    # alpha of so coarse a grid gives f = 2.4 at beta = 6.67: refused as
+    # an invalid curve, not written
+    rc = cli.main(["spectrum", "--preset", "gamma2-type", "--cap", "60",
+                   "--beta-steps", "4", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidCurve",
+                   "message": "spectrum exceeds 1 by more than 1e-9"}
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_validate_command_both_presets(capsys):

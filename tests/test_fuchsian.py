@@ -24,7 +24,6 @@ from cuspwind.fuchsian import (
     constants_c1,
 )
 from cuspwind.mobius import (
-    INF,
     MobiusMap,
     apply_boundary,
     apply_plane,
@@ -58,13 +57,13 @@ def real_arc(lo, hi):
 
 
 def test_interval_wrap_membership_and_midpoint():
-    j = real_arc(1.0, INF)  # (1, oo)
+    j = real_arc(1.0, math.inf)  # (1, oo)
     assert j.contains(boundary_angle(2.0))
     assert not j.contains(boundary_angle(0.5))
     assert not j.contains(boundary_angle(1.0))
     assert boundary_from_angle(j.point_at(0.5)) == pytest.approx(
         1.0 + math.sqrt(2.0))
-    jw = real_arc(INF, -1.0)  # [-oo, -1)
+    jw = real_arc(math.inf, -1.0)  # [-oo, -1)
     assert jw.contains(boundary_angle(-5.0))
     assert not jw.contains(boundary_angle(0.0))
     assert boundary_from_angle(jw.point_at(0.5)) == pytest.approx(
@@ -88,7 +87,7 @@ def test_offset_on_arc_sends_a_point_past_the_arc_to_the_nearer_end():
 
 def test_interval_disjointness_allows_touching():
     j1 = real_arc(0.0, 1.0)
-    j2 = real_arc(1.0, INF)
+    j2 = real_arc(1.0, math.inf)
     j3 = real_arc(0.5, 2.0)
     assert j1.disjoint_from(j2)
     assert not j1.disjoint_from(j3)
@@ -99,9 +98,9 @@ def test_endpoints_coinciding_across_infinity_are_rejected(lo):
     # +-1e17 lies 2e-17 rad from oo on either side; the arc to oo is
     # degenerate whichever side the rounding puts it
     with pytest.raises(GroupValidationError):
-        real_arc(lo, INF)
+        real_arc(lo, math.inf)
     with pytest.raises(GroupValidationError):
-        real_arc(INF, lo)
+        real_arc(math.inf, lo)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,6 +193,15 @@ def test_invalid_geometry_is_a_validation_error(update):
         build_group(rotated({"a": update}))
 
 
+def test_repeated_label_rejected():
+    # the second generator taking the first one's inverse label would
+    # replace that inverse
+    a, b = preset_config("gamma2-type")["generators"]
+    with pytest.raises(GroupValidationError, match="'A' is used by two"):
+        build_group({"name": "dup",
+                     "generators": [a, dict(b, inverse_label="A")]})
+
+
 def test_markov_mismatch_not_free():
     # shrink one interval: endpoint correspondence breaks
     cfg = rotated({"b": {"interval": [0.1, 0.9]}})
@@ -220,7 +228,7 @@ def test_horocircle_translation_one_has_height_half():
 
 def test_horocircle_z_plus_two_has_height_one(gamma2):
     h = gamma2.horocircles["a"]
-    assert angle_distance(h.angle, boundary_angle(INF)) == 0.0
+    assert angle_distance(h.angle, boundary_angle(math.inf)) == 0.0
     assert h.height == pytest.approx(1.0)
 
 

@@ -709,6 +709,19 @@ def test_err_t_positive_on_every_solved_row(any_group):
     assert np.all(curve.err_t[solved] <= 1e-9)
 
 
+def test_err_t_spans_a_band_of_exact_zeros(monkeypatch):
+    # a decreasing pressure that is exactly 0 on a band of width w: Brent's
+    # method stops at a zero inside it, and err_t is the width between the
+    # nearest nonzero pressures, reached by steps growing 4-fold from 1e-13
+    c, w = 0.3, 1e-10
+    monkeypatch.setattr(
+        gdms, "pressure",
+        lambda sys, t, beta, r=None: 0.0 if abs(t - c) <= 0.5 * w else c - t)
+    pt = free_energy(full_shift(2), 0.0)
+    assert abs(pt.t - c) <= 0.5 * w
+    assert w <= pt.err_t <= 4.0 * w + 1e-12
+
+
 def test_continuation_start_right_of_the_elbow(any_group):
     # across and after the elbow of t(beta) the search starts from the last
     # t, an upper bound of the root, and its first Newton step on the last

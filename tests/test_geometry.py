@@ -3,12 +3,7 @@ import math
 import pytest
 
 from cuspwind.geometry import Geodesic, Horoball, horoballs_disjoint
-from cuspwind.mobius import (
-    INF,
-    PlanePoint,
-    boundary_angle,
-    hyperbolic_distance,
-)
+from cuspwind.mobius import boundary_angle, hyperbolic_distance
 
 
 def horoball_at(x, diameter):
@@ -18,24 +13,25 @@ def horoball_at(x, diameter):
 
 
 @pytest.mark.parametrize("lo, hi, inside, outside", [
-    (-1.0, 1.0, PlanePoint(0.0, 0.5), PlanePoint(0.0, 2.0)),
-    (0.0, INF, PlanePoint(3.0, 0.1), PlanePoint(-3.0, 0.1)),
+    (-1.0, 1.0, (0.0, 0.5), (0.0, 2.0)),
+    (0.0, math.inf, (3.0, 0.1), (-3.0, 0.1)),
     # an arc through oo: the complement of the half-disc over (-1, 1)
-    (1.0, -1.0, PlanePoint(0.0, 2.0), PlanePoint(0.0, 0.5))])
+    (1.0, -1.0, (0.0, 2.0), (0.0, 0.5))])
 def test_geodesic_over_arc_ends_and_side(lo, hi, inside, outside):
+    inside, outside = complex(*inside), complex(*outside)
     a, b = boundary_angle(lo), boundary_angle(hi)
     g = Geodesic.over_arc(a, (b - a) % (2.0 * math.pi))
     t = g.axis
     assert boundary_angle(t.b / t.d) == pytest.approx(a)  # T(0)
-    assert boundary_angle(t.a / t.c if t.c else INF) == pytest.approx(b)
+    assert boundary_angle(t.a / t.c if t.c else math.inf) == pytest.approx(b)
     assert g.sinh_distance(inside) > 0.0 > g.sinh_distance(outside)
     # sinh of the distance from the vertical line over 0 is x / y
-    if (lo, hi) == (0.0, INF):
-        assert g.sinh_distance(PlanePoint(3.0, 0.1)) == pytest.approx(30.0)
+    if (lo, hi) == (0.0, math.inf):
+        assert g.sinh_distance(complex(3.0, 0.1)) == pytest.approx(30.0)
 
 
 def test_geodesic_through_points_is_parametrised_by_arc_length():
-    z, w = PlanePoint(0.3, 0.7), PlanePoint(-2.0, 0.05)
+    z, w = complex(0.3, 0.7), complex(-2.0, 0.05)
     g = Geodesic.through(z, w)
     assert g.param(z) == pytest.approx(0.0, abs=1e-14)
     assert g.param(w) == pytest.approx(hyperbolic_distance(z, w))
@@ -48,7 +44,7 @@ def test_geodesic_through_points_is_parametrised_by_arc_length():
 def test_crossing_of_two_geodesics():
     # the axis crosses the semicircle over (-2, 2) at 2i, and misses the
     # one over (1, 3)
-    axis = Geodesic.through(PlanePoint(0.0, 1.0), PlanePoint(0.0, 3.0))
+    axis = Geodesic.through(complex(0.0, 1.0), complex(0.0, 3.0))
     semi = Geodesic.over_arc(boundary_angle(-2.0),
                              boundary_angle(2.0) - boundary_angle(-2.0))
     (s,) = axis.crossings(semi)
@@ -59,7 +55,7 @@ def test_crossing_of_two_geodesics():
 
 
 def test_crossings_with_horocircles():
-    axis = Geodesic.through(PlanePoint(0.0, 1.0), PlanePoint(0.0, 3.0))
+    axis = Geodesic.through(complex(0.0, 1.0), complex(0.0, 3.0))
     # the line Im z = 2 (base oo, an end of the axis): one crossing
     assert axis.horoball_crossings(Horoball((1.0, 0.0), 2.0)) \
         == pytest.approx([math.log(2.0)])
@@ -73,10 +69,10 @@ def test_crossings_with_horocircles():
 def test_horoball_depth_and_horocircle_points():
     ball = horoball_at(2.0, 0.5)
     assert ball.angle == pytest.approx(boundary_angle(2.0))
-    assert ball.depth(PlanePoint(2.0, 0.5)) == pytest.approx(0.0)
+    assert ball.depth(complex(2.0, 0.5)) == pytest.approx(0.0)
     # depth is the distance below the horocircle, along the vertical line
-    assert ball.depth(PlanePoint(2.0, 0.5 / math.e)) == pytest.approx(1.0)
-    assert ball.depth(PlanePoint(2.0, 1.0)) < 0.0
+    assert ball.depth(complex(2.0, 0.5 / math.e)) == pytest.approx(1.0)
+    assert ball.depth(complex(2.0, 1.0)) < 0.0
     for x in (-3.0, 0.0, 0.4):
         assert ball.depth(ball.point_at(x)) == pytest.approx(0.0, abs=1e-12)
 

@@ -3,7 +3,8 @@ imports is used in that module, every top-level function or class of the
 package is reached from the command line, every method is named as an
 attribute in the package or in ``perfbench/`` outside its own body, every
 upper-case module-level constant is loaded there, every dataclass field
-is read there as an attribute, no function of the package sets an
+and every attribute a method sets on ``self`` is read there as an
+attribute, no function of the package sets an
 attribute of one of its own parameters, importing the command line
 loads no scipy or html, and every name ``perfbench/child.py`` wraps
 exists.  The tests do not count as users: a member only they read
@@ -16,10 +17,11 @@ dead definitions starts at ``cli.main``, at the top-level statements of
 each module and at the names in ``PUBLIC``; neither ``__init__.py`` nor
 a test keeps a definition alive, so the reference implementations the
 tests compare against live in ``tests/oracles.py``.  The constant and
-field detectors match by name, not by type: a field is taken as read
-when any object's attribute of that name is read, so a write-only field
-that shares its name with a read attribute of another class (``cap``,
-``name`` or ``label``, say) goes unseen.
+field detectors match by name, not by type: a field, or an attribute
+set on ``self``, is taken as read when any object's attribute of that
+name is read, so a write-only field that shares its name with a read
+attribute of another class (``cap``, ``name`` or ``label``, say) goes
+unseen.
 """
 
 import ast
@@ -301,21 +303,36 @@ def _is_dataclass(cls) -> bool:
                and d.func.id == "dataclass" for d in cls.decorator_list)
 
 
+def _set_fields(cls) -> list:
+    """(line, name) of each field of the class: a field of a dataclass,
+    and each attribute that one of its methods assigns on ``self``."""
+    out = []
+    if _is_dataclass(cls):
+        out += [(stmt.lineno, stmt.target.id) for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)]
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef):
+            out += [(node.lineno, node.attr) for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"]
+    return out
+
+
 def write_only_fields(modules: dict, others: list) -> list:
-    """(module, line, Class.field) of each field of a dataclass in
-    ``modules`` that no attribute load in ``modules`` or ``others``
+    """(module, line, Class.field) of each field of a class in ``modules``
+    (``_set_fields``) that no attribute load in ``modules`` or ``others``
     names."""
     trees = {mod: ast.parse(source) for mod, source in modules.items()}
     loaded = _loaded(list(trees.values()) + [ast.parse(s) for s in others],
                      names=False)
     return sorted(
-        (mod, stmt.lineno, cls.name + "." + stmt.target.id)
+        (mod, line, cls.name + "." + name)
         for mod, tree in trees.items() for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-        and stmt.target.id not in loaded)
+        if isinstance(cls, ast.ClassDef)
+        for line, name in _set_fields(cls) if name not in loaded)
 
 
 def test_write_only_field_detector():
@@ -330,10 +347,23 @@ def test_write_only_field_detector():
         == [("m.py", 7, "A.written"), ("m.py", 13, "B.unread")]
 
 
+def test_write_only_self_attribute_detector():
+    module = ("class E(Exception):\n"
+              "    def __init__(self, message, index=None):\n"
+              "        super().__init__(message)\n"
+              "        self.index = index\n\n\n"
+              "class P:\n    def __init__(self, x, w):\n"
+              "        self.x, self.w = x, w\n        self.n = 0\n\n"
+              "    def bump(self, other):\n        self.n += 1\n"
+              "        other.unseen = 1\n        return self.x\n")
+    assert write_only_fields({"m.py": module}, ["p.w\n"]) == [
+        ("m.py", 4, "E.index"), ("m.py", 10, "P.n"), ("m.py", 13, "P.n")]
+
+
 def test_no_write_only_fields():
     modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
-    assert not found, "dataclass fields never read: " + ", ".join(found)
+    assert not found, "fields never read: " + ", ".join(found)
 
 
 def parameter_writes(modules: dict) -> list:
@@ -472,8 +502,9 @@ def test_perfbench_names_exist():
 
 
 def euclidean_cases(source: str) -> list:
-    """Each name, attribute or import ``INF`` or ``is_infinity`` and each
-    string ``"vline"`` or ``"circle"`` in ``source``."""
+    """Each name, attribute or import ``INF``, ``is_infinity``, ``inf`` or
+    ``isinf`` (``math.inf`` included) and each string ``"vline"`` or
+    ``"circle"`` in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -486,16 +517,18 @@ def euclidean_cases(source: str) -> list:
             name = node.value
         else:
             continue
-        if name in ("INF", "is_infinity", "vline", "circle"):
+        if name in ("INF", "is_infinity", "inf", "isinf", "vline", "circle"):
             found.append(name)
     return sorted(found)
 
 
 def test_euclidean_case_detector():
-    src = ('from .mobius import INF\nimport mobius\n'
+    src = ('from .mobius import INF\nimport math, mobius\n'
+           'from math import isinf\n'
            'def f(g):\n    return g.kind == "vline" or mobius.is_infinity(g)\n'
-           'x = "a circle"\n')
-    assert euclidean_cases(src) == ["INF", "is_infinity", "vline"]
+           'x = "a circle"\ny = math.inf if isinf(x) else 0.0\n')
+    assert euclidean_cases(src) == [
+        "INF", "inf", "is_infinity", "isinf", "isinf", "vline"]
 
 
 def test_geometry_has_no_euclidean_cases():

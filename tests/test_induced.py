@@ -187,7 +187,7 @@ def test_core_continuation_hull(chart):
 def test_letters_of_blocks_overlap(gamma2):
     x = point_from_symbols(gamma2, ["a", "b", "b", "a", "B", "a"])
     w = code_point(gamma2, x, 5)
-    letters = letters_of_blocks(gamma2, w)
+    letters = letters_of_blocks(w)
     assert letters[0] == ("a", "b", "b", "a")
     assert letters[1] == ("b", "a", "B")
     assert letters[0][-2:] == letters[1][:2]
@@ -197,9 +197,9 @@ def test_conjugacy_periodic_point(gamma2):
     # periodic point of (a b): exact agreement to any depth
     x = 1.0 + math.sqrt(2.0)
     w = code_point(gamma2, x, 9)
-    letters = letters_of_blocks(gamma2, w)
+    letters = letters_of_blocks(w)
     y = ind.induced_step(gamma2, x)
-    letters_shift = letters_of_blocks(gamma2, code_point(gamma2, y, 8))
+    letters_shift = letters_of_blocks(code_point(gamma2, y, 8))
     assert letters[1:6] == letters_shift[:5]
 
 

@@ -117,7 +117,8 @@ def test_spectrum_rows_follow_decreasing_beta():
 @pytest.mark.parametrize("betas", [
     np.linspace(5.0, -5.0, 21),
     np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0]),
-], ids=["descending", "repeated"])
+    np.array([0.0]),
+], ids=["descending", "repeated", "single"])
 def test_spectrum_rejects_betas_not_strictly_increasing(betas):
     # rows run by decreasing beta because the increasing grid is reversed,
     # never sorted: any other grid is refused, convex as its t may be
@@ -147,6 +148,20 @@ def test_validate_rejects_alpha_below_zero():
     assert curve(-1e-10).validate()
     with pytest.raises(InvalidCurve, match="alpha"):
         curve(-1e-6).validate()
+
+
+def test_validate_rejects_f_above_one():
+    # f is the Hausdorff dimension of a subset of the circle
+    def curve(f_top):
+        return sp.SpectrumCurve(np.array([0.0, 0.5, 1.0]),
+                                np.array([0.4, f_top, 0.5]),
+                                np.array([5.0, 0.0, -5.0]), np.zeros(3),
+                                0.5, 0.4, 0.5)
+
+    assert curve(1.0).validate()
+    assert curve(1.0 + 1e-10).validate()
+    with pytest.raises(InvalidCurve, match="exceeds 1"):
+        curve(1.0 + 1e-6).validate()
 
 
 # --- spectrum on a real curve -------------------------------------------------

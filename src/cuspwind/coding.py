@@ -11,7 +11,6 @@ letters (a_k = 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +35,11 @@ def log_plus(a: float) -> float:
     return math.log(a) if a > 1.0 else 0.0
 
 
-@dataclass(frozen=True)
 class BlockWord:
     """Coded prefix: ((label, exponent), ...) with exponents >= 1."""
 
-    blocks: tuple
+    def __init__(self, blocks: tuple):
+        self.blocks = blocks
 
     def __len__(self):
         return len(self.blocks)
@@ -127,7 +126,6 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     return x
 
 
-@dataclass(frozen=True)
 class ArcDecomposition:
     """Per-block arc lengths of the geodesic [i, B_1...B_n(i)].
 
@@ -136,9 +134,8 @@ class ArcDecomposition:
     constant C0 of the presentation.
     """
 
-    lengths: tuple
-    windings: tuple
-    total: float
+    def __init__(self, lengths: tuple, windings: tuple, total: float):
+        self.lengths, self.windings, self.total = lengths, windings, total
 
 
 def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposition:

@@ -9,7 +9,6 @@ pair.  Parse errors carry line numbers and field paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 class ConfigError(Exception):
@@ -22,17 +21,17 @@ class ConfigError(Exception):
 MAX_CAP = 2 ** 15
 
 
-@dataclass
 class RunConfig:
-    name: str = "group"
-    generators: list = field(default_factory=list)
-    cap: int = 400
-    beta_min: float = -20.0
-    beta_max: float = 20.0
-    beta_steps: int = 33
-    seed: int = 1234
-    out_dir: str = "."
-    out_format: str = "csv"
+    def __init__(self, name: str = "group", generators: list = None,
+                 cap: int = 400, beta_min: float = -20.0,
+                 beta_max: float = 20.0, beta_steps: int = 33,
+                 seed: int = 1234, out_dir: str = ".",
+                 out_format: str = "csv"):
+        self.name = name
+        self.generators = [] if generators is None else generators
+        self.cap, self.beta_min, self.beta_max = cap, beta_min, beta_max
+        self.beta_steps, self.seed = beta_steps, seed
+        self.out_dir, self.out_format = out_dir, out_format
 
     def group_config(self) -> dict:
         return {"name": self.name, "generators": self.generators}
@@ -74,10 +73,9 @@ _GEN_KEYS = {"label", "inverse_label", "kind", "matrix", "interval",
 
 def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig()
-    cfg.generators = []
     current: dict = None  # None = top level, else the generator being filled
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("["):
@@ -109,6 +107,17 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
     _check_generators(cfg.generators)
     return cfg.validate()
+
+
+def _strip_comment(raw: str) -> str:
+    """The line up to its first ``#`` outside a quoted string."""
+    quoted = False
+    for i, ch in enumerate(raw):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return raw[:i]
+    return raw
 
 
 def _parse_value(s: str):
@@ -190,6 +199,5 @@ def config_from_preset(name: str) -> RunConfig:
         pc = preset_config(name)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    cfg = RunConfig(name=pc["name"])
-    cfg.generators = [dict(e) for e in pc["generators"]]
-    return cfg.validate()
+    return RunConfig(name=pc["name"], generators=[
+        dict(e) for e in pc["generators"]]).validate()

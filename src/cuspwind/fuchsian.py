@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import geometry
 from .errors import (
@@ -54,7 +53,6 @@ from .mobius import (
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class CircleInterval:
     """Open arc of the boundary circle from the circle angle ``angle_lo``
     to ``angle_lo + arc``, 0 < arc < 2 pi, built by ``between``.
@@ -62,8 +60,8 @@ class CircleInterval:
     Points of the arc are circle angles, taken mod 2 pi.
     """
 
-    angle_lo: float
-    arc: float
+    def __init__(self, angle_lo: float, arc: float):
+        self.angle_lo, self.arc = angle_lo, arc
 
     @staticmethod
     def between(lo: float, hi: float) -> "CircleInterval":
@@ -116,13 +114,12 @@ class CircleInterval:
         return geometry.Geodesic.over_arc(self.angle_lo, self.arc)
 
 
-@dataclass(frozen=True)
 class Generator:
     """One symmetric generator with its coding interval."""
 
-    kind: str  # "parabolic" | "hyperbolic"
-    map: MobiusMap
-    interval: CircleInterval
+    def __init__(self, kind: str,  # "parabolic" | "hyperbolic"
+                 map: MobiusMap, interval: CircleInterval):
+        self.kind, self.map, self.interval = kind, map, interval
 
     def is_parabolic(self) -> bool:
         return self.kind == "parabolic"
@@ -146,7 +143,6 @@ def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
                              0.5 * math.sqrt(m11 + m22))
 
 
-@dataclass(frozen=True)
 class CircleSymmetry:
     """A symmetry of a presentation: the label permutation ``perm`` realised
     by the isometry R of the circle angle theta -> shift + theta, or
@@ -157,9 +153,8 @@ class CircleSymmetry:
     generator g_l to g_perm[l]; perm commutes with taking inverses.
     """
 
-    perm: dict
-    shift: float
-    flip: bool
+    def __init__(self, perm: dict, shift: float, flip: bool):
+        self.perm, self.shift, self.flip = perm, shift, flip
 
     def angle(self, theta: float) -> float:
         """R of the circle angle theta, in [0, 2 pi)."""
@@ -167,17 +162,19 @@ class CircleSymmetry:
         return theta % TWO_PI
 
 
-@dataclass
 class GroupPresentation:
     """Validated symmetric presentation: generators, their inverses, the
     horoballs of the cusps and the circle symmetries."""
 
-    name: str
-    gens: dict
-    inverse_label: dict
-    horocircles: dict  # parabolic label (both of a +/- pair) -> Horoball
-    accidental_horocircles: list
-    symmetries: tuple  # CircleSymmetry, the identity first
+    def __init__(
+            self, name: str, gens: dict, inverse_label: dict,
+            horocircles: dict,  # parabolic label (both of a +/- pair) -> Horoball
+            accidental_horocircles: list,
+            symmetries: tuple):  # CircleSymmetry, the identity first
+        self.name, self.gens, self.inverse_label = name, gens, inverse_label
+        self.horocircles = horocircles
+        self.accidental_horocircles = accidental_horocircles
+        self.symmetries = symmetries
 
     # --- structure ---------------------------------------------------
 

@@ -64,7 +64,6 @@ grid a spectrum takes 0.53 of the pressure calls of cold solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,7 +85,6 @@ LOG_FLOOR = -700.0
 CHUNK = 1 << 16
 
 
-@dataclass
 class LetterBlock:
     """Letters stored as a (rows x m) array of weights ``zeta``, with
     ``psi`` one value per column (it depends on the exponent only).
@@ -103,11 +101,14 @@ class LetterBlock:
     gives its weights; that column's zeta and psi are 0 placeholders.
     """
 
-    zeta: np.ndarray  # (rows, m)
-    psi: np.ndarray  # (m,)
-    starts: np.ndarray  # (runs,)
-    cells: np.ndarray  # (rows, runs)
-    tail: np.ndarray = None  # (rows, 4), or None without a tail column
+    def __init__(
+            self, zeta: np.ndarray,  # (rows, m)
+            psi: np.ndarray,  # (m,)
+            starts: np.ndarray,  # (runs,)
+            cells: np.ndarray,  # (rows, runs)
+            tail: np.ndarray = None):  # (rows, 4), or None without a tail column
+        self.zeta, self.psi, self.starts, self.cells = zeta, psi, starts, cells
+        self.tail = tail
 
     # The extremes of each column of zeta, from which ``key_matrix`` finds
     # the largest exponent t zeta + beta psi without forming the exponents.
@@ -197,7 +198,6 @@ def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
     return top + np.log(np.maximum(total, np.finfo(float).tiny))
 
 
-@dataclass
 class GdmsSystem:
     """Truncated edge shift whose letters are stored as ``LetterBlock``s.
 
@@ -208,12 +208,15 @@ class GdmsSystem:
     (``induced.fuchsian_system`` takes them from its pair graph).
     """
 
-    n_keys: int
-    blocks: list  # LetterBlock
-    # the keys of each cyclic class of the key graph (``cyclic_classes``):
-    # every cell of every block runs from class k to class k + 1 mod p
-    classes: list
-    log_mult: float = 0.0  # additive log constant of every weight (quadrature)
+    def __init__(
+            self, n_keys: int,
+            blocks: list,  # LetterBlock
+            # the keys of each cyclic class of the key graph (``cyclic_classes``):
+            # every cell of every block runs from class k to class k + 1 mod p
+            classes: list,
+            log_mult: float = 0.0):  # additive log constant of every weight (quadrature)
+        self.n_keys, self.blocks, self.classes = n_keys, blocks, classes
+        self.log_mult = log_mult
 
     @property
     def n_edges(self) -> int:
@@ -471,13 +474,14 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-@dataclass(frozen=True)
 class FreeEnergyPoint:
-    t: float
-    r: float  # t - (1/2 - beta) for Fuchsian systems, else nan
-    err_t: float  # t-width of the final sign-changing bracket
-    pressure_calls: int
-    slope: float  # secant dP/dx at the root (see ``free_energy``)
+    def __init__(self, t: float,
+                 r: float,  # t - (1/2 - beta) for Fuchsian systems, else nan
+                 err_t: float,  # t-width of the final sign-changing bracket
+                 pressure_calls: int,
+                 slope: float):  # secant dP/dx at the root (see ``free_energy``)
+        self.t, self.r, self.err_t = t, r, err_t
+        self.pressure_calls, self.slope = pressure_calls, slope
 
 
 # The search in x = log r stays in [-700, 41 log 4]: e^-700 is the
@@ -654,7 +658,6 @@ def _brentq(f, xa, xb, xtol):
 CONVEXITY_NOISE = 1e-6
 
 
-@dataclass
 class FreeEnergyCurve:
     """Sampled free energy t(beta) with the shifted values r(beta), the
     t-width ``err_t`` of each root's final bracket and the pressure
@@ -664,11 +667,10 @@ class FreeEnergyCurve:
     t > 1/2 - beta wherever the shifted root resolves.
     """
 
-    betas: np.ndarray
-    t: np.ndarray
-    r: np.ndarray
-    err_t: np.ndarray
-    calls: np.ndarray
+    def __init__(self, betas: np.ndarray, t: np.ndarray, r: np.ndarray,
+                 err_t: np.ndarray, calls: np.ndarray):
+        self.betas, self.t, self.r = betas, t, r
+        self.err_t, self.calls = err_t, calls
 
     def validate(self):
         db = np.diff(self.betas)

@@ -19,7 +19,6 @@ point oo is (1, 0) and needs no case of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .mobius import MobiusMap, apply_plane, boundary_vector, vector_angle
@@ -38,11 +37,11 @@ def _apply(m: MobiusMap, v: tuple) -> tuple:
     return m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]
 
 
-@dataclass(frozen=True)
 class Geodesic:
     """The image of the imaginary axis under the map ``axis`` (T)."""
 
-    axis: MobiusMap
+    def __init__(self, axis: MobiusMap):
+        self.axis = axis
 
     @staticmethod
     def over_arc(theta: float, arc: float) -> "Geodesic":
@@ -112,13 +111,12 @@ class Geodesic:
         return out
 
 
-@dataclass(frozen=True)
 class Horoball:
     """{z : Im z >= k |p2 z - p1|^2} for the unit base p = ``base`` and the
     height k = ``height``."""
 
-    base: tuple
-    height: float
+    def __init__(self, base: tuple, height: float):
+        self.base, self.height = base, height
 
     @property
     def angle(self) -> float:

@@ -37,7 +37,6 @@ derivative of V_e there is 1 / |V_e w|^2, with no case for oo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +83,9 @@ def induced_step(pres: GroupPresentation, x: float) -> float:
     return y
 
 
-@dataclass
 class ConjugacyReport:
-    mismatches: list
-    resampled: int = 0
+    def __init__(self, mismatches: list, resampled: int = 0):
+        self.mismatches, self.resampled = mismatches, resampled
 
     @property
     def ok(self) -> bool:
@@ -198,7 +196,6 @@ def primitivity_witness(pres: GroupPresentation):
 TAIL_START = 64
 
 
-@dataclass(frozen=True)
 class LetterFamily:
     """The induced letters g1 c^n g2 of one admissible triple (g1, c, g2):
     every n >= 1 when the core c is parabolic, n = 1 when it is hyperbolic.
@@ -213,13 +210,13 @@ class LetterFamily:
     read the same rows.
     """
 
-    g1: str
-    core: str
-    g2: str
-    parabolic: bool
-    m0: tuple  # branch matrix of n = 1 (just g1)
-    m1: tuple  # increment per extra core letter: g1 * (core - id), or 0
-    w_mid: tuple  # unit vector of the core image of the midpoint of J_g2
+    def __init__(
+            self, g1: str, core: str, g2: str, parabolic: bool,
+            m0: tuple,  # branch matrix of n = 1 (just g1)
+            m1: tuple,  # increment per extra core letter: g1 * (core - id), or 0
+            w_mid: tuple):  # unit vector of the core image of the midpoint of J_g2
+        self.g1, self.core, self.g2, self.parabolic = g1, core, g2, parabolic
+        self.m0, self.m1, self.w_mid = m0, m1, w_mid
 
     def row(self, w: tuple) -> tuple:
         """(p0, p1, r0, r1) of the weights at the unit vector w:

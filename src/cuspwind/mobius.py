@@ -22,7 +22,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 ALG_TOL = 1e-12
 
@@ -89,14 +88,11 @@ def unit_image(m: MobiusMap, theta: float) -> tuple:
 BASE_POINT = 1j
 
 
-@dataclass(frozen=True)
 class MobiusMap:
     """Real 2x2 matrix of determinant one acting on the upper half-plane."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    def __init__(self, a: float, b: float, c: float, d: float):
+        self.a, self.b, self.c, self.d = a, b, c, d
 
     @staticmethod
     def from_entries(a: float, b: float, c: float, d: float) -> "MobiusMap":

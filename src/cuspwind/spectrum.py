@@ -12,7 +12,6 @@ endpoint behavior f -> 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ def check_convex(values: np.ndarray, grid: np.ndarray):
         raise NotConvex("convexity violated at %d interior nodes" % bad.sum())
 
 
-@dataclass
 class SpectrumCurve:
     """Sampled Hausdorff-dimension spectrum f(alpha).
 
@@ -38,13 +36,11 @@ class SpectrumCurve:
     samples, the values nearest the endpoints alpha -> 0 and alpha -> 1.
     """
 
-    alphas: np.ndarray
-    f: np.ndarray
-    beta_source: np.ndarray
-    err_t: np.ndarray
-    alpha0: float
-    f0: float
-    f1: float
+    def __init__(self, alphas: np.ndarray, f: np.ndarray,
+                 beta_source: np.ndarray, err_t: np.ndarray, alpha0: float,
+                 f0: float, f1: float):
+        self.alphas, self.f, self.beta_source = alphas, f, beta_source
+        self.err_t, self.alpha0, self.f0, self.f1 = err_t, alpha0, f0, f1
 
     def validate(self):
         a, f = self.alphas, self.f

@@ -15,7 +15,6 @@ of their symmetries, and a beta grid that reaches deep into both
 asymptotes.  Nothing under ``src/`` imports them.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -259,14 +258,16 @@ def without_tails(sys: GdmsSystem) -> GdmsSystem:
                                 starts=block.starts[:runs],
                                 cells=block.cells[:, :runs])
         blocks.append(block)
-    return dataclasses.replace(sys, blocks=blocks)
+    return GdmsSystem(sys.n_keys, blocks, sys.classes, sys.log_mult)
 
 
 def without_symmetries(pres: GroupPresentation) -> GroupPresentation:
     """``pres`` with the identity as its only symmetry, from which
     ``fuchsian_system`` builds the whole operator, one key per overlap
     pair and bucket, instead of its quotient."""
-    return dataclasses.replace(pres, symmetries=pres.symmetries[:1])
+    return GroupPresentation(pres.name, pres.gens, pres.inverse_label,
+                             pres.horocircles, pres.accidental_horocircles,
+                             pres.symmetries[:1])
 
 
 def letter_cells(block: LetterBlock) -> np.ndarray:

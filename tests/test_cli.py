@@ -53,6 +53,19 @@ def test_parse_config_text_roundtrip():
     assert cfg.generators[1]["inverse_label"] == "B"  # swapcase default
 
 
+def test_hash_inside_quotes_is_not_a_comment():
+    assert parse_config_text('name = "g #1"  # note\n').name == "g #1"
+    cfg = parse_config_text('# a "quoted" comment\n' + GAMMA2_TEXT.replace(
+        'label = "a"', 'label = "a"  # the "first" # generator'))
+    assert cfg.generators[0]["label"] == "a"
+
+
+def test_run_configs_do_not_share_generators():
+    a, b = RunConfig(), RunConfig()
+    a.generators.append({})
+    assert a.generators is not b.generators and b.generators == []
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("name = \"x\"\nbogus line without equals\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +7,8 @@ from cuspwind import gdms
 from cuspwind.config import config_from_preset
 from cuspwind.errors import NoSignChange
 from cuspwind.gdms import (
+    GdmsSystem,
+    LetterBlock,
     cyclic_classes,
     free_energy,
     free_energy_curve,
@@ -801,8 +802,9 @@ def test_no_sign_change_error(gamma2):
     # the same with tails: the search stops at r = 4^41, short of the r
     # where the tail weights overflow
     flat = fuchsian_system(gamma2, 60)
-    flat = dataclasses.replace(flat, blocks=[
-        dataclasses.replace(block, zeta=np.zeros_like(block.zeta))
-        for block in flat.blocks])
+    flat = GdmsSystem(flat.n_keys, [
+        LetterBlock(np.zeros_like(block.zeta), block.psi, block.starts,
+                    block.cells, block.tail)
+        for block in flat.blocks], flat.classes, flat.log_mult)
     with pytest.raises(NoSignChange, match="positive up to r="):
         free_energy(flat, 0.0)

@@ -5,10 +5,12 @@ attribute in the package or in ``perfbench/`` outside its own body, every
 upper-case module-level constant is loaded there, every dataclass field
 and every attribute a method sets on ``self`` is read there as an
 attribute, no function of the package sets an
-attribute of one of its own parameters, importing the command line
-loads no scipy or html, and every name ``perfbench/child.py`` wraps
-exists.  The tests do not count as users: a member only they read
-belongs in ``tests/oracles.py`` or nowhere.
+attribute of one of its own parameters, no method but ``__init__`` sets
+one on ``self``, no module imports ``dataclasses``, importing the command
+line loads no scipy or html and a spectrum run no dataclasses or copy,
+and every name ``perfbench/child.py`` wraps exists.  The tests do not
+count as users: a member only they read belongs in ``tests/oracles.py``
+or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module.  ``__init__.py`` is skipped (its imports are re-exports,
@@ -366,6 +368,24 @@ def test_no_write_only_fields():
     assert not found, "fields never read: " + ", ".join(found)
 
 
+def _attribute_writes(fn):
+    """(line, name, attr) of each assignment, augmented assignment or
+    ``setattr`` call in ``fn`` that sets an attribute of the plain name
+    ``name``; attr is "*" for ``setattr``."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Store):
+            target, attr = node.value, node.attr
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id == "setattr" and node.args:
+            target, attr = node.args[0], "*"
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            yield node.lineno, target.id, attr
+
+
 def parameter_writes(modules: dict) -> list:
     """(module, line, function, name.attr) of each assignment, augmented
     assignment or ``setattr`` call in a function of ``modules`` that sets
@@ -385,20 +405,10 @@ def parameter_writes(modules: dict) -> list:
                       if a is not None}
             if id(fn) in methods:
                 params.discard("self")
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute) \
-                        and isinstance(node.ctx, ast.Store):
-                    target, attr = node.value, node.attr
-                elif isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Name) \
-                        and node.func.id == "setattr" and node.args:
-                    target, attr = node.args[0], "*"
-                else:
-                    continue
-                if isinstance(target, ast.Name) and target.id in params:
-                    found.append((mod, node.lineno,
-                                  getattr(fn, "name", "<lambda>"),
-                                  target.id + "." + attr))
+            found += [(mod, line, getattr(fn, "name", "<lambda>"),
+                       name + "." + attr)
+                      for line, name, attr in _attribute_writes(fn)
+                      if name in params]
     return sorted(found)
 
 
@@ -421,6 +431,78 @@ def test_no_function_sets_attributes_of_its_parameters():
     modules, _ = _package_and_perfbench()
     found = ["%s:%d %s sets %s" % d for d in parameter_writes(modules)]
     assert not found, "attributes of parameters set: " + ", ".join(found)
+
+
+def self_writes(modules: dict) -> list:
+    """(module, line, Class.method, self.attr) of each assignment,
+    augmented assignment or ``setattr`` call in a method other than
+    ``__init__`` of a class in ``modules`` that sets an attribute of
+    ``self``: the objects are set up once and then only read."""
+    found = []
+    for mod, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found += [(mod, line, cls.name + "." + fn.name, "self." + attr)
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                      and fn.name != "__init__"
+                      for line, name, attr in _attribute_writes(fn)
+                      if name == "self"]
+    return sorted(found)
+
+
+def test_self_write_detector():
+    module = ("class P:\n    def __init__(self, x):\n"
+              "        self.x, self.n = x, 0\n\n"
+              "    def bump(self, other):\n        self.n += 1\n"
+              "        other.n = self.x\n"
+              "        setattr(self, 'k', 0)\n\n"
+              "    @property\n    def cached(self):\n"
+              "        self.c = self.x\n        return self.c\n\n\n"
+              "def f(self):\n    self.y = 1\n")
+    assert self_writes({"m.py": module}) == [
+        ("m.py", 6, "P.bump", "self.n"), ("m.py", 8, "P.bump", "self.*"),
+        ("m.py", 12, "P.cached", "self.c")]
+
+
+def test_only_init_sets_attributes_on_self():
+    # every object of the package is filled in by its constructor and
+    # then read: this keeps the guarantee the frozen records gave
+    modules, _ = _package_and_perfbench()
+    found = ["%s:%d %s sets %s" % d for d in self_writes(modules)]
+    assert not found, "attributes set on self after __init__: " \
+        + ", ".join(found)
+
+
+def test_no_module_imports_dataclasses():
+    # the decorators exec-compile their generated methods in every process
+    # (about 10 ms of importing the command line, BENCH_29.json); the
+    # package's classes write their __init__ by hand
+    found = ["%s:%d" % (p.name, node.lineno)
+             for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import)
+             and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"]
+    assert not found, "dataclasses imported: " + ", ".join(found)
+
+
+def test_spectrum_run_loads_no_dataclasses(tmp_path):
+    # without valid bytecode, as the benchmark runs it, a whole gamma2
+    # spectrum run loads neither dataclasses nor copy (which it imports)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cuspwind.cli\ncuspwind.cli.main(sys.argv[1:])\n"
+         "print(sorted({'dataclasses', 'copy'} & set(sys.modules)))",
+         "spectrum", "--preset", "gamma2-type", "--cap", "60",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "spectrum.csv").exists()
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -47,7 +47,7 @@ class BlockWord:
     def windings(self, pres: GroupPresentation) -> tuple:
         out = []
         for label, exp in self.blocks:
-            out.append(exp - 1 if pres.gen(label).is_parabolic() else 0)
+            out.append(exp - 1 if pres.gens[label].parabolic else 0)
         return tuple(out)
 
     def symbols(self) -> list:
@@ -63,14 +63,14 @@ class BlockWord:
         for label, exp in self.blocks:
             if exp < 1:
                 raise ValueError("block exponent must be >= 1")
-            if not pres.gen(label).is_parabolic() and exp != 1:
+            if not pres.gens[label].parabolic and exp != 1:
                 raise ValueError("hyperbolic blocks have length one")
 
 
 def block_element(pres: GroupPresentation, label: str, exp: int) -> MobiusMap:
     """The block label^exp (exp = 1 for a hyperbolic label)."""
-    gen = pres.gen(label)
-    return parabolic_power(gen.map, exp) if gen.is_parabolic() else gen.map
+    gen = pres.gens[label]
+    return parabolic_power(gen.map, exp) if gen.parabolic else gen.map
 
 
 def bowen_series_step(pres: GroupPresentation, x: float):
@@ -78,7 +78,7 @@ def bowen_series_step(pres: GroupPresentation, x: float):
     label = pres.letter_at(x)
     if label is None:
         raise OutsideAllIntervals("point %r is not interior to any interval" % (x,))
-    return apply_boundary(pres.gen(label).map.inverse(), x), label
+    return apply_boundary(pres.gens[label].map.inverse(), x), label
 
 
 def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
@@ -93,7 +93,7 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
     steps = 0
     while True:
         closed = len(runs)
-        if runs and pres.gen(runs[-1][0]).is_parabolic():
+        if runs and pres.gens[runs[-1][0]].parabolic:
             closed -= 1
         if closed >= n_blocks:
             return BlockWord(tuple(map(tuple, runs[:n_blocks])))
@@ -106,7 +106,7 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
             raise CodingStalled(
                 "orbit left the coding domain after %d blocks" % closed
             ) from exc
-        if runs and label == runs[-1][0] and pres.gen(label).is_parabolic():
+        if runs and label == runs[-1][0] and pres.gens[label].parabolic:
             runs[-1][1] += 1
         else:
             runs.append([label, 1])
@@ -118,11 +118,11 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     The continuation is the midpoint of an admissible interval, pushed
     forward through the inverse branches.
     """
-    cand = next(g for g in pres.labels()
+    cand = next(g for g in pres.gens
                 if pres.block_admissible(symbols[-1], g))
-    x = boundary_from_angle(pres.interval_of(cand).point_at(0.5))
+    x = boundary_from_angle(pres.gens[cand].interval.point_at(0.5))
     for label in reversed(symbols):
-        x = apply_boundary(pres.map_of(label), x)
+        x = apply_boundary(pres.gens[label].map, x)
     return x
 
 
@@ -164,7 +164,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         s_prev, s_end = geo.param(prev), hyperbolic_distance(start, q[k])
 
         if exp == 1:
-            found = geo.crossings(pres.interval_of(label).geodesic())
+            found = geo.crossings(pres.gens[label].interval.geodesic())
         else:
             ball = pres.horocircles[label]
             found = geo.horoball_crossings(ball)
@@ -192,14 +192,14 @@ def random_block_word(pres: GroupPresentation, rng,
                       n_blocks: int) -> BlockWord:
     """Seeded random admissible block word with geometric exponents of
     mean 2, capped at 12."""
-    labels = pres.labels()
+    labels = list(pres.gens)
     blocks = []
     prev = None
     for _ in range(n_blocks):
         choices = [l for l in labels
                    if prev is None or pres.block_admissible(prev, l)]
         label = choices[rng.integers(len(choices))]
-        if pres.gen(label).is_parabolic():
+        if pres.gens[label].parabolic:
             exp = min(12, rng.geometric(0.5))
         else:
             exp = 1
@@ -254,10 +254,10 @@ def poincare_shell_sums(pres: GroupPresentation, ss, max_len: int) -> list:
     maps the words W starting with l onto the words R W R^-1 starting with
     perm[l], at the same distance d(W(i), i).
     """
-    labels = pres.labels()
-    mats = np.array([[pres.map_of(l).a, pres.map_of(l).b,
-                      pres.map_of(l).c, pres.map_of(l).d] for l in labels])
-    inv_idx = [labels.index(pres.inv(l)) for l in labels]
+    labels = list(pres.gens)
+    mats = np.array([[g.map.a, g.map.b, g.map.c, g.map.d]
+                     for g in pres.gens.values()])
+    inv_idx = [labels.index(g.inverse) for g in pres.gens.values()]
     k = len(labels)
     leads = {}  # orbit size -> the first letter of each orbit of that size
     for label in labels:

@@ -34,7 +34,7 @@ class RunConfig:
         self.out_dir, self.out_format = out_dir, out_format
 
     def group_config(self) -> dict:
-        return {"name": self.name, "generators": self.generators}
+        return {"generators": self.generators}
 
     def betas(self) -> list:
         if not (self.beta_steps >= 2 and self.beta_min < self.beta_max
@@ -98,9 +98,15 @@ def parse_config_text(text: str) -> RunConfig:
                                   % (lineno, key))
             current[key] = value
         elif key in _SCALARS:
+            want = _SCALARS[key]
+            # an integer key takes an integer literal, a float key any
+            # number, a string key a quoted string
             try:
-                setattr(cfg, key, _SCALARS[key](value))
-            except (TypeError, ValueError, OverflowError):
+                if not isinstance(value, (int, float) if want is float
+                                  else want):
+                    raise TypeError
+                setattr(cfg, key, want(value))
+            except (TypeError, OverflowError):
                 raise ConfigError("line %d: bad value for %s" % (lineno, key)) \
                     from None
         else:

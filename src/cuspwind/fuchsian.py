@@ -115,14 +115,13 @@ class CircleInterval:
 
 
 class Generator:
-    """One symmetric generator with its coding interval."""
+    """One symmetric generator: its map, the arc on which the coding
+    records it, whether it is parabolic, and the label of its inverse."""
 
-    def __init__(self, kind: str,  # "parabolic" | "hyperbolic"
-                 map: MobiusMap, interval: CircleInterval):
-        self.kind, self.map, self.interval = kind, map, interval
-
-    def is_parabolic(self) -> bool:
-        return self.kind == "parabolic"
+    def __init__(self, parabolic: bool, map: MobiusMap,
+                 interval: CircleInterval, inverse: str):
+        self.parabolic, self.map = parabolic, map
+        self.interval, self.inverse = interval, inverse
 
 
 def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
@@ -163,37 +162,23 @@ class CircleSymmetry:
 
 
 class GroupPresentation:
-    """Validated symmetric presentation: generators, their inverses, the
+    """Validated symmetric presentation: one ``Generator`` per label, the
     horoballs of the cusps and the circle symmetries."""
 
     def __init__(
-            self, name: str, gens: dict, inverse_label: dict,
+            self, gens: dict,  # label -> Generator, in config order
             horocircles: dict,  # parabolic label (both of a +/- pair) -> Horoball
             accidental_horocircles: list,
             symmetries: tuple):  # CircleSymmetry, the identity first
-        self.name, self.gens, self.inverse_label = name, gens, inverse_label
+        self.gens = gens
         self.horocircles = horocircles
         self.accidental_horocircles = accidental_horocircles
         self.symmetries = symmetries
 
-    # --- structure ---------------------------------------------------
-
-    def labels(self) -> list:
-        return list(self.gens)
-
-    def gen(self, label: str) -> Generator:
-        return self.gens[label]
-
-    def inv(self, label: str) -> str:
-        return self.inverse_label[label]
-
     def block_admissible(self, prev: str, nxt: str) -> bool:
         """Consecutive block letters: reduced, and parabolic runs merge."""
-        if nxt == self.inverse_label[prev]:
-            return False
-        if nxt == prev and self.gens[prev].is_parabolic():
-            return False
-        return True
+        g = self.gens[prev]
+        return nxt != g.inverse and not (nxt == prev and g.parabolic)
 
     def letter_at(self, x: float):
         """The label whose arc holds the real boundary point x, or None."""
@@ -202,12 +187,6 @@ class GroupPresentation:
             if g.interval.contains(theta):
                 return label
         return None
-
-    def interval_of(self, label: str) -> CircleInterval:
-        return self.gens[label].interval
-
-    def map_of(self, label: str) -> MobiusMap:
-        return self.gens[label].map
 
     def all_horoballs(self) -> list:
         """One horoball per cusp, marked cusps first, then accidental ones."""
@@ -225,7 +204,6 @@ def build_group(config: dict) -> GroupPresentation:
         raise GroupValidationError("config lists no generators")
 
     gens: dict = {}
-    inverse_label: dict = {}
     for entry in entries:
         label = entry["label"]
         inv_label = entry.get("inverse_label", label.swapcase())
@@ -250,70 +228,62 @@ def build_group(config: dict) -> GroupPresentation:
             raise GroupValidationError(
                 "generator %r has unknown kind %r" % (label, kind))
         tr2 = m.trace() ** 2
-        if kind is None:
-            kind = "parabolic" if abs(tr2 - 4.0) <= 1e-10 else "hyperbolic"
-        if kind == "parabolic" and abs(tr2 - 4.0) > 1e-10:
+        parabolic = abs(tr2 - 4.0) <= 1e-10 if kind is None \
+            else kind == "parabolic"
+        if parabolic and abs(tr2 - 4.0) > 1e-10:
             raise GroupValidationError(
                 "generator %r declared parabolic but trace^2 = %.12g"
                 % (label, tr2))
-        if kind == "hyperbolic" and tr2 <= 4.0 + 1e-10:
+        if not parabolic and tr2 <= 4.0 + 1e-10:
             raise GroupValidationError(
-                "generator %r declared hyperbolic but trace^2 = %.12g"
+                ("generator %r is elliptic: trace^2 = %.12g" if kind is None
+                 else "generator %r declared hyperbolic but trace^2 = %.12g")
                 % (label, tr2))
-        gens[label] = Generator(kind, m, _config_arc(entry["interval"]))
-        gens[inv_label] = Generator(kind, m.inverse(),
-                                    _config_arc(entry["interval_inverse"]))
-        inverse_label[label] = inv_label
-        inverse_label[inv_label] = label
+        gens[label] = Generator(parabolic, m, _config_arc(entry["interval"]),
+                                inv_label)
+        gens[inv_label] = Generator(parabolic, m.inverse(),
+                                    _config_arc(entry["interval_inverse"]),
+                                    label)
 
-    v = sum(1 for g in gens.values() if g.is_parabolic()) // 2
+    v = sum(g.parabolic for g in gens.values()) // 2
     u = (len(gens) // 2) - v
     if v < 1:
         raise NoParabolic("presentation needs at least one parabolic pair")
     if u + v <= 1:
         raise Elementary("need u+v > 1 symmetric generator pairs, got %d" % (u + v))
 
-    _validate_intervals(gens, inverse_label)
+    _validate_intervals(gens)
 
     horocircles = {label: _horocircle_from_map(g.map)
-                   for label, g in gens.items() if g.is_parabolic()}
+                   for label, g in gens.items() if g.parabolic}
     accidental = _accidental_horocircles(
-        gens, inverse_label, [h.angle for h in horocircles.values()])
+        gens, [h.angle for h in horocircles.values()])
     pres = GroupPresentation(
-        name=config.get("name", "group"),
         gens=gens,
-        inverse_label=inverse_label,
         horocircles=horocircles,
         accidental_horocircles=accidental,
-        symmetries=_circle_symmetries(gens, inverse_label),
+        symmetries=_circle_symmetries(gens),
     )
     _validate_horoball_disjointness(pres)
     return pres
 
 
-def _as_endpoint_pair(pair):
-    """The two endpoints as floats, ``math.inf`` for oo."""
-    return [math.inf if isinstance(p, str) and p.strip().lower() in (
-        "inf", "+inf", "-inf", "oo", "-oo", "infinity") else float(p)
-        for p in pair]
-
-
 def _config_arc(pair) -> CircleInterval:
-    """The arc between the real endpoints of a config entry."""
-    lo, hi = map(boundary_angle, _as_endpoint_pair(pair))
+    """The arc between the real endpoints of a config entry, +-inf (or
+    its string) for oo."""
+    lo, hi = (boundary_angle(float(p)) for p in pair)
     return CircleInterval.between(lo, hi)
 
 
-def _validate_intervals(gens: dict, inverse_label: dict):
-    labels = list(gens)
-    for l1, l2 in itertools.combinations(labels, 2):
-        if not gens[l1].interval.disjoint_from(gens[l2].interval):
+def _validate_intervals(gens: dict):
+    for (l1, g1), (l2, g2) in itertools.combinations(gens.items(), 2):
+        if not g1.interval.disjoint_from(g2.interval):
             raise NotFree("intervals of %r and %r overlap" % (l1, l2))
     # exact Markov correspondence: g^{-1}(J_g) is the complement of
     # Cl(J_{g^{-1}}), i.e. the arc from hi(J_{g^{-1}}) to lo(J_{g^{-1}}).
     for label, g in gens.items():
         img = g.interval.image(g.map.inverse())
-        jinv = gens[inverse_label[label]].interval
+        jinv = gens[g.inverse].interval
         if angle_distance(img.angle_lo, jinv.angle_hi) > ANGLE_TOL \
                 or angle_distance(img.angle_hi, jinv.angle_lo) > ANGLE_TOL:
             ends = map(boundary_from_angle, (img.angle_lo, img.angle_hi,
@@ -339,7 +309,7 @@ def angle_distance(a: float, b: float) -> float:
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 
 
-def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
+def _circle_symmetries(gens: dict) -> tuple:
     """Every symmetry of the presentation (``CircleSymmetry``), the
     identity first.
 
@@ -359,13 +329,13 @@ def _circle_symmetries(gens: dict, inverse_label: dict) -> tuple:
                             ((j.angle_lo + j0.angle_hi) % TWO_PI, True)):
             if (shift, flip) == (0.0, False):
                 continue  # the identity
-            sym = _symmetry(gens, inverse_label, shift, flip)
+            sym = _symmetry(gens, shift, flip)
             if sym is not None:
                 out.append(sym)
     return tuple(out)
 
 
-def _symmetry(gens, inverse_label, shift, flip):
+def _symmetry(gens, shift, flip):
     """The ``CircleSymmetry`` of the isometry (shift, flip), or None when
     it is no symmetry of the presentation."""
     perm = {}
@@ -379,8 +349,8 @@ def _symmetry(gens, inverse_label, shift, flip):
              and angle_distance(h.interval.arc, j.arc) <= ANGLE_TOL), None)
         if perm[label] is None:
             return None
-    if any(perm[inverse_label[label]] != inverse_label[perm[label]]
-           for label in gens):
+    if any(perm[g.inverse] != gens[perm[label]].inverse
+           for label, g in gens.items()):
         return None
     for label, g in gens.items():
         image = gens[perm[label]].map
@@ -392,7 +362,7 @@ def _symmetry(gens, inverse_label, shift, flip):
     return sym
 
 
-def _accidental_horocircles(gens, inverse_label, marked) -> list:
+def _accidental_horocircles(gens, marked) -> list:
     """Horoballs at shared interval endpoints other than the cusps at the
     circle angles ``marked``.
 
@@ -412,25 +382,25 @@ def _accidental_horocircles(gens, inverse_label, marked) -> list:
 
     out = []
     for theta in vertices:
-        w = _parabolic_fixing(gens, inverse_label, theta)
+        w = _parabolic_fixing(gens, theta)
         if w is not None:
             out.append(_horocircle_from_map(w))
     return out
 
 
-def _parabolic_fixing(gens, inverse_label, theta):
+def _parabolic_fixing(gens, theta):
     """A parabolic reduced word of at most six letters fixing the boundary
     point of circle angle theta, or None."""
-    words = [(label, gens[label].map) for label in gens]
+    words = [(label, g.map) for label, g in gens.items()]
     for _ in range(6):
         nxt = []
         for label, m in words:
             if angle_distance(apply_angle(m, theta), theta) <= ANGLE_TOL \
                     and m.is_parabolic(1e-8) and not m.is_identity(1e-10):
                 return m
-            for label2 in gens:
-                if label2 != inverse_label[label]:
-                    nxt.append((label2, compose(m, gens[label2].map)))
+            for label2, g2 in gens.items():
+                if label2 != gens[label].inverse:
+                    nxt.append((label2, compose(m, g2.map)))
         words = nxt
     return None
 
@@ -453,11 +423,10 @@ def constants_c1(pres: GroupPresentation) -> float:
     value for lattice-type presentations.
     """
     best = math.log(3.0)
-    labels = pres.labels()
-    for l1, l2 in itertools.combinations(labels, 2):
-        if l2 == pres.inv(l1):
+    for (l1, g1), (l2, g2) in itertools.combinations(pres.gens.items(), 2):
+        if l2 == g1.inverse:
             continue  # cancelling side pair
-        j1, j2 = pres.interval_of(l1), pres.interval_of(l2)
+        j1, j2 = g1.interval, g2.interval
         d = geodesic_distance_between(j1.angle_lo, j1.angle_hi,
                                       j2.angle_lo, j2.angle_hi)
         best = min(best, d)
@@ -471,17 +440,16 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
     lattice-type systems this is a fixed point immediately, for second-kind
     groups it shrinks to a tight cover of the limit set.
     """
-    bounds = {l: (0.0, pres.interval_of(l).arc) for l in pres.labels()}
+    bounds = {l: (0.0, g.interval.arc) for l, g in pres.gens.items()}
     for _ in range(60):
         new = {}
-        for label in pres.labels():
-            g = pres.gen(label)
+        for label, g in pres.gens.items():
             jg = g.interval
             lo_best, hi_best = None, None
-            for other in pres.labels():
-                if other == pres.inv(label):
+            for other, go in pres.gens.items():
+                if other == g.inverse:
                     continue
-                jo = pres.interval_of(other)
+                jo = go.interval
                 olo, ohi = bounds[other]
                 for off in (olo, ohi):
                     pos = jg.offset_on_arc(apply_angle(g.map,
@@ -491,8 +459,8 @@ def _limit_set_bounds(pres: GroupPresentation) -> dict:
             new[label] = (lo_best, hi_best)
         bounds = new
     out = {}
-    for label in pres.labels():
-        jg = pres.interval_of(label)
+    for label, g in pres.gens.items():
+        jg = g.interval
         lo, hi = bounds[label]
         out[label] = CircleInterval.between(jg.angle_lo + lo, jg.angle_lo + hi)
     return out
@@ -525,7 +493,7 @@ def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
     axis, and step f of a horocircle its point at tan(pi (f - 1/2)) + ik
     in the chart where its base is oo.
     """
-    sides = [pres.interval_of(l).geodesic() for l in pres.labels()]
+    sides = [g.interval.geodesic() for g in pres.gens.values()]
     gaps = _core_gaps(pres)
     balls = pres.all_horoballs()
 
@@ -575,9 +543,8 @@ def conjugate_config(config: dict, m: MobiusMap) -> dict:
     for entry in config["generators"]:
         g = MobiusMap.from_entries(*entry["matrix"])
         gc = compose(compose(m, g), minv)
-        iv = [apply_boundary(m, x) for x in _as_endpoint_pair(entry["interval"])]
-        ivi = [apply_boundary(m, x)
-               for x in _as_endpoint_pair(entry["interval_inverse"])]
+        iv = [apply_boundary(m, float(x)) for x in entry["interval"]]
+        ivi = [apply_boundary(m, float(x)) for x in entry["interval_inverse"]]
         new = dict(entry)
         new["matrix"] = [gc.a, gc.b, gc.c, gc.d]
         new["interval"] = iv

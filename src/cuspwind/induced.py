@@ -247,20 +247,18 @@ def letter_families(pres: GroupPresentation) -> list:
     """Every family (g1, c, g2) with block_admissible(g1, c) and
     block_admissible(c, g2), cores in label order."""
     out = []
-    labels = pres.labels()
-    for c in labels:
-        core = pres.map_of(c)
-        parabolic = pres.gen(c).is_parabolic()
+    for c, gc in pres.gens.items():
+        core, parabolic = gc.map, gc.parabolic
         nil = core.nilpotent() if parabolic else (0.0,) * 4
-        for g1 in labels:
+        for g1, gen1 in pres.gens.items():
             if not pres.block_admissible(g1, c):
                 continue
-            m = pres.map_of(g1)
+            m = gen1.map
             m1 = (m.a * nil[0] + m.b * nil[2], m.a * nil[1] + m.b * nil[3],
                   m.c * nil[0] + m.d * nil[2], m.c * nil[1] + m.d * nil[3])
-            for g2 in labels:
+            for g2, gen2 in pres.gens.items():
                 if pres.block_admissible(c, g2):
-                    j = pres.interval_of(g2)
+                    j = gen2.interval
                     w_mid = unit_image(core, j.angle_lo + 0.5 * j.arc)
                     out.append(LetterFamily(g1, c, g2, parabolic,
                                             (m.a, m.b, m.c, m.d), m1, w_mid))
@@ -271,8 +269,8 @@ def _core_continuation_hull(pres: GroupPresentation, c_label: str):
     """Hull of the intervals a block with letter c can continue into: the
     complement of the widest gap between them (they are disjoint, so it
     skips no other interval)."""
-    arcs = sorted((pres.interval_of(g) for g in pres.labels()
-                   if pres.block_admissible(c_label, g)),
+    arcs = sorted((g.interval for label, g in pres.gens.items()
+                   if pres.block_admissible(c_label, label)),
                   key=lambda j: j.angle_lo)
     nxt = arcs[1:] + arcs[:1]
     # the gap after arc k, measured from its lo: touching arcs give ~0
@@ -306,9 +304,9 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
     of the arc average: the midpoint rule underestimates the convex
     weights).
     """
-    j = pres.interval_of(c_label)
+    gen = pres.gens[c_label]
+    j = gen.interval
     k_hull = _core_continuation_hull(pres, c_label)
-    gen = pres.gen(c_label)
 
     def offsets_of_image(k):
         img = k_hull.image(block_element(pres, c_label, k))
@@ -316,10 +314,10 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
 
     spans = []
     # a hyperbolic core has the one exponent of the first range
-    for (klo, khi) in ranges if gen.is_parabolic() else ranges[:1]:
+    for (klo, khi) in ranges if gen.parabolic else ranges[:1]:
         offs = offsets_of_image(klo) + offsets_of_image(khi)
         spans.append((min(offs), max(offs)))
-    if tail and gen.is_parabolic():
+    if tail and gen.parabolic:
         offs = offsets_of_image(ranges[-1][1] + 1)
         offs.append(j.offset_on_arc(pres.horocircles[c_label].angle))
         spans.append((min(offs), max(offs)))
@@ -426,7 +424,7 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     tail = not restricted
     ranges = _bucket_ranges(cap)
     reps = {c_label: _bucket_reps(pres, c_label, ranges, tail)
-            for c_label in pres.labels()}
+            for c_label in pres.gens}
     families = letter_families(pres)
     pairs, ends, adj = pair_graph(families)
     orbit, leads = pair_orbits(pairs, _discretised_symmetries(pres, reps))
@@ -453,7 +451,7 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
         if leads[orbit[head]] != head:
             continue
         m = len(ns) if f.parabolic else 1
-        rows = np.array([f.row(unit_image(pres.map_of(f.core), y))
+        rows = np.array([f.row(unit_image(pres.gens[f.core].map, y))
                          for ys in reps[f.g2] for y in ys])
         fam_rows, in_firsts, out_keys = groups.setdefault(m, ([], [], []))
         fam_rows.append(rows)

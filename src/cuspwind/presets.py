@@ -13,6 +13,8 @@ All interval gaps are genuine (second-kind group), the sides stay a
 positive distance apart and the constants are non-degenerate.
 """
 
+import math
+
 GAMMA2 = {
     "name": "gamma2-type",
     "generators": [
@@ -21,8 +23,8 @@ GAMMA2 = {
             "inverse_label": "A",
             "kind": "parabolic",
             "matrix": [1.0, 2.0, 0.0, 1.0],
-            "interval": [1.0, "inf"],
-            "interval_inverse": ["inf", -1.0],
+            "interval": [1.0, math.inf],
+            "interval_inverse": [math.inf, -1.0],
         },
         {
             "label": "b",

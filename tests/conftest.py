@@ -15,5 +15,10 @@ def onecusp():
 
 
 @pytest.fixture(scope="session", params=["gamma2-type", "one-cusp-one-hyperbolic"])
-def any_group(request):
-    return build_group(preset_config(request.param))
+def any_preset(request):
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def any_group(any_preset):
+    return build_group(preset_config(any_preset))

@@ -175,18 +175,18 @@ def alphabet(pres: GroupPresentation, n_max: int) -> list:
 def branch_map(pres: GroupPresentation, e: InducedLetter) -> MobiusMap:
     """Contracting inverse branch V_e = product of symbols[:-2]."""
     syms = e.symbols[:-2]
-    g1 = pres.map_of(syms[0])
+    g1 = pres.gens[syms[0]].map
     if len(syms) == 1:
         return g1
-    core = pres.map_of(syms[1])
+    core = pres.gens[syms[1]].map
     return compose(g1, parabolic_power(core, len(syms) - 1))
 
 
 def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> float:
     """log |V_e'|_circle at the continuation point x' = u_{m-1}(midpoint
     of J_{u_m})."""
-    mid = pres.interval_of(e.symbols[-1]).point_at(0.5)
-    x = apply_boundary(pres.map_of(e.symbols[-2]), boundary_from_angle(mid))
+    mid = pres.gens[e.symbols[-1]].interval.point_at(0.5)
+    x = apply_boundary(pres.gens[e.symbols[-2]].map, boundary_from_angle(mid))
     return math.log(circle_derivative_magnitude(branch_map(pres, e), x))
 
 
@@ -265,9 +265,8 @@ def without_symmetries(pres: GroupPresentation) -> GroupPresentation:
     """``pres`` with the identity as its only symmetry, from which
     ``fuchsian_system`` builds the whole operator, one key per overlap
     pair and bucket, instead of its quotient."""
-    return GroupPresentation(pres.name, pres.gens, pres.inverse_label,
-                             pres.horocircles, pres.accidental_horocircles,
-                             pres.symmetries[:1])
+    return GroupPresentation(pres.gens, pres.horocircles,
+                             pres.accidental_horocircles, pres.symmetries[:1])
 
 
 def letter_cells(block: LetterBlock) -> np.ndarray:
@@ -347,11 +346,11 @@ def block_word_geometry(pres, n: int, cap: int):
             dists.append(hyperbolic_distance(q, BASE_POINT))
             winds.append(wsum)
             return
-        for label in pres.labels():
+        for label in pres.gens:
             if prev is not None and not pres.block_admissible(prev, label):
                 continue
-            gen = pres.gen(label)
-            if gen.is_parabolic():
+            gen = pres.gens[label]
+            if gen.parabolic:
                 for exp in range(1, cap + 1):
                     rec(label, depth + 1,
                         compose(mat, parabolic_power(gen.map, exp)),

@@ -302,11 +302,11 @@ def test_criterion_9_fact_level_invariants():
             blocks = []
             prev = None
             for _ in range(n_blocks):
-                choices = [l for l in pres.labels()
+                choices = [l for l in pres.gens
                            if prev is None or pres.block_admissible(prev, l)]
                 label = choices[rng.integers(len(choices))]
                 exp = int(rng.integers(1, K + 2)) \
-                    if pres.gen(label).is_parabolic() else 1
+                    if pres.gens[label].parabolic else 1
                 blocks.append((label, exp))
                 prev = label
             w = BlockWord(tuple(blocks))

@@ -250,6 +250,20 @@ def test_cli_bad_determinant_exit_1(tmp_path, capsys):
     assert "a" in obj["message"]
 
 
+def test_cli_undeclared_elliptic_generator_exit_1(tmp_path, capsys):
+    # without a kind nothing was declared hyperbolic: the message says that
+    # the generator is elliptic
+    text = preset_text("one-cusp-one-hyperbolic").replace(
+        'kind = "hyperbolic"\n', "").replace(
+        "matrix = [2.6, 7.2, 0.8, 2.6]", "matrix = [0, -1, 1, 0]")
+    path = tmp_path / "elliptic.cw"
+    path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    obj = json.loads(capsys.readouterr().err)
+    assert obj["error"] == "GroupValidationError"
+    assert obj["message"] == "generator 'h' is elliptic: trace^2 = 0"
+
+
 @pytest.mark.parametrize("case, rc, error", [
     ("matrix = 3", 2, "ConfigError"),
     ('matrix = [1, 2, 0, "q"]', 2, "ConfigError"),
@@ -260,11 +274,15 @@ def test_cli_bad_determinant_exit_1(tmp_path, capsys):
     ("interval = [1, 1]", 1, "GroupValidationError"),
     ("interval = [inf, inf]", 1, "GroupValidationError"),
     ("matrix = [-1, 0, 0, -1]", 1, "GroupValidationError"),
+    ("cap = 50.5", 2, "ConfigError"),
+    ("seed = 2.5", 2, "ConfigError"),
+    ("name = [1, 2]", 2, "ConfigError"),
 ])
 def test_cli_config_errors_exit_as_config_or_group_errors(case, rc, error,
                                                           tmp_path, capsys):
-    # malformed fields and values are configuration errors; degenerate arcs
-    # and the identity are invalid geometry
+    # malformed fields and values (a fractional integer key, a list for a
+    # string) are configuration errors; degenerate arcs and the identity
+    # are invalid geometry
     key = case.split(" =")[0]
     if key == "out_format":
         text = case + "\n" + GAMMA2_TEXT
@@ -346,7 +364,7 @@ def mutated_preset_text(draw):
 def test_preset_text_builds_the_preset():
     for name in PRESETS:
         pres = build_group(parse_config_text(preset_text(name)).group_config())
-        assert pres.labels() == build_group(preset_config(name)).labels()
+        assert list(pres.gens) == list(build_group(preset_config(name)).gens)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

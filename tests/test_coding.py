@@ -33,7 +33,7 @@ def test_bowen_step_moves_into_complement(gamma2):
     assert label == "a"
     assert y == pytest.approx(0.5)
     # image leaves the paired interval J_A
-    assert not gamma2.interval_of("A").contains(boundary_angle(y))
+    assert not gamma2.gens["A"].interval.contains(boundary_angle(y))
 
 
 def test_bowen_step_outside_intervals(gamma2):
@@ -172,10 +172,10 @@ def test_mean_winding_bounded_digits(onecusp):
         blocks = []
         prev = None
         for _ in range(30):
-            choices = [l for l in onecusp.labels()
+            choices = [l for l in onecusp.gens
                        if prev is None or onecusp.block_admissible(prev, l)]
             label = choices[rng.integers(len(choices))]
-            exp = int(rng.integers(1, K + 2)) if onecusp.gen(label).is_parabolic() else 1
+            exp = int(rng.integers(1, K + 2)) if onecusp.gens[label].parabolic else 1
             blocks.append((label, exp))
             prev = label
         w = BlockWord(tuple(blocks))
@@ -241,13 +241,13 @@ def test_poincare_shells_match_word_recursion(any_group, max_len):
         for s, out in zip(ss, want):
             out[length - 1] += math.exp(-s * d)
         if length < max_len:
-            for label in any_group.labels():
-                if label != any_group.inv(last):
-                    rec(compose(mat, any_group.map_of(label)), label,
+            for label in any_group.gens:
+                if label != any_group.gens[last].inverse:
+                    rec(compose(mat, any_group.gens[label].map), label,
                         length + 1)
 
-    for label in any_group.labels():
-        rec(any_group.map_of(label), label, 1)
+    for label in any_group.gens:
+        rec(any_group.gens[label].map, label, 1)
     got = poincare_shell_sums(any_group, ss, max_len)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12)
@@ -264,14 +264,14 @@ def test_poincare_shells_agree_over_symmetric_first_letters(gamma2):
         for s, row in zip(ss, out):
             row[length - 1] += math.exp(-s * d)
         if length < 6:
-            for label in gamma2.labels():
-                if label != gamma2.inv(last):
-                    shells(compose(word, gamma2.map_of(label)), label,
+            for label in gamma2.gens:
+                if label != gamma2.gens[last].inverse:
+                    shells(compose(word, gamma2.gens[label].map), label,
                            length + 1, out)
         return out
 
-    first = [shells(gamma2.map_of(label), label, 1,
-                    [[0.0] * 6 for _ in ss]) for label in gamma2.labels()]
+    first = [shells(gamma2.gens[label].map, label, 1,
+                    [[0.0] * 6 for _ in ss]) for label in gamma2.gens]
     for other in first[1:]:
         for got, want in zip(other, first[0]):
             assert got == pytest.approx(want, rel=1e-14)

@@ -132,20 +132,20 @@ def test_disjointness_against_sampled_points(lo1, arc1, lo2, arc2, touch):
 def test_gamma2_builds_and_counts(gamma2):
     # two cusps, both of a parabolic pair, and no hyperbolic pair
     assert sorted(gamma2.horocircles) == ["A", "B", "a", "b"]
-    assert sorted(gamma2.labels()) == ["A", "B", "a", "b"]
-    assert gamma2.inv("a") == "A" and gamma2.inv("B") == "b"
+    assert sorted(gamma2.gens) == ["A", "B", "a", "b"]
+    assert gamma2.gens["a"].inverse == "A" and gamma2.gens["B"].inverse == "b"
 
 
 def test_markov_covering_on_endpoints(any_group):
     # image of each interval under the expanding branch covers exactly the
     # complement of the paired interval; check every other interval fits
-    for label in any_group.labels():
-        g = any_group.gen(label)
+    for label in any_group.gens:
+        g = any_group.gens[label]
         img = g.interval.image(g.map.inverse())
-        for other in any_group.labels():
-            if other == any_group.inv(label):
+        for other in any_group.gens:
+            if other == g.inverse:
                 continue
-            assert contains_interval(img, any_group.interval_of(other),
+            assert contains_interval(img, any_group.gens[other].interval,
                                      tol=1e-9)
 
 
@@ -248,7 +248,7 @@ def check_horocircles_invariant(pres):
     # g maps its horocircle onto itself, and moves each point of it by
     # acosh 3, the displacement of z -> z + 1 at height 1/2
     for label, h in pres.horocircles.items():
-        g = pres.gen(label).map
+        g = pres.gens[label].map
         for k in range(16):
             pt = h.point_at(math.tan(math.pi * ((k + 0.5) / 16 - 0.5)))
             assert h.depth(pt) == pytest.approx(0.0, abs=1e-10)
@@ -357,8 +357,8 @@ def test_c2_at_least_log4(any_group):
 def test_side_distance_against_sampled_minimum(onecusp):
     # independent check of the closed-form geodesic distance: sample points
     # on both sides, minimize, refine the mesh
-    ja = onecusp.interval_of("a")
-    jh = onecusp.interval_of("h")
+    ja = onecusp.gens["a"].interval
+    jh = onecusp.gens["h"].interval
     exact = geodesic_distance_between(ja.angle_lo, ja.angle_hi,
                                       jh.angle_lo, jh.angle_hi)
 
@@ -418,8 +418,8 @@ def test_limit_set_bounds_do_not_move_under_rotations(name):
     # and one-cusp's first arc 0.6924 or 0.7029, depending on the angle
     def fractions(pres):
         bounds = _limit_set_bounds(pres)
-        return [bounds[label].arc / pres.interval_of(label).arc
-                for label in pres.labels()]
+        return [bounds[label].arc / pres.gens[label].interval.arc
+                for label in pres.gens]
 
     want = fractions(rotated_group(name, ROTATIONS[0]))
     if name == "gamma2-type":  # a lattice: the limit set is the circle
@@ -460,7 +460,7 @@ def test_horocircle_of_requires_parabolic(onecusp):
 
 def symmetry_images(pres) -> list:
     """Each symmetry as the images of the labels, in label order."""
-    return ["".join(sym.perm[label] for label in pres.labels())
+    return ["".join(sym.perm[label] for label in pres.gens)
             for sym in pres.symmetries]
 
 
@@ -493,16 +493,17 @@ def check_symmetries(pres):
     # each R maps the midpoint of J_l into J_perm[l] and commutes with the
     # generators at points other than those the builder probes
     for sym in pres.symmetries:
-        for label in pres.labels():
-            image = pres.interval_of(sym.perm[label])
-            mid = pres.interval_of(label).point_at(0.5)
+        for label in pres.gens:
+            image = pres.gens[sym.perm[label]].interval
+            mid = pres.gens[label].interval.point_at(0.5)
             assert image.contains(sym.angle(mid))
-            assert sym.perm[pres.inv(label)] == pres.inv(sym.perm[label])
+            assert sym.perm[pres.gens[label].inverse] \
+                == pres.gens[sym.perm[label]].inverse
             for theta in (0.4, 2.2, 4.1, 6.0):
                 x = boundary_from_angle(theta)
                 left = sym.angle(boundary_angle(apply_boundary(
-                    pres.map_of(label), x)))
+                    pres.gens[label].map, x)))
                 right = boundary_angle(apply_boundary(
-                    pres.map_of(sym.perm[label]),
+                    pres.gens[sym.perm[label]].map,
                     boundary_from_angle(sym.angle(theta))))
                 assert angle_distance(left, right) <= 1e-9

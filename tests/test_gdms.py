@@ -293,13 +293,14 @@ def rotated_config(name, theta):
 
 
 @pytest.mark.parametrize("theta", [0.05, 0.3, -2.0, 1.1, math.pi / 4])
-def test_operator_is_invariant_under_circle_rotations(any_group, theta):
+def test_operator_is_invariant_under_circle_rotations(any_preset, any_group,
+                                                       theta):
     # a rotation of the circle chart moves every arc, bucket point and
     # weight rigidly, so t(beta) must not move; an image endpoint on the
     # lower end of an arc once read 2 pi - eps and was clipped to the
     # far end (gamma2's t(0) read 0.97262 at theta = 0.05, 0.3 and -2.0)
     want = fuchsian_system(any_group, 60)
-    got = fuchsian_system(build_group(rotated_config(any_group.name, theta)),
+    got = fuchsian_system(build_group(rotated_config(any_preset, theta)),
                           60)
     for beta in (0.0, 1.25):
         assert free_energy(got, beta).t == pytest.approx(
@@ -537,8 +538,8 @@ PINNED = {
 }
 
 
-def test_free_energy_pinned_values(any_group):
-    cap60, dc, small_caps = PINNED[any_group.name]
+def test_free_energy_pinned_values(any_preset, any_group):
+    cap60, dc, small_caps = PINNED[any_preset]
     sysm = fuchsian_system(any_group, 60)
     for beta, t in zip((-3.0, 0.0, 3.0), cap60):
         assert free_energy(sysm, beta).t == pytest.approx(t, abs=1e-12)
@@ -765,13 +766,13 @@ def test_far_guesses_reach_the_cold_root(any_group, monkeypatch):
 @pytest.mark.parametrize("chart", [(1.0, 0.3, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5),
                                    (1.0, 0.0, 0.4, 1.0)],
                          ids=["z+0.3", "4z", "z/(0.4z+1)"])
-def test_default_betas_solve_in_conjugated_charts(any_group, chart):
+def test_default_betas_solve_in_conjugated_charts(any_preset, chart):
     # the default run solves its grid and nothing past it: with -3000 in
     # the grid, gamma2 under z+0.3 and z/(0.4z+1) raised NoSignChange
-    config = conjugate_config(preset_config(any_group.name),
+    config = conjugate_config(preset_config(any_preset),
                               MobiusMap.from_entries(*chart))
     sysm = fuchsian_system(build_group(config), 60)
-    betas = config_from_preset(any_group.name).betas()
+    betas = config_from_preset(any_preset).betas()
     curve = free_energy_curve(sysm, betas)
     assert list(curve.betas) == betas
     assert curve.validate()

@@ -2,9 +2,9 @@
 imports is used in that module, every top-level function or class of the
 package is reached from the command line, every method is named as an
 attribute in the package or in ``perfbench/`` outside its own body, every
-upper-case module-level constant is loaded there, every dataclass field
-and every attribute a method sets on ``self`` is read there as an
-attribute, no function of the package sets an
+upper-case module-level constant is loaded there, every attribute a
+method sets on ``self`` is read there as an attribute, no method only
+passes a field of ``self`` through, no function of the package sets an
 attribute of one of its own parameters, no method but ``__init__`` sets
 one on ``self``, no module imports ``dataclasses``, importing the command
 line loads no scipy or html and a spectrum run no dataclasses or copy,
@@ -299,20 +299,10 @@ def test_no_unread_constants():
     assert not found, "constants never loaded: " + ", ".join(found)
 
 
-def _is_dataclass(cls) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass" for d in cls.decorator_list)
-
-
 def _set_fields(cls) -> list:
-    """(line, name) of each field of the class: a field of a dataclass,
-    and each attribute that one of its methods assigns on ``self``."""
+    """(line, name) of each field of the class: each attribute that one of
+    its methods assigns on ``self``."""
     out = []
-    if _is_dataclass(cls):
-        out += [(stmt.lineno, stmt.target.id) for stmt in cls.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)]
     for fn in cls.body:
         if isinstance(fn, ast.FunctionDef):
             out += [(node.lineno, node.attr) for node in ast.walk(fn)
@@ -338,15 +328,17 @@ def write_only_fields(modules: dict, others: list) -> list:
 
 
 def test_write_only_field_detector():
-    module = ("from dataclasses import dataclass\n\n\n"
-              "@dataclass\nclass A:\n    read: int\n    written: int\n"
-              "    elsewhere: int = 0\n\n\n"
-              "@dataclass(frozen=True)\nclass B:\n    unread: int\n\n\n"
-              "class C:\n    plain: int\n\n\n"
+    # a field read only by another file counts as read; a parameter write
+    # (a.written) and a plain name (unread) are no reads
+    module = ("class A:\n    def __init__(self, read, written, elsewhere=0):\n"
+              "        self.read, self.elsewhere = read, elsewhere\n"
+              "        self.written = written\n\n\n"
+              "class B:\n    def __init__(self, unread):\n"
+              "        self.unread = unread\n\n\n"
               "def f(a, unread):\n    a.written = 1\n"
               "    return a.read + unread\n")
     assert write_only_fields({"m.py": module}, ["x.elsewhere\n"]) \
-        == [("m.py", 7, "A.written"), ("m.py", 13, "B.unread")]
+        == [("m.py", 4, "A.written"), ("m.py", 9, "B.unread")]
 
 
 def test_write_only_self_attribute_detector():
@@ -366,6 +358,81 @@ def test_no_write_only_fields():
     modules, others = _package_and_perfbench()
     found = ["%s:%d %s" % d for d in write_only_fields(modules, others)]
     assert not found, "fields never read: " + ", ".join(found)
+
+
+def _passes_through(node, params) -> bool:
+    """``node`` is ``self.x``, ``self.x[p]``, ``self.x[p].y`` or
+    ``list(self.x)``, with p one of ``params``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                      ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Subscript):
+        if not (isinstance(node.slice, ast.Name) and node.slice.id in params):
+            return False
+        node = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "list" and len(node.args) == 1 \
+            and not node.keywords:
+        node = node.args[0]
+    return isinstance(node, ast.Attribute) \
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
+def pass_through_accessors(modules: dict) -> list:
+    """(module, line, Class.method) of each non-dunder method of a class in
+    ``modules`` whose body, after an optional docstring, is one ``return``
+    of ``self.x``, ``self.x[param]``, ``self.x[param].y`` or
+    ``list(self.x)``."""
+    found = []
+    for mod, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                body = fn.body[1:] if ast.get_docstring(fn) is not None \
+                    else fn.body
+                params = {a.arg for a in fn.args.posonlyargs + fn.args.args
+                          + fn.args.kwonlyargs}
+                if len(body) == 1 and isinstance(body[0], ast.Return) \
+                        and _passes_through(body[0].value, params):
+                    found.append((mod, fn.lineno, cls.name + "." + fn.name))
+    return sorted(found)
+
+
+def test_pass_through_accessor_detector():
+    module = ("class P:\n    def __init__(self, gens):\n"
+              "        self.gens, self.n = gens, len(gens)\n\n"
+              "    def __len__(self):\n        return self.n\n\n"
+              "    def labels(self):\n        return list(self.gens)\n\n"
+              "    def gen(self, label):\n"
+              "        \"\"\"The generator of label.\"\"\"\n"
+              "        return self.gens[label]\n\n"
+              "    def map_of(self, label):\n"
+              "        return self.gens[label].map\n\n"
+              "    @property\n    def count(self):\n        return self.n\n\n"
+              "    def first(self):\n        return self.gens[0]\n\n"
+              "    def doubled(self):\n        return self.n + self.n\n\n"
+              "    def inverse_map(self, label):\n"
+              "        return self.gens[label].map.inverse()\n\n"
+              "    def other(self, o):\n        return o.gens\n\n"
+              "    def checked(self, label):\n"
+              "        assert label in self.gens\n"
+              "        return self.gens[label]\n")
+    assert pass_through_accessors({"m.py": module}) == [
+        ("m.py", 8, "P.labels"), ("m.py", 11, "P.gen"),
+        ("m.py", 15, "P.map_of"), ("m.py", 19, "P.count")]
+
+
+def test_no_pass_through_accessors():
+    # a method that only returns a field, an entry of it or a field of an
+    # entry gives a second name to what callers can read directly
+    modules, _ = _package_and_perfbench()
+    found = ["%s:%d %s" % d for d in pass_through_accessors(modules)]
+    assert not found, "methods that only pass a field through: " \
+        + ", ".join(found)
 
 
 def _attribute_writes(fn):

@@ -41,11 +41,11 @@ def test_alphabet_counts(gamma2, onecusp):
     assert len(alphabet(gamma2, 1)) == 16
     assert len(alphabet(gamma2, 2)) == 32
     # no hyperbolic-core letters when u = 0
-    assert all(gamma2.gen(e.core).is_parabolic() for e in alphabet(gamma2, 3))
+    assert all(gamma2.gens[e.core].parabolic for e in alphabet(gamma2, 3))
     letters = alphabet(onecusp, 1)
     assert len(letters) == 26
     assert sum(1 for e in letters
-               if not onecusp.gen(e.core).is_parabolic()) == 18
+               if not onecusp.gens[e.core].parabolic) == 18
 
 
 def test_psi_values(gamma2):
@@ -65,7 +65,7 @@ def test_zeta_letter_negative_and_bracketed(any_group):
         z = zeta_letter(any_group, e)
         assert z < 0.0
         f = fams[(e.symbols[0], e.core, e.symbols[-1])]
-        assert f.parabolic == any_group.gen(e.core).is_parabolic()
+        assert f.parabolic == any_group.gens[e.core].parabolic
         n = len(e.symbols) - 2
         assert abs(z - f.zeta([f.row(f.w_mid)], np.array([n]))[0, 0]) <= 1e-12
         if n >= 2:
@@ -90,11 +90,11 @@ def test_row_weights_are_the_circle_derivative(any_group):
     # g1 c^399 is off by ~1e-12)
     ranges = ind._bucket_ranges(400)
     for f in ind.letter_families(any_group):
-        core = any_group.map_of(f.core)
+        core = any_group.gens[f.core].map
         ns = [1, 2, 7, 400] if f.parabolic else [1]
         branches = [MobiusMap(*(a + (n - 1) * b for a, b in zip(f.m0, f.m1)))
                     for n in ns]
-        assert all(close_to(m, compose(any_group.map_of(f.g1),
+        assert all(close_to(m, compose(any_group.gens[f.g1].map,
                                        parabolic_power(core, n - 1)), 1e-9)
                    for m, n in zip(branches, ns) if f.parabolic)
         for ys in ind._bucket_reps(any_group, f.g2, ranges, True):
@@ -172,16 +172,16 @@ def test_core_continuation_hull(chart):
         if chart is not None:
             cfg = conjugate_config(cfg, MobiusMap.from_entries(*chart))
         pres = build_group(cfg)
-        for c in pres.labels():
+        for c in pres.gens:
             hull = ind._core_continuation_hull(pres, c)
-            arcs = [pres.interval_of(g) for g in pres.labels()
+            arcs = [pres.gens[g].interval for g in pres.gens
                     if pres.block_admissible(c, g)]
             assert all(contains_interval(hull, j, tol=1e-12) for j in arcs)
             ends = [a for j in arcs for a in (j.angle_lo, j.angle_hi)]
             assert all(min(angle_distance(a, e) for e in ends) <= 1e-12
                        for a in (hull.angle_lo, hull.angle_hi))
             assert not hull.contains(
-                pres.interval_of(pres.inv(c)).point_at(0.5))
+                pres.gens[pres.gens[c].inverse].interval.point_at(0.5))
 
 
 def test_letters_of_blocks_overlap(gamma2):
@@ -213,8 +213,8 @@ def test_conjugacy_empty_sample(gamma2):
     assert rep.ok
 
 
-def test_primitivity_witness_small(any_group):
-    n_pairs = 8 if any_group.name == "gamma2-type" else 10
+def test_primitivity_witness_small(any_preset, any_group):
+    n_pairs = 8 if any_preset == "gamma2-type" else 10
     assert primitivity_witness(any_group) == (3, n_pairs)
 
 

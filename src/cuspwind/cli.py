@@ -32,12 +32,12 @@ from .coding import (
     random_block_word,
 )
 from .config import ConfigError, RunConfig, config_from_preset, load_config
+from .errors import ReachedCusp
 from .figures import emit_figure
 from .fuchsian import build_group, constant_c0, constants_c1
 from .induced import (
     conjugacy_check,
     fuchsian_system,
-    letter_series_sweep,
     primitivity_witness,
 )
 from .presets import PRESETS
@@ -215,28 +215,30 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_code(cfg: RunConfig, point: float, blocks: int) -> int:
     pres = build_group(cfg.group_config())
-    word = code_point(pres, point, blocks)
+    cusp = None
+    try:
+        word = code_point(pres, point, blocks)
+    except ReachedCusp as exc:
+        word, cusp = exc.word, exc.cusp
     winds = word.windings(pres)
     print("point %.12g -> %d blocks" % (point, len(word)))
     for (label, exp), a in zip(word.blocks, winds):
         print("  %s^%d  winding %d" % (label, exp, a))
     print("windings:", list(winds))
+    if cusp is not None:
+        print("then the orbit reaches the cusp %.12g" % cusp)
     return 0
 
 
 def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
-    pres = build_group(cfg.group_config())
-    sysm = fuchsian_system(pres, cfg.cap)
+    sysm = fuchsian_system(build_group(cfg.group_config()), cfg.cap)
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
     ts, bs = (grid.ravel() for grid in np.meshgrid(
         np.linspace(t_min, t_max, t_steps), betas))
     ps = [gdms.pressure(sysm, float(t), float(beta))
           for t, beta in zip(ts, bs)]
-    # the one-letter series truncated at the run cap
-    series = np.log(letter_series_sweep(pres, ts, bs, [cfg.cap])[0])
     path = write_result(cfg, "pressure", _meta(cfg),
-                        {"t": ts, "beta": bs, "pressure": ps,
-                         "letter_series_log": series})
+                        {"t": ts, "beta": bs, "pressure": ps})
     print(path)
     return 0
 
@@ -244,14 +246,13 @@ def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
 def _curve(cfg: RunConfig):
     betas = cfg.betas()
     pres = build_group(cfg.group_config())
-    sysm = fuchsian_system(pres, cfg.cap)
-    curve = gdms.free_energy_curve(sysm, betas)
+    curve = gdms.free_energy_curve(fuchsian_system(pres, cfg.cap), betas)
     curve.validate()
-    return pres, sysm, curve
+    return pres, curve
 
 
 def cmd_free_energy(cfg: RunConfig) -> int:
-    _, _, curve = _curve(cfg)
+    _, curve = _curve(cfg)
     path = write_result(cfg, "free_energy", _meta(cfg),
                         {"beta": curve.betas, "t": curve.t, "r": curve.r,
                          "err_t": curve.err_t, "calls": curve.calls})
@@ -260,7 +261,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    pres, _, curve = _curve(cfg)
+    pres, curve = _curve(cfg)
     spec = sp.spectrum(curve)
     spec.validate()
     delta_c = gdms.delta_c(pres).t

@@ -14,14 +14,20 @@ import math
 
 import numpy as np
 
-from .errors import CodingStalled, GeodesicMissesHorocircle, OutsideAllIntervals
-from .fuchsian import GroupPresentation
+from .errors import (
+    CodingStalled,
+    GeodesicMissesHorocircle,
+    OutsideAllIntervals,
+    ReachedCusp,
+)
+from .fuchsian import ANGLE_TOL, GroupPresentation, angle_distance
 from .geometry import Geodesic
 from .mobius import (
     BASE_POINT,
     MobiusMap,
     apply_boundary,
     apply_plane,
+    boundary_angle,
     boundary_from_angle,
     hyperbolic_distance,
     parabolic_power,
@@ -86,7 +92,9 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
 
     A hyperbolic run closes at once, a parabolic one only once a different
     letter shows up, so the orbit is advanced one letter past the last
-    requested block.
+    requested block.  An orbit that lands on an arc endpoint stops: at a
+    cusp (to ``ANGLE_TOL`` in angle) with ``ReachedCusp``, which carries
+    the closed blocks, and elsewhere with ``CodingStalled``.
     """
     runs = []  # [label, run length]; the last is open while parabolic
     y = x
@@ -103,6 +111,11 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
         try:
             y, label = bowen_series_step(pres, y)
         except OutsideAllIntervals as exc:
+            theta = boundary_angle(y)
+            if any(angle_distance(theta, ball.angle) <= ANGLE_TOL
+                   for ball in pres.all_horoballs()):
+                raise ReachedCusp(BlockWord(tuple(map(tuple, runs[:closed]))),
+                                  y) from exc
             raise CodingStalled(
                 "orbit left the coding domain after %d blocks" % closed
             ) from exc

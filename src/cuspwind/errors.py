@@ -37,6 +37,16 @@ class CodingStalled(CuspwindError):
     """Orbit hit an interval endpoint before the requested number of blocks."""
 
 
+class ReachedCusp(CodingStalled):
+    """Orbit landed on a cusp: ``word`` holds the blocks closed before it,
+    and ``cusp`` is the orbit's point there."""
+
+    def __init__(self, word, cusp: float):
+        super().__init__("orbit reached the cusp %.12g after %d blocks"
+                         % (cusp, len(word)))
+        self.word, self.cusp = word, cusp
+
+
 class GeodesicMissesHorocircle(CuspwindError):
     """Arc decomposition could not locate a feature crossing.
 

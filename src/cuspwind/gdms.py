@@ -80,8 +80,7 @@ LOG_FLOOR = -700.0
 # ``key_matrix`` builds the letter weights this many doubles (512 KB) at
 # a time, a chunk of whole rows that stays in a core's L2 cache through
 # the seven passes over it; a row longer than that is one chunk of its
-# own.  ``induced.letter_series_sweep`` takes its (t, beta) points in
-# chunks of the same size.
+# own.
 CHUNK = 1 << 16
 
 

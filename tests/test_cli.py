@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cuspwind import cli
+from cuspwind import cli, gdms
 from cuspwind.config import (
     MAX_CAP,
     ConfigError,
@@ -20,7 +20,7 @@ from cuspwind.errors import CuspwindError
 from cuspwind.fuchsian import build_group
 from cuspwind.presets import PRESETS, preset_config
 from cuspwind.figures import emit_figure
-from cuspwind.induced import letter_series_sweep
+from cuspwind.induced import fuchsian_system
 
 GAMMA2_TEXT = """
 name = "gamma2-from-file"
@@ -111,6 +111,24 @@ def test_cli_code_fixed_point(capsys):
     out = capsys.readouterr().out
     assert "a^1" in out and "b^1" in out
     assert out.count("winding 0") == 6
+
+
+@pytest.mark.parametrize("point, blocks, cusp", [
+    ("2.5", ["a^1"], "inf"),  # 2.5 -a-> 0.5 -b-> oo, the cusp of a
+    ("3", [], "1"),  # 3 -a-> 1, an accidental cusp; the run of a stays open
+    ("0.25", [], "inf"),  # 0.25 -b-> 0.5 -b-> oo
+    ("0", [], "0"),
+    ("-1", [], "-1"),
+])
+def test_cli_code_reaches_cusp(point, blocks, cusp, capsys):
+    # every rational point is a cusp of gamma2: its coding ends there
+    rc = cli.main(["code", "--preset", "gamma2-type", "--point", point,
+                   "--blocks", "12"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "point %s -> %d blocks" % (point, len(blocks))
+    assert [line.split()[0] for line in out[1:-2]] == blocks
+    assert out[-1] == "then the orbit reaches the cusp " + cusp
 
 
 def test_cli_unknown_preset_exit_2(capsys):
@@ -504,11 +522,14 @@ def test_cli_pressure_grid(tmp_path, onecusp):
     assert rc == 0
     payload = json.loads((tmp_path / "pressure.json").read_text())
     data = payload["data"]
-    assert set(data) == {"t", "beta", "pressure", "letter_series_log"}
-    # the one-letter series truncated at the run cap
-    t, beta = data["t"][-1], data["beta"][-1]
-    assert data["letter_series_log"][-1] == pytest.approx(
-        math.log(letter_series_sweep(onecusp, t, beta, [40])[0]), abs=1e-12)
+    assert list(data) == ["t", "beta", "pressure"]
+    # each value is the pressure of the run's system, bit for bit ("inf"
+    # where the series diverges)
+    sysm = fuchsian_system(onecusp, 40)
+    got = [float(p) for p in data["pressure"]]
+    assert got == [gdms.pressure(sysm, t, beta)
+                   for t, beta in zip(data["t"], data["beta"])]
+    assert 0 < sum(map(math.isfinite, got)) < len(got)
 
 
 def test_svg_deterministic(onecusp):

@@ -13,7 +13,7 @@ from cuspwind.coding import (
     poincare_shell_sums,
     random_block_word,
 )
-from cuspwind.errors import CodingStalled, OutsideAllIntervals
+from cuspwind.errors import CodingStalled, OutsideAllIntervals, ReachedCusp
 from cuspwind.fuchsian import constant_c0, constants_c1
 from cuspwind.induced import induced_step
 from cuspwind.mobius import (
@@ -85,6 +85,13 @@ def test_coding_stalls_on_fixed_endpoint(gamma2):
     # parabolic fixed point 0 is an interval endpoint: never codable
     with pytest.raises((CodingStalled, OutsideAllIntervals)):
         code_point(gamma2, 0.0, 3)
+
+
+def test_stall_in_a_gap_is_no_cusp(onecusp):
+    # 1.5 lies in a gap of the one-cusp group's limit set
+    with pytest.raises(CodingStalled) as exc:
+        code_point(onecusp, 1.5, 3)
+    assert not isinstance(exc.value, ReachedCusp)
 
 
 def test_displacement_empty_and_single_block(gamma2):

@@ -18,7 +18,6 @@ from cuspwind.fuchsian import build_group, conjugate_config, constant_c0
 from cuspwind.induced import (
     fuchsian_system,
     letter_families,
-    letter_series_sweep,
     pair_graph,
     pair_orbits,
 )
@@ -31,6 +30,7 @@ from oracles import (
     cell_pattern,
     eq4_constant,
     letter_cells,
+    letter_series,
     partition_sum,
     system_from_edges,
     whole_key_matrix,
@@ -658,23 +658,11 @@ def test_finiteness_threshold_values(gamma2):
 
 def test_letter_series_divergence_split(gamma2):
     caps = [100 * 2 ** k for k in range(7)]
-    div = letter_series_sweep(gamma2, 0.49, 0.0, caps)
-    conv = letter_series_sweep(gamma2, 1.0, 0.0, caps)
+    div = letter_series(gamma2, 0.49, 0.0, caps)
+    conv = letter_series(gamma2, 1.0, 0.0, caps)
     assert all(b > a for a, b in zip(div, div[1:]))  # keeps growing
     assert div[-1] / div[0] > 1.5
     assert abs(conv[-1] - conv[-2]) < 1e-3
-
-
-def test_letter_series_grid_matches_single_points(onecusp):
-    # one call over a (beta x t) grid, as the pressure command makes, gives
-    # each point's series exactly; at cap 6400 the 12 points take 2 chunks
-    ts, bs = np.meshgrid(np.linspace(0.6, 1.5, 4), [-1.0, 0.0, 1.0])
-    caps = [5, 40, 6400]
-    grid = letter_series_sweep(onecusp, ts, bs, caps)
-    assert [g.shape for g in grid] == [ts.shape] * len(caps)
-    for i, j in np.ndindex(ts.shape):
-        assert [g[i, j] for g in grid] == letter_series_sweep(
-            onecusp, ts[i, j], bs[i, j], caps)
 
 
 def test_curve_invariants(onecusp):

@@ -32,6 +32,7 @@ from oracles import (
     close_to,
     contains_interval,
     eq4_constant,
+    midpoint_vector,
     without_symmetries,
     zeta_letter,
 )
@@ -58,7 +59,7 @@ def test_psi_values(gamma2):
 
 def test_zeta_letter_negative_and_bracketed(any_group):
     # every letter's weight, parabolic or hyperbolic, is its family's
-    # weight at w_mid, the point the letter series reads
+    # weight at the midpoint vector, the point the letter series reads
     fams = {(f.g1, f.core, f.g2): f for f in ind.letter_families(any_group)}
     c1 = constants_c1(any_group)
     for e in alphabet(any_group, 40):
@@ -67,7 +68,8 @@ def test_zeta_letter_negative_and_bracketed(any_group):
         f = fams[(e.symbols[0], e.core, e.symbols[-1])]
         assert f.parabolic == any_group.gens[e.core].parabolic
         n = len(e.symbols) - 2
-        assert abs(z - f.zeta([f.row(f.w_mid)], np.array([n]))[0, 0]) <= 1e-12
+        w = midpoint_vector(any_group, f)
+        assert abs(z - f.zeta([f.row(w)], np.array([n]))[0, 0]) <= 1e-12
         if n >= 2:
             assert z <= -c1 + 0.7  # distortion slack
 
@@ -109,7 +111,8 @@ def test_row_weights_are_the_circle_derivative(any_group):
 def test_zeta_scales_like_minus_two_log_n(gamma2):
     fam = ind.letter_families(gamma2)[0]
     ns = np.array([50, 100, 200, 400])
-    c = -fam.zeta([fam.row(fam.w_mid)], ns)[0] - 2.0 * np.log(ns)
+    c = -fam.zeta([fam.row(midpoint_vector(gamma2, fam))], ns)[0] \
+        - 2.0 * np.log(ns)
     assert abs(c[-1] - c[-2]) < 0.01  # converging envelope constant
 
 

@@ -5,13 +5,14 @@ boundary intervals (:mod:`cuspwind.fuchsian`), the induced
 countable-alphabet shift with its potentials (:mod:`cuspwind.induced`),
 the pressure P(t, beta) of a truncated transfer operator and the free
 energy t(beta) (:mod:`cuspwind.gdms`), and the Legendre-transform
-spectrum f(alpha) (:mod:`cuspwind.spectrum`).  Bowen-Series coding and
-the geodesic arc decomposition (:mod:`cuspwind.coding`) serve the
-``validate`` and ``code`` commands; the command line lives in
-:mod:`cuspwind.cli`.  The names below are the chain's public API.  The
-reference implementations the tests compare it against (partition sums,
-the direct Legendre transform, displacements of coded words) live in
-``tests/oracles.py``, not in the package.
+spectrum f(alpha) (:mod:`cuspwind.spectrum`).  Bowen-Series coding, the
+geodesic arc decomposition, the induced conjugacy check and the Poincare
+probe (:mod:`cuspwind.coding`) serve the ``validate``, ``code`` and
+``delta`` commands; the command line lives in :mod:`cuspwind.cli`.  The
+names below are the chain's public API.  The reference implementations
+the tests compare it against (partition sums, the direct Legendre
+transform, displacements of coded words) live in ``tests/oracles.py``,
+not in the package.
 
 Quick start::
 

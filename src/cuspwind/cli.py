@@ -27,6 +27,7 @@ from . import gdms, spectrum as sp
 from .coding import (
     arc_decomposition,
     code_point,
+    conjugacy_check,
     log_plus,
     poincare_divergence_probe,
     random_block_word,
@@ -35,11 +36,7 @@ from .config import ConfigError, RunConfig, config_from_preset, load_config
 from .errors import ReachedCusp
 from .figures import emit_figure
 from .fuchsian import build_group, constant_c0, constants_c1
-from .induced import (
-    conjugacy_check,
-    fuchsian_system,
-    primitivity_witness,
-)
+from .induced import fuchsian_system, primitivity_witness
 from .presets import PRESETS
 
 

@@ -1,4 +1,5 @@
-"""Bowen-Series coding, block words, displacement, arc decomposition.
+"""Bowen-Series coding, block words, displacement, arc decomposition,
+and the check that the coding conjugates the induced shift.
 
 A boundary point x in the interval J_g records the letter g and the
 expanding map applies g^{-1}; the word letters therefore compose to the
@@ -24,13 +25,11 @@ from .fuchsian import ANGLE_TOL, GroupPresentation, angle_distance
 from .geometry import Geodesic
 from .mobius import (
     BASE_POINT,
-    MobiusMap,
     apply_boundary,
     apply_plane,
     boundary_angle,
     boundary_from_angle,
     hyperbolic_distance,
-    parabolic_power,
 )
 
 PARAM_TOL = 1e-9
@@ -73,12 +72,6 @@ class BlockWord:
                 raise ValueError("hyperbolic blocks have length one")
 
 
-def block_element(pres: GroupPresentation, label: str, exp: int) -> MobiusMap:
-    """The block label^exp (exp = 1 for a hyperbolic label)."""
-    gen = pres.gens[label]
-    return parabolic_power(gen.map, exp) if gen.parabolic else gen.map
-
-
 def bowen_series_step(pres: GroupPresentation, x: float):
     """One step of the boundary Markov map: (T x, recorded letter)."""
     label = pres.letter_at(x)
@@ -113,7 +106,7 @@ def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
         except OutsideAllIntervals as exc:
             theta = boundary_angle(y)
             if any(angle_distance(theta, ball.angle) <= ANGLE_TOL
-                   for ball in pres.all_horoballs()):
+                   for ball in pres.cusps):
                 raise ReachedCusp(BlockWord(tuple(map(tuple, runs[:closed]))),
                                   y) from exc
             raise CodingStalled(
@@ -158,7 +151,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
     if n == 0:
         return ArcDecomposition((), (), 0.0)
 
-    elements = [block_element(pres, label, exp) for label, exp in word.blocks]
+    elements = [pres.gens[label].block(exp) for label, exp in word.blocks]
     # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
     q = [None] * (n + 2)
     q[n + 1] = BASE_POINT
@@ -219,6 +212,92 @@ def random_block_word(pres: GroupPresentation, rng,
         blocks.append((label, int(exp)))
         prev = label
     return BlockWord(tuple(blocks))
+
+
+def letters_of_blocks(word: BlockWord) -> list:
+    """Induced letters read off a coded block word (needs a_1 = 0), each
+    as its tuple of symbols."""
+    blocks = word.blocks
+    if not blocks:
+        return []
+    if blocks[0][1] != 1:
+        raise ValueError("point not in the induced domain: first block length %d"
+                         % blocks[0][1])
+    out = []
+    for k in range(len(blocks) - 2):
+        l0, _ = blocks[k]
+        l1, e1 = blocks[k + 1]
+        l2, _ = blocks[k + 2]
+        out.append((l0,) + (l1,) * e1 + (l2,))
+    return out
+
+
+def induced_step(pres: GroupPresentation, x: float) -> float:
+    """First-return map T_D: iterate the boundary map until a_1 = 0 again."""
+    word = code_point(pres, x, 2)
+    rho = word.blocks[1][1]
+    if word.blocks[0][1] != 1:
+        raise ValueError("point not in the induced domain")
+    y = x
+    for _ in range(rho):
+        y, _ = bowen_series_step(pres, y)
+    return y
+
+
+class ConjugacyReport:
+    def __init__(self, mismatches: list, resampled: int):
+        self.mismatches, self.resampled = mismatches, resampled
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def conjugacy_check(pres: GroupPresentation, samples: int,
+                    letters_each: int, seed: int) -> ConjugacyReport:
+    """Letterwise test of pi o T_D = sigma o pi on sampled induced points.
+
+    A sample is the point of a random admissible block word, whose first
+    ``letters_each`` induced letters are compared with those of its
+    images.  The float orbit of a drawn point often leaves the coding
+    arcs: on one-cusp, 893 of 2,893 draws over seeds 0-9 x 200 samples
+    stall (``CodingStalled``), each 2.6e-5 to 0.43 rad from an arc end
+    after a median of 18 Bowen-Series steps, and none at a cusp; the 40
+    draws of ``validate`` at seed 1234 stall none.  A stalled draw is
+    replaced and counted in ``resampled``; past 20 x ``samples`` of
+    them the stall is raised.
+    """
+    rng = np.random.default_rng(seed)
+    mismatches = []
+    resampled = 0
+    done = 0
+    while done < samples:
+        # sample a point of D with a known-deep admissible continuation;
+        # the written prefix must cover all blocks the recoding consumes
+        while True:
+            w = random_block_word(pres, rng, letters_each + 8)
+            if w.blocks[0][1] == 1:
+                break
+        x = point_from_symbols(pres, w.symbols())
+        try:
+            direct = letters_of_blocks(code_point(pres, x, letters_each + 2))
+            y = x
+            for j in range(letters_each - 1):
+                y = induced_step(pres, y)
+                shifted = letters_of_blocks(
+                    code_point(pres, y, letters_each + 2 - (j + 1)))
+                want = direct[j + 1:]
+                got = shifted[:len(want)]
+                if tuple(got) != tuple(want[:len(got)]):
+                    mismatches.append((done, j, w.blocks))
+                    break
+        except CodingStalled:
+            resampled += 1
+            if resampled > 20 * samples:
+                raise
+            continue
+        done += 1
+    return ConjugacyReport(mismatches, resampled)
 
 
 def poincare_divergence_probe(pres: GroupPresentation, ss) -> list:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .presets import preset_config
+
 
 class ConfigError(Exception):
     """Malformed run configuration (CLI exit code 2)."""
@@ -199,8 +201,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_from_preset(name: str) -> RunConfig:
-    from .presets import preset_config
-
     try:
         pc = preset_config(name)
     except KeyError as exc:

@@ -48,6 +48,7 @@ from .mobius import (
     compose,
     geodesic_distance_between,
     hyperbolic_distance,
+    parabolic_power,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -123,6 +124,10 @@ class Generator:
         self.parabolic, self.map = parabolic, map
         self.interval, self.inverse = interval, inverse
 
+    def block(self, k: int) -> MobiusMap:
+        """The block of k letters, g^k; a hyperbolic block is g alone."""
+        return parabolic_power(self.map, k) if self.parabolic else self.map
+
 
 def _horocircle_from_map(gamma: MobiusMap) -> geometry.Horoball:
     """The horoball of the parabolic gamma whose horocircle has euclidean
@@ -168,11 +173,11 @@ class GroupPresentation:
     def __init__(
             self, gens: dict,  # label -> Generator, in config order
             horocircles: dict,  # parabolic label (both of a +/- pair) -> Horoball
-            accidental_horocircles: list,
+            cusps: tuple,  # one Horoball per cusp (``_cusps``)
             symmetries: tuple):  # CircleSymmetry, the identity first
         self.gens = gens
         self.horocircles = horocircles
-        self.accidental_horocircles = accidental_horocircles
+        self.cusps = cusps
         self.symmetries = symmetries
 
     def block_admissible(self, prev: str, nxt: str) -> bool:
@@ -187,14 +192,6 @@ class GroupPresentation:
             if g.interval.contains(theta):
                 return label
         return None
-
-    def all_horoballs(self) -> list:
-        """One horoball per cusp, marked cusps first, then accidental ones."""
-        balls = []
-        for h in list(self.horocircles.values()) + self.accidental_horocircles:
-            if all(angle_distance(h.angle, b.angle) > ANGLE_TOL for b in balls):
-                balls.append(h)
-        return balls
 
 
 def build_group(config: dict) -> GroupPresentation:
@@ -256,12 +253,10 @@ def build_group(config: dict) -> GroupPresentation:
 
     horocircles = {label: _horocircle_from_map(g.map)
                    for label, g in gens.items() if g.parabolic}
-    accidental = _accidental_horocircles(
-        gens, [h.angle for h in horocircles.values()])
     pres = GroupPresentation(
         gens=gens,
         horocircles=horocircles,
-        accidental_horocircles=accidental,
+        cusps=_cusps(gens, horocircles.values()),
         symmetries=_circle_symmetries(gens),
     )
     _validate_horoball_disjointness(pres)
@@ -362,9 +357,10 @@ def _symmetry(gens, shift, flip):
     return sym
 
 
-def _accidental_horocircles(gens, marked) -> list:
-    """Horoballs at shared interval endpoints other than the cusps at the
-    circle angles ``marked``.
+def _cusps(gens, marked) -> tuple:
+    """One horoball per cusp: the first of the horoballs ``marked`` (the
+    generators') at each of their cusps, then the accidental ones at
+    shared interval endpoints.
 
     Free products may have parabolic elements (products of generators)
     fixing the touching points of adjacent intervals; the truncated domain
@@ -374,18 +370,24 @@ def _accidental_horocircles(gens, marked) -> list:
     ends = [theta for g in gens.values()
             for theta in (g.interval.angle_lo, g.interval.angle_hi)]
     vertices = []
+    marked_angles = [h.angle for h in marked]
     for theta in ends:
-        if all(angle_distance(theta, v) > ANGLE_TOL for v in marked + vertices) \
+        if all(angle_distance(theta, v) > ANGLE_TOL
+               for v in marked_angles + vertices) \
                 and sum(angle_distance(theta, e) <= ANGLE_TOL
                         for e in ends) >= 2:
             vertices.append(theta)
 
-    out = []
+    balls = list(marked)
     for theta in vertices:
         w = _parabolic_fixing(gens, theta)
         if w is not None:
-            out.append(_horocircle_from_map(w))
-    return out
+            balls.append(_horocircle_from_map(w))
+    out = []
+    for h in balls:
+        if all(angle_distance(h.angle, b.angle) > ANGLE_TOL for b in out):
+            out.append(h)
+    return tuple(out)
 
 
 def _parabolic_fixing(gens, theta):
@@ -406,7 +408,7 @@ def _parabolic_fixing(gens, theta):
 
 
 def _validate_horoball_disjointness(pres: GroupPresentation):
-    for b1, b2 in itertools.combinations(pres.all_horoballs(), 2):
+    for b1, b2 in itertools.combinations(pres.cusps, 2):
         if not geometry.horoballs_disjoint(b1, b2):
             raise GroupValidationError(
                 "horoballs at %r and %r overlap"
@@ -495,13 +497,12 @@ def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
     """
     sides = [g.interval.geodesic() for g in pres.gens.values()]
     gaps = _core_gaps(pres)
-    balls = pres.all_horoballs()
 
     def keep(pt: complex, own=None) -> bool:
         return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
                 and all(g is own or g.sinh_distance(pt) <= -1e-9
                         for g in gaps)
-                and all(b.depth(pt) <= 1e-9 for b in balls))
+                and all(b.depth(pt) <= 1e-9 for b in pres.cusps))
 
     pts: list[complex] = []
     for f in (k / grid for k in range(1, grid)):
@@ -509,7 +510,7 @@ def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
             pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
             if keep(pt, g):
                 pts.append(pt)
-        for b in balls:
+        for b in pres.cusps:
             pt = b.point_at(math.tan(math.pi * (f - 0.5)))
             if keep(pt):
                 pts.append(pt)

@@ -39,99 +39,9 @@ import math
 
 import numpy as np
 
-from .coding import (
-    BlockWord,
-    block_element,
-    bowen_series_step,
-    code_point,
-    point_from_symbols,
-    random_block_word,
-)
 from .fuchsian import TWO_PI, CircleInterval, GroupPresentation, angle_distance
+from .gdms import GdmsSystem, LetterBlock, cyclic_classes
 from .mobius import unit_image
-
-
-def letters_of_blocks(word: BlockWord) -> list:
-    """Induced letters read off a coded block word (needs a_1 = 0), each
-    as its tuple of symbols."""
-    blocks = word.blocks
-    if not blocks:
-        return []
-    if blocks[0][1] != 1:
-        raise ValueError("point not in the induced domain: first block length %d"
-                         % blocks[0][1])
-    out = []
-    for k in range(len(blocks) - 2):
-        l0, _ = blocks[k]
-        l1, e1 = blocks[k + 1]
-        l2, _ = blocks[k + 2]
-        out.append((l0,) + (l1,) * e1 + (l2,))
-    return out
-
-
-def induced_step(pres: GroupPresentation, x: float) -> float:
-    """First-return map T_D: iterate the boundary map until a_1 = 0 again."""
-    word = code_point(pres, x, 2)
-    rho = word.blocks[1][1]
-    if word.blocks[0][1] != 1:
-        raise ValueError("point not in the induced domain")
-    y = x
-    for _ in range(rho):
-        y, _ = bowen_series_step(pres, y)
-    return y
-
-
-class ConjugacyReport:
-    def __init__(self, mismatches: list, resampled: int = 0):
-        self.mismatches, self.resampled = mismatches, resampled
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def conjugacy_check(pres: GroupPresentation, samples: int = 100,
-                    letters_each: int = 10, seed: int = 7) -> ConjugacyReport:
-    """Letterwise test of pi o T_D = sigma o pi on sampled induced points.
-
-    Floating-point proxies of limit points occasionally leave the coding
-    domain when the forward orbit amplifies roundoff into a limit-set gap;
-    such degenerate samples are resampled (a bounded number of times) and
-    counted, since genuine limit points never stall.
-    """
-    from .errors import CodingStalled
-
-    rng = np.random.default_rng(seed)
-    mismatches = []
-    resampled = 0
-    done = 0
-    while done < samples:
-        # sample a point of D with a known-deep admissible continuation;
-        # the written prefix must cover all blocks the recoding consumes
-        while True:
-            w = random_block_word(pres, rng, letters_each + 8)
-            if w.blocks[0][1] == 1:
-                break
-        x = point_from_symbols(pres, w.symbols())
-        try:
-            direct = letters_of_blocks(code_point(pres, x, letters_each + 2))
-            y = x
-            for j in range(letters_each - 1):
-                y = induced_step(pres, y)
-                shifted = letters_of_blocks(
-                    code_point(pres, y, letters_each + 2 - (j + 1)))
-                want = direct[j + 1:]
-                got = shifted[:len(want)]
-                if tuple(got) != tuple(want[:len(got)]):
-                    mismatches.append((done, j, w.blocks))
-                    break
-        except CodingStalled:
-            resampled += 1
-            if resampled > 20 * samples:
-                raise
-            continue
-        done += 1
-    return ConjugacyReport(mismatches, resampled)
 
 
 def pair_graph(families) -> tuple:
@@ -304,7 +214,7 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
     k_hull = _core_continuation_hull(pres, c_label)
 
     def offsets_of_image(k):
-        img = k_hull.image(block_element(pres, c_label, k))
+        img = k_hull.image(gen.block(k))
         return [j.offset_on_arc(img.angle_lo), j.offset_on_arc(img.angle_hi)]
 
     spans = []
@@ -380,8 +290,6 @@ def fuchsian_system(pres: GroupPresentation, cap: int,
     each key takes the cyclic class of its orbit in the quotient pair
     graph.
     """
-    from .gdms import GdmsSystem, LetterBlock, cyclic_classes
-
     tail = not restricted
     ranges = _bucket_ranges(cap)
     reps = {c_label: _bucket_reps(pres, c_label, ranges, tail)

@@ -23,8 +23,9 @@ import numpy as np
 
 from cuspwind.coding import (
     BlockWord,
-    block_element,
     code_point,
+    induced_step,
+    letters_of_blocks,
     log_plus,
     point_from_symbols,
     random_block_word,
@@ -38,7 +39,7 @@ from cuspwind.gdms import (
     cyclic_classes,
     tail_log_weights,
 )
-from cuspwind.induced import induced_step, letter_families, letters_of_blocks
+from cuspwind.induced import letter_families
 from cuspwind.mobius import (
     BASE_POINT,
     MobiusMap,
@@ -126,7 +127,7 @@ def arc_length_above_height(r: float, h: float) -> float:
 def word_element(pres: GroupPresentation, word: BlockWord) -> MobiusMap:
     out = MobiusMap.from_entries(1, 0, 0, 1)
     for label, exp in word.blocks:
-        out = compose(out, block_element(pres, label, exp))
+        out = compose(out, pres.gens[label].block(exp))
     return out
 
 
@@ -136,7 +137,7 @@ def displacement(pres: GroupPresentation, word: BlockWord) -> float:
         return 0.0
     q = BASE_POINT
     for label, exp in reversed(word.blocks):
-        q = apply_plane(block_element(pres, label, exp), q)
+        q = apply_plane(pres.gens[label].block(exp), q)
     return hyperbolic_distance(q, BASE_POINT)
 
 
@@ -293,8 +294,8 @@ def without_symmetries(pres: GroupPresentation) -> GroupPresentation:
     """``pres`` with the identity as its only symmetry, from which
     ``fuchsian_system`` builds the whole operator, one key per overlap
     pair and bucket, instead of its quotient."""
-    return GroupPresentation(pres.gens, pres.horocircles,
-                             pres.accidental_horocircles, pres.symmetries[:1])
+    return GroupPresentation(pres.gens, pres.horocircles, pres.cusps,
+                             pres.symmetries[:1])
 
 
 def letter_cells(block: LetterBlock) -> np.ndarray:

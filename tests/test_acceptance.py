@@ -30,12 +30,13 @@ from cuspwind import spectrum as sp
 from cuspwind.coding import (
     BlockWord,
     arc_decomposition,
+    conjugacy_check,
     log_plus,
     poincare_divergence_probe,
     random_block_word,
 )
 from cuspwind.fuchsian import build_group, constant_c0, constants_c1
-from cuspwind.induced import conjugacy_check, fuchsian_system
+from cuspwind.induced import fuchsian_system
 from cuspwind.presets import preset_config
 from oracles import (
     WIDE_BETAS,

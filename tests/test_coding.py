@@ -8,6 +8,7 @@ from cuspwind.coding import (
     arc_decomposition,
     bowen_series_step,
     code_point,
+    induced_step,
     log_plus,
     point_from_symbols,
     poincare_shell_sums,
@@ -15,7 +16,6 @@ from cuspwind.coding import (
 )
 from cuspwind.errors import CodingStalled, OutsideAllIntervals, ReachedCusp
 from cuspwind.fuchsian import constant_c0, constants_c1
-from cuspwind.induced import induced_step
 from cuspwind.mobius import (
     BASE_POINT,
     apply_boundary,

@@ -8,9 +8,10 @@ passes a field of ``self`` through, no function of the package sets an
 attribute of one of its own parameters, no method but ``__init__`` sets
 one on ``self``, no module imports ``dataclasses``, importing the command
 line loads no scipy or html and a spectrum run no dataclasses or copy,
-and every name ``perfbench/child.py`` wraps exists.  The tests do not
-count as users: a member only they read belongs in ``tests/oracles.py``
-or nowhere.
+every name ``perfbench/child.py`` wraps exists, and no function imports a
+package module (bar those in ``FUNCTION_IMPORTS``), nor ``induced`` the
+coder.  The tests do not count as users: a member only they read belongs
+in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
 of each module.  ``__init__.py`` is skipped (its imports are re-exports,
@@ -731,3 +732,85 @@ def test_presentation_arcs_stay_in_circle_angles():
     assert [u for u in uses if u[0] == "CircleInterval"] == []
     assert {scope for scope, name in uses if name == "apply_boundary"} \
         == {"conjugate_config"}
+
+
+
+def _package_modules(node) -> list:
+    """The package modules an import statement names: each module of a
+    relative import or one under ``cuspwind``, or each name it imports
+    from the package itself; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name.removeprefix("cuspwind.") for a in node.names
+                if a.name.split(".")[0] == "cuspwind"]
+    if not isinstance(node, ast.ImportFrom) or not (
+            node.level or (node.module or "").split(".")[0] == "cuspwind"):
+        return []
+    module = (node.module or "").removeprefix("cuspwind").lstrip(".")
+    return [module] if module else [a.name for a in node.names]
+
+
+def misplaced_imports(modules: dict) -> list:
+    """(module, line, scope, imported) of each import of a package module
+    (``_package_modules``) inside a function, ``scope`` naming its
+    enclosing definitions, and of each import of ``coding`` by
+    ``induced.py`` (scope ``<module>`` at the top level)."""
+    found = []
+
+    def walk(mod, node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(mod, child, child.name if scope == "<module>"
+                     else scope + "." + child.name,
+                     in_function or isinstance(child, ast.FunctionDef))
+                continue
+            for name in _package_modules(child):
+                if in_function or (mod, name) == ("induced.py", "coding"):
+                    found.append((mod, child.lineno, scope, name))
+            walk(mod, child, scope, in_function)
+
+    for mod, source in modules.items():
+        walk(mod, ast.parse(source), "<module>", False)
+    return sorted(found)
+
+
+def test_misplaced_import_detector():
+    module = ("import numpy\nfrom . import gdms\n\n"
+              "def f():\n    from .presets import preset_config\n"
+              "    import cuspwind.gdms\n    import math\n"
+              "    return preset_config, math\n\n"
+              "class K:\n    from .errors import CodingStalled\n\n"
+              "    def m(self):\n        from cuspwind import build_group\n"
+              "        return build_group\n")
+    induced = ("from .coding import code_point\nfrom . import coding\n"
+               "from .gdms import pressure\n")
+    assert misplaced_imports({"m.py": module, "induced.py": induced}) == [
+        ("induced.py", 1, "<module>", "coding"),
+        ("induced.py", 2, "<module>", "coding"),
+        ("m.py", 5, "f", "presets"), ("m.py", 6, "f", "gdms"),
+        ("m.py", 14, "K.m", "build_group")]
+
+
+# The imports of package modules inside a function that the package keeps,
+# (module, function, imported module) -> the reason.  The package's
+# modules import each other in one order (mobius, geometry, errors,
+# fuchsian, coding, gdms, induced, spectrum, figures, presets, config,
+# cli), and this is the one import back up that order.
+FUNCTION_IMPORTS = {
+    ("gdms.py", "delta_c", "induced"):
+        "induced imports gdms; delta_c(pres) is public API and perfbench "
+        "wraps gdms.delta_c, so it builds the restricted system itself",
+}
+
+
+def test_package_imports_at_module_level():
+    # an import inside a function hides a module's dependencies and is
+    # paid on the first call; induced builds the operator and needs
+    # nothing of the coder
+    modules, _ = _package_and_perfbench()
+    found = misplaced_imports(modules)
+    kept = {(mod, scope, name) for mod, _, scope, name in found}
+    assert set(FUNCTION_IMPORTS) <= kept, "allowed imports gone: %r" % (
+        set(FUNCTION_IMPORTS) - kept)
+    bad = ["%s:%d %s imports %s" % d for d in found
+           if (d[0], d[2], d[3]) not in FUNCTION_IMPORTS]
+    assert not bad, "misplaced package imports: " + ", ".join(bad)

@@ -184,7 +184,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         if not (sum(dec.lengths) <= dec.total + 1e-9
                 and dec.total <= sum(dec.lengths) + c0 + 1e-9):
             violations += 1
-        for k, (l, a) in enumerate(zip(dec.lengths, dec.windings)):
+        for k, (l, a) in enumerate(zip(dec.lengths, w.windings(pres))):
             if k >= 1 and l < 2.0 * log_plus(a) + c1 - 1e-9:
                 violations += 1
             if a >= 2 and l < 2.0 * math.log(a) + math.log(3.0) - 1e-9:
@@ -265,8 +265,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     svg = emit_figure(curve, spec, delta_c, title=cfg.name)
     path = write_result(
         cfg, "spectrum",
-        _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=spec.f0,
-              f1=spec.f1),
+        _meta(cfg, delta_c=delta_c, alpha0=spec.alpha0, f0=float(spec.f[0]),
+              f1=float(spec.f[-1])),
         {"alpha": spec.alphas, "f": spec.f, "beta_source": spec.beta_source,
          "err_t": spec.err_t})
     svg_path = os.path.join(cfg.out_dir, "spectrum.svg")

@@ -135,21 +135,21 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
 class ArcDecomposition:
     """Per-block arc lengths of the geodesic [i, B_1...B_n(i)].
 
-    lengths[k] is l(xi_{k+1}); total is the full displacement, which
+    lengths[k] is l(xi_{k+1}), the arc of the block of winding
+    ``word.windings(pres)[k]``; total is the full displacement, which
     exceeds sum(lengths) by the final arc l(xi_{n+1}), bounded by the
     constant C0 of the presentation.
     """
 
-    def __init__(self, lengths: tuple, windings: tuple, total: float):
-        self.lengths, self.windings, self.total = lengths, windings, total
+    def __init__(self, lengths: tuple, total: float):
+        self.lengths, self.total = lengths, total
 
 
 def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposition:
     word.validate(pres)
     n = len(word)
-    windings = word.windings(pres)
     if n == 0:
-        return ArcDecomposition((), (), 0.0)
+        return ArcDecomposition((), 0.0)
 
     elements = [pres.gens[label].block(exp) for label, exp in word.blocks]
     # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
@@ -172,7 +172,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         if exp == 1:
             found = geo.crossings(pres.gens[label].interval.geodesic())
         else:
-            ball = pres.horocircles[label]
+            ball = pres.gens[label].horoball
             found = geo.horoball_crossings(ball)
         found = [s for s in found
                  if s_prev - PARAM_TOL <= s <= s_end + PARAM_TOL]
@@ -191,7 +191,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         prev = apply_plane(binv, pt)
 
     total = hyperbolic_distance(q[1], BASE_POINT)
-    return ArcDecomposition(tuple(lengths), windings, total)
+    return ArcDecomposition(tuple(lengths), total)
 
 
 def random_block_word(pres: GroupPresentation, rng,

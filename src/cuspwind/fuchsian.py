@@ -117,12 +117,15 @@ class CircleInterval:
 
 class Generator:
     """One symmetric generator: its map, the arc on which the coding
-    records it, whether it is parabolic, and the label of its inverse."""
+    records it, whether it is parabolic, the label of its inverse, and
+    the horoball of its cusp (``_horocircle_from_map``; None for a
+    hyperbolic generator)."""
 
     def __init__(self, parabolic: bool, map: MobiusMap,
                  interval: CircleInterval, inverse: str):
         self.parabolic, self.map = parabolic, map
         self.interval, self.inverse = interval, inverse
+        self.horoball = _horocircle_from_map(map) if parabolic else None
 
     def block(self, k: int) -> MobiusMap:
         """The block of k letters, g^k; a hyperbolic block is g alone."""
@@ -172,11 +175,9 @@ class GroupPresentation:
 
     def __init__(
             self, gens: dict,  # label -> Generator, in config order
-            horocircles: dict,  # parabolic label (both of a +/- pair) -> Horoball
             cusps: tuple,  # one Horoball per cusp (``_cusps``)
             symmetries: tuple):  # CircleSymmetry, the identity first
         self.gens = gens
-        self.horocircles = horocircles
         self.cusps = cusps
         self.symmetries = symmetries
 
@@ -251,12 +252,9 @@ def build_group(config: dict) -> GroupPresentation:
 
     _validate_intervals(gens)
 
-    horocircles = {label: _horocircle_from_map(g.map)
-                   for label, g in gens.items() if g.parabolic}
     pres = GroupPresentation(
         gens=gens,
-        horocircles=horocircles,
-        cusps=_cusps(gens, horocircles.values()),
+        cusps=_cusps(gens),
         symmetries=_circle_symmetries(gens),
     )
     _validate_horoball_disjointness(pres)
@@ -357,10 +355,10 @@ def _symmetry(gens, shift, flip):
     return sym
 
 
-def _cusps(gens, marked) -> tuple:
-    """One horoball per cusp: the first of the horoballs ``marked`` (the
-    generators') at each of their cusps, then the accidental ones at
-    shared interval endpoints.
+def _cusps(gens) -> tuple:
+    """One horoball per cusp: at each parabolic generator's cusp the
+    horoball of the first generator (in config order) fixing it, then the
+    accidental ones at shared interval endpoints.
 
     Free products may have parabolic elements (products of generators)
     fixing the touching points of adjacent intervals; the truncated domain
@@ -369,8 +367,9 @@ def _cusps(gens, marked) -> tuple:
     """
     ends = [theta for g in gens.values()
             for theta in (g.interval.angle_lo, g.interval.angle_hi)]
+    balls = [g.horoball for g in gens.values() if g.parabolic]
     vertices = []
-    marked_angles = [h.angle for h in marked]
+    marked_angles = [h.angle for h in balls]
     for theta in ends:
         if all(angle_distance(theta, v) > ANGLE_TOL
                for v in marked_angles + vertices) \
@@ -378,7 +377,6 @@ def _cusps(gens, marked) -> tuple:
                         for e in ends) >= 2:
             vertices.append(theta)
 
-    balls = list(marked)
     for theta in vertices:
         w = _parabolic_fixing(gens, theta)
         if w is not None:

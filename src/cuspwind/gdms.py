@@ -679,8 +679,6 @@ class FreeEnergyCurve:
         floor = 1e-9 * np.maximum(1.0, np.abs(self.t[:-1]))
         if not np.all(dt < floor):
             raise InvalidCurve("free energy curve is not decreasing")
-        if not np.all(dt[dt < -10.0 * floor] < 0.0):
-            raise InvalidCurve("free energy curve has resolvable increases")
         slopes = dt / db
         if not np.all(np.diff(slopes) >= -CONVEXITY_NOISE):
             raise InvalidCurve("free energy curve is not convex")

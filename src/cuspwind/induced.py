@@ -224,7 +224,7 @@ def _bucket_reps(pres: GroupPresentation, c_label: str, ranges, tail: bool):
         spans.append((min(offs), max(offs)))
     if tail and gen.parabolic:
         offs = offsets_of_image(ranges[-1][1] + 1)
-        offs.append(j.offset_on_arc(pres.horocircles[c_label].angle))
+        offs.append(j.offset_on_arc(pres.gens[c_label].horoball.angle))
         spans.append((min(offs), max(offs)))
     return [(j.angle_lo + 0.75 * lo + 0.25 * hi,
              j.angle_lo + 0.25 * lo + 0.75 * hi) for lo, hi in spans]

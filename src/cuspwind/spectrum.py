@@ -32,15 +32,14 @@ class SpectrumCurve:
     Samples run by decreasing ``beta_source``, the free energy parameter
     realizing each, which on a convex curve is increasing alpha; ``err_t``
     is the bracket width of its t(beta); ``alpha0`` is -t'(0), nan on a
-    grid without beta = 0.  ``f0``/``f1`` are f at the first and last
-    samples, the values nearest the endpoints alpha -> 0 and alpha -> 1.
+    grid without beta = 0.  f[0] and f[-1] are the values nearest the
+    endpoints alpha -> 0 and alpha -> 1.
     """
 
     def __init__(self, alphas: np.ndarray, f: np.ndarray,
-                 beta_source: np.ndarray, err_t: np.ndarray, alpha0: float,
-                 f0: float, f1: float):
+                 beta_source: np.ndarray, err_t: np.ndarray, alpha0: float):
         self.alphas, self.f, self.beta_source = alphas, f, beta_source
-        self.err_t, self.alpha0, self.f0, self.f1 = err_t, alpha0, f0, f1
+        self.err_t, self.alpha0 = err_t, alpha0
 
     def validate(self):
         a, f = self.alphas, self.f
@@ -135,4 +134,4 @@ def spectrum(curve: FreeEnergyCurve) -> SpectrumCurve:
     alpha0 = alphas[k0] if abs(b[k0]) <= 1e-9 * np.ptp(b) else math.nan
     # rows by decreasing beta: the increasing grid reversed
     return SpectrumCurve(alphas[::-1], f[::-1], b[::-1], curve.err_t[::-1],
-                         alpha0, float(f[-1]), float(f[0]))
+                         alpha0)

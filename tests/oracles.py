@@ -294,8 +294,7 @@ def without_symmetries(pres: GroupPresentation) -> GroupPresentation:
     """``pres`` with the identity as its only symmetry, from which
     ``fuchsian_system`` builds the whole operator, one key per overlap
     pair and bucket, instead of its quotient."""
-    return GroupPresentation(pres.gens, pres.horocircles, pres.cusps,
-                             pres.symmetries[:1])
+    return GroupPresentation(pres.gens, pres.cusps, pres.symmetries[:1])
 
 
 def letter_cells(block: LetterBlock) -> np.ndarray:

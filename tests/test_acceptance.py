@@ -124,7 +124,7 @@ def test_criterion_2_distance_sandwich_and_winding_bounds():
             if not (sum(dec.lengths) <= dec.total + 1e-9
                     and dec.total <= sum(dec.lengths) + c0 + 1e-9):
                 violations += 1
-            for k, (l, a) in enumerate(zip(dec.lengths, dec.windings)):
+            for k, (l, a) in enumerate(zip(dec.lengths, w.windings(pres))):
                 if k >= 1 and l < 2 * log_plus(a) + c1 - 1e-9:
                     violations += 1
                 if a >= 2 and l < 2 * math.log(a) + math.log(3.0) - 1e-9:
@@ -237,13 +237,13 @@ def test_criterion_7_spectrum_shape():
         t0 = curve.t[k0]
         specc.validate()  # concavity, 0 <= f
         ok &= abs(float(specc.f.max()) - t0) <= 1e-3  # max f = t(0)
-        ok &= abs(specc.f1 - 0.5) <= 0.05
-        ok &= abs(specc.f0 - dc) <= 0.05
+        ok &= abs(specc.f[-1] - 0.5) <= 0.05
+        ok &= abs(specc.f[0] - dc) <= 0.05
         es = endpoint_slopes(specc)
         ok &= abs(es.left_parametric) > 1e3 and abs(es.right_parametric) > 1e3
         ok &= es.diverging == (True, True)
         msg = "%s: max f = %.4f, f0-dc gap %.1e, f1-1/2 gap %.1e" % (
-            name, specc.f.max(), abs(specc.f0 - dc), abs(specc.f1 - 0.5))
+            name, specc.f.max(), abs(specc.f[0] - dc), abs(specc.f[-1] - 0.5))
         if name == "gamma2-type":
             delta_err = abs(t0 - 1.0)
             ok &= delta_err <= 0.05
@@ -309,7 +309,7 @@ def test_criterion_9_fact_level_invariants():
                 prev = label
             w = BlockWord(tuple(blocks))
             dec = arc_decomposition(pres, w)
-            num = 2.0 * sum(log_plus(a) for a in dec.windings)
+            num = 2.0 * sum(log_plus(a) for a in w.windings(pres))
             ratio = num / dec.total
             if ratio > bound + 1e-9:
                 violations += 1

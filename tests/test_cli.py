@@ -514,6 +514,20 @@ def test_cli_spectrum_outputs(tmp_path):
     assert "delta_c" in svg and "</svg>" in svg
 
 
+@pytest.mark.parametrize("name", ["gamma2-type", "one-cusp-one-hyperbolic"])
+def test_cli_spectrum_header_gives_the_end_values(name, tmp_path):
+    # the header's f0 and f1 are the f of the first and last rows, the
+    # samples nearest alpha -> 0 and alpha -> 1
+    rc = cli.main(["spectrum", "--preset", name, "--cap", "60",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    header = dict(l[2:].split(" = ") for l in lines if l.startswith("#"))
+    rows = [l.split(",") for l in lines[len(header) + 1:]]
+    assert float(header["f0"]) == float(rows[0][1])
+    assert float(header["f1"]) == float(rows[-1][1])
+
+
 def test_cli_pressure_grid(tmp_path, onecusp):
     rc = cli.main(["pressure", "--preset", "one-cusp-one-hyperbolic",
                    "--cap", "40", "--beta-min", "-1", "--beta-max", "1",

@@ -144,7 +144,7 @@ def test_arc_winding_bounds(any_group):
     for _ in range(200):
         w = random_block_word(any_group, rng, int(rng.integers(2, 12)))
         dec = arc_decomposition(any_group, w)
-        for k, (l, a) in enumerate(zip(dec.lengths, dec.windings)):
+        for k, (l, a) in enumerate(zip(dec.lengths, w.windings(any_group))):
             if k >= 1:
                 assert l >= 2.0 * log_plus(a) + c1 - 1e-9
             if a >= 2:
@@ -197,7 +197,7 @@ def test_mean_winding_fact1_bound(any_group):
     for _ in range(50):
         w = random_block_word(any_group, rng, 10)
         dec = arc_decomposition(any_group, w)
-        num = 2.0 * sum(log_plus(a) for a in dec.windings)
+        num = 2.0 * sum(log_plus(a) for a in w.windings(any_group))
         if num == 0.0:
             continue
         ratio = num / dec.total

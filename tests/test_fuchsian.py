@@ -132,7 +132,7 @@ def test_disjointness_against_sampled_points(lo1, arc1, lo2, arc2, touch):
 
 def test_gamma2_builds_and_counts(gamma2):
     # two cusps, both of a parabolic pair, and no hyperbolic pair
-    assert sorted(gamma2.horocircles) == ["A", "B", "a", "b"]
+    assert sorted(horoball_labels(gamma2)) == ["A", "B", "a", "b"]
     assert sorted(gamma2.gens) == ["A", "B", "a", "b"]
     assert gamma2.gens["a"].inverse == "A" and gamma2.gens["B"].inverse == "b"
 
@@ -212,6 +212,12 @@ def test_markov_mismatch_not_free():
 
 # --- horocircles ------------------------------------------------------------
 
+def horoball_labels(pres) -> list:
+    """The labels whose generators carry a horoball."""
+    return [label for label, g in pres.gens.items()
+            if g.horoball is not None]
+
+
 def diameter(h) -> float:
     """Euclidean diameter of the horoball of a finite base x: the disc
     Im z >= k |z - x|^2 / (1 + x^2), with p2^2 = 1 / (1 + x^2)."""
@@ -228,7 +234,7 @@ def test_horocircle_translation_one_has_height_half():
 
 
 def test_horocircle_z_plus_two_has_height_one(gamma2):
-    h = gamma2.horocircles["a"]
+    h = gamma2.gens["a"].horoball
     assert angle_distance(h.angle, boundary_angle(math.inf)) == 0.0
     assert h.height == pytest.approx(1.0)
 
@@ -248,8 +254,8 @@ def test_horocircle_quarter_inversion_case():
 def check_horocircles_invariant(pres):
     # g maps its horocircle onto itself, and moves each point of it by
     # acosh 3, the displacement of z -> z + 1 at height 1/2
-    for label, h in pres.horocircles.items():
-        g = pres.gens[label].map
+    for label in horoball_labels(pres):
+        h, g = pres.gens[label].horoball, pres.gens[label].map
         for k in range(16):
             pt = h.point_at(math.tan(math.pi * ((k + 0.5) / 16 - 0.5)))
             assert h.depth(pt) == pytest.approx(0.0, abs=1e-10)
@@ -278,13 +284,13 @@ def test_horocircle_invariant_in_conjugated_charts(name, chart):
     pres = build_group(conjugate_config(preset_config(name), m))
     check_horocircles_invariant(pres)
     preset = build_group(preset_config(name))
-    for label, h in pres.horocircles.items():
-        pt = apply_plane(m, preset.horocircles[label].point_at(0.7))
+    for label in horoball_labels(pres):
+        h, h0 = pres.gens[label].horoball, preset.gens[label].horoball
+        pt = apply_plane(m, h0.point_at(0.7))
         assert h.depth(pt) == pytest.approx(0.0, abs=1e-9)
         assert angle_distance(
             h.angle, boundary_angle(apply_boundary(
-                m, boundary_from_angle(preset.horocircles[label].angle)))) \
-            <= 1e-9
+                m, boundary_from_angle(h0.angle)))) <= 1e-9
 
 
 def test_horoballs_pairwise_disjoint(any_group):
@@ -357,7 +363,7 @@ def check_cusps(pres, n_cusps):
     firsts = [label for label, g in pres.gens.items() if g.parabolic
               and labels.index(g.inverse) > labels.index(label)]
     assert len(pres.cusps) == n_cusps
-    assert all(ball is pres.horocircles[label]
+    assert all(ball is pres.gens[label].horoball
                for ball, label in zip(pres.cusps, firsts))
     ends = [theta for g in pres.gens.values()
             for theta in (g.interval.angle_lo, g.interval.angle_hi)]
@@ -384,6 +390,30 @@ def test_gamma2_cusps_are_oo_0_and_pm1(gamma2):
 def test_cusps_in_conjugated_charts(chart, name):
     pres = build_group(conjugate_config(preset_config(name), chart))
     check_cusps(pres, N_CUSPS[name])
+
+
+def check_horoballs(pres):
+    # a parabolic generator carries the horoball of its own map, bit for
+    # bit, and a hyperbolic one none
+    from cuspwind.fuchsian import _horocircle_from_map
+
+    for g in pres.gens.values():
+        if not g.parabolic:
+            assert g.horoball is None
+            continue
+        want = _horocircle_from_map(g.map)
+        assert (g.horoball.base, g.horoball.height) \
+            == (want.base, want.height)
+
+
+def test_horoballs_of_the_presets(any_group):
+    check_horoballs(any_group)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chart=charts(), name=st.sampled_from(sorted(N_CUSPS)))
+def test_horoballs_in_conjugated_charts(chart, name):
+    check_horoballs(build_group(conjugate_config(preset_config(name), chart)))
 
 
 def check_blocks(pres):
@@ -516,14 +546,14 @@ def test_conjugation_helper_preserves_validation():
     m = MobiusMap.from_entries(1.0, 1.0, 0.0, 1.0)
     cfg = conjugate_config(preset_config("one-cusp-one-hyperbolic"), m)
     g = build_group(cfg)
-    assert sorted(g.horocircles) == ["A", "a"]  # one cusp
+    assert sorted(horoball_labels(g)) == ["A", "a"]  # one cusp
     assert constants_c1(g) == pytest.approx(math.log(3.0))
 
 
 def test_horocircle_of_requires_parabolic(onecusp):
     # only the parabolic generators get a horocircle
-    assert sorted(onecusp.horocircles) == ["A", "a"]
-    h = onecusp.horocircles["a"]
+    assert sorted(horoball_labels(onecusp)) == ["A", "a"]
+    h = onecusp.gens["a"].horoball
     assert h.angle == pytest.approx(boundary_angle(0.0))
     assert diameter(h) == pytest.approx(1.0)
 

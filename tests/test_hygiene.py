@@ -10,7 +10,8 @@ one on ``self``, no module imports ``dataclasses``, importing the command
 line loads no scipy or html and a spectrum run no dataclasses or copy,
 every name ``perfbench/child.py`` wraps exists, and no function imports a
 package module (bar those in ``FUNCTION_IMPORTS``), nor ``induced`` the
-coder.  The tests do not count as users: a member only they read belongs
+coder, and no attribute of a built presentation but ``gens`` is a dict
+keyed by its labels.  The tests do not count as users: a member only they read belongs
 in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -34,6 +35,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+
+from cuspwind.fuchsian import build_group, conjugate_config
+from cuspwind.mobius import MobiusMap
+from cuspwind.presets import preset_config
 
 TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "cuspwind"
@@ -814,3 +820,34 @@ def test_package_imports_at_module_level():
     bad = ["%s:%d %s imports %s" % d for d in found
            if (d[0], d[2], d[3]) not in FUNCTION_IMPORTS]
     assert not bad, "misplaced package imports: " + ", ".join(bad)
+
+
+def label_keyed_fields(pres) -> list:
+    """The attributes of a presentation, bar ``gens``, that are non-empty
+    dicts keyed by its labels: a second per-label record beside the
+    ``Generator`` in ``gens``."""
+    labels = set(pres.gens)
+    return sorted(name for name, value in vars(pres).items()
+                  if name != "gens" and isinstance(value, dict) and value
+                  and set(value) <= labels)
+
+
+def test_label_keyed_field_detector():
+    # keys that are only some of the labels count; other keys, an empty
+    # dict and a tuple do not
+    pres = types.SimpleNamespace(
+        gens={"a": 0, "A": 1, "b": 2, "B": 3}, horocircles={"a": 4, "A": 5},
+        by_angle={0.5: "a"}, mixed={"a": 6, "x": 7}, empty={}, cusps=(4,))
+    assert label_keyed_fields(pres) == ["horocircles"]
+
+
+def test_presentation_keeps_one_record_per_label():
+    # a fact of one generator lives on its ``Generator``, in the presets
+    # and in the chart z -> z / (0.4 z + 1)
+    configs = [preset_config(name)
+               for name in ("gamma2-type", "one-cusp-one-hyperbolic")]
+    configs.append(conjugate_config(
+        preset_config("gamma2-type"),
+        MobiusMap.from_entries(1.0, 0.0, 0.4, 1.0)))
+    for config in configs:
+        assert label_keyed_fields(build_group(config)) == []

@@ -133,7 +133,6 @@ def test_spectrum_rows_on_the_default_grid(onecusp):
     spec = sp.spectrum(curve)
     assert list(spec.beta_source) == sorted(betas, reverse=True)
     assert list(spec.err_t) == list(curve.err_t[::-1])
-    assert (spec.f0, spec.f1) == (spec.f[0], spec.f[-1])
     assert spec.validate()
 
 
@@ -142,7 +141,7 @@ def test_validate_rejects_alpha_below_zero():
         return sp.SpectrumCurve(np.array([alpha_first, 0.5, 1.0]),
                                 np.array([0.4, 0.7, 0.5]),
                                 np.array([5.0, 0.0, -5.0]), np.zeros(3),
-                                0.5, 0.4, 0.5)
+                                0.5)
 
     assert curve(0.0).validate()
     assert curve(-1e-10).validate()
@@ -156,7 +155,7 @@ def test_validate_rejects_f_above_one():
         return sp.SpectrumCurve(np.array([0.0, 0.5, 1.0]),
                                 np.array([0.4, f_top, 0.5]),
                                 np.array([5.0, 0.0, -5.0]), np.zeros(3),
-                                0.5, 0.4, 0.5)
+                                0.5)
 
     assert curve(1.0).validate()
     assert curve(1.0 + 1e-10).validate()
@@ -188,8 +187,8 @@ def test_spectrum_endpoints(onecusp, onecusp_curve):
     spec = sp.spectrum(onecusp_curve)
     restricted = fuchsian_system(onecusp, 2, restricted=True)
     dc = gdms.free_energy(restricted, 0.0).t
-    assert abs(spec.f0 - dc) <= 0.05
-    assert abs(spec.f1 - 0.5) <= 0.05
+    assert abs(spec.f[0] - dc) <= 0.05
+    assert abs(spec.f[-1] - 0.5) <= 0.05
 
 
 def test_spectrum_slope_divergence_flags(onecusp_curve):

@@ -32,7 +32,13 @@ from .coding import (
     poincare_divergence_probe,
     random_block_word,
 )
-from .config import ConfigError, RunConfig, config_from_preset, load_config
+from .config import (
+    _SCALARS,
+    ConfigError,
+    RunConfig,
+    config_from_preset,
+    load_config,
+)
 from .errors import ReachedCusp
 from .figures import emit_figure
 from .fuchsian import build_group, constant_c0, constants_c1
@@ -42,23 +48,29 @@ from .presets import PRESETS
 
 def build_parser():
     """One subcommand per command, each with --config and --preset plus
-    only the options it reads; any other option is an argparse error."""
+    only the options it reads; any other option is an argparse error.
+    Each subcommand carries its command function as ``run``."""
     p = argparse.ArgumentParser(
         prog="cuspwind",
         description="Cusp-winding multifractal spectra of free Fuchsian groups")
     sub = p.add_subparsers(dest="command", required=True)
     grid = ("cap", "beta", "out", "format")
-    for name, helptext, options in (
-        ("validate", "run the presentation and coding invariant suite",
-         ("seed",)),
-        ("code", "print the block coding of a boundary point", ("point",)),
-        ("pressure", "pressure grid over (t, beta)", grid + ("t",)),
-        ("free-energy", "free energy curve t(beta)", grid),
-        ("spectrum", "spectrum curve f(alpha) plus SVG figure", grid),
-        ("delta", "limit-set dimension delta and bounded-type delta_c",
+    for name, run, helptext, options in (
+        ("validate", cmd_validate,
+         "run the presentation and coding invariant suite", ("seed",)),
+        ("code", cmd_code, "print the block coding of a boundary point",
+         ("point",)),
+        ("pressure", cmd_pressure, "pressure grid over (t, beta)",
+         grid + ("t",)),
+        ("free-energy", cmd_free_energy, "free energy curve t(beta)", grid),
+        ("spectrum", cmd_spectrum, "spectrum curve f(alpha) plus SVG figure",
+         grid),
+        ("delta", cmd_delta,
+         "limit-set dimension delta and bounded-type delta_c",
          ("cap", "out")),
     ):
         q = sub.add_parser(name, help=helptext)
+        q.set_defaults(run=run)
         q.add_argument("--config", help="path to a run configuration file")
         q.add_argument("--preset", choices=sorted(PRESETS),
                        help="built-in presentation")
@@ -78,7 +90,8 @@ def build_parser():
                            help="output directory (default: the config's "
                                 "out_dir, else .)")
         if "format" in options:
-            q.add_argument("--format", choices=("csv", "json"), dest="fmt")
+            q.add_argument("--format", choices=("csv", "json"),
+                           dest="out_format")
         if "t" in options:
             q.add_argument("--t-min", type=float, default=0.6)
             q.add_argument("--t-max", type=float, default=1.4)
@@ -95,11 +108,8 @@ def resolve_config(args) -> RunConfig:
         cfg = config_from_preset(args.preset)
     else:
         raise ConfigError("need --config PATH or --preset NAME")
-    for attr, key in (("cap", "cap"), ("beta_min", "beta_min"),
-                      ("beta_max", "beta_max"), ("beta_steps", "beta_steps"),
-                      ("seed", "seed"), ("fmt", "out_format"),
-                      ("out_dir", "out_dir")):
-        val = getattr(args, attr, None)
+    for key in _SCALARS:
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     # the numbers that only the command line carries
@@ -168,7 +178,7 @@ def write_result(cfg: RunConfig, stem: str, meta: dict, columns: dict) -> str:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, args) -> int:
     pres = build_group(cfg.group_config())
     rng = np.random.default_rng(cfg.seed)
     checks = []
@@ -180,11 +190,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     violations = 0
     for _ in range(100):
         w = random_block_word(pres, rng, int(rng.integers(3, 12)))
-        dec = arc_decomposition(pres, w)
-        if not (sum(dec.lengths) <= dec.total + 1e-9
-                and dec.total <= sum(dec.lengths) + c0 + 1e-9):
+        lengths, total = arc_decomposition(pres, w)
+        if not (sum(lengths) <= total + 1e-9
+                and total <= sum(lengths) + c0 + 1e-9):
             violations += 1
-        for k, (l, a) in enumerate(zip(dec.lengths, w.windings(pres))):
+        for k, (l, a) in enumerate(zip(lengths, w.windings(pres))):
             if k >= 1 and l < 2.0 * log_plus(a) + c1 - 1e-9:
                 violations += 1
             if a >= 2 and l < 2.0 * math.log(a) + math.log(3.0) - 1e-9:
@@ -194,10 +204,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     checks.append(("arc sandwich and winding bounds", violations == 0,
                    "%d violations over 100 words" % violations))
 
-    rep = conjugacy_check(pres, samples=40, letters_each=8, seed=cfg.seed)
-    checks.append(("induced conjugacy", rep.ok,
+    mismatches, resampled = conjugacy_check(pres, samples=40,
+                                            letters_each=8, seed=cfg.seed)
+    checks.append(("induced conjugacy", not mismatches,
                    "%d mismatches, %d resampled"
-                   % (len(rep.mismatches), rep.resampled)))
+                   % (len(mismatches), resampled)))
     ell, n_pairs = primitivity_witness(pres)
     checks.append(("finite irreducibility witness", ell is not None,
                    "connector length %s over %d pairs" % (ell, n_pairs)))
@@ -210,15 +221,15 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_code(cfg: RunConfig, point: float, blocks: int) -> int:
+def cmd_code(cfg: RunConfig, args) -> int:
     pres = build_group(cfg.group_config())
     cusp = None
     try:
-        word = code_point(pres, point, blocks)
+        word = code_point(pres, args.point, args.blocks)
     except ReachedCusp as exc:
         word, cusp = exc.word, exc.cusp
     winds = word.windings(pres)
-    print("point %.12g -> %d blocks" % (point, len(word)))
+    print("point %.12g -> %d blocks" % (args.point, len(word)))
     for (label, exp), a in zip(word.blocks, winds):
         print("  %s^%d  winding %d" % (label, exp, a))
     print("windings:", list(winds))
@@ -227,11 +238,11 @@ def cmd_code(cfg: RunConfig, point: float, blocks: int) -> int:
     return 0
 
 
-def cmd_pressure(cfg: RunConfig, t_min, t_max, t_steps) -> int:
+def cmd_pressure(cfg: RunConfig, args) -> int:
     sysm = fuchsian_system(build_group(cfg.group_config()), cfg.cap)
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
     ts, bs = (grid.ravel() for grid in np.meshgrid(
-        np.linspace(t_min, t_max, t_steps), betas))
+        np.linspace(args.t_min, args.t_max, args.t_steps), betas))
     ps = [gdms.pressure(sysm, float(t), float(beta))
           for t, beta in zip(ts, bs)]
     path = write_result(cfg, "pressure", _meta(cfg),
@@ -248,7 +259,7 @@ def _curve(cfg: RunConfig):
     return pres, curve
 
 
-def cmd_free_energy(cfg: RunConfig) -> int:
+def cmd_free_energy(cfg: RunConfig, args) -> int:
     _, curve = _curve(cfg)
     path = write_result(cfg, "free_energy", _meta(cfg),
                         {"beta": curve.betas, "t": curve.t, "r": curve.r,
@@ -257,7 +268,7 @@ def cmd_free_energy(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, args) -> int:
     pres, curve = _curve(cfg)
     spec = sp.spectrum(curve)
     spec.validate()
@@ -277,19 +288,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_delta(cfg: RunConfig) -> int:
+def cmd_delta(cfg: RunConfig, args) -> int:
     pres = build_group(cfg.group_config())
     sysm = fuchsian_system(pres, cfg.cap)
     delta = gdms.free_energy(sysm, 0.0).t
     delta_c = gdms.delta_c(pres).t
-    below, above = poincare_divergence_probe(pres, [delta - 0.05,
-                                                    delta + 0.05])
-    probe = {
-        "s_below": below["s"], "ratio_below": below["ratio"],
-        "extrapolated_below": below["extrapolated"],
-        "s_above": above["s"], "ratio_above": above["ratio"],
-        "extrapolated_above": above["extrapolated"],
-    }
+    ss = (delta - 0.05, delta + 0.05)
+    probe = {}
+    for side, s, pair in zip(("below", "above"), ss,
+                             poincare_divergence_probe(pres, ss)):
+        probe["s_" + side] = s
+        probe["ratio_" + side], probe["extrapolated_" + side] = pair
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "delta.json")
     write_json(path, _meta(cfg), {
@@ -304,28 +313,11 @@ def cmd_delta(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "code":
-            return cmd_code(cfg, args.point, args.blocks)
-        if args.command == "pressure":
-            return cmd_pressure(cfg, args.t_min, args.t_max, args.t_steps)
-        if args.command == "free-energy":
-            return cmd_free_energy(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "delta":
-            return cmd_delta(cfg)
-        raise ConfigError("unknown command %r" % args.command)
-    except ConfigError as exc:
+        return args.run(resolve_config(args), args)
+    except Exception as exc:  # a ConfigError, a CuspwindError or a fault
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except Exception as exc:  # a CuspwindError, or an internal fault
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

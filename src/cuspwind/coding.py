@@ -132,24 +132,19 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     return x
 
 
-class ArcDecomposition:
-    """Per-block arc lengths of the geodesic [i, B_1...B_n(i)].
+def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> tuple:
+    """Per-block arc lengths of the geodesic [i, B_1...B_n(i)] and its
+    full length, as (lengths, total).
 
     lengths[k] is l(xi_{k+1}), the arc of the block of winding
     ``word.windings(pres)[k]``; total is the full displacement, which
     exceeds sum(lengths) by the final arc l(xi_{n+1}), bounded by the
     constant C0 of the presentation.
     """
-
-    def __init__(self, lengths: tuple, total: float):
-        self.lengths, self.total = lengths, total
-
-
-def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposition:
     word.validate(pres)
     n = len(word)
     if n == 0:
-        return ArcDecomposition((), 0.0)
+        return (), 0.0
 
     elements = [pres.gens[label].block(exp) for label, exp in word.blocks]
     # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
@@ -190,8 +185,7 @@ def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> ArcDecomposit
         start = apply_plane(binv, start)
         prev = apply_plane(binv, pt)
 
-    total = hyperbolic_distance(q[1], BASE_POINT)
-    return ArcDecomposition(tuple(lengths), total)
+    return tuple(lengths), hyperbolic_distance(q[1], BASE_POINT)
 
 
 def random_block_word(pres: GroupPresentation, rng,
@@ -244,18 +238,11 @@ def induced_step(pres: GroupPresentation, x: float) -> float:
     return y
 
 
-class ConjugacyReport:
-    def __init__(self, mismatches: list, resampled: int):
-        self.mismatches, self.resampled = mismatches, resampled
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
 def conjugacy_check(pres: GroupPresentation, samples: int,
-                    letters_each: int, seed: int) -> ConjugacyReport:
-    """Letterwise test of pi o T_D = sigma o pi on sampled induced points.
+                    letters_each: int, seed: int) -> tuple:
+    """Letterwise test of pi o T_D = sigma o pi on sampled induced points,
+    as (mismatches, resampled); the coding conjugates the shift on the
+    samples when ``mismatches`` is empty.
 
     A sample is the point of a random admissible block word, whose first
     ``letters_each`` induced letters are compared with those of its
@@ -297,25 +284,24 @@ def conjugacy_check(pres: GroupPresentation, samples: int,
                 raise
             continue
         done += 1
-    return ConjugacyReport(mismatches, resampled)
+    return mismatches, resampled
 
 
 def poincare_divergence_probe(pres: GroupPresentation, ss) -> list:
     """Shell-ratio divergence statistics of the Poincare series over words
-    of length up to 13, one dict per exponent s in ``ss``.
+    of length up to 13, one pair per exponent s in ``ss``.
 
-    Each holds the last raw shell ratio and its 1/L Richardson
+    Each pair is the last raw shell ratio and its 1/L Richardson
     extrapolation; values above one indicate divergence (s below the
     exponent).  The parabolic directions slow the ratio convergence to
     O(1/L), hence the extrapolation.
     """
     out = []
-    for s, shells in zip(ss, poincare_shell_sums(pres, ss, 13)):
+    for shells in poincare_shell_sums(pres, ss, 13):
         ratios = [shells[k + 1] / shells[k] for k in range(len(shells) - 1)]
         n = len(ratios)
-        extrapolated = ratios[-1] + (ratios[-1] - ratios[-2]) * (n - 1)
-        out.append({"s": s, "ratio": ratios[-1], "extrapolated": extrapolated,
-                    "shells": len(shells)})
+        out.append((ratios[-1],
+                    ratios[-1] + (ratios[-1] - ratios[-2]) * (n - 1)))
     return out
 
 

@@ -64,11 +64,9 @@ class RunConfig:
         return self
 
 
-_SCALARS = {
-    "name": str, "cap": int, "beta_min": float, "beta_max": float,
-    "beta_steps": int, "seed": int,
-    "out_dir": str, "out_format": str,
-}
+# the scalar keys of the config format, each with the type of its default
+_SCALARS = {key: type(value) for key, value in vars(RunConfig()).items()
+            if key != "generators"}
 _GEN_KEYS = {"label", "inverse_label", "kind", "matrix", "interval",
              "interval_inverse"}
 

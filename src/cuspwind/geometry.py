@@ -21,7 +21,13 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .mobius import MobiusMap, apply_plane, boundary_vector, vector_angle
+from .mobius import (
+    MobiusMap,
+    apply_plane,
+    apply_vector,
+    boundary_vector,
+    vector_angle,
+)
 
 # Relative tolerance of the tangency k k' (p x p')^2 = 1 of two horoballs:
 # Gamma(2)'s cusps are pairwise tangent.
@@ -30,11 +36,6 @@ TANGENCY_TOL = 1e-9
 
 def cross(p: tuple, q: tuple) -> float:
     return p[0] * q[1] - p[1] * q[0]
-
-
-def _apply(m: MobiusMap, v: tuple) -> tuple:
-    """The matrix m times the homogeneous vector v."""
-    return m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]
 
 
 class Geodesic:
@@ -88,8 +89,8 @@ class Geodesic:
         ends T^-1 T'(0) and T^-1 T'(oo) lie on either side of the axis, and
         the crossing is at the height sqrt(-x x') of the axis."""
         m = other.axis
-        x0, y0 = _apply(self._inverse, (m.b, m.d))
-        x1, y1 = _apply(self._inverse, (m.a, m.c))
+        x0, y0 = apply_vector(self._inverse, (m.b, m.d))
+        x1, y1 = apply_vector(self._inverse, (m.a, m.c))
         if x0 * y0 * x1 * y1 >= 0.0:
             return []
         return [0.5 * math.log(-(x0 * x1) / (y0 * y1))]
@@ -98,7 +99,7 @@ class Geodesic:
         """Parameters of the crossings with the horocircle, in increasing
         order.  With q = T^-1 p, the axis point iy lies on it where
         k q2^2 y^2 - y + k q1^2 = 0."""
-        q = _apply(self._inverse, ball.base)
+        q = apply_vector(self._inverse, ball.base)
         a, b = ball.height * q[0] ** 2, ball.height * q[1] ** 2
         disc = 1.0 - 4.0 * a * b
         if disc < 0.0:

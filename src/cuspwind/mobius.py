@@ -7,7 +7,7 @@ Conventions used throughout the package:
   R u {oo}; inside the package a boundary point is its circle angle under
   the Cayley map (``boundary_angle``), or a homogeneous vector
   (``boundary_vector``, ``vector_angle``), and Moebius maps move angles
-  (``apply_angle``),
+  (``apply_angle``) and vectors (``apply_vector``),
 * the real coordinate x appears only at the edges: config endpoints, the
   conjugated configs of ``fuchsian.conjugate_config``, error messages and
   the Bowen-Series coding; there the point at infinity is ``math.inf``
@@ -66,11 +66,15 @@ def vector_angle(v: tuple) -> float:
     return 2.0 * math.atan2(v[1], -v[0]) % (2.0 * math.pi)
 
 
+def apply_vector(m: MobiusMap, v: tuple) -> tuple:
+    """The matrix m times the homogeneous vector v."""
+    return m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1]
+
+
 def apply_angle(m: MobiusMap, theta: float) -> float:
     """Projective action on the boundary circle, in circle angles: the
     angle of m u(theta), with no case for oo or the pole of m."""
-    u0, u1 = boundary_vector(theta)
-    return vector_angle((m.a * u0 + m.b * u1, m.c * u0 + m.d * u1))
+    return vector_angle(apply_vector(m, boundary_vector(theta)))
 
 
 def unit_image(m: MobiusMap, theta: float) -> tuple:
@@ -79,8 +83,7 @@ def unit_image(m: MobiusMap, theta: float) -> tuple:
     In this form the circle-chart derivative of a matrix M at the point is
     1 / |M w|^2 for w = unit_image(I, theta), with no case for oo.
     """
-    u0, u1 = boundary_vector(theta)
-    v0, v1 = m.a * u0 + m.b * u1, m.c * u0 + m.d * u1
+    v0, v1 = apply_vector(m, boundary_vector(theta))
     norm = math.hypot(v0, v1)
     return v0 / norm, v1 / norm
 

@@ -120,11 +120,11 @@ def test_criterion_2_distance_sandwich_and_winding_bounds():
         paper_form_violations = 0
         for _ in range(200):
             w = random_block_word(pres, rng, int(rng.integers(4, 14)))
-            dec = arc_decomposition(pres, w)
-            if not (sum(dec.lengths) <= dec.total + 1e-9
-                    and dec.total <= sum(dec.lengths) + c0 + 1e-9):
+            lengths, total = arc_decomposition(pres, w)
+            if not (sum(lengths) <= total + 1e-9
+                    and total <= sum(lengths) + c0 + 1e-9):
                 violations += 1
-            for k, (l, a) in enumerate(zip(dec.lengths, w.windings(pres))):
+            for k, (l, a) in enumerate(zip(lengths, w.windings(pres))):
                 if k >= 1 and l < 2 * log_plus(a) + c1 - 1e-9:
                     violations += 1
                 if a >= 2 and l < 2 * math.log(a) + math.log(3.0) - 1e-9:
@@ -147,9 +147,10 @@ def test_criterion_3_conjugacy():
     ok = True
     details = []
     for name, pres in groups().items():
-        rep = conjugacy_check(pres, samples=100, letters_each=10, seed=7)
-        ok &= rep.ok
-        details.append("%s: %d mismatches" % (name, len(rep.mismatches)))
+        mismatches, _ = conjugacy_check(pres, samples=100, letters_each=10,
+                                        seed=7)
+        ok &= not mismatches
+        details.append("%s: %d mismatches" % (name, len(mismatches)))
     report("3 conjugacy", ok, time.time() - start, 30.0, "; ".join(details))
 
 
@@ -247,11 +248,11 @@ def test_criterion_7_spectrum_shape():
         if name == "gamma2-type":
             delta_err = abs(t0 - 1.0)
             ok &= delta_err <= 0.05
-            below, above = poincare_divergence_probe(groups()[name],
-                                                     [0.95, 1.05])
-            ok &= below["ratio"] > 1.0 > above["ratio"]
+            (below, _), (above, _) = poincare_divergence_probe(
+                groups()[name], [0.95, 1.05])
+            ok &= below > 1.0 > above
             msg += ", |t(0)-1| = %.3f, shells %.3f/%.3f" % (
-                delta_err, below["ratio"], above["ratio"])
+                delta_err, below, above)
         details.append(msg)
     report("7 spectrum-shape", ok, time.time() - start, 600.0,
            "; ".join(details))
@@ -308,13 +309,13 @@ def test_criterion_9_fact_level_invariants():
                 blocks.append((label, exp))
                 prev = label
             w = BlockWord(tuple(blocks))
-            dec = arc_decomposition(pres, w)
+            lengths, total = arc_decomposition(pres, w)
             num = 2.0 * sum(log_plus(a) for a in w.windings(pres))
-            ratio = num / dec.total
+            ratio = num / total
             if ratio > bound + 1e-9:
                 violations += 1
             # Fact-1 expression from the same arcs
-            if num > 0.0 and ratio > num / sum(dec.lengths) + 1e-12:
+            if num > 0.0 and ratio > num / sum(lengths) + 1e-12:
                 violations += 1
         ok &= violations == 0
         details.append("%s: 0 violations, Fact-4 bound %.4f"

@@ -471,6 +471,17 @@ def test_cli_rejects_options_the_command_ignores(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_cli_negative_exponent_form_with_equals(tmp_path):
+    # argparse takes a separate "-1e3" for an option; joined by "=" it is
+    # the value of --beta-min
+    rc = cli.main(["free-energy", "--preset", "gamma2-type", "--cap", "20",
+                   "--beta-min=-1e3", "--beta-steps", "3",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    rows = (tmp_path / "free_energy.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[-3:]] == ["-1000", "-490", "20"]
+
+
 def test_cli_free_energy_csv_roundtrip(tmp_path):
     rc = cli.main(["free-energy", "--preset", "one-cusp-one-hyperbolic",
                    "--cap", "60", "--beta-min", "-4", "--beta-max", "4",

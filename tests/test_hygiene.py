@@ -10,8 +10,9 @@ one on ``self``, no module imports ``dataclasses``, importing the command
 line loads no scipy or html and a spectrum run no dataclasses or copy,
 every name ``perfbench/child.py`` wraps exists, and no function imports a
 package module (bar those in ``FUNCTION_IMPORTS``), nor ``induced`` the
-coder, and no attribute of a built presentation but ``gens`` is a dict
-keyed by its labels.  The tests do not count as users: a member only they read belongs
+coder, no attribute of a built presentation but ``gens`` is a dict
+keyed by its labels, and every option of a subcommand is a ``RunConfig``
+key or is read by its command.  The tests do not count as users: a member only they read belongs
 in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -28,6 +29,7 @@ attribute of another class (``cap``, ``name`` or ``label``, say) goes
 unseen.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -35,8 +37,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import types
 
+from cuspwind import cli
+from cuspwind.config import _SCALARS
 from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
@@ -851,3 +856,63 @@ def test_presentation_keeps_one_record_per_label():
         MobiusMap.from_entries(1.0, 0.0, 0.4, 1.0)))
     for config in configs:
         assert label_keyed_fields(build_group(config)) == []
+
+
+def unread_option_dests(parser, scalars) -> list:
+    """(command, dest) of each option of each subcommand of ``parser``
+    whose dest is no key of ``scalars`` (which ``resolve_config`` copies
+    into the ``RunConfig``), nor ``config`` or ``preset``, nor an
+    ``args.<dest>`` that the subcommand's ``run`` function reads from its
+    second parameter.  A subcommand without ``run`` reads nothing."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    found = []
+    for name, q in sub.choices.items():
+        allowed = set(scalars) | {"config", "preset"}
+        run = q.get_default("run")
+        if run is not None:
+            fn = ast.parse(textwrap.dedent(inspect.getsource(run))).body[0]
+            params = fn.args.args
+            if len(params) >= 2:
+                allowed |= {node.attr for node in ast.walk(fn)
+                            if isinstance(node, ast.Attribute)
+                            and isinstance(node.value, ast.Name)
+                            and node.value.id == params[1].arg}
+        found += [(name, action.dest) for action in q._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  and action.dest not in allowed]
+    return sorted(found)
+
+
+def _fixture_command(cfg, opts):
+    return cfg.cap, opts.point
+
+
+def test_unread_option_detector():
+    # a renamed dest, an option its command never reads, and every option
+    # of a subcommand without a command count; a config key, --config,
+    # --preset and what the command reads do not
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    q = sub.add_parser("good")
+    q.set_defaults(run=_fixture_command)
+    for option in ("--config", "--preset", "--cap", "--point"):
+        q.add_argument(option)
+    q = sub.add_parser("bad")
+    q.set_defaults(run=_fixture_command)
+    q.add_argument("--cap")
+    q.add_argument("--format", dest="fmt")
+    q.add_argument("--blocks")
+    q = sub.add_parser("bare")
+    q.add_argument("--point")
+    assert unread_option_dests(parser, {"cap": int}) == [
+        ("bad", "blocks"), ("bad", "fmt"), ("bare", "point")]
+
+
+def test_every_option_reaches_the_config_or_its_command():
+    # an option names its setting once: its dest is the RunConfig key, or
+    # the command reads it off the parsed arguments, so no rename table
+    # sits between the two and no option is parsed and dropped
+    found = unread_option_dests(cli.build_parser(), _SCALARS)
+    assert not found, "options that reach neither the config nor their " \
+        "command: %r" % found

@@ -29,10 +29,12 @@ from .mobius import (
     apply_plane,
     boundary_angle,
     boundary_from_angle,
+    boundary_vector,
     hyperbolic_distance,
 )
 
 PARAM_TOL = 1e-9
+RUN_TOL = 1e-9  # a run within this (relative) of n letters lands on its end
 SUFFIX_LEN = 3  # the shells that poincare_shell_sums takes from Gram entries
 
 
@@ -81,41 +83,53 @@ def bowen_series_step(pres: GroupPresentation, x: float):
 
 
 def code_point(pres: GroupPresentation, x: float, n_blocks: int) -> BlockWord:
-    """First n_blocks blocks of the coding of x.
+    """First n_blocks blocks of the coding of x, one step per block.
 
-    A hyperbolic run closes at once, a parabolic one only once a different
-    letter shows up, so the orbit is advanced one letter past the last
-    requested block.  An orbit that lands on an arc endpoint stops: at a
-    cusp (to ``ANGLE_TOL`` in angle) with ``ReachedCusp``, which carries
+    A run of the parabolic letter g is the one step g^-k, k = ceil(psi(x)
+    - psi(e)) (``_run_coordinate``; e is the end of g's arc away from its
+    cusp, and a difference within ``RUN_TOL`` of an integer n counts as
+    n); it closes once its point lies in another arc.  The coding stops
+    where its point lies in no arc, or within ``ANGLE_TOL`` of a cusp while
+    blocks are still wanted: at a cusp with ``ReachedCusp``, which carries
     the closed blocks, and elsewhere with ``CodingStalled``.
     """
-    runs = []  # [label, run length]; the last is open while parabolic
+    blocks = []
     y = x
-    steps = 0
     while True:
-        closed = len(runs)
-        if runs and pres.gens[runs[-1][0]].parabolic:
-            closed -= 1
-        if closed >= n_blocks:
-            return BlockWord(tuple(map(tuple, runs[:n_blocks])))
-        steps += 1
-        if steps > 200 * (n_blocks + 2) + 10_000:
-            raise CodingStalled("coding did not close %d blocks" % n_blocks)
-        try:
-            y, label = bowen_series_step(pres, y)
-        except OutsideAllIntervals as exc:
-            theta = boundary_angle(y)
-            if any(angle_distance(theta, ball.angle) <= ANGLE_TOL
-                   for ball in pres.cusps):
-                raise ReachedCusp(BlockWord(tuple(map(tuple, runs[:closed]))),
-                                  y) from exc
+        label = pres.letter_at(y)
+        if blocks and pres.gens[blocks[-1][0]].parabolic \
+                and label in (None, blocks[-1][0]):
+            blocks.pop()  # a run whose point lies in no other arc is open
+            label = None
+        elif len(blocks) >= n_blocks:
+            return BlockWord(tuple(blocks))
+        theta = boundary_angle(y)
+        if any(angle_distance(theta, ball.angle) <= ANGLE_TOL
+               for ball in pres.cusps):
+            raise ReachedCusp(BlockWord(tuple(blocks)), y)
+        if label is None:
             raise CodingStalled(
-                "orbit left the coding domain after %d blocks" % closed
-            ) from exc
-        if runs and label == runs[-1][0] and pres.gens[label].parabolic:
-            runs[-1][1] += 1
-        else:
-            runs.append([label, 1])
+                "orbit left the coding domain after %d blocks" % len(blocks))
+        g = pres.gens[label]
+        k, step = 1, g.map.inverse()
+        if g.parabolic:
+            j = g.interval
+            end = max((j.angle_lo, j.angle_hi),
+                      key=lambda e: angle_distance(e, g.horoball.angle))
+            k = math.ceil((1.0 - RUN_TOL) * (_run_coordinate(g, theta)
+                                             - _run_coordinate(g, end)))
+            step = pres.gens[g.inverse].block(k)
+        y = apply_boundary(step, y)
+        blocks.append((label, k))
+
+
+def _run_coordinate(g, theta: float) -> float:
+    """psi(u(theta)) = p.u / p.Nu for the parabolic g = I + N with the
+    horoball base p: it rises by one under g, as N g = N (N^2 = 0)."""
+    (p0, p1), (n0, n1, n2, n3) = g.horoball.base, g.map.nilpotent()
+    u0, u1 = boundary_vector(theta)
+    return (p0 * u0 + p1 * u1) / (p0 * (n0 * u0 + n1 * u1)
+                                  + p1 * (n2 * u0 + n3 * u1))
 
 
 def point_from_symbols(pres: GroupPresentation, symbols) -> float:
@@ -247,12 +261,12 @@ def conjugacy_check(pres: GroupPresentation, samples: int,
     A sample is the point of a random admissible block word, whose first
     ``letters_each`` induced letters are compared with those of its
     images.  The float orbit of a drawn point often leaves the coding
-    arcs: on one-cusp, 893 of 2,893 draws over seeds 0-9 x 200 samples
-    stall (``CodingStalled``), each 2.6e-5 to 0.43 rad from an arc end
-    after a median of 18 Bowen-Series steps, and none at a cusp; the 40
-    draws of ``validate`` at seed 1234 stall none.  A stalled draw is
-    replaced and counted in ``resampled``; past 20 x ``samples`` of
-    them the stall is raised.
+    arcs: on one-cusp, over seeds 0-9 x 200 samples, 912 of 2,912 draws
+    stall (``CodingStalled``) at ``letters_each`` = 10, each 7.6e-4 to
+    0.43 rad from an arc end after 8 to 11 blocks, and none at a cusp, and
+    19 of 2,019 at ``validate``'s 8; the 40 draws of ``validate`` at seed
+    1234 stall none.  A stalled draw is replaced and counted in
+    ``resampled``; past 20 x ``samples`` of them the stall is raised.
     """
     rng = np.random.default_rng(seed)
     mismatches = []

@@ -38,8 +38,9 @@ class CodingStalled(CuspwindError):
 
 
 class ReachedCusp(CodingStalled):
-    """Orbit landed on a cusp: ``word`` holds the blocks closed before it,
-    and ``cusp`` is the orbit's point there."""
+    """Orbit reached a cusp: ``word`` holds the blocks closed before it,
+    and ``cusp`` is the orbit's point there, which may lie within
+    ``fuchsian.ANGLE_TOL`` of the cusp rather than on it."""
 
     def __init__(self, word, cusp: float):
         super().__init__("orbit reached the cusp %.12g after %d blocks"

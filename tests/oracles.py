@@ -2,13 +2,15 @@
 
 Each computes a quantity of the chain a second way, by direct
 enumeration, a closed form or plain summation, sharing as little code as
-possible with what the command line runs: hyperbolic displacements and
-mean windings of coded words, the induced letters one by one, the
+possible with what the command line runs: the Bowen-Series coding one
+letter at a time, hyperbolic displacements and mean windings of coded
+words, the induced letters one by one, the
 truncated one-letter series, partition sums over paths and over block
 words, and the discrete Legendre transform with the spectrum's endpoint
 slopes, and the key matrix with every block's weights built in one whole
 work array.  Next to them sit the helpers only tests need: equality of
-maps up to sign, containment of arcs, induced letters as objects, a
+maps up to sign, perfbench's family of charts as a hypothesis strategy,
+containment of arcs, induced letters as objects, a
 family's midpoint vector, the key cell of every letter of a block, the
 key graph of a system's cells, systems built from an edge list, systems
 stripped of their tail columns and presentations stripped of their
@@ -20,9 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cuspwind.coding import (
     BlockWord,
+    bowen_series_step,
     code_point,
     induced_step,
     letters_of_blocks,
@@ -30,8 +34,18 @@ from cuspwind.coding import (
     point_from_symbols,
     random_block_word,
 )
-from cuspwind.errors import CuspwindError
-from cuspwind.fuchsian import CircleInterval, GroupPresentation
+from cuspwind.errors import (
+    CodingStalled,
+    CuspwindError,
+    OutsideAllIntervals,
+    ReachedCusp,
+)
+from cuspwind.fuchsian import (
+    ANGLE_TOL,
+    CircleInterval,
+    GroupPresentation,
+    angle_distance,
+)
 from cuspwind.gdms import (
     LOG_FLOOR,
     GdmsSystem,
@@ -45,6 +59,7 @@ from cuspwind.mobius import (
     MobiusMap,
     apply_boundary,
     apply_plane,
+    boundary_angle,
     boundary_from_angle,
     compose,
     hyperbolic_distance,
@@ -84,6 +99,14 @@ def close_to(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-12) -> bool:
     same = max(abs(x - y) for x, y in zip(e1, e2))
     flip = max(abs(x + y) for x, y in zip(e1, e2))
     return min(same, flip) <= tol * max(1.0, *map(abs, e1))
+
+
+@st.composite
+def charts(draw):
+    """perfbench's chart family z -> lam z / (c z + 1) + u, as a map."""
+    u, c = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    s = math.sqrt(draw(st.floats(0.5, 2.0)))
+    return MobiusMap.from_entries(s + u * c / s, u / s, c / s, 1.0 / s)
 
 
 def contains_interval(outer: CircleInterval, inner: CircleInterval,
@@ -139,6 +162,44 @@ def displacement(pres: GroupPresentation, word: BlockWord) -> float:
     for label, exp in reversed(word.blocks):
         q = apply_plane(pres.gens[label].block(exp), q)
     return hyperbolic_distance(q, BASE_POINT)
+
+
+def letter_code_point(pres: GroupPresentation, x: float,
+                      n_blocks: int) -> BlockWord:
+    """First n_blocks blocks of the coding of x, one Bowen-Series letter at
+    a time: the reference for ``code_point``, with the same exits.
+
+    Runs of one parabolic letter merge into a block, which closes once a
+    different letter shows up; a coding that closes no n_blocks blocks in
+    200 (n_blocks + 2) + 10,000 letters stalls.
+    """
+    runs = []  # [label, run length]; the last is open while parabolic
+    y = x
+    steps = 0
+    while True:
+        closed = len(runs)
+        if runs and pres.gens[runs[-1][0]].parabolic:
+            closed -= 1
+        if closed >= n_blocks:
+            return BlockWord(tuple(map(tuple, runs[:n_blocks])))
+        steps += 1
+        if steps > 200 * (n_blocks + 2) + 10_000:
+            raise CodingStalled("coding did not close %d blocks" % n_blocks)
+        try:
+            y, label = bowen_series_step(pres, y)
+        except OutsideAllIntervals as exc:
+            theta = boundary_angle(y)
+            if any(angle_distance(theta, ball.angle) <= ANGLE_TOL
+                   for ball in pres.cusps):
+                raise ReachedCusp(BlockWord(tuple(map(tuple, runs[:closed]))),
+                                  y) from exc
+            raise CodingStalled(
+                "orbit left the coding domain after %d blocks" % closed
+            ) from exc
+        if runs and label == runs[-1][0] and pres.gens[label].parabolic:
+            runs[-1][1] += 1
+        else:
+            runs.append([label, 1])
 
 
 def mean_cusp_winding(pres: GroupPresentation, x: float, n: int) -> float:

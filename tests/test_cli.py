@@ -119,6 +119,11 @@ def test_cli_code_fixed_point(capsys):
     ("0.25", [], "inf"),  # 0.25 -b-> 0.5 -b-> oo
     ("0", [], "0"),
     ("-1", [], "-1"),
+    # float orbits that pass within 1e-14 of a cusp stop there
+    ("0.3", ["b^2", "A^1", "b^1"], "1.12589990684e+15"),
+    ("0.4", ["b^1", "a^1"], "4.4408920985e-16"),
+    ("0.7", ["b^1", "A^1", "b^2"], "2.81474976711e+14"),
+    ("100000.5", ["a^50000"], "inf"),  # one step for the run of a
 ])
 def test_cli_code_reaches_cusp(point, blocks, cusp, capsys):
     # every rational point is a cusp of gamma2: its coding ends there

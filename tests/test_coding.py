@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspwind.coding import (
     BlockWord,
@@ -15,16 +16,29 @@ from cuspwind.coding import (
     random_block_word,
 )
 from cuspwind.errors import CodingStalled, OutsideAllIntervals, ReachedCusp
-from cuspwind.fuchsian import constant_c0, constants_c1
+from cuspwind.fuchsian import (
+    build_group,
+    conjugate_config,
+    constant_c0,
+    constants_c1,
+)
 from cuspwind.mobius import (
     BASE_POINT,
+    MobiusMap,
     apply_boundary,
     apply_plane,
     boundary_angle,
     compose,
     hyperbolic_distance,
 )
-from oracles import displacement, mean_cusp_winding, word_element
+from cuspwind.presets import preset_config
+from oracles import (
+    charts,
+    displacement,
+    letter_code_point,
+    mean_cusp_winding,
+    word_element,
+)
 
 
 def test_bowen_step_moves_into_complement(gamma2):
@@ -92,6 +106,104 @@ def test_stall_in_a_gap_is_no_cusp(onecusp):
     with pytest.raises(CodingStalled) as exc:
         code_point(onecusp, 1.5, 3)
     assert not isinstance(exc.value, ReachedCusp)
+
+
+def coding(code, pres, x, n):
+    """What a coder makes of x: its valid blocks, or its exit with the
+    blocks closed before it."""
+    try:
+        word = code(pres, x, n)
+    except ReachedCusp as exc:
+        return "cusp", exc.word.blocks, exc.cusp
+    except CodingStalled as exc:
+        return "stall", str(exc)
+    word.validate(pres)
+    return "blocks", word.blocks
+
+
+def check_codes_as_the_letter_loop(pres, rng, draws):
+    # a block step rounds once where the letter loop rounds once per
+    # letter, so the float orbits agree while the drawn blocks last and
+    # drift apart past them
+    for n in (1, 3, 8):
+        for _ in range(draws):
+            x = point_from_symbols(
+                pres, random_block_word(pres, rng, n).symbols())
+            assert coding(code_point, pres, x, n) \
+                == coding(letter_code_point, pres, x, n)
+
+
+# the charts z + 0.3, z / (0.4z + 1) and 4z
+CODING_CHARTS = ((1.0, 0.3, 0.0, 1.0), (1.0, 0.0, 0.4, 1.0),
+                 (2.0, 0.0, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("chart", (None,) + CODING_CHARTS)
+def test_code_point_matches_the_letter_loop(any_preset, chart):
+    config = preset_config(any_preset)
+    if chart is not None:
+        config = conjugate_config(config, MobiusMap.from_entries(*chart))
+    check_codes_as_the_letter_loop(build_group(config),
+                                   np.random.default_rng(23), 500)
+
+
+@settings(max_examples=20, deadline=None)
+@given(chart=charts(),
+       name=st.sampled_from(["gamma2-type", "one-cusp-one-hyperbolic"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_code_point_matches_the_letter_loop_in_drawn_charts(chart, name,
+                                                            seed):
+    pres = build_group(conjugate_config(preset_config(name), chart))
+    check_codes_as_the_letter_loop(pres, np.random.default_rng(seed), 20)
+
+
+@pytest.mark.parametrize("name, point", [
+    ("gamma2-type", 2.5),  # a, then b lands on oo
+    ("gamma2-type", -0.75),  # B, a, then b lands on oo
+    ("gamma2-type", 3.0),  # the run of a lands on the cusp 1
+    ("gamma2-type", 0.0),  # a cusp
+    ("one-cusp-one-hyperbolic", 0.0),  # the cusp
+    ("one-cusp-one-hyperbolic", 1.5),  # a gap of the limit set
+    ("one-cusp-one-hyperbolic", 1.0 / 3.0),  # the run of a lands on 1
+    ("one-cusp-one-hyperbolic", 0.25),  # the run of a lands on oo
+])
+def test_code_point_exits_as_the_letter_loop(name, point):
+    pres = build_group(preset_config(name))
+    got = coding(code_point, pres, point, 12)
+    assert got[0] != "blocks"
+    assert got == coding(letter_code_point, pres, point, 12)
+
+
+def test_run_that_rounds_back_into_its_arc_stays_open():
+    # in this chart of perfbench's family the point A(e), e the far end of
+    # A's arc, has a run of one A that lands on e and, by rounding, back
+    # inside A's arc: the run does not close, and no block (A, 0) follows
+    chart = MobiusMap.from_entries(1.3062577522811072, 0.24157946542632483,
+                                   0.25730527757561006, 0.8131317648092401)
+    pres = build_group(conjugate_config(
+        preset_config("one-cusp-one-hyperbolic"), chart))
+    x = -0.26649650175341255
+    assert coding(code_point, pres, x, 6) == coding(letter_code_point, pres,
+                                                    x, 6) \
+        == ("stall", "orbit left the coding domain after 0 blocks")
+
+
+def test_run_that_lands_on_the_end_of_its_arc_stops_there(gamma2):
+    # -167/21 -A^4-> 1/21 -b^10-> 1, a cusp; in floats the tenth b lands
+    # 7e-14 short of 1, still inside b's arc, and the run has 10 letters
+    with pytest.raises(ReachedCusp) as exc:
+        code_point(gamma2, -167 / 21, 12)
+    assert exc.value.word.blocks == (("A", 4),)
+    assert exc.value.cusp == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_rational_point_of_gamma2_stalls(gamma2):
+    # every rational is a cusp of gamma2: its float orbit reaches a cusp,
+    # or circles +-1 through aB or Ab for all its blocks
+    points = {p / q for q in range(1, 13) for p in range(-4 * q, 4 * q + 1)}
+    assert len(points) == 369
+    for x in points:
+        assert coding(code_point, gamma2, x, 12)[0] != "stall"
 
 
 def test_displacement_empty_and_single_block(gamma2):

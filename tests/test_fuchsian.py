@@ -35,7 +35,7 @@ from cuspwind.mobius import (
     hyperbolic_distance,
 )
 from cuspwind.presets import preset_config
-from oracles import close_to, contains_interval
+from oracles import charts, close_to, contains_interval
 
 TRANSLATION_ONE = MobiusMap.from_entries(1.0, 1.0, 0.0, 1.0)
 
@@ -343,14 +343,6 @@ def test_gamma2_accidental_cusps_found(gamma2):
 
 def test_onecusp_has_no_accidental_cusps(onecusp):
     assert onecusp.cusps[1:] == ()
-
-
-@st.composite
-def charts(draw):
-    """perfbench's chart family z -> lam z / (c z + 1) + u, as a map."""
-    u, c = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
-    s = math.sqrt(draw(st.floats(0.5, 2.0)))
-    return MobiusMap.from_entries(s + u * c / s, u / s, c / s, 1.0 / s)
 
 
 N_CUSPS = {"gamma2-type": 4, "one-cusp-one-hyperbolic": 1}

@@ -8,7 +8,8 @@ as JSON, ``delta --cap 60``, ``validate``, and ``code`` at a few points.
 The ``created`` timestamp is dropped from every header, and the output
 directory is replaced by ``<out>`` in stdout; what is left is hashed with
 SHA-256, one digest per output.  A change that moves an output on purpose
-rewrites the digest file with
+rewrites the digest file, and prints the keys whose digests it changed,
+with
 
     python tests/test_golden.py
 """
@@ -77,11 +78,16 @@ def digests(tmp: pathlib.Path) -> dict:
     return out
 
 
-def test_outputs_match_the_golden_digests(tmp_path):
-    got = digests(tmp_path)
+def changed_keys(got: dict) -> list:
+    """The keys whose digests in ``got`` differ from the golden ones, or
+    that only one of the two has."""
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    changed = sorted(key for key in got.keys() | want.keys()
-                     if got.get(key) != want.get(key))
+    return sorted(key for key in got.keys() | want.keys()
+                  if got.get(key) != want.get(key))
+
+
+def test_outputs_match_the_golden_digests(tmp_path):
+    changed = changed_keys(digests(tmp_path))
     assert not changed, "outputs changed: " + ", ".join(changed)
 
 
@@ -89,6 +95,8 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         table = digests(pathlib.Path(tmp))
+    for key in changed_keys(table):
+        print("changed:", key)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
     print("%d digests written to %s" % (len(table), GOLDEN))

@@ -31,11 +31,15 @@ all letters of a family share both overlap keys, hence replacing the ones
 beyond the cap by one more column of the family's rows, whose weight is
 their sum, changes nothing about the spectral radius except the accuracy
 of the summed tail.  One rule sums it (``tail_log_weights``): midpoint
-Euler-Maclaurin with the integral taken by a Gauss-Jacobi rule in
-u = 1/n, which matches direct summation to 1e-14 of a family's total
-weight.  A system with tails diverges at t = 1/2 - beta, where the
-pressure is +inf; ``pressure`` returns the one number
-P(t, beta) = log rho(B) as a float.
+Euler-Maclaurin with the integral in v = X / n taken by product
+integration on a fixed grid of v (``jacobi_weights``, from closed-form
+moments), which matches direct summation to 1e-14 of a family's total
+weight at the roots for beta in {-8, -3, -1, 0, 3} (1.4e-14 at beta =
++-20).  The grid does not move with (t, beta, r), so everything but the
+weights' exponent is tabled once per block; a call forms the exponents,
+one ``exp`` and one contraction, and solves no eigenproblem.  A system with
+tails diverges at t = 1/2 - beta, where the pressure is +inf;
+``pressure`` returns the one number P(t, beta) = log rho(B) as a float.
 
 The letters are stored as blocks (``LetterBlock``): a (rows x exponents)
 array of zeta, psi per exponent, and the runs of consecutive exponents
@@ -97,7 +101,8 @@ class LetterBlock:
     numbers (p0, p1, r0, r1) of row i of ``zeta``
     (``induced.LetterFamily.row``).  Its last column then stands for the
     exponents n > m - 1 beyond the explicit ones, and ``tail_log_weights``
-    gives its weights; that column's zeta and psi are 0 placeholders.
+    gives its weights from the rows' ``tail_table``; that column's zeta
+    and psi are 0 placeholders.
     """
 
     def __init__(
@@ -122,46 +127,114 @@ class LetterBlock:
     def zeta_min(self) -> np.ndarray:
         return self.zeta.min(axis=0, initial=math.inf)
 
+    @cached_property
+    def tail_table(self) -> tuple:
+        """(A, B, D, E, L): the parts of ``tail_log_weights`` that do not
+        depend on (t, beta, r), derived from ``tail`` on first use, so that
+        building the system does not pay for them.  With w0 = p0 + i r0 and
+        w1 = p1 + i r1 for each row, X = m - 1/2 and k = X - 1 for the m
+        columns: A[i, j] = log|w1 + (v_j / X)(w0 - w1)| of row i at the
+        nodes v_j of TAIL_GRID, B[j] = log(1 - v_j / X), L[i] =
+        log|w0 + k w1|, D[j - 1, i] = f_j Re om^j with om = w1 / (w0 + k w1)
+        and E[j - 1] = f_j / k^j, for j = 1, 2, 3 and the factors f_j of
+        ``_EM_COEF``: D t + E beta are the Euler-Maclaurin derivatives.
+        """
+        p0, p1, r0, r1 = self.tail.T
+        w0, w1 = p0 + 1j * r0, p1 + 1j * r1
+        x = self.zeta.shape[1] - 0.5
+        u = TAIL_GRID / x
+        wk = w0 + (x - 1.0) * w1
+        om = w1 / wk
+        return (np.log(np.abs(w1[:, None] + np.outer(w0 - w1, u))),
+                np.log1p(-u),
+                _EM_COEF * np.array([(om ** j).real for j in (1, 2, 3)]),
+                _EM_COEF / (x - 1.0) ** np.arange(1.0, 4.0)[:, None],
+                np.log(np.abs(wk)))
 
-# Gauss-Jacobi nodes of the tail integral.  g is analytic well beyond the
-# unit interval (its nearest singularity, u = 1, sits at v = start + 1/2),
-# so few nodes suffice: 8 already give every tail row of both presets to
-# <= 1e-14 of its family total at the roots for beta in {-8, -3, -1, 0, 3},
-# and t(beta) at the CLI's 45 default betas to 7e-16 of 32 nodes.  16 keep
-# a factor-2 margin.
+
+# The tail integral is taken on one fixed grid in v (``tail_log_weights``):
+# the TAIL_NODES Chebyshev-Lobatto nodes of [0, 1], v = 0 first, so that
+# the rule holds where the weight v^(2r - 1) gathers at v = 0 as r -> 0.
+# g is analytic well beyond the unit interval (its nearest singularity,
+# u = 1, sits at v = start + 1/2), so its interpolant on 16 nodes gives
+# every tail row of both presets at the roots for beta in {-20, -8, -3,
+# -1, 0, 3, 20} within 3e-14 of its value by the 16-node Gauss-Jacobi rule
+# (whose nodes move with r), and t(beta) at the CLI's 33 default betas and
+# at +-30 ... +-3000, caps 60 to 1600, within 1.4e-15 of that rule's.
 TAIL_NODES = 16
+TAIL_GRID = 0.5 - 0.5 * np.cos(np.arange(TAIL_NODES)
+                               * (math.pi / (TAIL_NODES - 1)))
 
 
-def _gauss_jacobi(two_r: float):
-    """Nodes in [0, 1] and normalized weights (summing to 1) of the
-    TAIL_NODES-point Gauss rule for the weight v^(2r - 1) on [0, 1].
+def _legendre_table() -> np.ndarray:
+    """C[k, j]: the coefficient of the shifted Legendre polynomial
+    P*_k(v) = P_k(2v - 1) in the polynomial of degree < TAIL_NODES that is
+    1 at node j of TAIL_GRID and 0 at the other nodes.
 
-    Golub-Welsch on the Jacobi matrix of P^(0, lam), lam = 2r - 1, mapped
-    to [0, 1]: diagonal 2r / (1 + 2r), then 1/2 + lam^2 / (2 m (m + 2)),
-    and off-diagonal n (n + lam) / (m sqrt((m + 1) (m - 1))), with
-    m = 2n + lam for n = 1, 2, ...  The first entries carry the factor
-    n + lam = m - 1 = 2r at n = 1; it is passed in directly, never formed
-    as lam + 1, so the rule keeps its node near 0 for r down to e^-700,
-    where lam rounds to -1.
+    At x = 2v - 1 = -cos(pi j / (n - 1)) that polynomial's Chebyshev
+    coefficients are the cosine sums of the discrete orthogonality of the
+    T_k on these nodes (the end nodes and the end coefficients halved),
+    and the Legendre coefficients of each T_k follow from
+    T_(k+1) = 2x T_k - T_(k-1) and x P_m = ((m + 1) P_(m+1) + m P_(m-1))
+    / (2m + 1): numpy arithmetic, no solve.
     """
-    lam = two_r - 1.0
-    n = np.arange(1.0, TAIL_NODES)
-    nl = n + lam
-    nl[0] = two_r  # n + lam at n = 1, exactly
-    m = n + nl
-    diag = np.append(two_r / (1.0 + two_r),
-                     0.5 + 0.5 * lam * lam / (m * (m + 2.0)))
-    off = n * nl / (m * np.sqrt((m + 1.0) * (n - 1.0 + nl)))
-    # eigh reads the lower triangle only
-    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
-    return nodes, vecs[0] ** 2
+    n = TAIL_NODES
+    k = np.arange(n)
+    half = np.where((k == 0) | (k == n - 1), 0.5, 1.0)
+    # cheb[k, j]: the coefficient of T_k in the j-th cardinal polynomial
+    cheb = np.cos(np.outer(k, k) * (math.pi / (n - 1))) * (-1.0) ** k[:, None]
+    cheb *= (2.0 / (n - 1)) * np.outer(half, half)
+    leg = np.zeros((n, n))  # leg[i, m]: the coefficient of P_m in T_i
+    leg[0, 0] = leg[1, 1] = 1.0
+    for i in range(1, n - 1):
+        c = leg[i] / (2 * k + 1)
+        xp = np.zeros(n)
+        xp[1:] = k[1:] * c[:-1]
+        xp[:-1] += k[1:] * c[1:]
+        leg[i + 1] = 2.0 * xp - leg[i - 1]
+    return leg.T @ cheb
 
 
-def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
+_LEGENDRE = _legendre_table()
+_MOMENT_M = np.arange(1.0, TAIL_NODES)
+_MOMENT_0 = (-1.0) ** _MOMENT_M  # P*_k(0), the moments at r = 0
+
+
+def jacobi_weights(two_r: float) -> np.ndarray:
+    """Weights on TAIL_GRID, summing to 1, of the interpolatory rule for
+    2r times the integral of v^(2r - 1) h(v) over [0, 1]: exact for every
+    h of degree < TAIL_NODES.
+
+    The moments of that weight against the shifted Legendre polynomials
+    are in closed form, 2r int_0^1 v^(2r - 1) P*_k(v) dv =
+    prod_(m=1..k) (2r - m) / (2r + m), and the weights are their
+    contraction with the Legendre coefficients of the cardinal polynomials
+    (``_legendre_table``).  At r = 0 every moment is P*_k(0) = (-1)^k and
+    the rule is the value at v = 0, so the weights are taken as that unit
+    weight plus the contraction of the moments' distances from (-1)^k.
+    No factor is formed as 2r - 1, so the rule holds for r down to
+    e^-700, where those distances round to 0 and the node v = 0 takes the
+    weight 1 exactly.
+    """
+    mu = np.cumprod((two_r - _MOMENT_M) / (two_r + _MOMENT_M))
+    mu -= _MOMENT_0
+    w = mu @ _LEGENDRE[1:]
+    w[0] += 1.0
+    return w
+
+
+# The factors of the Euler-Maclaurin derivatives: dj = (d/dn)^j log F at X
+# is (-1)^j (j-1)! 2 (t Re om^j + beta / k^j) for j = 1, 2, 3, and the
+# correction reads them as d1, 3 d2 and 7 d3 / 5760.
+_EM_COEF = np.array([[-2.0], [2.0 * 3.0], [-4.0 * 7.0 / 5760.0]])
+
+
+def tail_log_weights(block: LetterBlock, t: float, beta: float,
                      two_r: float) -> np.ndarray:
     """log sum_{n > start} exp(t zeta_n + beta psi_n) for each row
-    (p0, p1, r0, r1) of ``rows``, where zeta_n =
-    -log((p0 + k p1)^2 + (r0 + k r1)^2), k = n - 1, and psi_n = -2 log k.
+    (p0, p1, r0, r1) of ``block.tail``, where start = m - 1 for the
+    block's m columns, zeta_n = -log((p0 + k p1)^2 + (r0 + k r1)^2),
+    k = n - 1, and psi_n = -2 log k.
 
     Midpoint Euler-Maclaurin from X = start + 1/2: the sum is the integral
     of F(n) = exp(t zeta_n + beta psi_n) over [X, oo) plus F'(X)/24 -
@@ -169,32 +242,36 @@ def tail_log_weights(rows: np.ndarray, start: int, t: float, beta: float,
     n^-s g(u), where g(u) = exp(-2t log|w1 + u (w0 - w1)| -
     2 beta log(1 - u)) with w0 = p0 + i r0 and w1 = p1 + i r1; so g is
     smooth, and the integral is X^-2r times that of v^(2r - 1) g(v / X)
-    over [0, 1], a Gauss-Jacobi rule.  2r is passed in, not derived from t, which keeps the weights
+    over [0, 1], which the rule of ``jacobi_weights`` takes from g on the
+    fixed grid TAIL_GRID.  The logs at the nodes and the numbers of the
+    corrections come with the block (``LetterBlock.tail_table``), so a
+    call forms -2t A - 2 beta B, one ``exp`` and one contraction with the
+    weights, and the corrections, whose derivatives are linear in t and
+    beta.  2r is passed in, not derived from t, which keeps the weights
     resolvable down to r = e^-700.  Where the signed corrections outweigh
-    the integral (s / X large, the tail far below every other weight) the
-    row gets a log-weight 708 below its terms, which ``pressure`` floors.
+    the integral (s / X large, the tail far below every other weight), or
+    where the interpolant of a g that is steep on the grid leaves no
+    positive integral (seen from |beta| ~ 560 at r >= 5, and at t beyond
+    1e15, where the root search steps far from every root), the row
+    gets a log-weight 708 below its terms, which ``pressure`` floors.
     """
-    p0, p1, r0, r1 = rows.T
-    w0, w1 = p0 + 1j * r0, p1 + 1j * r1
-    x = start + 0.5
-    k = x - 1.0
-    nodes, weights = _gauss_jacobi(two_r)
-    u = nodes / x
-    lg = (-2.0 * t * np.log(np.abs(w1[:, None] + np.outer(w0 - w1, u)))
-          - 2.0 * beta * np.log1p(-u))
+    log_a, log_b, d_t, d_beta, log_f0 = block.tail_table
+    x = block.zeta.shape[1] - 0.5
+    lg = log_a * (-2.0 * t)
+    lg += log_b * (-2.0 * beta)
     top = lg.max(axis=1)
-    log_int = (top + np.log(np.exp(lg - top[:, None]) @ weights)
+    lg -= top[:, None]
+    np.exp(lg, out=lg)
+    tiny = np.finfo(float).tiny
+    log_int = (top + np.log(np.maximum(lg @ jacobi_weights(two_r), tiny))
                - two_r * math.log(x) - math.log(two_r))
-    # (d/dn)^j log F at X: (-1)^j (j-1)! 2 (t Re om^j + beta / k^j) with
-    # om = w1 / (w0 + k w1)
-    om = w1 / (w0 + k * w1)
-    d1, d2, d3 = (2.0 * (-1) ** j * math.factorial(j - 1)
-                  * (t * (om ** j).real + beta / k ** j) for j in (1, 2, 3))
-    corr = d1 / 24.0 - 7.0 * (d3 + 3.0 * d1 * d2 + d1 ** 3) / 5760.0
-    log_f = -2.0 * t * np.log(np.abs(w0 + k * w1)) - 2.0 * beta * math.log(k)
+    # F'/24 - 7 F'''/5760 = F (d1/24 - 7 (d3 + 3 d1 d2 + d1^3)/5760)
+    d1, d2_3, d3_7 = d_t * t + d_beta * beta  # d1, 3 d2, 7 d3 / 5760
+    corr = d1 * (1.0 / 24.0 - 7.0 / 5760.0 * (d2_3 + d1 * d1)) - d3_7
+    log_f = log_f0 * (-2.0 * t) - 2.0 * beta * math.log(x - 1.0)
     top = np.maximum(log_int, log_f)
     total = np.exp(log_int - top) + np.exp(log_f - top) * corr
-    return top + np.log(np.maximum(total, np.finfo(float).tiny))
+    return top + np.log(np.maximum(total, tiny))
 
 
 class GdmsSystem:
@@ -313,7 +390,7 @@ def key_matrix(sys: GdmsSystem, t: float, beta: float, r: float = None):
         tail = None
         if block.tail is not None:
             two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-            tail = tail_log_weights(block.tail, top.size - 1, t, beta, two_r)
+            tail = tail_log_weights(block, t, beta, two_r)
             top[-1] = tail.max()
         terms.append((bpsi, tail))
         tops.append(float(top.max()))

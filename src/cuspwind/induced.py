@@ -99,8 +99,9 @@ def primitivity_witness(pres: GroupPresentation):
 # the tail rule, gdms.tail_log_weights, whose Euler-Maclaurin remainder
 # shrinks with the start.  Measured per tail row against direct sums,
 # relative to the row's family total, at the roots for beta in {-8, -3, -1,
-# 0, 3} on both presets: start 64 leaves <= 9e-15 and start 32 <= 6.4e-13;
-# without the F''' term, start 64 leaves 6e-11.
+# 0, 3} on both presets: start 64 leaves <= 7.5e-15 (1.4e-14 at beta =
+# +-20) and start 32 <= 6.4e-13; without the F''' term, start 64 leaves
+# 6e-11.
 TAIL_START = 64
 
 

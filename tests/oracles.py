@@ -401,8 +401,7 @@ def whole_key_matrix(sys: GdmsSystem, t: float, beta: float,
         lw += beta * block.psi
         if block.tail is not None:
             two_r = 2.0 * r if r is not None else 2.0 * (t + beta) - 1.0
-            lw[:, -1] = tail_log_weights(block.tail, lw.shape[1] - 1, t,
-                                         beta, two_r)
+            lw[:, -1] = tail_log_weights(block, t, beta, two_r)
         work.append(lw)
     scale = max((float(lw.max()) for lw in work if lw.size), default=0.0)
     if not math.isfinite(scale):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspwind import gdms
 from cuspwind.config import config_from_preset
@@ -232,8 +233,7 @@ def full_matrix_pressure(sysm, t, beta, r):
     for block in sysm.blocks:
         lw = t * block.zeta + beta * block.psi
         if block.tail is not None:
-            lw[:, -1] = gdms.tail_log_weights(
-                block.tail, block.zeta.shape[1] - 1, t, beta, 2.0 * r)
+            lw[:, -1] = gdms.tail_log_weights(block, t, beta, 2.0 * r)
         lws.append(lw.ravel())
     lw = np.concatenate(lws)
     cells = np.concatenate([letter_cells(block).ravel()
@@ -601,28 +601,57 @@ def test_tail_rule_matches_direct_sums(any_group, cap):
     (block,) = [block for block in sysm.blocks if block.tail is not None]
     start = block.zeta.shape[1] - 1
     assert start == max(cap, 64)
-    for beta in (-8.0, -3.0, -1.0, 0.0, 3.0):
+    # at beta = -20, where the tail is all of a family's weight, this rule
+    # and a 16-node Gauss-Jacobi rule both read 0.9-1.4e-14
+    for beta, tol in ((-8.0, 1e-14), (-3.0, 1e-14), (-1.0, 1e-14),
+                      (0.0, 1e-14), (3.0, 1e-14), (-20.0, 2e-14),
+                      (20.0, 2e-14)):
         pt = free_energy(sysm, beta)
-        rule = np.exp(gdms.tail_log_weights(block.tail, start, pt.t, beta,
-                                            2.0 * pt.r))
+        rule = np.exp(gdms.tail_log_weights(block, pt.t, beta, 2.0 * pt.r))
         tail, total = direct_tail_sums(block.tail, start, pt.t, beta,
                                        2.0 * pt.r)
-        assert np.all(np.abs(rule - tail) <= 1e-12 * total)
+        assert np.all(np.abs(rule - tail) <= tol * total)
 
 
-def test_gauss_jacobi_rule():
+@pytest.mark.parametrize("two_r", [2.0 * math.exp(-700.0), 1e-8, 0.05, 0.7,
+                                   2.0, 9.0, 120.0])
+def test_jacobi_weights_exact_on_polynomials(two_r):
+    # 2r int_0^1 v^(2r - 1) v^k dv = 2r / (2r + k) for every k < TAIL_NODES
+    w = gdms.jacobi_weights(two_r)
+    k = np.arange(gdms.TAIL_NODES)
+    moments = (gdms.TAIL_GRID[None, :] ** k[:, None]) @ w
+    assert np.allclose(moments, two_r / (two_r + k), rtol=0.0, atol=2e-15)
+
+
+def test_jacobi_weights_at_the_smallest_r():
+    # r = e^-700: 2r - 1 rounds to -1, and the node v = 0 keeps all mass
+    w = gdms.jacobi_weights(2.0 * math.exp(-700.0))
+    assert gdms.TAIL_GRID[0] == 0.0 and gdms.TAIL_GRID[-1] == 1.0
+    assert w[0] == 1.0 and not w[1:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_two_r=st.floats(math.log(1e-3), math.log(200.0)),
+       c=st.floats(-2.0, 2.0), d=st.floats(-1.0 / 32.0, 1.0 / 32.0),
+       e=st.floats(-20.0, 20.0))
+def test_jacobi_weights_match_gauss_jacobi(log_two_r, c, d, e):
+    # a g smooth like the tail's, exp(c v) (1 + d v)^e, against 40-node
+    # Gauss-Jacobi; split as g(0) + v q(v), so that the reference rule is
+    # that of v^(2r), since scipy's nodes for v^(2r - 1) lose digits as
+    # 2r - 1 nears -1 (2.8e-11 relative over 4,000 such draws)
     from scipy.special import roots_jacobi
 
-    for two_r in (0.05, 0.7, 2.0, 9.0):
-        nodes, weights = gdms._gauss_jacobi(two_r)
-        x, w = roots_jacobi(gdms.TAIL_NODES, 0.0, two_r - 1.0)
-        assert np.allclose(nodes, 0.5 + 0.5 * x, rtol=0.0, atol=1e-14)
-        assert np.allclose(weights, w / w.sum(), rtol=0.0, atol=1e-12)
-    # r = e^-700: 2r - 1 rounds to -1, yet the node near 0 keeps all mass
-    two_r = 2.0 * math.exp(-700.0)
-    nodes, weights = gdms._gauss_jacobi(two_r)
-    assert 0.0 < nodes[0] < 1e-300
-    assert weights[0] == pytest.approx(1.0, abs=1e-15)
+    two_r = math.exp(log_two_r)
+
+    def g(v):
+        return np.exp(c * v) * (1.0 + d * v) ** e
+
+    x, w = roots_jacobi(40, 0.0, two_r)
+    v = 0.5 + 0.5 * x
+    want = g(0.0) + two_r / (two_r + 1.0) * (((g(v) - g(0.0)) / v) @ w
+                                             / w.sum())
+    got = g(gdms.TAIL_GRID) @ gdms.jacobi_weights(two_r)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_t0_converges_in_cap(any_group):

@@ -40,9 +40,12 @@ import sys
 import textwrap
 import types
 
-from cuspwind import cli
+import numpy as np
+
+from cuspwind import cli, gdms
 from cuspwind.config import _SCALARS
 from cuspwind.fuchsian import build_group, conjugate_config
+from cuspwind.induced import fuchsian_system
 from cuspwind.mobius import MobiusMap
 from cuspwind.presets import preset_config
 
@@ -587,13 +590,15 @@ def test_spectrum_run_loads_no_dataclasses(tmp_path):
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test dependency only: at run time scipy.optimize alone
     # adds ~50 MB of resident memory to every command, numpy.ma (which
-    # np.setdiff1d and its kin import) 1.25 MB, and html with html.entities
-    # 0.46 MB (the SVG title is escaped by hand); neither the import nor a
-    # one-cusp spectrum nor a delta run loads them
+    # np.setdiff1d and its kin import) 1.25 MB, numpy.polynomial (the tail
+    # rule builds its Legendre table by hand) 0.47-0.65 MB of peak RSS, and
+    # html with html.entities 0.46 MB (the SVG title is escaped by hand);
+    # neither the import nor a one-cusp spectrum nor a delta run loads them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     loaded = ("print(sorted(m for m in sys.modules if m.split('.')[0] in "
-              "('scipy', 'html') or (m + '.').startswith('numpy.ma.')))")
+              "('scipy', 'html') or (m + '.').startswith(('numpy.ma.', "
+              "'numpy.polynomial.'))))")
     run = "cuspwind.cli.main(sys.argv[1:])\n"
     for code, command in (
             ("", "spectrum"), (run, "spectrum"), (run, "delta")):
@@ -605,6 +610,27 @@ def test_cli_import_loads_no_scipy(tmp_path):
         assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "delta.json").exists()
+
+
+def test_free_energy_runs_no_linalg_but_the_perron_root(monkeypatch):
+    # np.linalg.eigvals of the key matrix (or of its companion) is the one
+    # np.linalg call a pressure call makes; the tail rule's weights come
+    # from closed-form moments: a first eigh of a process maps ~0.26 MB of
+    # resident memory over eigvals alone, and a first inv 0.3-0.45 MB
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg call outside the Perron root")
+
+    for name in np.linalg.__all__:
+        member = getattr(np.linalg, name)
+        if name != "eigvals" and callable(member) \
+                and not isinstance(member, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for preset in ("gamma2-type", "one-cusp-one-hyperbolic"):
+        pres = build_group(preset_config(preset))
+        sysm = fuchsian_system(pres, 60)
+        for beta in (-20.0, 0.0, 1.25, 20.0):
+            assert 0.0 < gdms.free_energy(sysm, beta).r
+        gdms.delta_c(pres)
 
 
 def wrapped_names(source: str) -> list:

@@ -238,12 +238,18 @@ def cmd_code(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _system(cfg: RunConfig):
+    """The presentation and the operator every solving command runs on."""
+    pres = build_group(cfg.group_config())
+    return pres, fuchsian_system(pres, cfg.cap)
+
+
 def cmd_pressure(cfg: RunConfig, args) -> int:
-    sysm = fuchsian_system(build_group(cfg.group_config()), cfg.cap)
+    _, sysm = _system(cfg)
     betas = np.linspace(cfg.beta_min, cfg.beta_max, cfg.beta_steps)
     ts, bs = (grid.ravel() for grid in np.meshgrid(
         np.linspace(args.t_min, args.t_max, args.t_steps), betas))
-    ps = [gdms.pressure(sysm, float(t), float(beta))
+    ps = [sysm.pressure(float(t), float(beta))
           for t, beta in zip(ts, bs)]
     path = write_result(cfg, "pressure", _meta(cfg),
                         {"t": ts, "beta": bs, "pressure": ps})
@@ -253,8 +259,8 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
 
 def _curve(cfg: RunConfig):
     betas = cfg.betas()
-    pres = build_group(cfg.group_config())
-    curve = gdms.free_energy_curve(fuchsian_system(pres, cfg.cap), betas)
+    pres, sysm = _system(cfg)
+    curve = gdms.free_energy_curve(sysm, betas)
     curve.validate()
     return pres, curve
 
@@ -272,7 +278,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     pres, curve = _curve(cfg)
     spec = sp.spectrum(curve)
     spec.validate()
-    delta_c = gdms.delta_c(pres).t
+    delta_c = gdms.delta_c(fuchsian_system(pres, 2, restricted=True)).t
     svg = emit_figure(curve, spec, delta_c, title=cfg.name)
     path = write_result(
         cfg, "spectrum",
@@ -289,10 +295,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_delta(cfg: RunConfig, args) -> int:
-    pres = build_group(cfg.group_config())
-    sysm = fuchsian_system(pres, cfg.cap)
+    pres, sysm = _system(cfg)
     delta = gdms.free_energy(sysm, 0.0).t
-    delta_c = gdms.delta_c(pres).t
+    delta_c = gdms.delta_c(fuchsian_system(pres, 2, restricted=True)).t
     ss = (delta - 0.05, delta + 0.05)
     probe = {}
     for side, s, pair in zip(("below", "above"), ss,

@@ -53,9 +53,12 @@ place (the tail column overwritten by the tail rule), are floored
 ``LOG_FLOOR`` below the scale and exponentiated, summed over each run,
 and the (rows x runs) sums go into B by one small ``np.bincount``.
 
-t(beta) is the unique zero of the decreasing map t -> P(t, beta).
-Fuchsian systems are solved in log r with r = t - (1/2 - beta); the
-analytic tail keeps r alive even when it is far below the floating-point
+t(beta) is the unique zero of the decreasing map t -> P(t, beta).  The
+chain reads an operator through two methods alone,
+``sys.pressure(t, beta, r=None)`` and ``sys.divergence_abscissa(beta)``
+(None for a finite series), so any object with both runs it.  Fuchsian
+systems are solved in log r with r = t - (1/2 - beta); the analytic
+tail keeps r alive even when it is far below the floating-point
 resolution of t itself, which is what the left asymptote needs.  One
 bracket search, from a start point and with steps growing 4-fold against
 the sign of P, finds a sign change that Brent's method closes.  Along a
@@ -333,6 +336,10 @@ class GdmsSystem:
         tails = any(block.tail is not None for block in self.blocks)
         return 0.5 - beta if tails else None
 
+    def pressure(self, t: float, beta: float, r: float = None) -> float:
+        """P(t, beta) by the module's ``pressure``, looked up at call time."""
+        return pressure(self, t, beta, r)
+
 
 def cyclic_classes(pattern: np.ndarray) -> list:
     """The keys of each cyclic class of the graph with adjacency
@@ -569,7 +576,7 @@ SEARCH_MOVES = 40
 
 def free_energy(sys: GdmsSystem, beta: float,
                 start: FreeEnergyPoint = None) -> FreeEnergyPoint:
-    """Unique root of the decreasing map t -> pressure(t, beta).
+    """Unique root of the decreasing map t -> sys.pressure(t, beta).
 
     Fuchsian systems are solved in x = log r with r = t - (1/2 - beta),
     which resolves roots exponentially close to the divergence threshold;
@@ -601,10 +608,10 @@ def free_energy(sys: GdmsSystem, beta: float,
     def press(x):
         if x not in seen:
             if t0 is None:
-                seen[x] = pressure(sys, x, beta)
+                seen[x] = sys.pressure(x, beta)
             else:
                 r = math.exp(x)
-                seen[x] = pressure(sys, t0 + r, beta, r=r)
+                seen[x] = sys.pressure(t0 + r, beta, r=r)
         return seen[x]
 
     lo, hi = (X_MIN, X_MAX) if t0 is not None else (-math.inf, math.inf)
@@ -778,12 +785,8 @@ def free_energy_curve(sys: GdmsSystem, betas) -> FreeEnergyCurve:
                            np.array([p.pressure_calls for p in pts]))
 
 
-def delta_c(pres) -> FreeEnergyPoint:
-    """Dimension of the bounded-winding subset: root of the restricted
-    pressure over the sub-alphabet with parabolic exponent <= 2 plus all
-    hyperbolic letters (a finite system, so no truncation enters)."""
-    from .induced import fuchsian_system
-
-    restricted = fuchsian_system(pres, 2, restricted=True)
+def delta_c(restricted) -> FreeEnergyPoint:
+    """Dimension of the bounded-winding subset: the root at beta = 0 of the
+    ``restricted`` system (``fuchsian_system(pres, 2, restricted=True)``:
+    the hyperbolic letters and the parabolic ones of exponent <= 2)."""
     return free_energy(restricted, 0.0)
-

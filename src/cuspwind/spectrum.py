@@ -43,6 +43,8 @@ class SpectrumCurve:
 
     def validate(self):
         a, f = self.alphas, self.f
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f))):
+            raise InvalidCurve("non-finite alpha or spectrum values")
         if np.any(f < -1e-12):
             raise InvalidCurve("negative spectrum values")
         # f is the dimension of a subset of the circle
@@ -69,13 +71,13 @@ def _alpha_f(curve: FreeEnergyCurve) -> tuple:
     derivative; everything else uses the three-point nonuniform formula.
     The left tail differentiates r instead of t, so alpha = 1 - dr/dbeta
     and f = 1/2 + r - beta dr/dbeta stay exact when r is below the
-    resolution of t.
+    resolution of t; a nan r (no divergence abscissa) takes the t branch.
     """
     b = curve.betas
     n = len(b)
     alphas, f = np.empty(n), np.empty(n)
     for k in range(n):
-        if b[k] < -2.0:
+        if b[k] < -2.0 and math.isfinite(curve.r[k]):
             # left tail: differentiate the shifted values, the affine part
             # cancels exactly and the exponentially small r survives
             d = _local_slope(b, curve.r, k)

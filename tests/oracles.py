@@ -14,8 +14,9 @@ containment of arcs, induced letters as objects, a
 family's midpoint vector, the key cell of every letter of a block, the
 key graph of a system's cells, systems built from an edge list, systems
 stripped of their tail columns and presentations stripped of their
-symmetries, and a beta grid that reaches deep into both
-asymptotes.  Nothing under ``src/`` imports them.
+symmetries, a two-letter operator whose t(beta) and alpha are known in
+closed form, and a beta grid that reaches deep into both asymptotes.
+Nothing under ``src/`` imports them.
 """
 
 import math
@@ -455,6 +456,44 @@ def block_partition_sum(pres, t: float, beta: float, n: int, cap: int,
     """Z_n = log sum over n-block words of exp(-t d - 2 beta sum log+ a)."""
     d, w = geometry if geometry is not None else block_word_geometry(pres, n, cap)
     return float(np.logaddexp.reduce(-t * d - 2.0 * beta * w))
+
+
+# --- an operator with a closed form ---------------------------------------
+
+class TwoLetterOperator:
+    """Two finite letters with P(t, beta) = log(2^-t + 3^-t e^-beta), an
+    operator the chain reads through its two methods alone: t(beta) is
+    the root of 2^-t + 3^-t e^-beta = 1 (``two_letter_root``)."""
+
+    def pressure(self, t: float, beta: float, r: float = None) -> float:
+        return float(np.logaddexp(-t * math.log(2.0),
+                                  -t * math.log(3.0) - beta))
+
+    def divergence_abscissa(self, beta: float):
+        return None
+
+
+def two_letter_root(beta: float) -> float:
+    """The t with 2^-t + 3^-t e^-beta = 1, by bisection to the last bit:
+    g(t) = 2^-t - 1 + 3^-t e^-beta falls from e^-beta > 0 at t = 0 to
+    below 1/4 + (e/3)^|beta| / 9 - 1 < 0 at t = 2 + |beta|."""
+    def g(t):
+        return math.expm1(-t * math.log(2.0)) \
+            + math.exp(-t * math.log(3.0) - beta)
+
+    lo, hi = 0.0, 2.0 + abs(beta)
+    while lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+    return lo
+
+
+def two_letter_alpha(beta: float) -> float:
+    """-t'(beta) of ``TwoLetterOperator``, a / (p log 2 + a log 3) with
+    p = 2^-t and a = 3^-t e^-beta at t = t(beta)."""
+    t = two_letter_root(beta)
+    p, a = 2.0 ** -t, 3.0 ** -t * math.exp(-beta)
+    return a / (p * math.log(2.0) + a * math.log(3.0))
 
 
 # --- Legendre transform and endpoint slopes -------------------------------

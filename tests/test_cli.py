@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 import re
 from xml.etree import ElementTree
 
@@ -8,7 +10,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cuspwind import cli, gdms
+from cuspwind import cli, gdms, induced
 from cuspwind.config import (
     MAX_CAP,
     ConfigError,
@@ -461,6 +463,40 @@ def test_cli_delta_json(tmp_path, capsys):
     assert payload["data"]["delta"] > payload["data"]["delta_c"] > 0.0
     assert payload["meta"]["cap"] == 100
     assert "seed" not in payload["meta"]  # delta draws no random numbers
+
+
+PERFBENCH_CHILD = pathlib.Path(__file__).parents[1] / "perfbench" / "child.py"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "delta"])
+def test_setup_clock_records_the_restricted_build(command, monkeypatch,
+                                                  tmp_path):
+    # perfbench's setup_s times the CLI's calls to build_group and
+    # fuchsian_system, the restricted delta_c system among them: each
+    # comes through a name the clock wraps, restricted as a keyword
+    spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                  PERFBENCH_CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for module, attr in ((cli, "build_group"), (cli, "fuchsian_system"),
+                         (induced, "fuchsian_system")):
+        # the clock replaces these names; monkeypatch puts them back
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    clock = child.SetupClock()
+    child.install_setup_clock(clock)
+    assert cli.main([command, "--preset", "gamma2-type", "--cap", "60",
+                     "--out", str(tmp_path)]) == 0
+    assert clock.missing == []
+    group, main_system, restricted = clock.calls
+    assert group[0] is build_group and group[2] == {}
+    for (fn, args, kwargs), cap, keywords in (
+            (main_system, 60, {}), (restricted, 2, {"restricted": True})):
+        assert fn is fuchsian_system and kwargs == keywords
+        assert isinstance(args[0], child.Ref) and args[0].k == 0
+        assert args[1:] == [cap]
+    # the main system alone gives the run's size
+    main = clock.outs[1]
+    assert clock.sizes == {"n_keys": main.n_keys, "n_edges": main.n_edges}
 
 
 @pytest.mark.parametrize("argv", [

@@ -630,7 +630,7 @@ def test_free_energy_runs_no_linalg_but_the_perron_root(monkeypatch):
         sysm = fuchsian_system(pres, 60)
         for beta in (-20.0, 0.0, 1.25, 20.0):
             assert 0.0 < gdms.free_energy(sysm, beta).r
-        gdms.delta_c(pres)
+        gdms.delta_c(fuchsian_system(pres, 2, restricted=True))
 
 
 def wrapped_names(source: str) -> list:
@@ -831,12 +831,8 @@ def test_misplaced_import_detector():
 # (module, function, imported module) -> the reason.  The package's
 # modules import each other in one order (mobius, geometry, errors,
 # fuchsian, coding, gdms, induced, spectrum, figures, presets, config,
-# cli), and this is the one import back up that order.
-FUNCTION_IMPORTS = {
-    ("gdms.py", "delta_c", "induced"):
-        "induced imports gdms; delta_c(pres) is public API and perfbench "
-        "wraps gdms.delta_c, so it builds the restricted system itself",
-}
+# cli), with no import back up that order, so none is kept.
+FUNCTION_IMPORTS = {}
 
 
 def test_package_imports_at_module_level():

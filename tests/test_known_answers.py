@@ -12,6 +12,11 @@ Answers:
 
 * delta(Gamma(2)) = t(0) = 1 exactly: Gamma(2) is a lattice, so its
   Poincare exponent is 1.
+* alpha0(Gamma(2)) = -t'(0) = 2c / pi^2 exactly, with c the series
+  sum_(k>=2) 2 log(k-1) log(k^2 / (k^2-1)) (``series_c``); the engine's
+  alpha0 is the one ``spectrum`` reports off the default curve.
+* t(0) does not depend on the chart: its spread over the preset's own
+  chart and its conjugates by z + 0.3, 4z and z / (0.4z + 1) is 0.
 * The other rows are the values of the collocated operator (Chebyshev
   collocation in the circle angle, the winding sums by Gauss rules),
   reproduced by independent prototypes that converged to the digits
@@ -19,31 +24,67 @@ Answers:
   on one-cusp.
 """
 
+import math
+
 import pytest
 
 from cuspwind import gdms
 from cuspwind.config import config_from_preset
-from cuspwind.fuchsian import build_group
+from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.induced import fuchsian_system
+from cuspwind.mobius import MobiusMap
+from cuspwind.spectrum import spectrum
 
 GAMMA2, ONECUSP = "gamma2-type", "one-cusp-one-hyperbolic"
+
+# z + 0.3, 4z and z / (0.4z + 1)
+CHARTS = ((1.0, 0.3, 0.0, 1.0), (2.0, 0.0, 0.0, 0.5), (1.0, 0.0, 0.4, 1.0))
+
+
+def series_c(n: int = 1000) -> float:
+    """c = sum_(k>=2) g(k), g(k) = 2 log(k-1) log(k^2 / (k^2-1)): the terms
+    below n explicitly, the rest by Euler-Maclaurin, int_n^inf g + g(n)/2
+    - g'(n)/12, whose next term is below 1e-20 at n = 1000.  The integral
+    is taken term by term in g(x) = 2 (log x - sum_j x^-j / j)
+    sum_m x^-2m / m, from int_n^inf x^-p log x = n^(1-p) (log n / (p-1) +
+    1 / (p-1)^2) and int_n^inf x^-p = n^(1-p) / (p-1)."""
+    def g(k):
+        return 2.0 * math.log(k - 1.0) * math.log1p(1.0 / (k * k - 1.0))
+
+    parts = [g(k) for k in range(2, n)]
+    for m in range(1, 5):
+        p = 2 * m
+        parts.append(2.0 / m * n ** (1 - p)
+                     * (math.log(n) / (p - 1) + 1.0 / (p - 1) ** 2))
+        parts.extend(-2.0 / (m * j) * n ** (1 - p - j) / (p + j - 1)
+                     for j in range(1, 9))
+    x = float(n)
+    dg = 2.0 * (math.log1p(1.0 / (x * x - 1.0)) / (x - 1.0)
+                - 2.0 * math.log(x - 1.0) / (x * (x * x - 1.0)))
+    return math.fsum(parts) + g(n) / 2.0 - dg / 12.0
+
 
 # (preset, quantity, answer, bound); the error today is in the comment
 ROWS = [
     (GAMMA2, "t(0)", 1.0, 0.0188),  # 1.871e-2
     (GAMMA2, "t(1)", 0.890832873988, 0.0456),  # 4.555e-2
     (GAMMA2, "delta_c", 0.872670362058, 0.0518),  # 5.175e-2
+    (GAMMA2, "alpha0", 2.0 * series_c() / math.pi ** 2, 0.119),  # 1.1872e-1
+    (GAMMA2, "t(0) spread", 0.0, 0.0131),  # 1.3045e-2
     (ONECUSP, "t(0)", 0.605373009866567, 2.22e-7),  # 2.219e-7
     (ONECUSP, "t(1)", 0.423653533481690, 1.41e-5),  # 1.409e-5
     (ONECUSP, "delta_c", 0.4082354813779, 1.80e-5),  # 1.792e-5
+    (ONECUSP, "t(0) spread", 0.0, 1.02e-5),  # 1.0098e-5
 ]
 
 
 @pytest.fixture(scope="module")
 def engine():
     """The engine's quantities on each preset's default run: t(0) off the
-    default curve as ``spectrum`` solves it, t(1) by one solve on the same
-    system, and delta_c."""
+    default curve as ``spectrum`` solves it, alpha0 as ``spectrum``
+    reports it off that curve, t(1) by one solve on the same system,
+    delta_c, and the spread of t(0) over the preset's chart and
+    ``CHARTS``."""
     values = {}
     for preset in sorted({row[0] for row in ROWS}):
         cfg = config_from_preset(preset)
@@ -51,9 +92,19 @@ def engine():
         sysm = fuchsian_system(pres, cfg.cap)
         curve = gdms.free_energy_curve(sysm, cfg.betas())
         curve.validate()
-        values[preset, "t(0)"] = float(curve.t[list(curve.betas).index(0.0)])
+        t0 = float(curve.t[list(curve.betas).index(0.0)])
+        values[preset, "t(0)"] = t0
+        values[preset, "alpha0"] = spectrum(curve).alpha0
         values[preset, "t(1)"] = gdms.free_energy(sysm, 1.0).t
-        values[preset, "delta_c"] = gdms.delta_c(pres).t
+        values[preset, "delta_c"] = gdms.delta_c(
+            fuchsian_system(pres, 2, restricted=True)).t
+        ts = [t0]
+        for chart in CHARTS:
+            moved = build_group(conjugate_config(
+                cfg.group_config(), MobiusMap.from_entries(*chart)))
+            ts.append(gdms.free_energy(fuchsian_system(moved, cfg.cap),
+                                       0.0).t)
+        values[preset, "t(0) spread"] = max(ts) - min(ts)
     return values
 
 
@@ -61,3 +112,12 @@ def engine():
                          ids=["%s-%s" % row[:2] for row in ROWS])
 def test_known_answer(engine, preset, quantity, answer, bound):
     assert abs(engine[preset, quantity] - answer) <= bound
+
+
+def test_series_c():
+    # the Euler-Maclaurin tail closes the sum: at n = 100 the first
+    # neglected term moves c by 2e-11, and n = 1000 and 10000 agree
+    assert series_c() == pytest.approx(series_c(10_000), abs=1e-15)
+    assert series_c(100) == pytest.approx(series_c(), abs=1e-10)
+    assert 2.0 * series_c() / math.pi ** 2 == pytest.approx(
+        0.277508504185874, abs=1e-15)

@@ -12,8 +12,11 @@ from cuspwind.induced import fuchsian_system
 from oracles import (
     WIDE_BETAS,
     InsufficientGridReach,
+    TwoLetterOperator,
     endpoint_slopes,
     legendre,
+    two_letter_alpha,
+    two_letter_root,
 )
 
 
@@ -161,6 +164,54 @@ def test_validate_rejects_f_above_one():
     assert curve(1.0 + 1e-10).validate()
     with pytest.raises(InvalidCurve, match="exceeds 1"):
         curve(1.0 + 1e-6).validate()
+
+
+def test_validate_rejects_non_finite_alpha_or_f():
+    def curve(alpha_mid, f_mid):
+        return sp.SpectrumCurve(np.array([0.0, alpha_mid, 1.0]),
+                                np.array([0.4, f_mid, 0.5]),
+                                np.array([5.0, 0.0, -5.0]), np.zeros(3),
+                                0.5)
+
+    assert curve(0.5, 0.7).validate()
+    for alpha_mid, f_mid in ((math.nan, 0.7), (0.5, math.nan),
+                             (math.inf, 0.7)):
+        with pytest.raises(InvalidCurve, match="non-finite"):
+            curve(alpha_mid, f_mid).validate()
+
+
+# --- an operator other than GdmsSystem --------------------------------------
+
+@pytest.fixture(scope="module")
+def two_letter_curve():
+    curve = gdms.free_energy_curve(TwoLetterOperator(), RunConfig().betas())
+    curve.validate()
+    return curve
+
+
+def test_two_letter_operator_roots_match_the_closed_form(two_letter_curve):
+    # the root finder reads t(beta) off the operator's own pressure, with
+    # no divergence abscissa (r is nan throughout)
+    assert np.all(np.isnan(two_letter_curve.r))
+    roots = [two_letter_root(b) for b in two_letter_curve.betas]
+    assert np.max(np.abs(two_letter_curve.t - roots)) <= 1e-12
+
+
+def test_two_letter_spectrum_has_no_nan(two_letter_curve):
+    # below beta = -2 the Legendre step differentiates r only where r is
+    # finite; with r = nan throughout, every row differentiates t
+    spec = sp.spectrum(two_letter_curve)
+    assert np.all(np.isfinite(spec.alphas)) and np.all(np.isfinite(spec.f))
+    assert spec.validate()
+
+
+def test_two_letter_alpha_within_the_finite_difference_error(
+        two_letter_curve):
+    # the slope of t on the 1.25-spaced grid, against -t'(beta) in closed
+    # form; the error is the finite differences' (1.54e-2 at worst)
+    spec = sp.spectrum(two_letter_curve)
+    alphas = [two_letter_alpha(b) for b in spec.beta_source]
+    assert np.max(np.abs(spec.alphas - alphas)) <= 1.6e-2
 
 
 # --- spectrum on a real curve -------------------------------------------------

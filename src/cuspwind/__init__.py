@@ -6,13 +6,14 @@ countable-alphabet shift with its potentials (:mod:`cuspwind.induced`),
 the pressure P(t, beta) of a truncated transfer operator and the free
 energy t(beta) (:mod:`cuspwind.gdms`), and the Legendre-transform
 spectrum f(alpha) (:mod:`cuspwind.spectrum`).  Bowen-Series coding, the
-geodesic arc decomposition, the induced conjugacy check and the Poincare
-probe (:mod:`cuspwind.coding`) serve the ``validate``, ``code`` and
-``delta`` commands; the command line lives in :mod:`cuspwind.cli`.  The
-names below are the chain's public API.  The reference implementations
-the tests compare it against (partition sums, the direct Legendre
-transform, displacements of coded words) live in ``tests/oracles.py``,
-not in the package.
+induced conjugacy check and the Poincare probe (:mod:`cuspwind.coding`)
+serve the ``validate``, ``code`` and ``delta`` commands; the command line
+lives in :mod:`cuspwind.cli`.  The names below are the chain's public
+API.  The reference implementations the tests compare it against
+(partition sums, the direct Legendre transform, displacements of coded
+words) and the paper's lemma checks (the arc decomposition of a coded
+geodesic and the constants C0 and C1) live in ``tests/oracles.py``, not
+in the package.
 
 Quick start::
 

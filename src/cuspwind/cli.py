@@ -24,14 +24,7 @@ import sys
 import numpy as np
 
 from . import gdms, spectrum as sp
-from .coding import (
-    arc_decomposition,
-    code_point,
-    conjugacy_check,
-    log_plus,
-    poincare_divergence_probe,
-    random_block_word,
-)
+from .coding import code_point, conjugacy_check, poincare_divergence_probe
 from .config import (
     _SCALARS,
     ConfigError,
@@ -41,7 +34,7 @@ from .config import (
 )
 from .errors import ReachedCusp
 from .figures import emit_figure
-from .fuchsian import build_group, constant_c0, constants_c1
+from .fuchsian import build_group
 from .induced import fuchsian_system, primitivity_witness
 from .presets import PRESETS
 
@@ -180,30 +173,7 @@ def write_result(cfg: RunConfig, stem: str, meta: dict, columns: dict) -> str:
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     pres = build_group(cfg.group_config())
-    rng = np.random.default_rng(cfg.seed)
-    checks = []
-    checks.append(("build+markov+horoballs", True, "validated by construction"))
-
-    c0 = constant_c0(pres, 64)
-    c1 = constants_c1(pres)
-    upper_const = math.log(4.0) + c0
-    violations = 0
-    for _ in range(100):
-        w = random_block_word(pres, rng, int(rng.integers(3, 12)))
-        lengths, total = arc_decomposition(pres, w)
-        if not (sum(lengths) <= total + 1e-9
-                and total <= sum(lengths) + c0 + 1e-9):
-            violations += 1
-        for k, (l, a) in enumerate(zip(lengths, w.windings(pres))):
-            if k >= 1 and l < 2.0 * log_plus(a) + c1 - 1e-9:
-                violations += 1
-            if a >= 2 and l < 2.0 * math.log(a) + math.log(3.0) - 1e-9:
-                violations += 1
-            if l > 2.0 * math.log(a + 1) + upper_const + 1e-9:
-                violations += 1
-    checks.append(("arc sandwich and winding bounds", violations == 0,
-                   "%d violations over 100 words" % violations))
-
+    checks = [("build+markov+horoballs", True, "validated by construction")]
     mismatches, resampled = conjugacy_check(pres, samples=40,
                                             letters_each=8, seed=cfg.seed)
     checks.append(("induced conjugacy", not mismatches,
@@ -216,8 +186,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     ok = all(c[1] for c in checks)
     for name, passed, detail in checks:
         print("%-36s %s (%s)" % (name, "ok" if passed else "FAIL", detail))
-    print("C0 = %.6f  C1 = %.6f  C2 = %.6f"
-          % (c0, c1, max(math.log(4.0), c0)))
     return 0 if ok else 1
 
 

@@ -1,5 +1,5 @@
-"""Bowen-Series coding, block words, displacement, arc decomposition,
-and the check that the coding conjugates the induced shift.
+"""Bowen-Series coding, block words, the check that the coding
+conjugates the induced shift, and the Poincare-series probe.
 
 A boundary point x in the interval J_g records the letter g and the
 expanding map applies g^{-1}; the word letters therefore compose to the
@@ -17,29 +17,19 @@ import numpy as np
 
 from .errors import (
     CodingStalled,
-    GeodesicMissesHorocircle,
     OutsideAllIntervals,
     ReachedCusp,
 )
 from .fuchsian import ANGLE_TOL, GroupPresentation, angle_distance
-from .geometry import Geodesic
 from .mobius import (
-    BASE_POINT,
     apply_boundary,
-    apply_plane,
     boundary_angle,
     boundary_from_angle,
     boundary_vector,
-    hyperbolic_distance,
 )
 
-PARAM_TOL = 1e-9
 RUN_TOL = 1e-9  # a run within this (relative) of n letters lands on its end
 SUFFIX_LEN = 3  # the shells that poincare_shell_sums takes from Gram entries
-
-
-def log_plus(a: float) -> float:
-    return math.log(a) if a > 1.0 else 0.0
 
 
 class BlockWord:
@@ -144,62 +134,6 @@ def point_from_symbols(pres: GroupPresentation, symbols) -> float:
     for label in reversed(symbols):
         x = apply_boundary(pres.gens[label].map, x)
     return x
-
-
-def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> tuple:
-    """Per-block arc lengths of the geodesic [i, B_1...B_n(i)] and its
-    full length, as (lengths, total).
-
-    lengths[k] is l(xi_{k+1}), the arc of the block of winding
-    ``word.windings(pres)[k]``; total is the full displacement, which
-    exceeds sum(lengths) by the final arc l(xi_{n+1}), bounded by the
-    constant C0 of the presentation.
-    """
-    word.validate(pres)
-    n = len(word)
-    if n == 0:
-        return (), 0.0
-
-    elements = [pres.gens[label].block(exp) for label, exp in word.blocks]
-    # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
-    q = [None] * (n + 2)
-    q[n + 1] = BASE_POINT
-    for k in range(n, 0, -1):
-        q[k] = apply_plane(elements[k - 1], q[k + 1])
-
-    start = BASE_POINT  # U_{k-1}(i), the geodesic start in the current frame
-    prev = BASE_POINT  # previous arc endpoint in the current frame
-    lengths = []
-    for k in range(1, n + 1):
-        label, exp = word.blocks[k - 1]
-        # parameters are arc lengths from the start, increasing towards
-        # q[k]; q[k] may lie so near the boundary that mapping it to the
-        # axis loses its height, so its parameter is its distance
-        geo = Geodesic.through(start, q[k])
-        s_prev, s_end = geo.param(prev), hyperbolic_distance(start, q[k])
-
-        if exp == 1:
-            found = geo.crossings(pres.gens[label].interval.geodesic())
-        else:
-            ball = pres.gens[label].horoball
-            found = geo.horoball_crossings(ball)
-        found = [s for s in found
-                 if s_prev - PARAM_TOL <= s <= s_end + PARAM_TOL]
-        if found:
-            pt = geo.point_at(found[-1])  # the exit crossing of a horoball
-        elif exp > 1 and ball.depth(q[k]) >= -PARAM_TOL:
-            pt = q[k]  # geodesic ends inside the horoball
-        else:
-            raise GeodesicMissesHorocircle(
-                "geodesic misses the %s of block %d (%r^%d)"
-                % ("side" if exp == 1 else "horoball", k, label, exp))
-
-        lengths.append(hyperbolic_distance(prev, pt))
-        binv = elements[k - 1].inverse()
-        start = apply_plane(binv, start)
-        prev = apply_plane(binv, pt)
-
-    return tuple(lengths), hyperbolic_distance(q[1], BASE_POINT)
 
 
 def random_block_word(pres: GroupPresentation, rng,

@@ -48,14 +48,6 @@ class ReachedCusp(CodingStalled):
         self.word, self.cusp = word, cusp
 
 
-class GeodesicMissesHorocircle(CuspwindError):
-    """Arc decomposition could not locate a feature crossing.
-
-    Signals an invalid presentation or a too-short prefix; the message
-    names the offending block.
-    """
-
-
 # --- gdms -----------------------------------------------------------------
 
 class NoSignChange(CuspwindError):

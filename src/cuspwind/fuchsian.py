@@ -1,4 +1,4 @@
-"""Group presentations: generators, Markov intervals, horocircles, constants.
+"""Group presentations: generators, Markov intervals, horocircles.
 
 A presentation is supplied as data (matrices plus boundary intervals); the
 builder validates that the intervals form a Markov system for the
@@ -20,10 +20,8 @@ images under ``apply_angle``, cusps and symmetries are computed and
 compared as angles, so no point, oo included, needs a case of its own.
 The real coordinate x is read only from the config, written only by
 ``conjugate_config``, and converted once per coding step
-(``letter_at``).  The geometry is that of :mod:`geometry`: the side of an
-interval is the geodesic T(i R+) with T(0) and T(oo) at the interval's
-ends, and the horoball of a cusp is its base p with the height k read
-off the parabolic's nilpotent part.
+(``letter_at``).  The horoball of a cusp is that of :mod:`geometry`: its
+base p with the height k read off the parabolic's nilpotent part.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ from .mobius import (
     boundary_angle,
     boundary_from_angle,
     compose,
-    geodesic_distance_between,
-    hyperbolic_distance,
     parabolic_power,
 )
 
@@ -108,11 +104,6 @@ class CircleInterval:
         """Image arc; Moebius maps preserve the circle orientation."""
         return CircleInterval.between(apply_angle(m, self.angle_lo),
                                       apply_angle(m, self.angle_hi))
-
-    def geodesic(self) -> geometry.Geodesic:
-        """The side over the arc; its half-plane over the arc is where
-        ``sinh_distance`` is positive."""
-        return geometry.Geodesic.over_arc(self.angle_lo, self.arc)
 
 
 class Generator:
@@ -411,123 +402,6 @@ def _validate_horoball_disjointness(pres: GroupPresentation):
             raise GroupValidationError(
                 "horoballs at %r and %r overlap"
                 % (boundary_from_angle(b1.angle), boundary_from_angle(b2.angle)))
-
-
-# --- constants -------------------------------------------------------------
-
-def constants_c1(pres: GroupPresentation) -> float:
-    """C1 = min(log 3, distance between distinct non-cancelling sides).
-
-    Touching sides (shared ideal endpoint at an accidental cusp, as in the
-    Gamma(2) configuration) give distance zero, so C1 = 0 is a legitimate
-    value for lattice-type presentations.
-    """
-    best = math.log(3.0)
-    for (l1, g1), (l2, g2) in itertools.combinations(pres.gens.items(), 2):
-        if l2 == g1.inverse:
-            continue  # cancelling side pair
-        j1, j2 = g1.interval, g2.interval
-        d = geodesic_distance_between(j1.angle_lo, j1.angle_hi,
-                                      j2.angle_lo, j2.angle_hi)
-        best = min(best, d)
-    return best
-
-
-def _limit_set_bounds(pres: GroupPresentation) -> dict:
-    """Per-letter arcs bounding the limit-set piece inside each interval.
-
-    Iterates J_g -> hull(g(union of admissible pieces)) 60 times; for
-    lattice-type systems this is a fixed point immediately, for second-kind
-    groups it shrinks to a tight cover of the limit set.
-    """
-    bounds = {l: (0.0, g.interval.arc) for l, g in pres.gens.items()}
-    for _ in range(60):
-        new = {}
-        for label, g in pres.gens.items():
-            jg = g.interval
-            lo_best, hi_best = None, None
-            for other, go in pres.gens.items():
-                if other == g.inverse:
-                    continue
-                jo = go.interval
-                olo, ohi = bounds[other]
-                for off in (olo, ohi):
-                    pos = jg.offset_on_arc(apply_angle(g.map,
-                                                       jo.angle_lo + off))
-                    lo_best = pos if lo_best is None else min(lo_best, pos)
-                    hi_best = pos if hi_best is None else max(hi_best, pos)
-            new[label] = (lo_best, hi_best)
-        bounds = new
-    out = {}
-    for label, g in pres.gens.items():
-        jg = g.interval
-        lo, hi = bounds[label]
-        out[label] = CircleInterval.between(jg.angle_lo + lo, jg.angle_lo + hi)
-    return out
-
-
-def _core_gaps(pres: GroupPresentation) -> list:
-    """The geodesics over the gaps of the limit set; their half-planes
-    over the gaps lie outside the convex core."""
-    bounds = _limit_set_bounds(pres)
-    # the starts mod 2 pi put the pieces in circle order
-    marks = sorted((b.angle_lo % TWO_PI, b.angle_hi) for b in bounds.values())
-    gaps = []
-    for k, (lo_a, hi_a) in enumerate(marks):
-        nxt_lo = marks[(k + 1) % len(marks)][0]
-        width = (nxt_lo - hi_a) % TWO_PI
-        if width > 1e-7 and width < TWO_PI - 1e-7:
-            gaps.append(geometry.Geodesic.over_arc(hi_a, width))
-    return gaps
-
-
-def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
-    """The sampled boundary of the truncated core, ``grid`` steps per
-    side, gap and horocircle.
-
-    The sampled region: on the fundamental-domain side of every interval
-    geodesic, outside every horoball (marked cusps plus accidental ones),
-    inside the convex core (outside every limit-set gap half-plane); a
-    sample of a side or gap geodesic is exempt from its own geodesic's
-    test.  Step f of a geodesic is its point at i tan(pi f / 2) on the
-    axis, and step f of a horocircle its point at tan(pi (f - 1/2)) + ik
-    in the chart where its base is oo.
-    """
-    sides = [g.interval.geodesic() for g in pres.gens.values()]
-    gaps = _core_gaps(pres)
-
-    def keep(pt: complex, own=None) -> bool:
-        return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
-                and all(g is own or g.sinh_distance(pt) <= -1e-9
-                        for g in gaps)
-                and all(b.depth(pt) <= 1e-9 for b in pres.cusps))
-
-    pts: list[complex] = []
-    for f in (k / grid for k in range(1, grid)):
-        for g in sides + gaps:
-            pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
-            if keep(pt, g):
-                pts.append(pt)
-        for b in pres.cusps:
-            pt = b.point_at(math.tan(math.pi * (f - 0.5)))
-            if keep(pt):
-                pts.append(pt)
-    return pts
-
-
-def constant_c0(pres: GroupPresentation, grid: int) -> float:
-    """C0: max pairwise distance over ``core_boundary_samples``.
-
-    The returned value inflates the raw sampled maximum by a 10% mesh
-    margin; downstream uses of C0 are error bands, so over-estimation is
-    safe.
-    """
-    raw = 0.0
-    for p, q in itertools.combinations(core_boundary_samples(pres, grid), 2):
-        d = hyperbolic_distance(p, q)
-        if d > raw:
-            raw = d
-    return raw * 1.1
 
 
 def conjugate_config(config: dict, m: MobiusMap) -> dict:

@@ -1,13 +1,12 @@
-"""Moebius transformation algebra and hyperbolic-plane primitives.
+"""Moebius transformation algebra on the boundary circle.
 
 Conventions used throughout the package:
 
-* the hyperbolic plane is the upper half-plane, its points Python
-  ``complex`` numbers z with Im z > 0, its boundary the circle
-  R u {oo}; inside the package a boundary point is its circle angle under
-  the Cayley map (``boundary_angle``), or a homogeneous vector
-  (``boundary_vector``, ``vector_angle``), and Moebius maps move angles
-  (``apply_angle``) and vectors (``apply_vector``),
+* a Moebius map acts on the boundary R u {oo} of the hyperbolic plane,
+  and the package holds no point of the plane itself: a boundary point is
+  its circle angle under the Cayley map (``boundary_angle``), or a
+  homogeneous vector (``boundary_vector``, ``vector_angle``), and Moebius
+  maps move angles (``apply_angle``) and vectors (``apply_vector``),
 * the real coordinate x appears only at the edges: config endpoints, the
   conjugated configs of ``fuchsian.conjugate_config``, error messages and
   the Bowen-Series coding; there the point at infinity is ``math.inf``
@@ -88,11 +87,9 @@ def unit_image(m: MobiusMap, theta: float) -> tuple:
     return v0 / norm, v1 / norm
 
 
-BASE_POINT = 1j
-
 
 class MobiusMap:
-    """Real 2x2 matrix of determinant one acting on the upper half-plane."""
+    """Real 2x2 matrix of determinant one, up to sign: a Moebius map."""
 
     def __init__(self, a: float, b: float, c: float, d: float):
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -167,39 +164,3 @@ def apply_boundary(m: MobiusMap, x: float) -> float:
         return math.inf
     return (m.a * x + m.b) / den
 
-
-def apply_plane(m: MobiusMap, z: complex) -> complex:
-    """Isometric action on the upper half-plane; Im m(z) = Im z / |cz + d|^2
-    (det 1) keeps the height of points near the boundary, which the
-    imaginary part of the quotient loses to cancellation."""
-    w = m.c * z + m.d
-    den = w.real * w.real + w.imag * w.imag
-    return complex(((m.a * z + m.b) * w.conjugate()).real / den,
-                   z.imag / den)
-
-
-def hyperbolic_distance(z: complex, w: complex) -> float:
-    dz = z - w
-    u = (dz.real * dz.real + dz.imag * dz.imag) / (2.0 * z.imag * w.imag)
-    return math.acosh(1.0 + u) if u > 0.0 else 0.0
-
-
-def geodesic_distance_between(u1: float, v1: float, u2: float, v2: float) -> float:
-    """Distance between the complete geodesics with ideal endpoints (u1,v1), (u2,v2).
-
-    The endpoints are circle angles.  Returns 0 when the geodesics cross,
-    touch, or share an ideal endpoint.  With c(x, y) = |sin((x - y) / 2)|,
-    half the chord between the circle angles x and y, the products
-    P1 = c(u1, u2) c(v1, v2), P2 = c(u1, v2) c(v1, u2) and
-    D = c(u1, v1) c(u2, v2) satisfy Ptolemy's relation: the largest is the
-    sum of the other two.  The geodesics are disjoint when that is P1 or
-    P2, and then cosh d = 1 + 2 min(P1, P2) / D.
-    """
-    def c(x, y):
-        return abs(math.sin(0.5 * (x - y)))
-
-    p1, p2 = c(u1, u2) * c(v1, v2), c(u1, v2) * c(v1, u2)
-    d = c(u1, v1) * c(u2, v2)
-    if max(p1, p2) <= d:
-        return 0.0
-    return math.acosh(1.0 + 2.0 * min(p1, p2) / d)

@@ -16,11 +16,17 @@ key graph of a system's cells, systems built from an edge list, systems
 stripped of their tail columns and presentations stripped of their
 symmetries, a two-letter operator whose t(beta) and alpha are known in
 closed form, and a beta grid that reaches deep into both asymptotes.
-Nothing under ``src/`` imports them.
+Beside them sits the geometry of the upper half-plane, which the
+package does not hold: its points, distances and geodesics, and the
+paper's lemma checks on it, the arc decomposition of a coded geodesic
+and the constants C0 and C1 of a presentation.  Nothing under ``src/``
+imports them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from hypothesis import strategies as st
@@ -31,7 +37,6 @@ from cuspwind.coding import (
     code_point,
     induced_step,
     letters_of_blocks,
-    log_plus,
     point_from_symbols,
     random_block_word,
 )
@@ -43,6 +48,7 @@ from cuspwind.errors import (
 )
 from cuspwind.fuchsian import (
     ANGLE_TOL,
+    TWO_PI,
     CircleInterval,
     GroupPresentation,
     angle_distance,
@@ -56,14 +62,14 @@ from cuspwind.gdms import (
 )
 from cuspwind.induced import letter_families
 from cuspwind.mobius import (
-    BASE_POINT,
     MobiusMap,
+    apply_angle,
     apply_boundary,
-    apply_plane,
+    apply_vector,
     boundary_angle,
     boundary_from_angle,
+    boundary_vector,
     compose,
-    hyperbolic_distance,
     parabolic_power,
     unit_image,
 )
@@ -85,6 +91,14 @@ class DegenerateArc(CuspwindError):
 
 class InsufficientGridReach(CuspwindError):
     """Spectrum grid does not reach close enough to the endpoints."""
+
+
+class GeodesicMissesHorocircle(CuspwindError):
+    """Arc decomposition could not locate a feature crossing.
+
+    Signals an invalid presentation or a too-short prefix; the message
+    names the offending block.
+    """
 
 
 # --- Moebius maps ---------------------------------------------------------
@@ -146,7 +160,159 @@ def arc_length_above_height(r: float, h: float) -> float:
     return math.log1p(aq) - math.log1p(-aq)
 
 
+# --- the upper half-plane -------------------------------------------------
+#
+# The package works on the boundary circle alone; the points of the plane
+# and its geodesics live here, for the paper's distance bounds.
+
+BASE_POINT = 1j
+
+
+def apply_plane(m: MobiusMap, z: complex) -> complex:
+    """Isometric action on the upper half-plane; Im m(z) = Im z / |cz + d|^2
+    (det 1) keeps the height of points near the boundary, which the
+    imaginary part of the quotient loses to cancellation."""
+    w = m.c * z + m.d
+    den = w.real * w.real + w.imag * w.imag
+    return complex(((m.a * z + m.b) * w.conjugate()).real / den,
+                   z.imag / den)
+
+
+def hyperbolic_distance(z: complex, w: complex) -> float:
+    dz = z - w
+    u = (dz.real * dz.real + dz.imag * dz.imag) / (2.0 * z.imag * w.imag)
+    return math.acosh(1.0 + u) if u > 0.0 else 0.0
+
+
+def geodesic_distance_between(u1: float, v1: float, u2: float, v2: float) -> float:
+    """Distance between the complete geodesics with ideal endpoints (u1,v1), (u2,v2).
+
+    The endpoints are circle angles.  Returns 0 when the geodesics cross,
+    touch, or share an ideal endpoint.  With c(x, y) = |sin((x - y) / 2)|,
+    half the chord between the circle angles x and y, the products
+    P1 = c(u1, u2) c(v1, v2), P2 = c(u1, v2) c(v1, u2) and
+    D = c(u1, v1) c(u2, v2) satisfy Ptolemy's relation: the largest is the
+    sum of the other two.  The geodesics are disjoint when that is P1 or
+    P2, and then cosh d = 1 + 2 min(P1, P2) / D.
+    """
+    def c(x, y):
+        return abs(math.sin(0.5 * (x - y)))
+
+    p1, p2 = c(u1, u2) * c(v1, v2), c(u1, v2) * c(v1, u2)
+    d = c(u1, v1) * c(u2, v2)
+    if max(p1, p2) <= d:
+        return 0.0
+    return math.acosh(1.0 + 2.0 * min(p1, p2) / d)
+
+
+class Geodesic:
+    """The image of the imaginary axis under the map ``axis`` (T).
+
+    The parameter of a point z is log Im T^-1 z, its signed arc length
+    along the geodesic from T(i); a geodesic over a boundary arc has T(0)
+    at the arc's lower end and T(oo) at its upper end, and its half-plane
+    over the arc is Re T^-1 z > 0.  Crossings with another geodesic or a
+    horocircle are solved on the axis after mapping by T^-1.
+    """
+
+    def __init__(self, axis: MobiusMap):
+        self.axis = axis
+
+    @staticmethod
+    def over_arc(theta: float, arc: float) -> "Geodesic":
+        """The geodesic over the boundary arc from circle angle theta to
+        theta + arc (0 < arc < 2 pi): T(0) is its lower end, T(oo) its
+        upper end, and T(i) the point of the geodesic nearest to the centre
+        i of the circle chart."""
+        hi, lo = boundary_vector(theta + arc), boundary_vector(theta)
+        # det [hi lo] = sin(arc / 2) > 0
+        return Geodesic(MobiusMap.from_entries(hi[0], lo[0], hi[1], lo[1]))
+
+    @staticmethod
+    def through(z: complex, w: complex) -> "Geodesic":
+        """The geodesic from z through w, with T(i) = z, so that the
+        parameter of w is the distance d(z, w)."""
+        s = math.sqrt(z.imag)
+        # u + iv is w seen from z: its image under w -> (w - Re z) / Im z
+        u, v = (w.real - z.real) / z.imag, w.imag / z.imag
+        # the rotation about i by phi turns the Cayley disc by 2 phi; it
+        # takes the axis point of height e^d to u + iv
+        phi = 0.5 * math.atan2(-2.0 * u, u * u + v * v - 1.0)
+        c, r = math.cos(phi), math.sin(phi)
+        return Geodesic(MobiusMap.from_entries(
+            s * c - z.real * r / s, s * r + z.real * c / s, -r / s, c / s))
+
+    @cached_property
+    def _inverse(self) -> MobiusMap:
+        return self.axis.inverse()
+
+    def param(self, z: complex) -> float:
+        return math.log(apply_plane(self._inverse, z).imag)
+
+    def point_at(self, s: float) -> complex:
+        return apply_plane(self.axis, complex(0.0, math.exp(s)))
+
+    def sinh_distance(self, z: complex) -> float:
+        """sinh of the signed distance of z from the geodesic, positive on
+        the half-plane Re T^-1 z > 0."""
+        w = apply_plane(self._inverse, z)
+        return w.real / w.imag
+
+    def crossings(self, other: "Geodesic") -> list:
+        """The parameter of the crossing with another geodesic, if any: its
+        ends T^-1 T'(0) and T^-1 T'(oo) lie on either side of the axis, and
+        the crossing is at the height sqrt(-x x') of the axis."""
+        m = other.axis
+        x0, y0 = apply_vector(self._inverse, (m.b, m.d))
+        x1, y1 = apply_vector(self._inverse, (m.a, m.c))
+        if x0 * y0 * x1 * y1 >= 0.0:
+            return []
+        return [0.5 * math.log(-(x0 * x1) / (y0 * y1))]
+
+    def horoball_crossings(self, ball) -> list:
+        """Parameters of the crossings with the horocircle of the
+        ``geometry.Horoball`` ball, in increasing order.  With q = T^-1 p,
+        the axis point iy lies on it where k q2^2 y^2 - y + k q1^2 = 0."""
+        q = apply_vector(self._inverse, ball.base)
+        a, b = ball.height * q[0] ** 2, ball.height * q[1] ** 2
+        disc = 1.0 - 4.0 * a * b
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        # a base at an end of the axis (a or b zero) leaves one crossing
+        out = [math.log(2.0 * a / (1.0 + sq))] if a > 0.0 else []
+        if b > 0.0:
+            out.append(math.log((1.0 + sq) / (2.0 * b)))
+        return out
+
+
+def arc_geodesic(interval: CircleInterval) -> Geodesic:
+    """The side over the arc; its half-plane over the arc is where
+    ``sinh_distance`` is positive."""
+    return Geodesic.over_arc(interval.angle_lo, interval.arc)
+
+
+def horoball_depth(ball, z: complex) -> float:
+    """Signed distance of z from the horocircle of the
+    ``geometry.Horoball`` ball, positive inside."""
+    p = ball.base
+    return math.log(z.imag / (ball.height * (
+        (p[1] * z.real - p[0]) ** 2 + (p[1] * z.imag) ** 2)))
+
+
+def horoball_point(ball, x: float) -> complex:
+    """The point x + ik of the horocircle, moved by the rotation about
+    i that sends oo to the base (x = 0 is the point nearest to i)."""
+    p = ball.base
+    return apply_plane(MobiusMap(p[0], -p[1], p[1], p[0]),
+                       complex(x, ball.height))
+
+
 # --- coded words ----------------------------------------------------------
+
+def log_plus(a: float) -> float:
+    return math.log(a) if a > 1.0 else 0.0
+
 
 def word_element(pres: GroupPresentation, word: BlockWord) -> MobiusMap:
     out = MobiusMap.from_entries(1, 0, 0, 1)
@@ -211,6 +377,186 @@ def mean_cusp_winding(pres: GroupPresentation, x: float, n: int) -> float:
     num = 2.0 * sum(log_plus(a) for a in word.windings(pres))
     den = displacement(pres, word)
     return num / den
+
+
+# --- the paper's distance sandwich and winding bounds ---------------------
+#
+# They hold for every presentation ``build_group`` accepts, so no command
+# checks them: the tests do, through the arc decomposition of a coded
+# geodesic and the constants C0 and C1.
+
+PARAM_TOL = 1e-9
+
+
+def arc_decomposition(pres: GroupPresentation, word: BlockWord) -> tuple:
+    """Per-block arc lengths of the geodesic [i, B_1...B_n(i)] and its
+    full length, as (lengths, total).
+
+    lengths[k] is l(xi_{k+1}), the arc of the block of winding
+    ``word.windings(pres)[k]``; total is the full displacement, which
+    exceeds sum(lengths) by the final arc l(xi_{n+1}), bounded by the
+    constant C0 of the presentation.
+    """
+    word.validate(pres)
+    n = len(word)
+    if n == 0:
+        return (), 0.0
+
+    elements = [pres.gens[label].block(exp) for label, exp in word.blocks]
+    # geodesic far endpoint in frame k-1: q[k] = B_k ... B_n (i)
+    q = [None] * (n + 2)
+    q[n + 1] = BASE_POINT
+    for k in range(n, 0, -1):
+        q[k] = apply_plane(elements[k - 1], q[k + 1])
+
+    start = BASE_POINT  # U_{k-1}(i), the geodesic start in the current frame
+    prev = BASE_POINT  # previous arc endpoint in the current frame
+    lengths = []
+    for k in range(1, n + 1):
+        label, exp = word.blocks[k - 1]
+        # parameters are arc lengths from the start, increasing towards
+        # q[k]; q[k] may lie so near the boundary that mapping it to the
+        # axis loses its height, so its parameter is its distance
+        geo = Geodesic.through(start, q[k])
+        s_prev, s_end = geo.param(prev), hyperbolic_distance(start, q[k])
+
+        if exp == 1:
+            found = geo.crossings(arc_geodesic(pres.gens[label].interval))
+        else:
+            ball = pres.gens[label].horoball
+            found = geo.horoball_crossings(ball)
+        found = [s for s in found
+                 if s_prev - PARAM_TOL <= s <= s_end + PARAM_TOL]
+        if found:
+            pt = geo.point_at(found[-1])  # the exit crossing of a horoball
+        elif exp > 1 and horoball_depth(ball, q[k]) >= -PARAM_TOL:
+            pt = q[k]  # geodesic ends inside the horoball
+        else:
+            raise GeodesicMissesHorocircle(
+                "geodesic misses the %s of block %d (%r^%d)"
+                % ("side" if exp == 1 else "horoball", k, label, exp))
+
+        lengths.append(hyperbolic_distance(prev, pt))
+        binv = elements[k - 1].inverse()
+        start = apply_plane(binv, start)
+        prev = apply_plane(binv, pt)
+
+    return tuple(lengths), hyperbolic_distance(q[1], BASE_POINT)
+
+
+def constants_c1(pres: GroupPresentation) -> float:
+    """C1 = min(log 3, distance between distinct non-cancelling sides).
+
+    Touching sides (shared ideal endpoint at an accidental cusp, as in the
+    Gamma(2) configuration) give distance zero, so C1 = 0 is a legitimate
+    value for lattice-type presentations.
+    """
+    best = math.log(3.0)
+    for (l1, g1), (l2, g2) in itertools.combinations(pres.gens.items(), 2):
+        if l2 == g1.inverse:
+            continue  # cancelling side pair
+        j1, j2 = g1.interval, g2.interval
+        d = geodesic_distance_between(j1.angle_lo, j1.angle_hi,
+                                      j2.angle_lo, j2.angle_hi)
+        best = min(best, d)
+    return best
+
+
+def _limit_set_bounds(pres: GroupPresentation) -> dict:
+    """Per-letter arcs bounding the limit-set piece inside each interval.
+
+    Iterates J_g -> hull(g(union of admissible pieces)) 60 times; for
+    lattice-type systems this is a fixed point immediately, for second-kind
+    groups it shrinks to a tight cover of the limit set.
+    """
+    bounds = {l: (0.0, g.interval.arc) for l, g in pres.gens.items()}
+    for _ in range(60):
+        new = {}
+        for label, g in pres.gens.items():
+            jg = g.interval
+            lo_best, hi_best = None, None
+            for other, go in pres.gens.items():
+                if other == g.inverse:
+                    continue
+                jo = go.interval
+                olo, ohi = bounds[other]
+                for off in (olo, ohi):
+                    pos = jg.offset_on_arc(apply_angle(g.map,
+                                                       jo.angle_lo + off))
+                    lo_best = pos if lo_best is None else min(lo_best, pos)
+                    hi_best = pos if hi_best is None else max(hi_best, pos)
+            new[label] = (lo_best, hi_best)
+        bounds = new
+    out = {}
+    for label, g in pres.gens.items():
+        jg = g.interval
+        lo, hi = bounds[label]
+        out[label] = CircleInterval.between(jg.angle_lo + lo, jg.angle_lo + hi)
+    return out
+
+
+def _core_gaps(pres: GroupPresentation) -> list:
+    """The geodesics over the gaps of the limit set; their half-planes
+    over the gaps lie outside the convex core."""
+    bounds = _limit_set_bounds(pres)
+    # the starts mod 2 pi put the pieces in circle order
+    marks = sorted((b.angle_lo % TWO_PI, b.angle_hi) for b in bounds.values())
+    gaps = []
+    for k, (lo_a, hi_a) in enumerate(marks):
+        nxt_lo = marks[(k + 1) % len(marks)][0]
+        width = (nxt_lo - hi_a) % TWO_PI
+        if width > 1e-7 and width < TWO_PI - 1e-7:
+            gaps.append(Geodesic.over_arc(hi_a, width))
+    return gaps
+
+
+def core_boundary_samples(pres: GroupPresentation, grid: int) -> list:
+    """The sampled boundary of the truncated core, ``grid`` steps per
+    side, gap and horocircle.
+
+    The sampled region: on the fundamental-domain side of every interval
+    geodesic, outside every horoball (marked cusps plus accidental ones),
+    inside the convex core (outside every limit-set gap half-plane); a
+    sample of a side or gap geodesic is exempt from its own geodesic's
+    test.  Step f of a geodesic is its point at i tan(pi f / 2) on the
+    axis, and step f of a horocircle its point at tan(pi (f - 1/2)) + ik
+    in the chart where its base is oo.
+    """
+    sides = [arc_geodesic(g.interval) for g in pres.gens.values()]
+    gaps = _core_gaps(pres)
+
+    def keep(pt: complex, own=None) -> bool:
+        return (all(g is own or g.sinh_distance(pt) <= 1e-12 for g in sides)
+                and all(g is own or g.sinh_distance(pt) <= -1e-9
+                        for g in gaps)
+                and all(horoball_depth(b, pt) <= 1e-9 for b in pres.cusps))
+
+    pts: list[complex] = []
+    for f in (k / grid for k in range(1, grid)):
+        for g in sides + gaps:
+            pt = g.point_at(math.log(math.tan(0.5 * math.pi * f)))
+            if keep(pt, g):
+                pts.append(pt)
+        for b in pres.cusps:
+            pt = horoball_point(b, math.tan(math.pi * (f - 0.5)))
+            if keep(pt):
+                pts.append(pt)
+    return pts
+
+
+def constant_c0(pres: GroupPresentation, grid: int) -> float:
+    """C0: max pairwise distance over ``core_boundary_samples``.
+
+    The returned value inflates the raw sampled maximum by a 10% mesh
+    margin; downstream uses of C0 are error bands, so over-estimation is
+    safe.
+    """
+    raw = 0.0
+    for p, q in itertools.combinations(core_boundary_samples(pres, grid), 2):
+        d = hyperbolic_distance(p, q)
+        if d > raw:
+            raw = d
+    return raw * 1.1
 
 
 # --- induced letters one by one -------------------------------------------

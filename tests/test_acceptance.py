@@ -29,24 +29,26 @@ from cuspwind import gdms
 from cuspwind import spectrum as sp
 from cuspwind.coding import (
     BlockWord,
-    arc_decomposition,
     conjugacy_check,
-    log_plus,
     poincare_divergence_probe,
     random_block_word,
 )
-from cuspwind.fuchsian import build_group, constant_c0, constants_c1
+from cuspwind.fuchsian import build_group
 from cuspwind.induced import fuchsian_system
 from cuspwind.presets import preset_config
 from oracles import (
     WIDE_BETAS,
+    arc_decomposition,
     arc_length_above_height,
     block_partition_sum,
     block_word_geometry,
+    constant_c0,
+    constants_c1,
     endpoint_slopes,
     eq4_constant,
     legendre,
     letter_series,
+    log_plus,
 )
 
 TOP_CAP = 400

@@ -6,36 +6,28 @@ from hypothesis import given, settings, strategies as st
 
 from cuspwind.coding import (
     BlockWord,
-    arc_decomposition,
     bowen_series_step,
     code_point,
     induced_step,
-    log_plus,
     point_from_symbols,
     poincare_shell_sums,
     random_block_word,
 )
 from cuspwind.errors import CodingStalled, OutsideAllIntervals, ReachedCusp
-from cuspwind.fuchsian import (
-    build_group,
-    conjugate_config,
-    constant_c0,
-    constants_c1,
-)
-from cuspwind.mobius import (
-    BASE_POINT,
-    MobiusMap,
-    apply_boundary,
-    apply_plane,
-    boundary_angle,
-    compose,
-    hyperbolic_distance,
-)
+from cuspwind.fuchsian import build_group, conjugate_config
+from cuspwind.mobius import MobiusMap, apply_boundary, boundary_angle, compose
 from cuspwind.presets import preset_config
 from oracles import (
+    BASE_POINT,
+    apply_plane,
+    arc_decomposition,
     charts,
+    constant_c0,
+    constants_c1,
     displacement,
+    hyperbolic_distance,
     letter_code_point,
+    log_plus,
     mean_cusp_winding,
     word_element,
 )

@@ -15,27 +15,34 @@ from cuspwind.errors import (
 from cuspwind.fuchsian import (
     ANGLE_TOL,
     CircleInterval,
-    _core_gaps,
-    _limit_set_bounds,
     angle_distance,
     build_group,
     conjugate_config,
-    constant_c0,
-    core_boundary_samples,
-    constants_c1,
 )
 from cuspwind.mobius import (
     MobiusMap,
     apply_boundary,
-    apply_plane,
     boundary_angle,
     boundary_from_angle,
     compose,
-    geodesic_distance_between,
-    hyperbolic_distance,
 )
 from cuspwind.presets import preset_config
-from oracles import charts, close_to, contains_interval
+from oracles import (
+    _core_gaps,
+    _limit_set_bounds,
+    apply_plane,
+    arc_geodesic,
+    charts,
+    close_to,
+    constant_c0,
+    constants_c1,
+    contains_interval,
+    core_boundary_samples,
+    geodesic_distance_between,
+    horoball_depth,
+    horoball_point,
+    hyperbolic_distance,
+)
 
 TRANSLATION_ONE = MobiusMap.from_entries(1.0, 1.0, 0.0, 1.0)
 
@@ -257,10 +264,10 @@ def check_horocircles_invariant(pres):
     for label in horoball_labels(pres):
         h, g = pres.gens[label].horoball, pres.gens[label].map
         for k in range(16):
-            pt = h.point_at(math.tan(math.pi * ((k + 0.5) / 16 - 0.5)))
-            assert h.depth(pt) == pytest.approx(0.0, abs=1e-10)
+            pt = horoball_point(h, math.tan(math.pi * ((k + 0.5) / 16 - 0.5)))
+            assert horoball_depth(h, pt) == pytest.approx(0.0, abs=1e-10)
             img = apply_plane(g, pt)
-            assert h.depth(img) == pytest.approx(0.0, abs=1e-10)
+            assert horoball_depth(h, img) == pytest.approx(0.0, abs=1e-10)
             assert hyperbolic_distance(pt, img) == pytest.approx(
                 math.acosh(3.0), abs=1e-10)
 
@@ -286,8 +293,8 @@ def test_horocircle_invariant_in_conjugated_charts(name, chart):
     preset = build_group(preset_config(name))
     for label in horoball_labels(pres):
         h, h0 = pres.gens[label].horoball, preset.gens[label].horoball
-        pt = apply_plane(m, h0.point_at(0.7))
-        assert h.depth(pt) == pytest.approx(0.0, abs=1e-9)
+        pt = apply_plane(m, horoball_point(h0, 0.7))
+        assert horoball_depth(h, pt) == pytest.approx(0.0, abs=1e-9)
         assert angle_distance(
             h.angle, boundary_angle(apply_boundary(
                 m, boundary_from_angle(h0.angle)))) <= 1e-9
@@ -456,12 +463,10 @@ def test_side_distance_against_sampled_minimum(onecusp):
     exact = geodesic_distance_between(ja.angle_lo, ja.angle_hi,
                                       jh.angle_lo, jh.angle_hi)
 
-    from cuspwind.mobius import hyperbolic_distance
-
     def sampled(n):
         # the points at tan(pi f / 2) on the axis, as C0 samples them
         best = math.inf
-        g1, g2 = ja.geodesic(), jh.geodesic()
+        g1, g2 = arc_geodesic(ja), arc_geodesic(jh)
         for i in range(1, n):
             p = g1.point_at(math.log(math.tan(0.5 * math.pi * i / n)))
             for j in range(1, n):

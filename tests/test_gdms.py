@@ -15,7 +15,7 @@ from cuspwind.gdms import (
     free_energy_curve,
     pressure,
 )
-from cuspwind.fuchsian import build_group, conjugate_config, constant_c0
+from cuspwind.fuchsian import build_group, conjugate_config
 from cuspwind.induced import (
     fuchsian_system,
     letter_families,
@@ -29,6 +29,7 @@ from oracles import (
     block_partition_sum,
     block_word_geometry,
     cell_pattern,
+    constant_c0,
     eq4_constant,
     letter_cells,
     letter_series,

@@ -11,8 +11,9 @@ line loads no scipy or html and a spectrum run no dataclasses or copy,
 every name ``perfbench/child.py`` wraps exists, and no function imports a
 package module (bar those in ``FUNCTION_IMPORTS``), nor ``induced`` the
 coder, no attribute of a built presentation but ``gens`` is a dict
-keyed by its labels, and every option of a subcommand is a ``RunConfig``
-key or is read by its command.  The tests do not count as users: a member only they read belongs
+keyed by its labels, every option of a subcommand is a ``RunConfig``
+key or is read by its command, and no module names a point, distance or
+geodesic of the upper half-plane.  The tests do not count as users: a member only they read belongs
 in ``tests/oracles.py`` or nowhere.
 
 No linter ships with the test dependencies, so this walks the syntax tree
@@ -769,6 +770,51 @@ def test_presentation_arcs_stay_in_circle_angles():
     assert [u for u in uses if u[0] == "CircleInterval"] == []
     assert {scope for scope, name in uses if name == "apply_boundary"} \
         == {"conjugate_config"}
+
+
+HALF_PLANE = ("apply_plane", "hyperbolic_distance",
+              "geodesic_distance_between", "BASE_POINT", "Geodesic")
+
+
+def half_plane_names(source: str) -> list:
+    """(line, name) of each definition, import, name or attribute in
+    ``source`` that is a name in ``HALF_PLANE``; an import counts by its
+    imported name and by its alias."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in HALF_PLANE]
+    return sorted(found)
+
+
+def test_half_plane_name_detector():
+    src = ("from .mobius import apply_plane as act, boundary_angle\n"
+           "from . import mobius\nBASE_POINT = 1j\n"
+           "class Geodesic:\n    pass\n"
+           "def f(z, w):\n    return mobius.hyperbolic_distance(act(z), w)\n"
+           "def geodesic_distance_between():\n    return boundary_angle\n")
+    assert half_plane_names(src) == [
+        (1, "apply_plane"), (3, "BASE_POINT"), (4, "Geodesic"),
+        (7, "hyperbolic_distance"), (8, "geodesic_distance_between")]
+
+
+def test_package_holds_no_half_plane_point():
+    # the package works in one geometry, boundary angles, vectors and
+    # matrices: the points of the plane, their distances and geodesics
+    # serve only the paper's lemma checks in tests/oracles.py
+    found = ["%s:%d %s" % (p.name, line, name)
+             for p in sorted(PACKAGE.glob("*.py"))
+             for line, name in half_plane_names(p.read_text(encoding="utf-8"))]
+    assert not found, "half-plane names in the package: " + ", ".join(found)
 
 
 

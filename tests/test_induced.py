@@ -13,12 +13,7 @@ from cuspwind.coding import (
     point_from_symbols,
 )
 from cuspwind.induced import primitivity_witness
-from cuspwind.fuchsian import (
-    angle_distance,
-    build_group,
-    conjugate_config,
-    constants_c1,
-)
+from cuspwind.fuchsian import angle_distance, build_group, conjugate_config
 from cuspwind.mobius import (
     MobiusMap,
     apply_boundary,
@@ -32,6 +27,7 @@ from oracles import (
     alphabet,
     circle_derivative_magnitude,
     close_to,
+    constants_c1,
     contains_interval,
     eq4_constant,
     midpoint_vector,

@@ -17,6 +17,9 @@ Answers:
   alpha0 is the one ``spectrum`` reports off the default curve.
 * t(0) does not depend on the chart: its spread over the preset's own
   chart and its conjugates by z + 0.3, 4z and z / (0.4z + 1) is 0.
+* t(0), t(1) and delta_c do not depend on the Markov partition: their
+  spread between one-cusp's preset arcs and its arcs at i
+  (``PARTITIONS``) is 0.
 * The other rows are the values of the collocated operator (Chebyshev
   collocation in the circle angle, the winding sums by Gauss rules),
   reproduced by independent prototypes that converged to the digits
@@ -64,6 +67,24 @@ def series_c(n: int = 1000) -> float:
     return math.fsum(parts) + g(n) / 2.0 - dg / 12.0
 
 
+# Another Markov partition of a preset, by the arcs at i: the arc of g is
+# where g^-1 expands in the circle chart.  One-cusp's a keeps the preset's
+# arcs, and h's become (2, 4.5) and (-4.5, -2), with h(-4.5) = 4.5 and
+# h(-2) = 2, against the preset's (2, 29/7) and (-5, -2).
+PARTITIONS = {
+    ONECUSP: {
+        "name": "one-cusp-arcs-at-i",
+        "generators": [
+            {"label": "a", "inverse_label": "A", "kind": "parabolic",
+             "matrix": [1.0, 0.0, 2.0, 1.0],
+             "interval": [0.0, 1.0], "interval_inverse": [-1.0, 0.0]},
+            {"label": "h", "inverse_label": "H", "kind": "hyperbolic",
+             "matrix": [2.6, 7.2, 0.8, 2.6],
+             "interval": [2.0, 4.5], "interval_inverse": [-4.5, -2.0]},
+        ],
+    },
+}
+
 # (preset, quantity, answer, bound); the error today is in the comment
 ROWS = [
     (GAMMA2, "t(0)", 1.0, 0.0188),  # 1.871e-2
@@ -75,6 +96,9 @@ ROWS = [
     (ONECUSP, "t(1)", 0.423653533481690, 1.41e-5),  # 1.409e-5
     (ONECUSP, "delta_c", 0.4082354813779, 1.80e-5),  # 1.792e-5
     (ONECUSP, "t(0) spread", 0.0, 1.02e-5),  # 1.0098e-5
+    (ONECUSP, "t(0) partition spread", 0.0, 7.7e-8),  # 7.669e-8
+    (ONECUSP, "t(1) partition spread", 0.0, 3.11e-7),  # 3.106e-7
+    (ONECUSP, "delta_c partition spread", 0.0, 3.67e-7),  # 3.664e-7
 ]
 
 
@@ -83,8 +107,9 @@ def engine():
     """The engine's quantities on each preset's default run: t(0) off the
     default curve as ``spectrum`` solves it, alpha0 as ``spectrum``
     reports it off that curve, t(1) by one solve on the same system,
-    delta_c, and the spread of t(0) over the preset's chart and
-    ``CHARTS``."""
+    delta_c, the spread of t(0) over the preset's chart and ``CHARTS``,
+    and the distance of t(0), t(1) and delta_c from those on the preset's
+    other partition in ``PARTITIONS``, each by one solve."""
     values = {}
     for preset in sorted({row[0] for row in ROWS}):
         cfg = config_from_preset(preset)
@@ -105,6 +130,16 @@ def engine():
             ts.append(gdms.free_energy(fuchsian_system(moved, cfg.cap),
                                        0.0).t)
         values[preset, "t(0) spread"] = max(ts) - min(ts)
+        if preset in PARTITIONS:
+            arcs = build_group(PARTITIONS[preset])
+            arcs_sys = fuchsian_system(arcs, cfg.cap)
+            for quantity, value in (
+                    ("t(0)", gdms.free_energy(arcs_sys, 0.0).t),
+                    ("t(1)", gdms.free_energy(arcs_sys, 1.0).t),
+                    ("delta_c", gdms.delta_c(
+                        fuchsian_system(arcs, 2, restricted=True)).t)):
+                values[preset, quantity + " partition spread"] = abs(
+                    value - values[preset, quantity])
     return values
 
 

@@ -8,21 +8,21 @@ from cuspwind.mobius import (
     MobiusMap,
     apply_angle,
     apply_boundary,
-    apply_plane,
     boundary_angle,
     boundary_from_angle,
     boundary_vector,
     compose,
-    geodesic_distance_between,
-    hyperbolic_distance,
     parabolic_power,
     vector_angle,
 )
 from oracles import (
     DegenerateArc,
+    apply_plane,
     arc_length_above_height,
     circle_derivative_magnitude,
     close_to,
+    geodesic_distance_between,
+    hyperbolic_distance,
 )
 
 INF = math.inf
